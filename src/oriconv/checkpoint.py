@@ -55,25 +55,35 @@ def save_checkpoint(path: str, tensors: dict, step: int, config: dict) -> None:
             _write_tensor(fh, name, full[name])
 
 
+def _read(fh, n: int, path: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ConfigError(f"{path} is truncated (wanted {n} bytes, got {len(data)})")
+    return data
+
+
+def _read_u32(fh, path: str) -> int:
+    return struct.unpack("<I", _read(fh, 4, path))[0]
+
+
 def load_checkpoint(path: str):
-    """Read back (tensors, step, config_hash)."""
+    """Read back (tensors, step, config_hash); a malformed or truncated file
+    raises ConfigError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigError(f"{path} is not a checkpoint (bad magic)")
-        version = struct.unpack("<I", fh.read(4))[0]
+        version = _read_u32(fh, path)
         if version != VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
-        count = struct.unpack("<I", fh.read(4))[0]
+        count = _read_u32(fh, path)
         tensors = {}
         for _ in range(count):
-            nlen = struct.unpack("<I", fh.read(4))[0]
-            name = fh.read(nlen).decode()
-            rank = struct.unpack("<I", fh.read(4))[0]
-            shape = tuple(
-                struct.unpack("<I", fh.read(4))[0] for _ in range(rank)
-            )
+            nlen = _read_u32(fh, path)
+            name = _read(fh, nlen, path).decode()
+            rank = _read_u32(fh, path)
+            shape = tuple(_read_u32(fh, path) for _ in range(rank))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(_read(fh, 4 * n, path), dtype="<f4").reshape(shape)
             tensors[name] = data.copy()
     step = int(tensors.pop("meta/step")[0])
     lo = int(tensors.pop("meta/config_hash_lo")[0])

@@ -51,7 +51,17 @@ class Layer:
 
 
 class RConvLayer(Layer):
-    """Rotation-equivariant convolution, free or basis-parametrized filters."""
+    """Rotation-equivariant convolution, free or basis-parametrized filters.
+
+    `forward` expands the canonical bank into its n rotated copies once per
+    batch (`rconv.expand_rotations`, bit-identical to expanding per image)
+    and keeps the expanded filter with the input for `backward`. `backward`
+    convolves per image, pulls the stacked per-image filter gradients back
+    onto the canonical weights with one call to
+    `rconv.expand_rotations_backward`, and adds the results in image order,
+    so the weight gradient is bit-identical to the per-image
+    `rconv.rconv_backward` loop.
+    """
 
     def __init__(
         self,
@@ -110,26 +120,21 @@ class RConvLayer(Layer):
         if self.parametrization == "steerable":
             self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
             self.bank.apply_mask()
-        fwd = (
-            rconv.rconv_forward
-            if self.input_kind == rconv.SCALAR
-            else rconv.rconv_forward_vf
-        )
-        out = np.stack([fwd(img, self.bank).activations for img in x])
-        self._cache = x
+        f = rconv.expand_rotations(self.bank)
+        pad = self.bank.size // 2
+        out = np.stack([conv2d(img, f, stride=1, padding=pad) for img in x])
+        self._cache = (x, f)
         return out
 
     def backward(self, gy: Tensor) -> Tensor:
-        x = self._cache
-        bwd = (
-            rconv.rconv_backward
-            if self.input_kind == rconv.SCALAR
-            else rconv.rconv_backward_vf
-        )
-        gxs = []
+        x, f = self._cache
+        pad = self.bank.size // 2
+        gxs, gfs = [], []
         for img, g in zip(x, gy):
-            gx, gw = bwd(img, self.bank, g)
+            gx, gf = conv2d_backward(img, f, g, stride=1, padding=pad)
             gxs.append(gx)
+            gfs.append(gf)
+        for gw in rconv.expand_rotations_backward(self.bank, np.stack(gfs)):
             if self.parametrization == "steerable":
                 self.g_mixing += steerbasis.compose_filters_backward(self.basis, gw)
             else:

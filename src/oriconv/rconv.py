@@ -19,10 +19,22 @@ index permutations, and the cos/sin tables are constructed with exact
 quarter-turn symmetry. Together with the float64 reduction rules in
 `tensor`, this makes the rotate-input <-> shift-rotation-channels identity
 bit-exact at quarter turns.
+
+The resampling is precomputed once per (m, n) as a cached, read-only
+`RotationPlan`: the bilinear taps of the base angles (the first quadrant when
+4 | n, else all n angles) and, for the adjoint, the same taps indexed by
+source pixel. `expand_rotations` is then one gather over all base angles,
+quarter-turn permutations and a vectorised (p, q) frame mixing;
+`expand_rotations_backward` is the quadrant fold plus one gather-scatter over
+all base angles, and takes a batch of per-image gradients at once. Both add
+their terms in the same order as per-angle `rotate_grid` /
+`rotate_grid_adjoint` calls, so float32 and float64 results are
+bit-identical to them, and training losses at a fixed seed do not move.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +47,8 @@ from .tensor import (
     TWO_PI,
     conv2d,
     conv2d_backward,
-    rotate_grid,
-    rotate_grid_adjoint,
+    _quarter_turns,
+    _rotation_taps,
 )
 
 SCALAR = "scalar"
@@ -155,117 +167,184 @@ def _masked(bank: CanonicalFilterBank) -> Tensor:
     return bank.weights * bank.mask[:, :, None, None].astype(bank.weights.dtype)
 
 
-def _rotated_stack(w: Tensor, n: int):
-    """List of n spatially rotated copies of [m,m,...] weights.
+@dataclass(frozen=True)
+class RotationPlan:
+    """Read-only resampling plan for the base angles 2*pi*j/n, j < k, of an
+    m-by-m grid: the first quadrant (k = n/4) when 4 | n, whose copies the
+    other quadrants are exact quarter turns of, else every angle (k = n).
 
-    Quadrant construction when 4 | n: copy r = q*n/4 + j is the exact
-    90-degree permutation (applied q times) of the bilinear rotation by
-    2*pi*j/n, so copies a quarter turn apart are exact rot90 images of each
-    other.
+    taps, weights: [k, 4, m*m] flat source indices and float64 weights of
+    the four bilinear taps, in `rotate_grid`'s tap order; out-of-support
+    taps have weight zero.
+    scatter_src, scatter_wgt: [k, m*m, L], the same taps seen from the
+    source side: for source pixel s, the output pixels that read it and
+    their weights, in the (tap, output pixel) order in which
+    `rotate_grid_adjoint` adds them. Short rows are padded with index m*m,
+    which the adjoint points at a row of -0.0 (adding -0.0 changes nothing).
+    exact: (j, perm, inverse) for base angles that are whole quarter turns,
+    which `rotate_grid` and its adjoint take as index permutations.
     """
-    copies = [None] * n
-    if n % 4 == 0:
-        quarter = n // 4
-        for j in range(quarter):
-            base = rotate_grid(w, GridSampleSpec(TWO_PI * j / n))
-            copies[j] = base
-            for q in range(1, 4):
-                copies[j + q * quarter] = np.rot90(base, q).copy()
-    else:
-        for r in range(n):
-            copies[r] = rotate_grid(w, GridSampleSpec(TWO_PI * r / n))
-    return copies
+
+    n_base: int
+    taps: np.ndarray
+    weights: np.ndarray
+    scatter_src: np.ndarray
+    scatter_wgt: np.ndarray
+    exact: tuple
 
 
-def _rotated_stack_adjoint(grads, n: int) -> Tensor:
-    """Transpose of `_rotated_stack`: fold per-rotation gradients back."""
-    total = None
-    if n % 4 == 0:
-        quarter = n // 4
-        for j in range(quarter):
-            acc = grads[j].copy()
-            for q in range(1, 4):
-                acc += np.rot90(grads[j + q * quarter], -q)
-            g = rotate_grid_adjoint(acc, GridSampleSpec(TWO_PI * j / n))
-            total = g if total is None else total + g
-    else:
-        for r in range(n):
-            g = rotate_grid_adjoint(grads[r], GridSampleSpec(TWO_PI * r / n))
-            total = g if total is None else total + g
+@functools.lru_cache(maxsize=None)
+def rotation_plan(m: int, n: int) -> RotationPlan:
+    """The cached plan for m-by-m filters at n rotations; shared, read-only."""
+    k = n // 4 if n % 4 == 0 else n
+    npix = m * m
+    taps = np.empty((k, 4, npix), dtype=np.int64)
+    weights = np.zeros((k, 4, npix), dtype=np.float64)
+    exact = []
+    for j in range(k):
+        spec = GridSampleSpec(TWO_PI * j / n)
+        q = _quarter_turns(spec.angle)
+        if q is None:
+            idx, wgt = _rotation_taps(m, spec.angle)
+            taps[j] = idx
+            weights[j] = wgt
+        else:
+            perm = np.rot90(np.arange(npix).reshape(m, m), q).ravel()
+            taps[j] = perm
+            weights[j, 0] = 1.0
+            exact.append((j, perm, np.argsort(perm)))
+    readers = [[[] for _ in range(npix)] for _ in range(k)]
+    for j in range(k):
+        for t in range(4):
+            for o in range(npix):
+                readers[j][taps[j, t, o]].append((o, weights[j, t, o]))
+    width = max(len(r) for rows in readers for r in rows)
+    scatter_src = np.full((k, npix, width), npix, dtype=np.int64)
+    scatter_wgt = np.ones((k, npix, width), dtype=np.float64)
+    for j in range(k):
+        for s, row in enumerate(readers[j]):
+            for i, (o, wgt) in enumerate(row):
+                scatter_src[j, s, i] = o
+                scatter_wgt[j, s, i] = wgt
+    for a in [taps, weights, scatter_src, scatter_wgt] + [a for e in exact for a in e[1:]]:
+        a.flags.writeable = False
+    return RotationPlan(k, taps, weights, scatter_src, scatter_wgt, tuple(exact))
+
+
+def _rotate_base(w: Tensor, plan: RotationPlan) -> Tensor:
+    """[k, m, m, ...] copies of [m, m, ...] weights at the plan's base angles.
+
+    Adds the four taps into zeros in `rotate_grid`'s order and copies quarter
+    turns by permutation, so each copy is bit-identical to `rotate_grid`.
+    """
+    m = w.shape[0]
+    flat = w.reshape(m * m, -1)
+    wgt = plan.weights.astype(flat.dtype)[..., None]
+    out = np.zeros((plan.n_base, m * m, flat.shape[1]), dtype=flat.dtype)
+    for t in range(4):
+        out += flat[plan.taps[:, t]] * wgt[:, t]
+    for j, perm, _ in plan.exact:
+        out[j] = flat[perm]
+    return out.reshape((plan.n_base,) + w.shape)
+
+
+def _rotate_base_adjoint(g: Tensor, plan: RotationPlan) -> Tensor:
+    """Transpose of `_rotate_base` summed over base angles: [B, k, m*m, T]
+    -> [B, m*m, T].
+
+    Each angle's adjoint adds the tap contributions into zeros in
+    `rotate_grid_adjoint`'s scatter order, and the angles are summed in
+    order, so each image's result is bit-identical to the per-angle loop.
+    """
+    b, k, npix, t = g.shape
+    pad = np.full((b, k, 1, t), -0.0, dtype=g.dtype)
+    src = np.concatenate([g, pad], axis=2)
+    wgt = plan.scatter_wgt.astype(g.dtype)[..., None]
+    angle = np.arange(k)[:, None]
+    per_angle = np.zeros_like(g)
+    for i in range(plan.scatter_src.shape[2]):
+        per_angle += src[:, angle, plan.scatter_src[:, :, i]] * wgt[:, :, i]
+    for j, _, inverse in plan.exact:
+        per_angle[:, j] = g[:, j, inverse]
+    total = per_angle[:, 0]
+    for j in range(1, k):
+        total = total + per_angle[:, j]
     return total
+
+
+def _frame_tables(n: int, dtype):
+    """cos/sin of the sampled angles shaped to broadcast over [n, m, m, Cin, C]."""
+    cos_t, sin_t = angle_table(n)
+    shape = (n, 1, 1, 1, 1)
+    return cos_t.astype(dtype).reshape(shape), sin_t.astype(dtype).reshape(shape)
 
 
 def expand_rotations(bank: CanonicalFilterBank) -> Tensor:
     """Expanded filter tensor [m, m, Cin, C*n] of all masked rotated copies.
 
     Copy r of filter c sits at output channel c*n + r; copy 0 equals the
-    masked canonical filter exactly.
+    masked canonical filter exactly. When 4 | n, copy r = q*n/4 + j is the
+    exact 90-degree permutation (applied q times) of base copy j, so copies a
+    quarter turn apart are exact rot90 images of each other.
     """
     m = bank.size
     n = bank.n_rotations
     cin = bank.in_channels
     c = bank.n_filters
     w = _masked(bank)
-    maskb = bank.mask[:, :, None, None].astype(w.dtype)
-
-    if bank.input_kind == SCALAR:
-        copies = _rotated_stack(w, n)
-        mixed = [cp * maskb for cp in copies]
-    else:
-        cos_t, sin_t = angle_table(n)
-        wp = w[:, :, 0::2, :]
-        wq = w[:, :, 1::2, :]
-        rp = _rotated_stack(wp, n)
-        rq = _rotated_stack(wq, n)
-        mixed = []
-        for r in range(n):
-            cr = w.dtype.type(cos_t[r])
-            sr = w.dtype.type(sin_t[r])
-            fp = cr * rp[r] - sr * rq[r]
-            fq = cr * rq[r] + sr * rp[r]
-            full = np.empty((m, m, cin, c), dtype=w.dtype)
-            full[:, :, 0::2, :] = fp
-            full[:, :, 1::2, :] = fq
-            mixed.append(full * maskb)
-
-    out = np.stack(mixed, axis=0)  # [n, m, m, cin, c]
+    rot = _rotate_base(w, rotation_plan(m, n))  # [k, m, m, cin, c]
+    if n % 4 == 0:
+        rot = np.concatenate([np.rot90(rot, q, axes=(1, 2)) for q in range(4)])
+    if bank.input_kind == VECTOR:
+        # rotate the (p, q) frame: fp = c*p - s*q, fq = c*q + s*p
+        cr, sr = _frame_tables(n, w.dtype)
+        rp = rot[..., 0::2, :]
+        rq = rot[..., 1::2, :]
+        mixed = np.empty_like(rot)
+        mixed[..., 0::2, :] = cr * rp - sr * rq
+        mixed[..., 1::2, :] = cr * rq + sr * rp
+        rot = mixed
+    out = rot * bank.mask[None, :, :, None, None].astype(w.dtype)
     out = out.transpose(1, 2, 3, 4, 0).reshape(m, m, cin, c * n)
     return np.ascontiguousarray(out)
 
 
 def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) -> Tensor:
     """Pull a gradient w.r.t. the expanded filters back onto the canonical
-    weights (mask -> rotation transpose -> sum over rotations -> mask)."""
+    weights (mask -> frame-mixing transpose -> quadrant fold -> resampling
+    transpose -> mask).
+
+    grad_expanded is [..., m, m, Cin, C*n]; leading axes (a batch of
+    per-image gradients) are kept, and each slice of the [..., m, m, Cin, C]
+    result is bit-identical to pulling that slice back on its own.
+    """
     m = bank.size
     n = bank.n_rotations
     cin = bank.in_channels
     c = bank.n_filters
+    plan = rotation_plan(m, n)
+    lead = grad_expanded.shape[:-4]
     maskb = bank.mask[:, :, None, None].astype(grad_expanded.dtype)
-    g = grad_expanded.reshape(m, m, cin, c, n).transpose(4, 0, 1, 2, 3)
-    g = g * maskb[None]
+    g = grad_expanded.reshape(-1, m, m, cin, c, n).transpose(0, 5, 1, 2, 3, 4)
+    g = g * maskb  # [B, n, m, m, cin, c]
 
-    if bank.input_kind == SCALAR:
-        grads = [g[r] for r in range(n)]
-        total = _rotated_stack_adjoint(grads, n)
-    else:
-        cos_t, sin_t = angle_table(n)
-        gp_rot = []
-        gq_rot = []
-        for r in range(n):
-            cr = g.dtype.type(cos_t[r])
-            sr = g.dtype.type(sin_t[r])
-            gfp = g[r][:, :, 0::2, :]
-            gfq = g[r][:, :, 1::2, :]
-            # transpose of the (p,q) mixing matrix [[c,-s],[s,c]]
-            gp_rot.append(cr * gfp + sr * gfq)
-            gq_rot.append(cr * gfq - sr * gfp)
-        tp = _rotated_stack_adjoint(gp_rot, n)
-        tq = _rotated_stack_adjoint(gq_rot, n)
-        total = np.empty((m, m, cin, c), dtype=g.dtype)
-        total[:, :, 0::2, :] = tp
-        total[:, :, 1::2, :] = tq
-
-    return total * maskb
+    if bank.input_kind == VECTOR:
+        # transpose of the (p,q) mixing matrix [[c,-s],[s,c]]
+        cr, sr = _frame_tables(n, g.dtype)
+        gp = g[..., 0::2, :]
+        gq = g[..., 1::2, :]
+        mixed = np.empty_like(g)
+        mixed[..., 0::2, :] = cr * gp + sr * gq
+        mixed[..., 1::2, :] = cr * gq - sr * gp
+        g = mixed
+    if n % 4 == 0:
+        g = g.reshape((g.shape[0], 4, plan.n_base) + g.shape[2:])
+        acc = g[:, 0].copy()
+        for q in range(1, 4):
+            acc += np.rot90(g[:, q], -q, axes=(2, 3))
+        g = acc
+    total = _rotate_base_adjoint(g.reshape(g.shape[0], plan.n_base, m * m, cin * c), plan)
+    return total.reshape(lead + (m, m, cin, c)) * maskb
 
 
 def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> RConvOutput:

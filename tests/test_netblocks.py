@@ -111,6 +111,31 @@ class TestLayerGradients:
 
         assert finite_diff_check(loss, layer.mixing.copy(), layer.g_mixing) < 1e-4
 
+    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
+    def test_rconv_layer_batch_matches_per_image(self, rng, kind, monkeypatch):
+        layer = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(3, 7, 7, 4))
+        up = rng.normal(size=(3, 7, 7, 16))
+        bwd = rconv.rconv_backward if kind == rconv.SCALAR else rconv.rconv_backward_vf
+        per_image = [bwd(img, layer.bank, g) for img, g in zip(x, up)]
+
+        calls = []
+        expand = rconv.expand_rotations
+
+        def counting(bank):
+            calls.append(bank)
+            return expand(bank)
+
+        monkeypatch.setattr(rconv, "expand_rotations", counting)
+        layer.forward(x)
+        assert len(calls) == 1
+        layer.zero_grads()
+        gx = layer.backward(up)
+        assert len(calls) == 1
+        # same per-image convs, adjoint slices and image-order sum: exact
+        assert np.array_equal(gx, np.stack([p[0] for p in per_image]))
+        assert np.array_equal(layer.g_weights, sum(p[1] for p in per_image))
+
     def test_plain_conv_bias_grad(self, rng):
         layer = PlainConv(3, 2, 3, rng=rng, dtype=np.float64)
         x = rng.normal(size=(2, 5, 5, 2))

@@ -11,13 +11,15 @@ from oriconv.rconv import (
     angle_table,
     circular_mask,
     expand_rotations,
+    expand_rotations_backward,
     rconv_backward,
     rconv_backward_vf,
     rconv_forward,
     rconv_forward_vf,
     rotation_angles,
+    rotation_plan,
 )
-from oriconv.tensor import GridSampleSpec, finite_diff_check, rotate_grid
+from oriconv.tensor import GridSampleSpec, finite_diff_check, rotate_grid, rotate_grid_adjoint
 
 from conftest import conv2d_oracle, gaussian_bump, smooth_random_image
 
@@ -71,6 +73,116 @@ class TestExpandRotations:
             q = n // 4
             assert np.array_equal(cos_t[q:], -sin_t[: n - q])
             assert np.array_equal(sin_t[q:], cos_t[: n - q])
+
+
+def expand_oracle(bank):
+    """Per-angle `rotate_grid` expansion; when 4 | n, copy q*n/4 + j is the
+    rot90 (q times) of the bilinear copy at base angle 2*pi*j/n."""
+    m, n = bank.size, bank.n_rotations
+    cin, c = bank.in_channels, bank.n_filters
+    mask = bank.mask[:, :, None, None]
+    w = bank.weights * mask
+    dt = w.dtype.type
+    cos_t, sin_t = angle_table(n)
+
+    def rot(a, r):
+        if n % 4 == 0:
+            q, j = divmod(r, n // 4)
+            return np.rot90(rotate_grid(a, GridSampleSpec(2 * math.pi * j / n)), q)
+        return rotate_grid(a, GridSampleSpec(2 * math.pi * r / n))
+
+    out = np.empty((m, m, cin, c * n), dtype=w.dtype)
+    for r in range(n):
+        if bank.input_kind == SCALAR:
+            f = rot(w, r)
+        else:
+            rp, rq = rot(w[:, :, 0::2], r), rot(w[:, :, 1::2], r)
+            f = np.empty_like(w)
+            f[:, :, 0::2] = dt(cos_t[r]) * rp - dt(sin_t[r]) * rq
+            f[:, :, 1::2] = dt(cos_t[r]) * rq + dt(sin_t[r]) * rp
+        out[:, :, :, r::n] = f * mask
+    return out
+
+
+def expand_backward_oracle(bank, grad):
+    """Per-angle `rotate_grid_adjoint` pull-back: mask, frame-mixing
+    transpose, quadrant fold when 4 | n, adjoint per base angle summed in
+    angle order, mask."""
+    m, n = bank.size, bank.n_rotations
+    mask = bank.mask[:, :, None, None].astype(grad.dtype)
+    g = grad.reshape(m, m, bank.in_channels, bank.n_filters, n) * mask[..., None]
+    dt = grad.dtype.type
+    cos_t, sin_t = angle_table(n)
+    per_rot = []
+    for r in range(n):
+        gr = g[..., r]
+        if bank.input_kind == VECTOR:
+            mixed = np.empty_like(gr)
+            mixed[:, :, 0::2] = dt(cos_t[r]) * gr[:, :, 0::2] + dt(sin_t[r]) * gr[:, :, 1::2]
+            mixed[:, :, 1::2] = dt(cos_t[r]) * gr[:, :, 1::2] - dt(sin_t[r]) * gr[:, :, 0::2]
+            gr = mixed
+        per_rot.append(gr)
+    total = None
+    if n % 4 == 0:
+        k = n // 4
+        for j in range(k):
+            acc = per_rot[j].copy()
+            for q in range(1, 4):
+                acc += np.rot90(per_rot[j + q * k], -q)
+            t = rotate_grid_adjoint(acc, GridSampleSpec(2 * math.pi * j / n))
+            total = t if total is None else total + t
+    else:
+        for r in range(n):
+            t = rotate_grid_adjoint(per_rot[r], GridSampleSpec(2 * math.pi * r / n))
+            total = t if total is None else total + t
+    return total * mask
+
+
+class TestRotationPlan:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [SCALAR, VECTOR])
+    @pytest.mark.parametrize("n", [1, 4, 6, 8, 17])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_bit_identical_to_rotate_grid(self, rng, dtype, kind, n, m):
+        w = rng.normal(size=(m, m, 4, 3)).astype(dtype)
+        bank = CanonicalFilterBank(w, n, input_kind=kind)
+        got = expand_rotations(bank)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expand_oracle(bank))
+        # the adjoint keeps the scatter order too: a reordered sum differs at
+        # the ulp level, which a few training steps amplify into loss changes
+        # of several percent
+        g = rng.normal(size=got.shape).astype(dtype)
+        back = expand_rotations_backward(bank, g)
+        assert back.dtype == dtype
+        assert np.array_equal(back, expand_backward_oracle(bank, g))
+
+    def test_plan_cached_and_read_only(self):
+        plan = rotation_plan(5, 8)
+        assert rotation_plan(5, 8) is plan
+        assert plan.n_base == 2 and plan.scatter_src.shape[:2] == (2, 25)
+        arrays = [plan.taps, plan.weights, plan.scatter_src, plan.scatter_wgt]
+        arrays += [a for e in plan.exact for a in e[1:]]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0
+
+    def test_batched_backward_matches_per_slice(self, rng):
+        for kind, n in ((SCALAR, 6), (VECTOR, 8)):
+            bank = make_bank(rng, m=5, cin=4, c=2, n=n, kind=kind)
+            g = rng.normal(size=(3, 5, 5, 4, 2 * n)).astype(np.float32)
+            got = expand_rotations_backward(bank, g)
+            want = np.stack([expand_rotations_backward(bank, gi) for gi in g])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", [SCALAR, VECTOR])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_backward_is_adjoint(self, rng, kind, n):
+        bank = make_bank(rng, m=5, cin=4, c=3, n=n, kind=kind)
+        g = rng.normal(size=(5, 5, 4, 3 * n))
+        lhs = np.sum(expand_rotations(bank) * g)
+        rhs = np.sum(bank.weights * expand_rotations_backward(bank, g))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 class TestCircularMask:
