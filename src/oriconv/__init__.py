@@ -50,7 +50,6 @@ from .detect import (
     iou_obb,
     match_anchors,
     nms,
-    rpn_forward,
 )
 from .metrics import (
     EvalResult,

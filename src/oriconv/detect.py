@@ -1,4 +1,4 @@
-"""Boxes, anchors, a minimal region-proposal head, IoU, matching, NMS and the
+"""Boxes, anchors, IoU, the box codec, matching, NMS, region proposals and the
 composite detection loss.
 
 Axis-aligned boxes are corner-coded {xmin, ymin, xmax, ymax}; oriented boxes
@@ -6,6 +6,13 @@ are {xc, yc, w, h, theta} with theta in degrees, canonicalized into [0, 90) by
 swapping width/height. Box coordinates live in the continuous pixel-edge
 frame (pixel centers at integer + 0.5). Box angles follow the package
 convention: counterclockwise as displayed.
+
+Post-processing works on arrays. The decoders return boxes plus a `valid`
+mask that agrees with the `HBox`/`OBox` checks; candidates are visited in
+descending score order, ties in input order (a stable argsort); `nms` runs
+over one IoU matrix and can stop after `limit` kept boxes. The clamped size
+exponential stays scalar `math.exp` (see `_scaled_exp`), so a decoded row
+does not depend on how many rows are decoded with it.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, conv2d, conv2d_backward
 
 
 @dataclass
@@ -61,6 +67,9 @@ class OBox:
     theta: float  # degrees in [0, 90)
 
     def __post_init__(self):
+        fields = (self.xc, self.yc, self.w, self.h, self.theta)
+        if not all(math.isfinite(v) for v in fields):
+            raise ShapeError(f"oriented box needs finite fields, got {fields}")
         if self.w <= 0 or self.h <= 0:
             raise ShapeError(f"oriented box needs positive size, got {self.w}x{self.h}")
         t = self.theta % 180.0
@@ -247,16 +256,48 @@ def encode_hbb(anchor: np.ndarray, gt: HBox) -> np.ndarray:
     )
 
 
+def _anchor_geometry(anchors: np.ndarray):
+    """Widths, heights and centres of [N,4] corner-coded anchors."""
+    wa = anchors[:, 2] - anchors[:, 0]
+    ha = anchors[:, 3] - anchors[:, 1]
+    xa = 0.5 * (anchors[:, 0] + anchors[:, 2])
+    ya = 0.5 * (anchors[:, 1] + anchors[:, 3])
+    return wa, ha, xa, ya
+
+
+def _scaled_exp(t: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`math.exp(min(t, 8.0)) * scale` per element.
+
+    The exponential stays scalar `math.exp`: `np.exp` differs from it by one
+    ulp on about 4.6% of float64 inputs, which would move decoded boxes and,
+    through RoI choice, training losses. The product takes the dtype of
+    `scale`, as a Python float times a numpy scalar does.
+    """
+    e = [math.exp(v) for v in np.minimum(t, 8.0).tolist()]
+    return np.array(e, dtype=scale.dtype) * scale
+
+
+def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
+    """Decode [N,4] log-space offsets against [N,4] anchors.
+
+    Returns (boxes [N,4] xmin/ymin/xmax/ymax, valid [N]); `valid` is False
+    where `HBox` would reject the row (empty or NaN extent). Row j equals
+    `decode_hbb(anchors[j], t[j])` bit for bit, in the dtypes it produces.
+    """
+    wa, ha, xa, ya = _anchor_geometry(anchors)
+    xc = t[:, 0] * wa + xa
+    yc = t[:, 1] * ha + ya
+    w = _scaled_exp(t[:, 2], wa)
+    h = _scaled_exp(t[:, 3], ha)
+    boxes = np.stack((xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2), axis=1)
+    valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    return boxes, valid
+
+
 def decode_hbb(anchor: np.ndarray, t: np.ndarray) -> HBox:
-    wa = anchor[2] - anchor[0]
-    ha = anchor[3] - anchor[1]
-    xa = 0.5 * (anchor[0] + anchor[2])
-    ya = 0.5 * (anchor[1] + anchor[3])
-    xc = t[0] * wa + xa
-    yc = t[1] * ha + ya
-    w = math.exp(min(t[2], 8.0)) * wa
-    h = math.exp(min(t[3], 8.0)) * ha
-    return HBox(xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2)
+    """One-row `decode_hbb_array`; raises ShapeError on an invalid box."""
+    boxes, _ = decode_hbb_array(np.asarray(anchor)[None], np.asarray(t)[None])
+    return HBox(*boxes[0])
 
 
 def encode_obb(anchor: np.ndarray, gt: OBox) -> np.ndarray:
@@ -277,18 +318,36 @@ def encode_obb(anchor: np.ndarray, gt: OBox) -> np.ndarray:
     )
 
 
+def decode_obb_array(anchors: np.ndarray, o: np.ndarray):
+    """Decode [N,5] oriented offsets against [N,4] axis-aligned anchors.
+
+    Returns (boxes [N,5] xc/yc/w/h/theta, valid [N]); `valid` is False where
+    `OBox` would reject the row (a non-finite field, or w or h not > 0).
+    Theta is `o[:, 4] * 90.0` in the offsets' dtype (float32 offsets give a
+    float32 theta), widened exactly into `boxes` and not yet canonicalized;
+    `obox_from_row` turns a row back into the OBox `decode_obb` returns.
+    """
+    wa, ha, xa, ya = _anchor_geometry(anchors)
+    w = _scaled_exp(o[:, 2], wa)
+    h = _scaled_exp(o[:, 3], ha)
+    boxes = np.stack((o[:, 0] * wa + xa, o[:, 1] * ha + ya, w, h, o[:, 4] * 90.0), axis=1)
+    valid = np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
+    return boxes, valid
+
+
+def obox_from_row(row: np.ndarray, offset_dtype) -> OBox:
+    """OBox from one `decode_obb_array` row decoded from offsets of
+    `offset_dtype`: theta goes back to the dtype `o[4] * 90.0` has, so it is
+    canonicalized in that precision."""
+    theta = np.result_type(offset_dtype, 90.0).type(row[4])
+    return OBox(row[0], row[1], row[2], row[3], theta)
+
+
 def decode_obb(anchor: np.ndarray, o: np.ndarray) -> OBox:
-    wa = anchor[2] - anchor[0]
-    ha = anchor[3] - anchor[1]
-    xa = 0.5 * (anchor[0] + anchor[2])
-    ya = 0.5 * (anchor[1] + anchor[3])
-    return OBox(
-        o[0] * wa + xa,
-        o[1] * ha + ya,
-        math.exp(min(o[2], 8.0)) * wa,
-        math.exp(min(o[3], 8.0)) * ha,
-        o[4] * 90.0,
-    )
+    """One-row `decode_obb_array`; raises ShapeError on an invalid box."""
+    o = np.asarray(o)
+    boxes, _ = decode_obb_array(np.asarray(anchor)[None], o[None])
+    return obox_from_row(boxes[0], o.dtype)
 
 
 @dataclass
@@ -483,25 +542,42 @@ def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0
 # NMS and region proposals
 
 
-def nms(detections, iou_threshold: float, oriented: bool = False):
-    """Greedy NMS by descending score, deterministic on ties (insertion
-    order); suppression uses oriented or axis-aligned IoU."""
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+def nms(detections, iou_threshold: float, oriented: bool = False, limit: int = None):
+    """Greedy NMS: visit detections by descending score, ties in input order
+    (a stable sort), keep each one whose IoU with every detection kept so far
+    is at most `iou_threshold`, and return the kept ones in visiting order.
+    The pass stops once `limit` (>= 0) are kept, which equals slicing the
+    full result to `limit`; None keeps all.
+
+    Axis-aligned IoU comes from one `_iou_matrix` over the hboxes in float64
+    and equals `iou_hbb` pairwise. With `oriented`, a pair where both carry
+    an obox uses `iou_obb(candidate, kept)` instead, evaluated only for the
+    pairs the greedy pass reaches.
+    """
+    if not detections or limit == 0:
+        return []
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    order = np.argsort(-scores, kind="stable").tolist()
+    boxes = np.array(
+        [(d.hbox.xmin, d.hbox.ymin, d.hbox.xmax, d.hbox.ymax) for d in detections],
+        dtype=np.float64,
+    )
+    over = _iou_matrix(boxes, boxes) > iou_threshold
+    suppressed = np.zeros(len(detections), dtype=bool)
     keep = []
-    for i in order:
-        d = detections[i]
-        ok = True
-        for j in keep:
-            k = detections[j]
-            if oriented and d.obox is not None and k.obox is not None:
-                v = iou_obb(d.obox, k.obox)
-            else:
-                v = iou_hbb(d.hbox, k.hbox)
-            if v > iou_threshold:
-                ok = False
-                break
-        if ok:
-            keep.append(i)
+    for r, i in enumerate(order):
+        if suppressed[i]:
+            continue
+        keep.append(i)
+        if len(keep) == limit:
+            break
+        kept_obox = detections[i].obox
+        if oriented and kept_obox is not None:
+            for j in order[r + 1 :]:
+                cand_obox = detections[j].obox
+                if not suppressed[j] and cand_obox is not None:
+                    over[i, j] = iou_obb(cand_obox, kept_obox) > iou_threshold
+        suppressed |= over[i]
     return [detections[i] for i in keep]
 
 
@@ -518,23 +594,6 @@ class Roi:
     level: int
 
 
-@dataclass
-class RpnHead:
-    """3x3 conv head emitting per-anchor objectness and 4 box offsets."""
-
-    weights: Tensor  # [3, 3, Cin, A*5]
-    bias: Tensor  # [A*5]
-
-    @property
-    def anchors_per_cell(self) -> int:
-        return self.weights.shape[3] // 5
-
-
-def rpn_head_apply(features: Tensor, head: RpnHead) -> Tensor:
-    out = conv2d(features, head.weights, stride=1, padding=1)
-    return out + head.bias[None, None, :]
-
-
 def propose_rois(
     logits: np.ndarray,
     offsets: np.ndarray,
@@ -545,45 +604,22 @@ def propose_rois(
     k0: int = 1,
     s0: float = 16.0,
 ):
-    """Turn per-anchor scores and offsets into regions of interest: decode the
-    best-scoring candidates, NMS at `nms_iou`, keep top_k, and assign each a
-    pyramid level from its decoded size. Deterministic: descending score,
-    anchor index on ties."""
-    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
-    cand = []
-    for i in order[: max(4 * top_k, 64)]:
-        try:
-            box = decode_hbb(anchors.boxes[i], offsets[i])
-        except ShapeError:
-            continue
-        cand.append(Detection(0, float(sigmoid(np.array([logits[i]]))[0]), hbox=box))
-    kept = nms(cand, nms_iou)[:top_k]
+    """Turn per-anchor scores and offsets into regions of interest.
+
+    The `max(4 * top_k, 64)` anchors with the highest logits are cut out in
+    descending order, anchor index on ties (`np.argsort(-logits,
+    kind="stable")`), and decoded; rows `decode_hbb_array` marks invalid
+    are dropped, not replaced. The rest, scored by the sigmoid of their
+    logits in the logits' dtype, go through `nms` at `nms_iou` until `top_k`
+    are kept, and each kept RoI gets a pyramid level from its decoded size.
+    """
+    cut = np.argsort(-logits, kind="stable")[: max(4 * top_k, 64)]
+    boxes, valid = decode_hbb_array(anchors.boxes[cut], offsets[cut])
+    scores = sigmoid(logits[cut])
+    cand = [
+        Detection(0, float(scores[j]), hbox=HBox(*boxes[j])) for j in np.flatnonzero(valid)
+    ]
     return [
         Roi(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels, k0, s0))
-        for d in kept
+        for d in nms(cand, nms_iou, limit=top_k)
     ]
-
-
-def rpn_forward(
-    features: Tensor,
-    head: RpnHead,
-    anchors: AnchorSet,
-    n_levels: int,
-    top_k: int = 16,
-    nms_iou: float = 0.7,
-    k0: int = 1,
-    s0: float = 16.0,
-):
-    """Score anchors, decode offsets, and propose regions of interest.
-
-    Returns (logits [N], offsets [N,4], rois); see `propose_rois` for the
-    selection rules.
-    """
-    raw = rpn_head_apply(features, head)
-    h, w, _ = raw.shape
-    a = head.anchors_per_cell
-    raw = raw.reshape(h * w * a, 5)
-    logits = raw[:, 0]
-    offsets = raw[:, 1:5]
-    rois = propose_rois(logits, offsets, anchors, n_levels, top_k, nms_iou, k0, s0)
-    return logits, offsets, rois

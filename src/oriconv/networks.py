@@ -506,32 +506,55 @@ class Detector(_NamedLayers):
         max_per_image: int = 40,
         use_rois: bool = True,
     ):
-        """Decode, threshold and NMS the head outputs for one image."""
-        spec = self.spec
-        k = spec.n_classes
+        """Threshold, decode and NMS the head outputs for one image.
+
+        Every anchor of every level whose best foreground probability is at
+        or above `score_threshold` is a candidate. Candidates are visited by
+        descending score, ties in level order and then anchor order
+        (`np.argsort(-score, kind="stable")`), and decoded in that order only
+        until `4 * max_per_image` valid ones (both boxes accepted by
+        `HBox`/`OBox`) are found; invalid rows are skipped. NMS then runs per
+        class, each stopping at `max_per_image` kept, and the best
+        `max_per_image` overall are returned by descending score.
+        """
+        k = self.spec.n_classes
         fwd = self.forward(image[None], training=False, use_rois=use_rois)
-        dets = []
+        anchors, hbb_off, obb_off, cls, score = [], [], [], [], []
         for i in range(len(self.taps)):
             raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
             probs = _softmax_rows(raw[:, : k + 1].astype(np.float64))
-            hbb_off = raw[:, k + 1 : k + 5]
-            obb_off = raw[:, k + 5 :]
             best_cls = np.argmax(probs[:, 1:], axis=1) + 1
             best_score = probs[np.arange(raw.shape[0]), best_cls]
-            for a in np.flatnonzero(best_score >= score_threshold):
-                try:
-                    hb = detect.decode_hbb(self.anchors[i].boxes[a], hbb_off[a])
-                    ob = detect.decode_obb(self.anchors[i].boxes[a], obb_off[a])
-                except Exception:
-                    continue
+            sel = np.flatnonzero(best_score >= score_threshold)
+            anchors.append(self.anchors[i].boxes[sel])
+            hbb_off.append(raw[sel, k + 1 : k + 5])
+            obb_off.append(raw[sel, k + 5 :])
+            cls.append(best_cls[sel])
+            score.append(best_score[sel])
+        anchors, hbb_off, obb_off, cls, score = (
+            np.concatenate(a) for a in (anchors, hbb_off, obb_off, cls, score)
+        )
+        order = np.argsort(-score, kind="stable")
+        cap = 4 * max_per_image
+        dets = []
+        start = 0
+        while len(dets) < cap and start < len(order):
+            idx = order[start : start + cap - len(dets)]
+            start += len(idx)
+            hb, hb_ok = detect.decode_hbb_array(anchors[idx], hbb_off[idx])
+            ob, ob_ok = detect.decode_obb_array(anchors[idx], obb_off[idx])
+            for j in np.flatnonzero(hb_ok & ob_ok):
+                a = idx[j]
                 dets.append(
-                    detect.Detection(int(best_cls[a]), float(best_score[a]), hbox=hb, obox=ob)
+                    detect.Detection(
+                        int(cls[a]), float(score[a]), hbox=detect.HBox(*hb[j]),
+                        obox=detect.obox_from_row(ob[j], obb_off.dtype),
+                    )
                 )
-        dets.sort(key=lambda d: -d.score)
-        dets = dets[: 4 * max_per_image]
         out = []
-        for cls in range(1, k + 1):
-            out.extend(detect.nms([d for d in dets if d.class_id == cls], nms_iou))
+        for c in range(1, k + 1):
+            same = [d for d in dets if d.class_id == c]
+            out.extend(detect.nms(same, nms_iou, limit=max_per_image))
         out.sort(key=lambda d: -d.score)
         return out[:max_per_image]
 

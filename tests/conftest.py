@@ -2,6 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run (no flakes from a
+# random draw or from a slow, contended host hitting a deadline) and stay
+# within about a second each. `pytest --hypothesis-profile=<name>` overrides.
+settings.register_profile(
+    "oriconv", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("oriconv")
 
 
 @pytest.fixture

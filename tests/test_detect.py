@@ -2,27 +2,140 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oriconv import synthdata
 from oriconv.detect import (
     AnchorSet,
     Detection,
     HBox,
     OBox,
-    RpnHead,
+    _iou_matrix,
     assign_pyramid_level,
     composite_loss,
     decode_hbb,
+    decode_hbb_array,
     decode_obb,
+    decode_obb_array,
     encode_hbb,
     encode_obb,
     iou_hbb,
     iou_obb,
     match_anchors,
     nms,
-    rpn_forward,
+    obox_from_row,
+    propose_rois,
+    sigmoid,
     smooth_l1,
 )
 from oriconv.errors import ShapeError
+from oriconv.networks import Detector, NetworkSpec, _softmax_rows
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: the per-row decode, the pairwise greedy NMS and the
+# per-anchor post-processing loops the vectorised code replaced, kept verbatim
+# so the array paths are checked bit for bit against them.
+
+
+def decode_hbb_oracle(anchor, t):
+    wa = anchor[2] - anchor[0]
+    ha = anchor[3] - anchor[1]
+    xa = 0.5 * (anchor[0] + anchor[2])
+    ya = 0.5 * (anchor[1] + anchor[3])
+    xc = t[0] * wa + xa
+    yc = t[1] * ha + ya
+    w = math.exp(min(t[2], 8.0)) * wa
+    h = math.exp(min(t[3], 8.0)) * ha
+    return HBox(xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2)
+
+
+def decode_obb_oracle(anchor, o):
+    wa = anchor[2] - anchor[0]
+    ha = anchor[3] - anchor[1]
+    xa = 0.5 * (anchor[0] + anchor[2])
+    ya = 0.5 * (anchor[1] + anchor[3])
+    return OBox(
+        o[0] * wa + xa,
+        o[1] * ha + ya,
+        math.exp(min(o[2], 8.0)) * wa,
+        math.exp(min(o[3], 8.0)) * ha,
+        o[4] * 90.0,
+    )
+
+
+def nms_oracle(detections, iou_threshold, oriented=False):
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    keep = []
+    for i in order:
+        d = detections[i]
+        ok = True
+        for j in keep:
+            k = detections[j]
+            if oriented and d.obox is not None and k.obox is not None:
+                v = iou_obb(d.obox, k.obox)
+            else:
+                v = iou_hbb(d.hbox, k.hbox)
+            if v > iou_threshold:
+                ok = False
+                break
+        if ok:
+            keep.append(i)
+    return [detections[i] for i in keep]
+
+
+def propose_rois_oracle(logits, offsets, anchors, n_levels, top_k=16, nms_iou=0.7):
+    order = sorted(range(len(logits)), key=lambda i: (-logits[i], i))
+    cand = []
+    for i in order[: max(4 * top_k, 64)]:
+        try:
+            box = decode_hbb_oracle(anchors.boxes[i], offsets[i])
+        except ShapeError:
+            continue
+        cand.append(Detection(0, float(sigmoid(np.array([logits[i]]))[0]), hbox=box))
+    kept = nms_oracle(cand, nms_iou)[:top_k]
+    return [(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels))
+            for d in kept]
+
+
+def detect_image_oracle(net, image, score_threshold, nms_iou=0.45, max_per_image=40):
+    k = net.spec.n_classes
+    fwd = net.forward(image[None], training=False)
+    dets = []
+    for i in range(len(net.taps)):
+        raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
+        probs = _softmax_rows(raw[:, : k + 1].astype(np.float64))
+        hbb_off = raw[:, k + 1 : k + 5]
+        obb_off = raw[:, k + 5 :]
+        best_cls = np.argmax(probs[:, 1:], axis=1) + 1
+        best_score = probs[np.arange(raw.shape[0]), best_cls]
+        for a in np.flatnonzero(best_score >= score_threshold):
+            try:
+                hb = decode_hbb_oracle(net.anchors[i].boxes[a], hbb_off[a])
+                ob = decode_obb_oracle(net.anchors[i].boxes[a], obb_off[a])
+            except Exception:
+                continue
+            dets.append(Detection(int(best_cls[a]), float(best_score[a]), hbox=hb, obox=ob))
+    dets.sort(key=lambda d: -d.score)
+    dets = dets[: 4 * max_per_image]
+    out = []
+    for cls in range(1, k + 1):
+        out.extend(nms_oracle([d for d in dets if d.class_id == cls], nms_iou))
+    out.sort(key=lambda d: -d.score)
+    return out[:max_per_image]
+
+
+def box_bytes(b):
+    """Field values and their numpy scalar types, so a dtype change shows."""
+    fields = (b.xmin, b.ymin, b.xmax, b.ymax) if isinstance(b, HBox) else (
+        b.xc, b.yc, b.w, b.h, b.theta)
+    return tuple((type(v).__name__, np.asarray(v).tobytes()) for v in fields)
+
+
+def detection_key(d):
+    obox = None if d.obox is None else box_bytes(d.obox)
+    return (d.class_id, type(d.score).__name__, repr(d.score), box_bytes(d.hbox), obox)
 
 
 def mc_iou(a: OBox, b: OBox, rng, n=400_000):
@@ -61,6 +174,15 @@ class TestBoxes:
         side = (4 + 2) / math.sqrt(2)
         assert hull.width == pytest.approx(side)
         assert hull.height == pytest.approx(side)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(1, 1, math.nan, 2, 0), (math.inf, 1, 1, 2, 0), (1, 1, 1, 2, math.nan),
+         (1, -math.inf, 1, 2, 0), (1, 1, 1, math.inf, 0)],
+    )
+    def test_obox_rejects_non_finite_fields(self, fields):
+        with pytest.raises(ShapeError):
+            OBox(*fields)
 
     def test_detection_requires_finite_score(self):
         with pytest.raises(ShapeError):
@@ -322,29 +444,198 @@ class TestRpn:
         assert assign_pyramid_level(128, 128, 5, k0=1, s0=16.0) == 4
         assert assign_pyramid_level(16, 16, 5, k0=1, s0=16.0) == 1
 
-    def test_zero_features_deterministic(self, rng):
+    def test_zero_features_deterministic(self):
         anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
-        head = RpnHead(np.zeros((3, 3, 2, 5)), np.zeros(5))
-        feats = np.zeros((4, 4, 2))
-        l1, o1, r1 = rpn_forward(feats, head, anchors, n_levels=2, top_k=4)
-        l2, o2, r2 = rpn_forward(feats, head, anchors, n_levels=2, top_k=4)
-        assert np.array_equal(l1, l2)
-        assert [(roi.box.as_array().tolist(), roi.level) for roi in r1] == [
-            (roi.box.as_array().tolist(), roi.level) for roi in r2
+        logits = np.zeros(16)
+        offsets = np.zeros((16, 4))
+        r1 = propose_rois(logits, offsets, anchors, n_levels=2, top_k=4)
+        r2 = propose_rois(logits, offsets, anchors, n_levels=2, top_k=4)
+        assert r1
+        assert [(roi.box.as_array().tolist(), roi.score, roi.level) for roi in r1] == [
+            (roi.box.as_array().tolist(), roi.score, roi.level) for roi in r2
         ]
 
-    def test_dominant_anchor_becomes_first_roi(self, rng):
+    def test_dominant_anchor_becomes_first_roi(self):
         anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
-        head = RpnHead(np.zeros((3, 3, 2, 5)), np.zeros(5))
-        head.bias[0] = -5.0
-        feats = np.zeros((4, 4, 2))
-        raw_boost = np.zeros((4, 4, 2))
-        raw_boost[2, 1, 0] = 1.0  # push one location's logit up through conv
-        head2 = RpnHead(np.zeros((3, 3, 2, 5)), np.zeros(5))
-        head2.weights[1, 1, 0, 0] = 10.0
-        logits, offsets, rois = rpn_forward(raw_boost, head2, anchors, n_levels=2, top_k=3)
-        best = int(np.argmax(logits))
-        assert best == 2 * 4 + 1
-        want = anchors.boxes[best]
-        got = rois[0].box.as_array()
-        assert np.abs(got - want).max() < 1e-5
+        best = 2 * 4 + 1
+        logits = np.full(16, -5.0, dtype=np.float32)
+        logits[best] = 5.0
+        offsets = np.zeros((16, 4), dtype=np.float32)
+        rois = propose_rois(logits, offsets, anchors, n_levels=2, top_k=3)
+        assert rois[0].score == pytest.approx(1 / (1 + math.exp(-5.0)))
+        assert np.abs(rois[0].box.as_array() - anchors.boxes[best]).max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the vectorised post-processing against the scalar oracles above
+
+
+def _hbox_strategy(coord, size):
+    return st.builds(lambda x, y, w, h: HBox(x, y, x + w, y + h), coord, coord, size, size)
+
+
+# integer grids make identical, touching and exactly-at-threshold pairs common
+GRID_HBOXES = _hbox_strategy(st.integers(0, 8).map(float), st.integers(1, 6).map(float))
+HBOXES = GRID_HBOXES | _hbox_strategy(
+    st.floats(-50, 50), st.floats(0.01, 30)
+)
+OBOXES = st.builds(
+    OBox,
+    st.integers(2, 10).map(float),
+    st.integers(2, 10).map(float),
+    st.integers(1, 6).map(float),
+    st.integers(1, 6).map(float),
+    st.sampled_from([0.0, 30.0, 45.0, 89.5, 120.0]) | st.floats(0, 180),
+)
+# scores from a small set, so exact ties are common
+SCORES = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0, 1)
+ANCHORS = st.builds(
+    lambda x, y, w, h: (x, y, x + w, y + h),
+    st.floats(-20, 80), st.floats(-20, 80), st.floats(1, 40), st.floats(1, 40),
+)
+# -40 and below collapse a box to zero extent; above 8 the exp is clamped
+OFFSET_VALUES = st.floats(-3, 3) | st.sampled_from(
+    [-60.0, -45.5, -40.0, 7.99, 8.0, 8.5, 40.0, 3e38, math.nan, math.inf, -math.inf]
+)
+OFFSET_ROWS = st.lists(
+    st.tuples(ANCHORS, st.lists(OFFSET_VALUES, min_size=5, max_size=5)),
+    min_size=1, max_size=8,
+)
+
+
+def _outcome(make):
+    try:
+        return box_bytes(make())
+    except ShapeError:
+        return None
+
+
+class TestVectorisedPostprocess:
+    @given(st.lists(HBOXES, min_size=1, max_size=10), st.lists(HBOXES, min_size=1, max_size=10))
+    def test_iou_matrix_matches_iou_hbb(self, a, b):
+        got = _iou_matrix(np.stack([x.as_array() for x in a]), np.stack([y.as_array() for y in b]))
+        want = np.array([[iou_hbb(x, y) for y in b] for x in a], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(OFFSET_ROWS, st.sampled_from([np.float32, np.float64]))
+    def test_decode_arrays_match_scalar_oracle(self, rows, dtype):
+        anchors = np.array([a for a, _ in rows], dtype=np.float64)
+        offsets = np.array([o for _, o in rows], dtype=np.float64).astype(dtype)
+        hb, hb_ok = decode_hbb_array(anchors, offsets[:, :4])
+        ob, ob_ok = decode_obb_array(anchors, offsets)
+        for j, (anchor, t) in enumerate(zip(anchors, offsets)):
+            want = _outcome(lambda: decode_hbb_oracle(anchor, t[:4]))
+            assert hb_ok[j] == (want is not None)
+            assert _outcome(lambda: decode_hbb(anchor, t[:4])) == want
+            if want is not None:
+                assert box_bytes(HBox(*hb[j])) == want
+            want = _outcome(lambda: decode_obb_oracle(anchor, t))
+            assert ob_ok[j] == (want is not None)
+            assert _outcome(lambda: decode_obb(anchor, t)) == want
+            if want is not None:
+                assert box_bytes(obox_from_row(ob[j], offsets.dtype)) == want
+
+    @given(st.data())
+    def test_nms_matches_greedy_oracle(self, data):
+        n = data.draw(st.integers(1, 14))
+        dets = [
+            Detection(0, s, hbox=b)
+            for s, b in zip(
+                data.draw(st.lists(SCORES, min_size=n, max_size=n)),
+                data.draw(st.lists(HBOXES, min_size=n, max_size=n)),
+            )
+        ]
+        # a threshold equal to one of the pairwise IoUs puts a pair exactly on it
+        pairwise = [iou_hbb(a.hbox, b.hbox) for a in dets for b in dets]
+        threshold = data.draw(st.sampled_from(pairwise) | st.floats(0, 1))
+        limit = data.draw(st.none() | st.integers(0, n + 1))
+        want = nms_oracle(dets, threshold)[:limit]
+        assert [id(d) for d in nms(dets, threshold, limit=limit)] == [id(d) for d in want]
+
+    @given(st.data())
+    def test_oriented_nms_matches_greedy_oracle(self, data):
+        n = data.draw(st.integers(1, 8))
+        dets = []
+        for s in data.draw(st.lists(SCORES, min_size=n, max_size=n)):
+            if data.draw(st.booleans()):
+                dets.append(Detection(0, s, obox=data.draw(OBOXES)))
+            else:
+                dets.append(Detection(0, s, hbox=data.draw(GRID_HBOXES)))
+        threshold = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0, 1))
+        limit = data.draw(st.none() | st.integers(0, n + 1))
+        want = nms_oracle(dets, threshold, oriented=True)[:limit]
+        got = nms(dets, threshold, oriented=True, limit=limit)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(8))
+    def test_propose_rois_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        anchors = AnchorSet.build((8, 8), 8, scales=[12.0, 20.0], ratios=[0.5, 1.0, 2.0])
+        n = anchors.boxes.shape[0]
+        dtype = (np.float32, np.float64)[seed % 2]
+        logits = rng.normal(size=n).astype(dtype)
+        if seed % 4 < 2:
+            logits = np.round(logits * 2) / 2  # many exact ties
+        offsets = (rng.normal(size=(n, 4)) * 0.5).astype(dtype)
+        if seed >= 4:  # degenerate offsets among the best-scored anchors
+            top = np.argsort(-logits, kind="stable")[:80]
+            offsets[top[::3], 2] = -60.0
+            offsets[top[1::5], 0] = np.nan
+        top_k, nms_iou = [(16, 0.7), (4, 0.3), (32, 0.5), (8, 0.0)][seed % 4]
+        got = propose_rois(logits, offsets, anchors, 3, top_k=top_k, nms_iou=nms_iou)
+        want = propose_rois_oracle(logits, offsets, anchors, 3, top_k=top_k, nms_iou=nms_iou)
+        assert got
+        assert [(box_bytes(r.box), repr(r.score), r.level) for r in got] == [
+            (box_bytes(b), repr(s), lv) for b, s, lv in want
+        ]
+
+
+def _scene_images(n):
+    spec = synthdata.SceneSpec(seed=3, image_size=64, min_objects=1, max_objects=3)
+    return [synthdata.generate_scene(spec, i).image for i in range(n)]
+
+
+def _degenerate_detector():
+    """Default detector whose head biases push classes of four anchor kinds
+    above 0.3 and break the boxes of two of them: kind 0 decodes to an empty
+    HBB (width offset -60), kind 1 to a NaN OBB centre."""
+    net = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+    per_anchor = net.spec.n_classes + 10
+    for conv in net.head_convs:
+        for kind in range(4):
+            conv.b[kind * per_anchor + 1 + kind % 3] = 2.0
+        conv.b[0 * per_anchor + net.spec.n_classes + 1 + 2] = -60.0
+        conv.b[1 * per_anchor + net.spec.n_classes + 5] = np.nan
+    return net
+
+
+class TestDetectImageOracle:
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return Detector(NetworkSpec(), rng=np.random.default_rng(0)), _scene_images(3)
+
+    @pytest.fixture(scope="class")
+    def degenerate(self):
+        return _degenerate_detector(), _scene_images(2)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.3])
+    def test_matches_per_anchor_loop(self, plain, threshold):
+        net, images = plain
+        for image in images:
+            got = net.detect_image(image, score_threshold=threshold)
+            want = detect_image_oracle(net, image, threshold)
+            assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
+            assert threshold == 0.3 or len(got) == 40
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.3])
+    def test_matches_per_anchor_loop_with_invalid_boxes(self, degenerate, threshold):
+        net, images = degenerate
+        for image in images:
+            got = net.detect_image(image, score_threshold=threshold, nms_iou=0.1)
+            want = detect_image_oracle(net, image, threshold, nms_iou=0.1)
+            assert got
+            assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
+            assert all(np.isfinite(d.obox.as_array()).all() for d in got)
