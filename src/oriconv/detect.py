@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 
 @dataclass
@@ -33,9 +33,10 @@ class HBox:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+        inf = math.inf
+        if not (-inf < self.xmin < self.xmax < inf and -inf < self.ymin < self.ymax < inf):
             raise ShapeError(
-                f"degenerate box [{self.xmin},{self.ymin},{self.xmax},{self.ymax}]"
+                f"degenerate or non-finite box [{self.xmin},{self.ymin},{self.xmax},{self.ymax}]"
             )
 
     @property
@@ -281,7 +282,8 @@ def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
     """Decode [N,4] log-space offsets against [N,4] anchors.
 
     Returns (boxes [N,4] xmin/ymin/xmax/ymax, valid [N]); `valid` is False
-    where `HBox` would reject the row (empty or NaN extent). Row j equals
+    where `HBox` would reject the row (a non-finite field or an empty
+    extent). Row j equals
     `decode_hbb(anchors[j], t[j])` bit for bit, in the dtypes it produces.
     """
     wa, ha, xa, ya = _anchor_geometry(anchors)
@@ -290,7 +292,11 @@ def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
     w = _scaled_exp(t[:, 2], wa)
     h = _scaled_exp(t[:, 3], ha)
     boxes = np.stack((xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2), axis=1)
-    valid = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    valid = (
+        np.isfinite(boxes).all(axis=1)
+        & (boxes[:, 2] > boxes[:, 0])
+        & (boxes[:, 3] > boxes[:, 1])
+    )
     return boxes, valid
 
 
@@ -612,7 +618,11 @@ def propose_rois(
     are dropped, not replaced. The rest, scored by the sigmoid of their
     logits in the logits' dtype, go through `nms` at `nms_iou` until `top_k`
     are kept, and each kept RoI gets a pyramid level from its decoded size.
+    A NaN logit means the RPN head has diverged and raises NumericalError.
     """
+    n_nan = int(np.isnan(logits).sum())
+    if n_nan:
+        raise NumericalError(f"non-finite RPN logits ({n_nan} NaN)")
     cut = np.argsort(-logits, kind="stable")[: max(4 * top_k, 64)]
     boxes, valid = decode_hbb_array(anchors.boxes[cut], offsets[cut])
     scores = sigmoid(logits[cut])

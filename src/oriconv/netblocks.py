@@ -11,6 +11,16 @@ float64.
 
 A shape dry-run with symbolic extents validates every merge point at build
 time, so mismatched pyramids fail before any real data flows.
+
+Layers form one tree. `Layer.children()` maps a name to each sub-layer; by
+default the children are the attributes that hold a `Layer`, in assignment
+order, and `Sequential` names its layers by index. `params`, `grads` and
+`state` gather the children's arrays under `f"{name}{SEP}{key}"`
+(`SEP = "."`; the networks use `"/"`, giving `backbone0/0.weights`), and
+`apply_constraints`, `zero_grads` and `parameter_count` walk the same tree.
+Only the leaves that own arrays override the collectors: `RConvLayer`,
+`PlainConv`, `Linear` and `OrientationHead` their parameters and gradients
+(`RConvLayer` its constraint too), `FieldNorm` its running statistics.
 """
 
 from __future__ import annotations
@@ -30,24 +40,40 @@ from .tensor import Tensor, conv2d, conv2d_backward, stable_sum
 
 
 class Layer:
-    """Base: parameter dict + gradient accumulation + constraint hook."""
+    """Base: a node of the layer tree (see the module docstring)."""
+
+    SEP = "."
+
+    def children(self) -> dict:
+        return {k: v for k, v in vars(self).items() if isinstance(v, Layer)}
+
+    def _collect(self, what: str) -> dict:
+        return {
+            f"{name}{self.SEP}{k}": v
+            for name, child in self.children().items()
+            for k, v in getattr(child, what)().items()
+        }
 
     def params(self) -> dict:
-        return {}
+        return self._collect("params")
 
     def grads(self) -> dict:
-        return {}
+        return self._collect("grads")
+
+    def state(self) -> dict:
+        """Non-learnable persistent arrays (running stats)."""
+        return self._collect("state")
 
     def zero_grads(self) -> None:
         for g in self.grads().values():
             g[...] = 0.0
 
     def apply_constraints(self) -> None:
-        pass
+        for child in self.children().values():
+            child.apply_constraints()
 
-    def state(self) -> dict:
-        """Non-learnable persistent arrays (running stats)."""
-        return {}
+    def parameter_count(self) -> int:
+        return sum(v.size for v in self.params().values())
 
 
 class RConvLayer(Layer):
@@ -218,16 +244,9 @@ class FieldAvgPool2(Layer):
     pyramid level with its coarser neighbor)."""
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        n, h, w, c = x.shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"field avg-pool needs even extents, got {x.shape}")
-        tiles = x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-        quads = tiles.reshape(n, h // 2, w // 2, c, 4)
-        self._in_shape = x.shape
-        return stable_sum(quads, axis=4) * x.dtype.type(0.25)
+        return downsample2(x)
 
     def backward(self, gy: Tensor) -> Tensor:
-        n, h, w, c = self._in_shape
         g = np.repeat(np.repeat(gy, 2, axis=1), 2, axis=2)
         return (g * gy.dtype.type(0.25)).astype(gy.dtype)
 
@@ -312,30 +331,8 @@ class Sequential(Layer):
             gy = l.backward(gy)
         return gy
 
-    def params(self):
-        out = {}
-        for i, l in enumerate(self.layers):
-            for k, v in l.params().items():
-                out[f"{i}.{k}"] = v
-        return out
-
-    def grads(self):
-        out = {}
-        for i, l in enumerate(self.layers):
-            for k, v in l.grads().items():
-                out[f"{i}.{k}"] = v
-        return out
-
-    def state(self):
-        out = {}
-        for i, l in enumerate(self.layers):
-            for k, v in l.state().items():
-                out[f"{i}.{k}"] = v
-        return out
-
-    def apply_constraints(self):
-        for l in self.layers:
-            l.apply_constraints()
+    def children(self):
+        return {str(i): l for i, l in enumerate(self.layers)}
 
 
 def init_canonical_weights(size, in_planes, n_filters, n_rotations, rng):
@@ -351,25 +348,29 @@ def init_canonical_weights(size, in_planes, n_filters, n_rotations, rng):
 # image pyramid
 
 
-def downsample2(image: Tensor) -> Tensor:
-    """2x area-average downsampling (bilinear averaging over 2x2 cells)."""
-    h, w, c = image.shape
+def downsample2(x: Tensor) -> Tensor:
+    """2x area-average downsampling of [..., H, W, C]: each output is the mean
+    of a 2x2 cell (summed by `stable_sum`), so a batch gives the same bytes
+    as its images one at a time."""
+    *lead, h, w, c = x.shape
     if h % 2 or w % 2:
-        raise ShapeError(f"downsample needs even extents, got {image.shape}")
+        raise ShapeError(f"downsample needs even extents, got {x.shape}")
+    d = len(lead)
     quads = (
-        image.reshape(h // 2, 2, w // 2, 2, c)
-        .transpose(0, 2, 4, 1, 3)
-        .reshape(h // 2, w // 2, c, 4)
+        x.reshape(*lead, h // 2, 2, w // 2, 2, c)
+        .transpose(*range(d), d, d + 2, d + 4, d + 1, d + 3)
+        .reshape(*lead, h // 2, w // 2, c, 4)
     )
-    return stable_sum(quads, axis=3) * image.dtype.type(0.25)
+    return stable_sum(quads, axis=-1) * x.dtype.type(0.25)
 
 
 def build_image_pyramid(image: Tensor, n_levels: int):
-    """[image, image/2, image/4, ...]: level k is the input downsampled by
-    2**k with area averaging; level 0 is the input itself."""
+    """[image, image/2, image/4, ...] for an [..., H, W, C] image or batch:
+    level k is the input downsampled by 2**k with area averaging; level 0 is
+    the input itself."""
     if n_levels < 1:
         raise ShapeError("need at least one level")
-    h, w = image.shape[:2]
+    h, w = image.shape[-3:-1]
     if min(h, w) // (2 ** (n_levels - 1)) < 4:
         raise ShapeError(
             f"{n_levels} levels is too deep for a {h}x{w} image"
@@ -384,7 +385,7 @@ def build_image_pyramid(image: Tensor, n_levels: int):
 # composite blocks
 
 
-class PyramidStage(Layer):
+class PyramidStage(Sequential):
     """Per-scale feature extractor: two 3x3 and one 1x1 rotation conv with
     orientation pooling after each, plus enough field max-pooling to land on
     the matched prediction layer's spatial size."""
@@ -407,25 +408,15 @@ class PyramidStage(Layer):
             RConvLayer(1, 2 * c2, c_out, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
             OrientationPool(n_rotations),
         ]
-        self.seq = Sequential(layers)
+        super().__init__(layers)
 
+    # Own methods, not inherited ones: a profiler that wraps a class's own
+    # attributes (perfbench/tracing.py) would otherwise not see this stage.
     def forward(self, x, training=True):
-        return self.seq.forward(x, training)
+        return super().forward(x, training)
 
     def backward(self, gy):
-        return self.seq.backward(gy)
-
-    def params(self):
-        return self.seq.params()
-
-    def grads(self):
-        return self.seq.grads()
-
-    def state(self):
-        return self.seq.state()
-
-    def apply_constraints(self):
-        self.seq.apply_constraints()
+        return super().backward(gy)
 
 
 ROI_GATE_OUTSIDE = 0.3
@@ -502,25 +493,6 @@ class AttentionMerge(Layer):
             ga, gb = g * b, g * a
         return self.norm_ssd.backward(ga), self.norm_lipm.backward(gb)
 
-    def params(self):
-        return _merge_params(
-            conv3=self.conv3, conv1=self.conv1
-        )
-
-    def grads(self):
-        return _merge_grads(conv3=self.conv3, conv1=self.conv1)
-
-    def state(self):
-        out = {}
-        for name, l in (("norm_ssd", self.norm_ssd), ("norm_lipm", self.norm_lipm)):
-            for k, v in l.state().items():
-                out[f"{name}.{k}"] = v
-        return out
-
-    def apply_constraints(self):
-        self.conv3.apply_constraints()
-        self.conv1.apply_constraints()
-
 
 class FeatureFusion(Layer):
     """Merge the previous (finer) level into the current one: each side goes
@@ -573,43 +545,6 @@ class FeatureFusion(Layer):
         )
         g_cur = self.pre_cur.backward(self.op_cur.backward(self.norm_cur.backward(gs)))
         return g_prev, g_cur
-
-    def params(self):
-        return _merge_params(
-            pre_prev=self.pre_prev, pre_cur=self.pre_cur, conv3=self.conv3, conv1=self.conv1
-        )
-
-    def grads(self):
-        return _merge_grads(
-            pre_prev=self.pre_prev, pre_cur=self.pre_cur, conv3=self.conv3, conv1=self.conv1
-        )
-
-    def state(self):
-        out = {}
-        for name, l in (("norm_prev", self.norm_prev), ("norm_cur", self.norm_cur)):
-            for k, v in l.state().items():
-                out[f"{name}.{k}"] = v
-        return out
-
-    def apply_constraints(self):
-        for l in (self.pre_prev, self.pre_cur, self.conv3, self.conv1):
-            l.apply_constraints()
-
-
-def _merge_params(**layers):
-    out = {}
-    for name, l in layers.items():
-        for k, v in l.params().items():
-            out[f"{name}.{k}"] = v
-    return out
-
-
-def _merge_grads(**layers):
-    out = {}
-    for name, l in layers.items():
-        for k, v in l.grads().items():
-            out[f"{name}.{k}"] = v
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .netblocks import (
     AttentionMerge,
     FeatureFusion,
+    Layer,
     Linear,
     MaxPool,
     OrientationHead,
@@ -31,7 +32,7 @@ from .netblocks import (
     VfMaxPool,
     center_field_average,
     center_field_average_backward,
-    downsample2,
+    build_image_pyramid,
     roi_gate,
     tanh_unit_backward,
     tanh_unit_forward,
@@ -158,56 +159,11 @@ def _build_backbone(spec: NetworkSpec, rng, dtype):
     return segments
 
 
-class _NamedLayers:
-    """param/grad/state bookkeeping over a name -> Layer map."""
-
-    def layer_map(self) -> dict:
-        raise NotImplementedError
-
-    def params(self):
-        return {
-            f"{name}/{k}": v
-            for name, l in self.layer_map().items()
-            for k, v in l.params().items()
-        }
-
-    def grads(self):
-        return {
-            f"{name}/{k}": v
-            for name, l in self.layer_map().items()
-            for k, v in l.grads().items()
-        }
-
-    def state(self):
-        return {
-            f"{name}/{k}": v
-            for name, l in self.layer_map().items()
-            for k, v in l.state().items()
-        }
-
-    def zero_grads(self):
-        for g in self.grads().values():
-            g[...] = 0.0
-
-    def apply_constraints(self):
-        for l in self.layer_map().values():
-            l.apply_constraints()
-
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.params().values())
-
-
 # ---------------------------------------------------------------------------
 # detector
 
 
-def _softmax_rows(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-class Detector(_NamedLayers):
+class Detector(Layer):
     """Single-shot oriented detector with an image-pyramid feature branch.
 
     Per prediction level, backbone fields and pyramid-stage fields merge in a
@@ -216,6 +172,7 @@ class Detector(_NamedLayers):
     plus axis-aligned (4) and oriented (5) box offsets.
     """
 
+    SEP = "/"
     K0 = 1
     S0 = 16.0
     HARD_NEGATIVE_RATIO = 3
@@ -267,26 +224,16 @@ class Detector(_NamedLayers):
         )
         self.rpn_anchors = self.anchors[-1]
 
-    def layer_map(self):
-        out = {}
-        for i, s in enumerate(self.segments):
-            out[f"backbone{i}"] = s
-        for i, s in enumerate(self.lipm_stages):
-            out[f"lipm{i}"] = s
-        for i, s in enumerate(self.attention):
-            out[f"attention{i}"] = s
-        for i, s in enumerate(self.fusion):
-            out[f"fusion{i}"] = s
-        for i, s in enumerate(self.head_convs):
-            out[f"head{i}"] = s
+    def children(self):
+        groups = (
+            ("backbone", self.segments),
+            ("lipm", self.lipm_stages),
+            ("attention", self.attention),
+            ("fusion", self.fusion),
+            ("head", self.head_convs),
+        )
+        out = {f"{name}{i}": l for name, layers in groups for i, l in enumerate(layers)}
         out["rpn"] = self.rpn_conv
-        return out
-
-    @staticmethod
-    def _downsample_k(image: Tensor, k: int) -> Tensor:
-        out = image
-        for _ in range(k):
-            out = downsample2(out)
         return out
 
     # -- forward ----------------------------------------------------------
@@ -303,11 +250,11 @@ class Detector(_NamedLayers):
             taps_out.append(x)
 
         if spec.use_lipm:
-            lipm_out = []
-            for i, t in enumerate(self.taps):
-                k = int(round(math.log2(spec.input_size / (2 * t["size"]))))
-                level_imgs = np.stack([self._downsample_k(img, k) for img in images])
-                lipm_out.append(self.lipm_stages[i].forward(level_imgs, training))
+            ks = [int(round(math.log2(spec.input_size / (2 * t["size"])))) for t in self.taps]
+            pyramid = build_image_pyramid(images, ks[-1] + 1)
+            lipm_out = [
+                stage.forward(pyramid[k], training) for stage, k in zip(self.lipm_stages, ks)
+            ]
         else:
             lipm_out = [np.zeros_like(t) for t in taps_out]
 
@@ -488,7 +435,7 @@ class Detector(_NamedLayers):
         n_keep = max(self.HARD_NEGATIVE_RATIO * int(pos.sum()), 8)
         if int(neg.sum()) <= n_keep:
             return cls_labels
-        p = _softmax_rows(cls_logits.astype(np.float64))
+        p = detect.softmax(cls_logits.astype(np.float64))
         neg_loss = -np.log(p[:, 0] + 1e-12)
         neg_idx = np.flatnonzero(neg)
         hard = neg_idx[np.argsort(-neg_loss[neg_idx], kind="stable")[:n_keep]]
@@ -522,7 +469,7 @@ class Detector(_NamedLayers):
         anchors, hbb_off, obb_off, cls, score = [], [], [], [], []
         for i in range(len(self.taps)):
             raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
-            probs = _softmax_rows(raw[:, : k + 1].astype(np.float64))
+            probs = detect.softmax(raw[:, : k + 1].astype(np.float64))
             best_cls = np.argmax(probs[:, 1:], axis=1) + 1
             best_score = probs[np.arange(raw.shape[0]), best_cls]
             sel = np.flatnonzero(best_score >= score_threshold)
@@ -570,7 +517,7 @@ ORIENT_BACKBONE = (
 )
 
 
-class OrientationEstimator(_NamedLayers):
+class OrientationEstimator(Layer):
     """Rotation-equivariant angle regressor for single-object patches.
 
     Fields from the final stage are averaged over a centered window and fed
@@ -578,30 +525,17 @@ class OrientationEstimator(_NamedLayers):
     into the same rotation of the predicted (sin, cos) pair by construction.
     """
 
+    SEP = "/"
+
     def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.spec = spec
-        layers = []
-        in_planes = spec.input_channels
-        kind = rconv.SCALAR
-        for st in spec.backbone:
-            layers.append(
-                RConvLayer(
-                    st["size"], in_planes, st["filters"], spec.n_rotations, kind,
-                    spec.parametrization, rng=rng, dtype=dtype,
-                )
-            )
-            layers.append(OrientationPool(spec.n_rotations))
-            if st.get("pool", 1) > 1:
-                layers.append(VfMaxPool(st["pool"]))
-            in_planes = 2 * st["filters"]
-            kind = rconv.VECTOR
-        self.trunk = Sequential(layers)
-        self.head = OrientationHead(in_planes // 2, spec.n_rotations, rng=rng, dtype=dtype)
+        segments = _build_backbone(spec, rng, dtype)
+        self.trunk = Sequential([l for seg in segments for l in seg.layers])
+        self.head = OrientationHead(
+            spec.backbone[-1]["filters"], spec.n_rotations, rng=rng, dtype=dtype
+        )
         self._cache = None
-
-    def layer_map(self):
-        return {"trunk": self.trunk, "head": self.head}
 
     def forward(self, images: Tensor, training: bool = True):
         fields = self.trunk.forward(images, training)
@@ -615,9 +549,11 @@ class OrientationEstimator(_NamedLayers):
         self.trunk.backward(gf)
 
 
-class BaselineOrientationCNN(_NamedLayers):
+class BaselineOrientationCNN(Layer):
     """Parameter-matched plain-convolution baseline: same layer plan, no
     rotation weight sharing, dense head on the center window."""
+
+    SEP = "/"
 
     def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32, widths=None):
         rng = rng or np.random.default_rng(0)
@@ -635,9 +571,6 @@ class BaselineOrientationCNN(_NamedLayers):
         win = spec.head_window
         self.dense = Linear(win * win * in_c, 2, rng=rng, dtype=dtype)
         self._cache = None
-
-    def layer_map(self):
-        return {"trunk": self.trunk, "dense": self.dense}
 
     def forward(self, images: Tensor, training: bool = True):
         feat = self.trunk.forward(images, training)

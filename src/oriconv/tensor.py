@@ -26,25 +26,10 @@ from .errors import NumericalError, ShapeError
 
 Tensor = np.ndarray
 
-_DEFAULT_DTYPE = np.float32
-
 TWO_PI = 2.0 * math.pi
 
 # Chunk length (output pixels) for the sorted-product accumulation path.
 _SORT_CHUNK = 2048
-
-
-def set_default_dtype(dtype) -> None:
-    """Select the package-wide working precision (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def check_finite(a: Tensor, what: str = "array") -> Tensor:
@@ -59,11 +44,6 @@ def stable_sum(a: Tensor, axis: int) -> Tensor:
     if a.dtype == np.float64:
         return np.sort(a, axis=axis).sum(axis=axis)
     return a.sum(axis=axis)
-
-
-def stable_mean(a: Tensor, axis: int) -> Tensor:
-    n = a.shape[axis]
-    return stable_sum(a, axis) / n
 
 
 @dataclass(frozen=True)

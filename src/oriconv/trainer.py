@@ -22,7 +22,6 @@ import numpy as np
 from . import checkpoint as ckpt
 from .errors import ConfigError, NumericalError
 from .fieldops import rotate_stack_90, split_stack
-from .netblocks import init_canonical_weights
 from .networks import (
     BaselineOrientationCNN,
     Detector,
@@ -81,12 +80,6 @@ class TrainConfig:
         if step < b2:
             return self.lr_second
         return self.lr_third
-
-
-def init_weights(size: int, in_planes: int, n_filters: int, n_rotations: int, rng):
-    """Canonical filter init: zero mean, fan-in variance scaled by an extra
-    1/n_rotations (each canonical filter feeds that many output channels)."""
-    return init_canonical_weights(size, in_planes, n_filters, n_rotations, rng)
 
 
 class SGD:

@@ -28,9 +28,10 @@ from oriconv.detect import (
     propose_rois,
     sigmoid,
     smooth_l1,
+    softmax,
 )
-from oriconv.errors import ShapeError
-from oriconv.networks import Detector, NetworkSpec, _softmax_rows
+from oriconv.errors import NumericalError, ShapeError
+from oriconv.networks import Detector, NetworkSpec
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def detect_image_oracle(net, image, score_threshold, nms_iou=0.45, max_per_image
     dets = []
     for i in range(len(net.taps)):
         raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
-        probs = _softmax_rows(raw[:, : k + 1].astype(np.float64))
+        probs = softmax(raw[:, : k + 1].astype(np.float64))
         hbb_off = raw[:, k + 1 : k + 5]
         obb_off = raw[:, k + 5 :]
         best_cls = np.argmax(probs[:, 1:], axis=1) + 1
@@ -161,6 +162,25 @@ class TestBoxes:
     def test_hbox_validation(self):
         with pytest.raises(ShapeError):
             HBox(3, 0, 3, 5)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 0, math.inf, 1), (-math.inf, 0, 1, 1), (0, 0, 1, math.nan), (0, -math.inf, 1, math.inf)],
+    )
+    def test_hbox_rejects_non_finite_fields(self, fields):
+        with pytest.raises(ShapeError, match="finite"):
+            HBox(*fields)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_decode_hbb_rejects_infinite_extent(self):
+        # a finite centre with an overflowing width decodes to (-inf, inf)
+        anchors = np.array([[0.0, 0.0, 1e308, 1.0], [0.0, 0.0, 4.0, 4.0]])
+        offsets = np.array([[0.0, 0.0, 8.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        boxes, valid = decode_hbb_array(anchors, offsets)
+        assert np.isinf(boxes[0, [0, 2]]).all()
+        assert valid.tolist() == [False, True]
+        with pytest.raises(ShapeError):
+            decode_hbb(anchors[0], offsets[0])
 
     def test_obox_canonicalization(self):
         o = OBox(0, 0, 2, 5, 135.0)
@@ -454,6 +474,13 @@ class TestRpn:
         assert [(roi.box.as_array().tolist(), roi.score, roi.level) for roi in r1] == [
             (roi.box.as_array().tolist(), roi.score, roi.level) for roi in r2
         ]
+
+    def test_nan_logit_raises_numerical_error(self):
+        anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
+        logits = np.zeros(16)
+        logits[5] = np.nan
+        with pytest.raises(NumericalError, match="RPN logits"):
+            propose_rois(logits, np.zeros((16, 4)), anchors, n_levels=2, top_k=4)
 
     def test_dominant_anchor_becomes_first_roi(self):
         anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])

@@ -68,6 +68,15 @@ class TestImagePyramid:
         for k in (1, 2):
             assert np.abs(levels[k] - area_average_oracle(img, k)).max() < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_matches_per_image(self, rng, dtype):
+        batch = rng.normal(size=(3, 16, 16, 2)).astype(dtype)
+        levels = build_image_pyramid(batch, 3)
+        for k, level in enumerate(levels):
+            single = np.stack([build_image_pyramid(img, 3)[k] for img in batch])
+            assert level.dtype == dtype
+            assert level.tobytes() == single.tobytes()
+
     def test_too_many_levels_rejected(self, rng):
         with pytest.raises(ShapeError):
             build_image_pyramid(rng.normal(size=(16, 16, 1)), 4)
@@ -187,15 +196,15 @@ class TestPyramidStage:
         up = rng.normal(size=y.shape)
         stage.zero_grads()
         stage.backward(up)
-        first = stage.seq.layers[0]
+        first = stage.layers[0]
 
         def loss(p):
             s2 = PyramidStage(4, 2, 2, 2, rng=np.random.default_rng(0), dtype=np.float64)
             # copy all weights, then substitute the probed one
-            for la, lb in zip(s2.seq.layers, stage.seq.layers):
+            for la, lb in zip(s2.layers, stage.layers):
                 if hasattr(la, "bank"):
                     la.bank.weights[...] = lb.bank.weights
-            s2.seq.layers[0].bank.weights[...] = p
+            s2.layers[0].bank.weights[...] = p
             return np.sum(up * s2.forward(x, training=True))
 
         # small step: pooling argmax boundaries make large steps non-smooth
