@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import ConfigError, NumericalError, OriconvError
 from .networks import NetworkSpec
 from .synthdata import (
     SceneSpec,
-    Sample,
     generate_orientation_patches,
     generate_scene,
     load_dataset,
@@ -59,6 +59,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object: {path}")
     cfg.setdefault("train", {})
     cfg.setdefault("network", {})
     cfg.setdefault("data", {})
@@ -119,9 +121,7 @@ def _restore_run(run_dir: str):
     ck_path, cfg_path, _ = _run_dir_paths(run_dir)
     if not os.path.exists(ck_path):
         raise ConfigError(f"no checkpoint at {ck_path}")
-    with open(cfg_path) as fh:
-        cfg = json.load(fh)
-    tc, ns = _build_specs(cfg)
+    tc, ns = _build_specs(load_config(cfg_path))
     tensors, step, h = ckpt.load_checkpoint(ck_path)
     expect = ckpt.config_hash({"train": tc.to_dict(), "network": ns.to_dict()})
     if h != expect:
@@ -167,110 +167,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _gt_tuples(sample: Sample):
-    return [(o.class_id, (o.hbox, o.obox)) for o in sample.objects]
-
-
 def cmd_eval(args) -> int:
     net, tc, ns, step = _restore_run(args.run)
     if ns.task != "detection":
         raise ConfigError("eval requires a detection run directory")
     data = load_dataset(args.data)
-    per_dets, per_gts = [], []
-    import time as _time
-
-    t0 = _time.perf_counter()
-    for s in data:
-        per_dets.append(
-            net.detect_image(s.image, score_threshold=args.score_threshold,
-                             nms_iou=args.nms_iou)
-        )
-        per_gts.append(_gt_tuples(s))
-    dt = _time.perf_counter() - t0
-    classes = sorted({g[0] for gts in per_gts for g in gts})
-    per_class, map50 = metrics.mean_average_precision(
-        per_dets, per_gts, classes, iou_threshold=0.5
-    )
-    counts = {"localization": 0, "background": 0, "other": 0}
-    gaps_x, gaps_y = [], []
-    for dets, gts in zip(per_dets, per_gts):
-        st, ct = metrics.error_taxonomy(dets, [g[1] for g in gts])
-        for key in counts:
-            counts[key] += ct[key]
-        gaps_x.extend(st["gaps_x"])
-        gaps_y.extend(st["gaps_y"])
-    n_fp = sum(counts.values())
-    gx = np.asarray(gaps_x) if gaps_x else np.zeros(1)
-    gy = np.asarray(gaps_y) if gaps_y else np.zeros(1)
-    result = metrics.EvalResult(
-        per_class_ap=per_class,
-        map50=map50,
-        loc_error_mean=(float(gx.mean()), float(gy.mean())),
-        loc_error_std=(float(gx.std()), float(gy.std())),
-        loc_error_rate=counts["localization"] / max(n_fp, 1),
-        bg_confusion_rate=counts["background"] / max(n_fp, 1),
-        mean_angular_error=_mean_obb_angle_error(per_dets, per_gts),
-        images_per_second=len(data) / max(dt, 1e-9),
-    )
+    t0 = time.perf_counter()
+    per_dets = [
+        net.detect_image(s.image, score_threshold=args.score_threshold, nms_iou=args.nms_iou)
+        for s in data
+    ]
+    dt = time.perf_counter() - t0
+    per_gts = [[(o.class_id, (o.hbox, o.obox)) for o in s.objects] for s in data]
+    result, pr_rows = metrics.evaluate(per_dets, per_gts, len(data) / max(dt, 1e-9))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.json"), "w") as fh:
         fh.write(result.to_json())
-    for cls in classes:
-        dets = [(i, d) for i, ds in enumerate(per_dets) for d in ds if d.class_id == cls]
-        gts = [(i, g[1]) for i, gs in enumerate(per_gts) for g in gs if g[0] == cls]
-        _write_pr_csv(os.path.join(args.out, f"pr_class{cls}.csv"), dets, gts)
-    print(f"mAP@0.5 = {map50:.4f} over {len(data)} images; report in {args.out}")
+    for cls, rows in pr_rows.items():
+        with open(os.path.join(args.out, f"pr_class{cls}.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("rank", "score", "precision", "recall"))
+            w.writerows(rows)
+    print(f"mAP@0.5 = {result.map50:.4f} over {len(data)} images; report in {args.out}")
     return 0
-
-
-def _mean_obb_angle_error(per_dets, per_gts) -> float:
-    preds, trues = [], []
-    for dets, gts in zip(per_dets, per_gts):
-        for d in dets:
-            if d.obox is None:
-                continue
-            best, best_g = 0.0, None
-            for cls, pair in gts:
-                from .detect import iou_hbb
-
-                v = iou_hbb(d.hbox, pair[0])
-                if v > best:
-                    best, best_g = v, pair
-            if best >= 0.5 and best_g is not None:
-                preds.append(d.obox.theta % 90.0)
-                trues.append(best_g[1].theta % 90.0)
-    if not preds:
-        return 0.0
-    d = np.abs(np.asarray(preds) - np.asarray(trues))
-    return float(np.minimum(d, 90.0 - d).mean())
-
-
-def _write_pr_csv(path, dets, gts):
-    from .metrics import _match_detections
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1].score, i))
-    used = set()
-    tp = 0
-    rows = []
-    for rank, i in enumerate(order, start=1):
-        img_id, det = dets[i]
-        best, best_g = 0.0, None
-        for g_idx, (g_img, g) in enumerate(gts):
-            if g_img != img_id or g_idx in used:
-                continue
-            from .detect import iou_hbb
-
-            v = iou_hbb(det.hbox, g)
-            if v > best:
-                best, best_g = v, g_idx
-        if best >= 0.5 and best_g is not None:
-            used.add(best_g)
-            tp += 1
-        rows.append((rank, det.score, tp / rank, tp / max(len(gts), 1)))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("rank", "score", "precision", "recall"))
-        w.writerows(rows)
 
 
 def cmd_verify(args) -> int:

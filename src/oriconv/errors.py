@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import dataclasses
+
 
 class OriconvError(Exception):
     """Base class for all package errors."""
@@ -15,3 +17,12 @@ class NumericalError(OriconvError, ArithmeticError):
 
 class ConfigError(OriconvError, ValueError):
     """Raised for invalid network or training configuration."""
+
+
+def reject_unknown_keys(section: str, d: dict, spec_cls) -> None:
+    """Raise ConfigError naming each key of config section `section` that is
+    not a field of the dataclass `spec_cls`."""
+    known = {f.name for f in dataclasses.fields(spec_cls)}
+    unknown = sorted(str(k) for k in d if k not in known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {section!r} config: {', '.join(unknown)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import detect, rconv
-from .errors import ConfigError
+from .errors import ConfigError, reject_unknown_keys
 from .netblocks import (
     AttentionMerge,
     FeatureFusion,
@@ -66,6 +66,12 @@ class NetworkSpec:
     rpn_top_k: int = 8
     head_window: int = 4  # orientation task: center window of pooled fields
 
+    def __post_init__(self):
+        if self.n_rotations < 1:
+            raise ConfigError(f"rotation count must be >= 1, got {self.n_rotations}")
+        if not self.backbone:
+            raise ConfigError("backbone needs at least one stage")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["backbone"] = [dict(s) for s in self.backbone]
@@ -75,6 +81,7 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
+        reject_unknown_keys("network", d, cls)
         d = dict(d)
         if "backbone" in d:
             d["backbone"] = tuple(dict(s) for s in d["backbone"])

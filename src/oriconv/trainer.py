@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, reject_unknown_keys
 from .fieldops import rotate_stack_90, split_stack
 from .networks import (
     BaselineOrientationCNN,
@@ -64,6 +64,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        reject_unknown_keys("train", d, cls)
         d = dict(d)
         if "phase_fractions" in d:
             d["phase_fractions"] = tuple(d["phase_fractions"])

@@ -1,0 +1,140 @@
+"""Exit codes of the command line: 0 success, 2 bad usage or config, 3
+numerical failure, never an uncaught exception."""
+
+import csv
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from oriconv.cli import cli
+from oriconv.synthdata import load_dataset
+
+
+def run(capfd, *argv):
+    code = cli([str(a) for a in argv])
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def envelope_area(recall, precision):
+    """All-point interpolated AP, summed in rank order as `metrics` sums it."""
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap, prev_r = 0.0, 0.0
+    for r, p in zip(recall, env):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.fixture(scope="module")
+def detection_run(tmp_path_factory):
+    """A scene dataset and a 2-step detection run trained on it."""
+    root = tmp_path_factory.mktemp("detection")
+    data, run_dir = root / "data", root / "run"
+    assert cli(["gen-data", "--out", str(data), "--count", "4", "--seed", "0"]) == 0
+    cfg = write_json(root / "cfg.json", {"train": {"task": "detection", "batch_size": 2}})
+    argv = ["train", "--config", cfg, "--out", run_dir, "--data", data, "--steps", "2"]
+    assert cli([str(a) for a in argv]) == 0
+    return data, run_dir
+
+
+@pytest.fixture(scope="module")
+def orientation_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("orientation")
+    cfg = write_json(root / "cfg.json", {
+        "train": {"task": "orientation", "batch_size": 2}, "data": {"count": 4},
+    })
+    assert cli(["train", "--config", str(cfg), "--out", str(root / "run"), "--steps", "1"]) == 0
+    return root / "run"
+
+
+def test_eval_writes_pr_curves_that_integrate_to_ap(detection_run, tmp_path, capfd):
+    # with no score threshold every image has detections next to objects of
+    # their class, the case the PR rows must take from the AP's own match
+    data, run_dir = detection_run
+    code, _ = run(capfd, "eval", "--run", run_dir, "--data", data, "--out", tmp_path,
+                  "--score-threshold", "0.0")
+    assert code == 0
+    report = json.loads((tmp_path / "eval.json").read_text())
+    gt_classes = {o.class_id for s in load_dataset(str(data)) for o in s.objects}
+    assert {int(c) for c in report["per_class_ap"]} == gt_classes
+    for c in gt_classes:
+        with open(tmp_path / f"pr_class{c}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        recall = np.array([float(r["recall"]) for r in rows])
+        precision = np.array([float(r["precision"]) for r in rows])
+        assert envelope_area(recall, precision) == report["per_class_ap"][str(c)]
+
+
+CONFIG_CASES = {
+    "invalid_json": "{not json",
+    "not_an_object": "[1, 2]",
+    "unknown_train_key": json.dumps({"train": {"learning_rat": 0.1}}),
+    "unknown_network_key": json.dumps({"network": {"n_rotation": 4}}),
+    "empty_backbone": json.dumps({"network": {"task": "orientation", "backbone": []}}),
+    "zero_rotations": json.dumps({"train": {"n_rotations": 0}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_bad_train_config_exits_2(case, tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(CONFIG_CASES[case])
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert err.startswith("config error:")
+
+
+def test_unknown_key_is_named(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {"network": {"n_rotation": 4}})
+    _, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert "n_rotation" in err
+
+
+def test_usage_errors_exit_2(tmp_path, capfd):
+    assert run(capfd, "frobnicate")[0] == 2
+    assert run(capfd, "train", "--config", tmp_path / "missing.json", "--out", tmp_path)[0] == 2
+    assert run(capfd, "verify", "--rotations", "0", "--out", tmp_path / "v")[0] == 2
+    assert run(capfd, "bench", "--sweep", "0", "--count", "1", "--out", tmp_path / "b")[0] == 2
+
+
+@pytest.mark.parametrize("config_text", [None, "{not json"])
+def test_run_dir_without_valid_config_exits_2(config_text, detection_run, tmp_path, capfd):
+    data, run_dir = detection_run
+    broken = tmp_path / "run"
+    broken.mkdir()
+    shutil.copy(run_dir / "checkpoint.ckpt", broken / "checkpoint.ckpt")
+    if config_text is not None:
+        (broken / "config.json").write_text(config_text)
+    image = sorted((data / "images").iterdir())[0]
+    assert run(capfd, "eval", "--run", broken, "--data", data, "--out", tmp_path / "e")[0] == 2
+    code, _ = run(capfd, "dump-features", "--run", broken, "--image", image, "--out", tmp_path / "f")
+    assert code == 2
+
+
+def test_eval_of_orientation_run_exits_2(orientation_run, detection_run, tmp_path, capfd):
+    data, _ = detection_run
+    code, err = run(capfd, "eval", "--run", orientation_run, "--data", data, "--out", tmp_path)
+    assert code == 2
+    assert "detection" in err
+
+
+def test_diverging_training_exits_3(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "train": {"task": "orientation", "batch_size": 2, "learning_rate": 1e30},
+        "data": {"count": 8},
+    })
+    with np.errstate(all="ignore"):
+        code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run", "--steps", "4")
+    assert code == 3
+    assert err.startswith("numerical failure:")

@@ -4,11 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from oriconv.detect import Detection, HBox
+from oriconv.detect import Detection, HBox, OBox, iou_hbb, iou_obb
 from oriconv.errors import ShapeError
 from oriconv.metrics import (
+    EvalResult,
+    _area,
     average_precision,
     error_taxonomy,
+    evaluate,
     mean_average_precision,
     mean_orientation_error,
     pr_curve,
@@ -221,3 +224,284 @@ class TestThroughput:
                 best = min(best, time.perf_counter() - t0)
             times.append(best)
         assert times[1] > times[0]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: verbatim copies of the evaluation code before matching moved behind
+# one `metrics._match`. They are the reference for byte identity.
+
+
+def _oracle_det_iou(det, gt, oriented):
+    if oriented:
+        return iou_obb(det.obox, gt[1]) if det.obox is not None else 0.0
+    g = gt[0] if isinstance(gt, tuple) else gt
+    return iou_hbb(det.hbox, g)
+
+
+def _oracle_match_detections(detections, ground_truth, iou_threshold, oriented):
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    used = [False] * len(ground_truth)
+    flags = []
+    best_ious = []
+    matched = []
+    for i in order:
+        det = detections[i]
+        best, best_g = 0.0, -1
+        for g, gt in enumerate(ground_truth):
+            v = _oracle_det_iou(det, gt, oriented)
+            if v > best:
+                best, best_g = v, g
+        if best >= iou_threshold and best_g >= 0 and not used[best_g]:
+            used[best_g] = True
+            flags.append(True)
+            matched.append(best_g)
+        else:
+            flags.append(False)
+            matched.append(best_g)
+        best_ious.append(best)
+    return order, flags, best_ious, matched
+
+
+def _oracle_mean_average_precision(per_image_detections, per_image_gt, classes, iou_threshold=0.5, oriented=False):
+    per_class = {}
+    for cls in classes:
+        dets = []
+        gts = []
+        for img_id, (im_dets, im_gts) in enumerate(zip(per_image_detections, per_image_gt)):
+            for d in im_dets:
+                if d.class_id == cls:
+                    dets.append((img_id, d))
+            for g in im_gts:
+                if g[0] == cls:
+                    gts.append((img_id, g[1]))
+        if not gts and not dets:
+            continue
+        if not gts:
+            per_class[cls] = 0.0
+            continue
+        ap = _average_precision_multi_image(dets, gts, iou_threshold, oriented)
+        per_class[cls] = ap
+    if not per_class:
+        return per_class, 0.0
+    return per_class, float(np.mean(list(per_class.values())))
+
+
+def _average_precision_multi_image(dets, gts, iou_threshold, oriented):
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i][1].score, i))
+    gt_by_image = {}
+    for g_idx, (img_id, g) in enumerate(gts):
+        gt_by_image.setdefault(img_id, []).append((g_idx, g))
+    used = [False] * len(gts)
+    flags = []
+    for i in order:
+        img_id, det = dets[i]
+        best, best_g = 0.0, -1
+        for g_idx, g in gt_by_image.get(img_id, []):
+            v = _oracle_det_iou(det, g, oriented)
+            if v > best:
+                best, best_g = v, g_idx
+        if best >= iou_threshold and best_g >= 0 and not used[best_g]:
+            used[best_g] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    tp = np.cumsum(np.array(flags, dtype=np.float64))
+    ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
+    recall = tp / len(gts)
+    precision = tp / ranks
+    env = np.maximum.accumulate(precision[::-1])[::-1]
+    ap, prev_r = 0.0, 0.0
+    for r, p in zip(recall, env):
+        if r > prev_r:
+            ap += (r - prev_r) * p
+            prev_r = r
+    return float(ap)
+
+
+def _oracle_error_taxonomy(detections, ground_truth, iou_threshold=0.5, oriented=False):
+    order, flags, best_ious, matched = _oracle_match_detections(
+        detections, ground_truth, iou_threshold, oriented
+    )
+    counts = {"localization": 0, "background": 0, "other": 0}
+    gaps_x = []
+    gaps_y = []
+    for pos, i in enumerate(order):
+        if flags[pos]:
+            continue
+        iou = best_ious[pos]
+        if iou < 0.1:
+            counts["background"] += 1
+        elif iou < 0.5:
+            counts["localization"] += 1
+            g = ground_truth[matched[pos]]
+            gbox = g[0] if isinstance(g, tuple) else g
+            diag = math.hypot(gbox.width, gbox.height)
+            d = detections[i].hbox
+            gaps_x.append(
+                np.array([d.xmin - gbox.xmin, d.xmax - gbox.xmax]) / diag
+            )
+            gaps_y.append(
+                np.array([d.ymin - gbox.ymin, d.ymax - gbox.ymax]) / diag
+            )
+        else:
+            counts["other"] += 1
+    if gaps_x:
+        gx = np.concatenate(gaps_x)
+        gy = np.concatenate(gaps_y)
+        loc_stats = {
+            "mean_x": float(gx.mean()),
+            "mean_y": float(gy.mean()),
+            "std_x": float(gx.std()),
+            "std_y": float(gy.std()),
+            "gaps_x": gx.tolist(),
+            "gaps_y": gy.tolist(),
+        }
+    else:
+        loc_stats = {
+            "mean_x": 0.0, "mean_y": 0.0, "std_x": 0.0, "std_y": 0.0,
+            "gaps_x": [], "gaps_y": [],
+        }
+    return loc_stats, counts
+
+
+def _oracle_taxonomy_sum(per_dets, per_gts):
+    """The false-positive summation of the former `oriconv eval`."""
+    counts = {"localization": 0, "background": 0, "other": 0}
+    gaps_x, gaps_y = [], []
+    for dets, gts in zip(per_dets, per_gts):
+        st, ct = _oracle_error_taxonomy(dets, [g[1] for g in gts])
+        for key in counts:
+            counts[key] += ct[key]
+        gaps_x.extend(st["gaps_x"])
+        gaps_y.extend(st["gaps_y"])
+    n_fp = sum(counts.values())
+    gx = np.asarray(gaps_x) if gaps_x else np.zeros(1)
+    gy = np.asarray(gaps_y) if gaps_y else np.zeros(1)
+    return dict(
+        loc_error_mean=(float(gx.mean()), float(gy.mean())),
+        loc_error_std=(float(gx.std()), float(gy.std())),
+        loc_error_rate=counts["localization"] / max(n_fp, 1),
+        bg_confusion_rate=counts["background"] / max(n_fp, 1),
+    )
+
+
+def _mean_obb_angle_error(per_dets, per_gts) -> float:
+    preds, trues = [], []
+    for dets, gts in zip(per_dets, per_gts):
+        for d in dets:
+            if d.obox is None:
+                continue
+            best, best_g = 0.0, None
+            for cls, pair in gts:
+                v = iou_hbb(d.hbox, pair[0])
+                if v > best:
+                    best, best_g = v, pair
+            if best >= 0.5 and best_g is not None:
+                preds.append(d.obox.theta % 90.0)
+                trues.append(best_g[1].theta % 90.0)
+    if not preds:
+        return 0.0
+    d = np.abs(np.asarray(preds) - np.asarray(trues))
+    return float(np.minimum(d, 90.0 - d).mean())
+
+
+def jittered_image_set(rng):
+    """Images of oriented objects in three classes, `(class, (HBox, OBox))`
+    ground truth, and detections that jitter, duplicate, relabel or miss them,
+    plus background boxes. Scores are coarse, so ties occur; some detections
+    carry float32 geometry, as `detect_image` output does, or no OBox."""
+    per_dets, per_gts = [], []
+    for _ in range(int(rng.integers(1, 5))):
+        gts, dets = [], []
+        for _ in range(int(rng.integers(0, 9))):
+            cls = int(rng.integers(0, 3))
+            ob = OBox(*rng.uniform(10, 90, 2), *rng.uniform(6, 20, 2), rng.uniform(0, 180))
+            hb = ob.hull()
+            gts.append((cls, (HBox(*map(float, (hb.xmin, hb.ymin, hb.xmax, hb.ymax))), ob)))
+            for _ in range(int(rng.integers(0, 3))):
+                xc, yc = np.array([ob.xc, ob.yc]) + rng.normal(0, 3, 2)
+                w, h = np.array([ob.w, ob.h]) * rng.uniform(0.7, 1.3, 2)
+                theta = ob.theta + rng.normal(0, 15)
+                label = cls if rng.random() < 0.8 else int(rng.integers(0, 3))
+                score = round(float(rng.random()), 1)
+                if rng.random() < 0.3:
+                    fields = np.float32([xc, yc, w, h, theta])
+                    db = OBox(*fields)
+                    hb = db.hull()
+                    hb = HBox(*np.float32([hb.xmin, hb.ymin, hb.xmax, hb.ymax]))
+                    dets.append(Detection(label, score, hb, db))
+                elif rng.random() < 0.15:
+                    dets.append(Detection(label, score, OBox(xc, yc, w, h, theta).hull()))
+                else:
+                    dets.append(Detection(label, score, obox=OBox(xc, yc, w, h, theta)))
+        for _ in range(int(rng.integers(0, 3))):
+            x, y = rng.uniform(0, 90, 2)
+            dets.append(Detection(int(rng.integers(0, 3)), round(float(rng.random()), 1),
+                                  HBox(x, y, x + 8, y + 8)))
+        per_gts.append(gts)
+        per_dets.append(dets)
+    return per_dets, per_gts
+
+
+class TestOracleIdentity:
+    """Every public metric and `evaluate` reproduce the oracles bit for bit.
+    Oriented IoU clips polygons, so the OBB cases run on fewer sets."""
+
+    @staticmethod
+    def sets(n=40):
+        rng = np.random.default_rng(2024)
+        return [jittered_image_set(rng) for _ in range(n)]
+
+    @pytest.mark.parametrize("oriented, n_sets", [(False, 40), (True, 10)])
+    def test_mean_average_precision(self, oriented, n_sets):
+        for per_dets, per_gts in self.sets(n_sets):
+            for thr in (0.3, 0.5, 0.7):
+                got = mean_average_precision(per_dets, per_gts, [0, 1, 2, 3], thr, oriented)
+                want = _oracle_mean_average_precision(per_dets, per_gts, [0, 1, 2, 3], thr, oriented)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("oriented, n_sets", [(False, 40), (True, 5)])
+    def test_per_image_functions(self, oriented, n_sets):
+        for per_dets, per_gts in self.sets(n_sets):
+            for dets, gts in zip(per_dets, per_gts):
+                pairs = [g for _, g in gts]
+                for thr in (0.3, 0.5, 0.7):
+                    _, flags, _, _ = _oracle_match_detections(dets, pairs, thr, oriented)
+                    tp = np.cumsum(np.array(flags, dtype=np.float64))
+                    rec, prec = pr_curve(dets, pairs, thr, oriented)
+                    assert rec.tobytes() == (tp / max(len(pairs), 1)).tobytes()
+                    assert prec.tobytes() == (tp / np.arange(1, len(flags) + 1)).tobytes()
+                    ap = average_precision(dets, pairs, thr, oriented)
+                    want = (
+                        _average_precision_multi_image(
+                            [(0, d) for d in dets], [(0, g) for g in pairs], thr, oriented
+                        ) if pairs and dets else 0.0
+                    )
+                    assert repr(ap) == repr(want)
+                    assert repr(error_taxonomy(dets, pairs, thr, oriented)) == repr(
+                        _oracle_error_taxonomy(dets, pairs, thr, oriented)
+                    )
+
+    def test_evaluate(self):
+        for per_dets, per_gts in self.sets():
+            result, pr_rows = evaluate(per_dets, per_gts, 12.5)
+            classes = sorted({c for gts in per_gts for c, _ in gts})
+            per_class, map50 = _oracle_mean_average_precision(per_dets, per_gts, classes)
+            want = EvalResult(
+                per_class_ap=per_class,
+                map50=map50,
+                mean_angular_error=_mean_obb_angle_error(per_dets, per_gts),
+                images_per_second=12.5,
+                **_oracle_taxonomy_sum(per_dets, per_gts),
+            )
+            assert result.to_json() == want.to_json()
+            assert repr(result) == repr(want)
+            assert sorted(pr_rows) == classes
+            for cls, rows in pr_rows.items():
+                n_dets = sum(d.class_id == cls for dets in per_dets for d in dets)
+                assert [r[0] for r in rows] == list(range(1, n_dets + 1))
+                scores = [r[1] for r in rows]
+                assert scores == sorted(scores, reverse=True)
+                precision = np.array([r[2] for r in rows])
+                recall = np.array([r[3] for r in rows])
+                assert _area(recall, precision) == per_class[cls]
