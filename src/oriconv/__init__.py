@@ -21,13 +21,10 @@ from .tensor import (
 )
 from .rconv import (
     CanonicalFilterBank,
-    RConvOutput,
     circular_mask,
     expand_rotations,
     rconv_backward,
-    rconv_backward_vf,
     rconv_forward,
-    rconv_forward_vf,
     rotation_angles,
 )
 from .fieldops import (

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import metrics
-from .errors import ConfigError, NumericalError, OriconvError
+from .errors import ConfigError, NumericalError, OriconvError, check_section
 from .networks import NetworkSpec
 from .synthdata import (
     SceneSpec,
@@ -99,6 +99,7 @@ def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=No
     count = int(d.pop("count", 256))
     kind = d.pop("kind", "patches" if tc.task == "orientation" else "scenes")
     patch = int(d.pop("patch_size", ns.input_size))
+    check_section("data", d, SceneSpec)
     scene = SceneSpec(**d) if d else SceneSpec(seed=tc.seed)
     if kind == "patches":
         return generate_orientation_patches(scene, count, patch_size=patch)

@@ -219,10 +219,6 @@ class AnchorSet:
         arr = np.stack(boxes, axis=2).reshape(-1, 4)
         return cls(arr, stride, (h, w))
 
-    @property
-    def per_cell(self) -> int:
-        return self.boxes.shape[0] // (self.feature_hw[0] * self.feature_hw[1])
-
 
 def _iou_matrix(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Vectorized axis-aligned IoU between [N,4] anchors and [G,4] boxes."""

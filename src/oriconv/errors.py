@@ -19,10 +19,24 @@ class ConfigError(OriconvError, ValueError):
     """Raised for invalid network or training configuration."""
 
 
-def reject_unknown_keys(section: str, d: dict, spec_cls) -> None:
+def check_section(section: str, d: dict, spec_cls) -> None:
     """Raise ConfigError naming each key of config section `section` that is
-    not a field of the dataclass `spec_cls`."""
-    known = {f.name for f in dataclasses.fields(spec_cls)}
-    unknown = sorted(str(k) for k in d if k not in known)
+    not a field of the dataclass `spec_cls`, or the first value whose JSON
+    type does not match its field's default (an int passes for a float, a
+    list for a tuple, and a bool only for a bool)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
+    unknown = sorted(str(k) for k in d if k not in defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r} config: {', '.join(unknown)}")
+    for key, value in d.items():
+        default = defaults[key]
+        if isinstance(default, float):
+            want = (int, float)
+        elif isinstance(default, tuple):
+            want = (list, tuple)
+        else:
+            want = type(default)
+        if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, want):
+            raise ConfigError(
+                f"{section}.{key} must be {type(default).__name__}, got {value!r}"
+            )

@@ -47,23 +47,12 @@ class VectorField:
         a = np.where(a < 0, a + TWO_PI, a)
         return np.where(rho > 0, a, 0.0)
 
-    def as_stack(self) -> Tensor:
-        out = np.empty(self.p.shape + (2,), dtype=self.p.dtype)
-        out[..., 0] = self.p
-        out[..., 1] = self.q
-        return out
-
 
 def split_stack(stack: Tensor):
     """Views of the p and q planes of an interleaved [..., 2C] field stack."""
     if stack.shape[-1] % 2 != 0:
         raise ShapeError(f"field stack needs an even channel count, got {stack.shape}")
     return stack[..., 0::2], stack[..., 1::2]
-
-
-def field_magnitudes(stack: Tensor) -> Tensor:
-    p, q = split_stack(stack)
-    return np.hypot(p, q)
 
 
 def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:

@@ -4,17 +4,20 @@ attention merge, level fusion, and the prediction heads.
 Layers follow a hand-derived-backward protocol: `forward(x, training)` caches
 what the adjoint needs, `backward(gy)` returns the input gradient and
 accumulates parameter gradients. Arrays are batched [N, H, W, C]; vector-field
-stacks use the interleaved (p, q) plane layout from `fieldops`. Every block
-keeps the pooled fields equivariant: rotating the network input by a quarter
-turn rotates each level's fields per `fieldops.rotate_stack_90`, exactly in
-float64.
+stacks use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
+convolves against the rotated filter copies and orientation-pools the result,
+so every RConv in a block hands on vector fields. Every block keeps the fields
+equivariant: rotating the network input by a quarter turn rotates each level's
+fields per `fieldops.rotate_stack_90`, exactly in float64 when 4 divides the
+rotation count.
 
 A shape dry-run with symbolic extents validates every merge point at build
 time, so mismatched pyramids fail before any real data flows.
 
 Layers form one tree. `Layer.children()` maps a name to each sub-layer; by
 default the children are the attributes that hold a `Layer`, in assignment
-order, and `Sequential` names its layers by index. `params`, `grads` and
+order, and `Sequential` names its layers by index (an `RConvLayer` takes
+two, see `Sequential.children`). `params`, `grads` and
 `state` gather the children's arrays under `f"{name}{SEP}{key}"`
 (`SEP = "."`; the networks use `"/"`, giving `backbone0/0.weights`), and
 `apply_constraints`, `zero_grads` and `parameter_count` walk the same tree.
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import fieldops, rconv, steerbasis
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, conv2d, conv2d_backward, stable_sum
+from .tensor import Tensor, conv2d, conv2d_backward
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +80,21 @@ class Layer:
 
 
 class RConvLayer(Layer):
-    """Rotation-equivariant convolution, free or basis-parametrized filters.
+    """Rotation-equivariant convolution with orientation pooling, free or
+    basis-parametrized filters: [N, H, W, Cin] -> field stacks [N, H, W, 2C].
 
     `forward` expands the canonical bank into its n rotated copies once per
-    batch (`rconv.expand_rotations`, bit-identical to expanding per image)
-    and keeps the expanded filter with the input for `backward`. `backward`
-    convolves per image, pulls the stacked per-image filter gradients back
-    onto the canonical weights with one call to
-    `rconv.expand_rotations_backward`, and adds the results in image order,
-    so the weight gradient is bit-identical to the per-image
-    `rconv.rconv_backward` loop.
+    batch (`rconv.expand_rotations`, bit-identical to expanding per image),
+    then per image convolves against them and pools the C*n rotation channels
+    into C vector fields (`fieldops.orientation_pool_stack`). It keeps the
+    input, the expanded filter, each image's rotation responses and pooling
+    winners for `backward`. `backward` pulls each image's gradient back
+    through the pooling (`fieldops.orientation_pool_backward`) and the
+    convolution, then maps the stacked per-image filter gradients onto the
+    canonical weights with one call to `rconv.expand_rotations_backward` and
+    adds the results in image order. Outputs and gradients are bit-identical
+    to `rconv.rconv_forward`, `fieldops.orientation_pool_stack` and their
+    adjoints called image by image.
     """
 
     def __init__(
@@ -148,16 +156,23 @@ class RConvLayer(Layer):
             self.bank.apply_mask()
         f = rconv.expand_rotations(self.bank)
         pad = self.bank.size // 2
-        out = np.stack([conv2d(img, f, stride=1, padding=pad) for img in x])
-        self._cache = (x, f)
-        return out
+        ys, winners, outs = [], [], []
+        for img in x:
+            y = conv2d(img, f, stride=1, padding=pad)
+            stack, win = fieldops.orientation_pool_stack(y, self.n_rotations)
+            ys.append(y)
+            winners.append(win)
+            outs.append(stack)
+        self._cache = (x, f, ys, winners)
+        return np.stack(outs)
 
     def backward(self, gy: Tensor) -> Tensor:
-        x, f = self._cache
+        x, f, ys, winners = self._cache
         pad = self.bank.size // 2
         gxs, gfs = [], []
-        for img, g in zip(x, gy):
-            gx, gf = conv2d_backward(img, f, g, stride=1, padding=pad)
+        for img, y, win, g in zip(x, ys, winners, gy):
+            gpre = fieldops.orientation_pool_backward(y, self.n_rotations, win, g)
+            gx, gf = conv2d_backward(img, f, gpre, stride=1, padding=pad)
             gxs.append(gx)
             gfs.append(gf)
         for gw in rconv.expand_rotations_backward(self.bank, np.stack(gfs)):
@@ -165,31 +180,6 @@ class RConvLayer(Layer):
                 self.g_mixing += steerbasis.compose_filters_backward(self.basis, gw)
             else:
                 self.g_weights += gw
-        return np.stack(gxs)
-
-
-class OrientationPool(Layer):
-    """Collapse rotation channels to vector fields (see fieldops)."""
-
-    def __init__(self, n_rotations: int):
-        self.n_rotations = n_rotations
-        self._cache = None
-
-    def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        outs, caches = [], []
-        for img in x:
-            stack, winners = fieldops.orientation_pool_stack(img, self.n_rotations)
-            outs.append(stack)
-            caches.append((img, winners))
-        self._cache = caches
-        return np.stack(outs)
-
-    def backward(self, gy: Tensor) -> Tensor:
-        gxs = []
-        for (img, winners), g in zip(self._cache, gy):
-            gxs.append(
-                fieldops.orientation_pool_backward(img, self.n_rotations, winners, g)
-            )
         return np.stack(gxs)
 
 
@@ -332,7 +322,13 @@ class Sequential(Layer):
         return gy
 
     def children(self):
-        return {str(i): l for i, l in enumerate(self.layers)}
+        # An RConvLayer takes two indices, so checkpoint names stay those of
+        # the time its orientation pool was a layer of its own.
+        out, i = {}, 0
+        for l in self.layers:
+            out[str(i)] = l
+            i += 2 if isinstance(l, RConvLayer) else 1
+        return out
 
 
 def init_canonical_weights(size, in_planes, n_filters, n_rotations, rng):
@@ -350,8 +346,11 @@ def init_canonical_weights(size, in_planes, n_filters, n_rotations, rng):
 
 def downsample2(x: Tensor) -> Tensor:
     """2x area-average downsampling of [..., H, W, C]: each output is the mean
-    of a 2x2 cell (summed by `stable_sum`), so a batch gives the same bytes
-    as its images one at a time."""
+    of a 2x2 cell, so a batch gives the same bytes as its images one at a
+    time. In float64 each cell is summed in order of |x|, which no
+    permutation of the cell and no sign flip of it changes: the average
+    then commutes exactly with a quarter turn of a field stack, which
+    permutes cells and maps (p, q) to (-q, p)."""
     *lead, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"downsample needs even extents, got {x.shape}")
@@ -361,7 +360,9 @@ def downsample2(x: Tensor) -> Tensor:
         .transpose(*range(d), d, d + 2, d + 4, d + 1, d + 3)
         .reshape(*lead, h // 2, w // 2, c, 4)
     )
-    return stable_sum(quads, axis=-1) * x.dtype.type(0.25)
+    if x.dtype == np.float64:
+        quads = np.take_along_axis(quads, np.argsort(np.abs(quads), axis=-1), axis=-1)
+    return quads.sum(axis=-1) * x.dtype.type(0.25)
 
 
 def build_image_pyramid(image: Tensor, n_levels: int):
@@ -386,29 +387,18 @@ def build_image_pyramid(image: Tensor, n_levels: int):
 
 
 class PyramidStage(Sequential):
-    """Per-scale feature extractor: two 3x3 and one 1x1 rotation conv with
-    orientation pooling after each, plus enough field max-pooling to land on
-    the matched prediction layer's spatial size."""
+    """Per-scale feature extractor: two 3x3 and one 1x1 rotation conv, each
+    orientation-pooled, with one 2x field max-pool before the last, which
+    lands on the matched prediction layer's spatial size."""
 
-    def __init__(self, n_rotations, c1, c2, c_out, pool_after=(2,), rng=None, dtype=np.float32, parametrization="free"):
+    def __init__(self, n_rotations, c1, c2, c_out, rng=None, dtype=np.float32, parametrization="free"):
         rng = rng or np.random.default_rng(0)
-        layers = [
+        super().__init__([
             RConvLayer(3, 1, c1, n_rotations, rconv.SCALAR, parametrization, rng=rng, dtype=dtype),
-            OrientationPool(n_rotations),
-        ]
-        if 1 in pool_after:
-            layers.append(VfMaxPool(2))
-        layers += [
             RConvLayer(3, 2 * c1, c2, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
-            OrientationPool(n_rotations),
-        ]
-        if 2 in pool_after:
-            layers.append(VfMaxPool(2))
-        layers += [
+            VfMaxPool(2),
             RConvLayer(1, 2 * c2, c_out, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
-            OrientationPool(n_rotations),
-        ]
-        super().__init__(layers)
+        ])
 
     # Own methods, not inherited ones: a profiler that wraps a class's own
     # attributes (perfbench/tracing.py) would otherwise not see this stage.
@@ -457,9 +447,7 @@ class AttentionMerge(Layer):
         c_mix = c_ssd + c_lipm if mode == "concat" else c_ssd
         mid = max(c_out, c_mix // 2)
         self.conv3 = RConvLayer(3, 2 * c_mix, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op3 = OrientationPool(n_rotations)
         self.conv1 = RConvLayer(1, 2 * mid, c_out, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op1 = OrientationPool(n_rotations)
         self._cache = None
 
     def forward(self, ssd_feat, lipm_feat, gates=None, training=True):
@@ -478,11 +466,10 @@ class AttentionMerge(Layer):
             mix = a * b
         gated = mix if gates is None else mix * gates
         self._cache = (a, b, gates)
-        h = self.op3.forward(self.conv3.forward(gated, training), training)
-        return self.op1.forward(self.conv1.forward(h, training), training)
+        return self.conv1.forward(self.conv3.forward(gated, training), training)
 
     def backward(self, gy):
-        g = self.conv3.backward(self.op3.backward(self.conv1.backward(self.op1.backward(gy))))
+        g = self.conv3.backward(self.conv1.backward(gy))
         a, b, gates = self._cache
         if gates is not None:
             g = g * gates
@@ -507,16 +494,12 @@ class FeatureFusion(Layer):
         rng = rng or np.random.default_rng(0)
         mid = max(c_out, min(c_prev, c_cur))
         self.pre_prev = RConvLayer(1, 2 * c_prev, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op_prev = OrientationPool(n_rotations)
         self.norm_prev = FieldNorm(mid)
         self.pre_cur = RConvLayer(1, 2 * c_cur, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op_cur = OrientationPool(n_rotations)
         self.norm_cur = FieldNorm(mid)
         self.pool = FieldAvgPool2()
         self.conv3 = RConvLayer(3, 2 * mid, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op3 = OrientationPool(n_rotations)
         self.conv1 = RConvLayer(1, 2 * mid, c_out, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
-        self.op1 = OrientationPool(n_rotations)
 
     def forward(self, r_prev, r_cur, training=True):
         if r_prev.shape[1] != 2 * r_cur.shape[1] or r_prev.shape[2] != 2 * r_cur.shape[2]:
@@ -524,26 +507,16 @@ class FeatureFusion(Layer):
                 f"fusion needs adjacent levels, got {r_prev.shape} and {r_cur.shape}"
             )
         a = self.pool.forward(
-            self.norm_prev.forward(
-                self.op_prev.forward(self.pre_prev.forward(r_prev, training), training),
-                training,
-            ),
+            self.norm_prev.forward(self.pre_prev.forward(r_prev, training), training),
             training,
         )
-        b = self.norm_cur.forward(
-            self.op_cur.forward(self.pre_cur.forward(r_cur, training), training),
-            training,
-        )
-        s = a + b
-        h = self.op3.forward(self.conv3.forward(s, training), training)
-        return self.op1.forward(self.conv1.forward(h, training), training)
+        b = self.norm_cur.forward(self.pre_cur.forward(r_cur, training), training)
+        return self.conv1.forward(self.conv3.forward(a + b, training), training)
 
     def backward(self, gy):
-        gs = self.conv3.backward(self.op3.backward(self.conv1.backward(self.op1.backward(gy))))
-        g_prev = self.pre_prev.backward(
-            self.op_prev.backward(self.norm_prev.backward(self.pool.backward(gs)))
-        )
-        g_cur = self.pre_cur.backward(self.op_cur.backward(self.norm_cur.backward(gs)))
+        gs = self.conv3.backward(self.conv1.backward(gy))
+        g_prev = self.pre_prev.backward(self.norm_prev.backward(self.pool.backward(gs)))
+        g_cur = self.pre_cur.backward(self.norm_cur.backward(gs))
         return g_prev, g_cur
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import detect, rconv
-from .errors import ConfigError, reject_unknown_keys
+from .errors import ConfigError, check_section
 from .netblocks import (
     AttentionMerge,
     FeatureFusion,
@@ -23,7 +23,6 @@ from .netblocks import (
     Linear,
     MaxPool,
     OrientationHead,
-    OrientationPool,
     PlainConv,
     PyramidStage,
     RConvLayer,
@@ -81,7 +80,7 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
-        reject_unknown_keys("network", d, cls)
+        check_section("network", d, cls)
         d = dict(d)
         if "backbone" in d:
             d["backbone"] = tuple(dict(s) for s in d["backbone"])
@@ -153,7 +152,6 @@ def _build_backbone(spec: NetworkSpec, rng, dtype):
                 spec.parametrization, rng=rng, dtype=dtype,
             )
         )
-        current.append(OrientationPool(spec.n_rotations))
         if st.get("pool", 1) > 1:
             current.append(VfMaxPool(st["pool"]))
         in_planes = 2 * st["filters"]
@@ -374,7 +372,6 @@ class Detector(Layer):
             cls_labels, hbb_t, obb_t = [], [], []
             splits = []
             for i in range(n):
-                a_i = spec.anchors_per_cell(i)
                 raw = fwd["head_raw"][i][b].reshape(-1, k + 10)
                 cls_logits.append(raw[:, : k + 1])
                 hbb_off.append(raw[:, k + 1 : k + 5])

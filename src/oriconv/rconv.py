@@ -151,18 +151,6 @@ class CanonicalFilterBank:
         return self.weights.size
 
 
-@dataclass
-class RConvOutput:
-    """Activations [H, W, C*n] in filter-major, rotation-minor channel order."""
-
-    activations: Tensor
-    n_rotations: int
-
-    @property
-    def rotation_angles(self) -> np.ndarray:
-        return rotation_angles(self.n_rotations)
-
-
 def _masked(bank: CanonicalFilterBank) -> Tensor:
     return bank.weights * bank.mask[:, :, None, None].astype(bank.weights.dtype)
 
@@ -347,55 +335,23 @@ def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) 
     return total.reshape(lead + (m, m, cin, c)) * maskb
 
 
-def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> RConvOutput:
-    """Same-padding stride-1 convolution against all rotated filter copies."""
-    if bank.input_kind != SCALAR:
-        raise ShapeError("rconv_forward requires a scalar-input bank")
-    f = expand_rotations(bank)
-    pad = bank.size // 2
-    y = conv2d(x, f, stride=1, padding=pad)
-    return RConvOutput(y, bank.n_rotations)
+def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> Tensor:
+    """Same-padding stride-1 convolution against all rotated filter copies.
+
+    x is [H, W, Cin]: scalar planes for a scalar bank, or interleaved (p, q)
+    planes for a vector-field bank, whose rotated copies also turn the (p, q)
+    frame (see `expand_rotations`). Returns [H, W, C*n], filter-major and
+    rotation-minor.
+    """
+    return conv2d(x, expand_rotations(bank), stride=1, padding=bank.size // 2)
 
 
 def rconv_backward(x: Tensor, bank: CanonicalFilterBank, upstream: Tensor):
-    """Gradients of sum(upstream * rconv_forward(x, bank).activations).
+    """Gradients of sum(upstream * rconv_forward(x, bank)).
 
     Returns (grad_x, grad_weights); grad_weights is masked and has the
     canonical [m, m, Cin, C] shape.
     """
     f = expand_rotations(bank)
-    pad = bank.size // 2
-    gx, gf = conv2d_backward(x, f, upstream, stride=1, padding=pad)
-    gw = expand_rotations_backward(bank, gf)
-    return gx, gw
-
-
-def rconv_forward_vf(v: Tensor, bank: CanonicalFilterBank) -> RConvOutput:
-    """Vector-field RConv: input [H, W, 2*Cin] of interleaved (p, q) planes.
-
-    Each rotated copy spatially rotates both component filters and mixes them
-    with the 2x2 rotation of the (p, q) frame; output slice r is
-    (Vp * fp_r) + (Vq * fq_r), realized as one convolution over the stacked
-    planes.
-    """
-    if bank.input_kind != VECTOR:
-        raise ShapeError("rconv_forward_vf requires a vector-field bank")
-    if v.ndim != 3 or v.shape[2] != bank.in_channels:
-        raise ShapeError(
-            f"vector-field input {v.shape} does not match bank Cin={bank.in_channels}"
-        )
-    if v.shape[2] % 2 != 0:
-        raise ShapeError(f"vector-field input needs paired planes, got {v.shape[2]}")
-    f = expand_rotations(bank)
-    pad = bank.size // 2
-    y = conv2d(v, f, stride=1, padding=pad)
-    return RConvOutput(y, bank.n_rotations)
-
-
-def rconv_backward_vf(v: Tensor, bank: CanonicalFilterBank, upstream: Tensor):
-    """Adjoint of `rconv_forward_vf`; returns (grad_v, grad_weights)."""
-    f = expand_rotations(bank)
-    pad = bank.size // 2
-    gv, gf = conv2d_backward(v, f, upstream, stride=1, padding=pad)
-    gw = expand_rotations_backward(bank, gf)
-    return gv, gw
+    gx, gf = conv2d_backward(x, f, upstream, stride=1, padding=bank.size // 2)
+    return gx, expand_rotations_backward(bank, gf)

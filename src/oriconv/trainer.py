@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import ConfigError, NumericalError, reject_unknown_keys
+from .errors import ConfigError, NumericalError, check_section
 from .fieldops import rotate_stack_90, split_stack
+from .netblocks import RConvLayer
 from .networks import (
     BaselineOrientationCNN,
     Detector,
@@ -64,7 +65,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        reject_unknown_keys("train", d, cls)
+        check_section("train", d, cls)
         d = dict(d)
         if "phase_fractions" in d:
             d["phase_fractions"] = tuple(d["phase_fractions"])
@@ -252,11 +253,11 @@ def make_test_image(size: int, channels: int = 1, seed: int = 7) -> Tensor:
 
 
 def _first_pooled_fields(network, image: Tensor) -> Tensor:
-    """Run the trunk up to and including the first orientation pooling."""
+    """Run the trunk up to and including the first (pooling) RConv layer."""
     x = image[None]
     for layer in network.trunk.layers:
         x = layer.forward(x, False)
-        if layer.__class__.__name__ == "OrientationPool":
+        if isinstance(layer, RConvLayer):
             return x[0]
     raise ConfigError("network has no orientation pooling stage")
 
@@ -268,8 +269,10 @@ def covariance_error(network, image: Tensor, angle: float) -> float:
     corrupts a border of width size/6, which is excluded).
 
     A 1-rotation network pins every vector to angle 0, so its error equals
-    the probe angle itself; finer orientation sampling tracks the rotation
-    and the error drops toward the interpolation floor.
+    the probe angle itself. Finer orientation sampling lowers it, but it
+    levels off far above zero: the default `oriconv verify` probe (free
+    filters, 64 px) measures 43.5, 30.9, 30.4 and 28.3 degrees at 45 degrees
+    for n = 4, 8, 16 and 32.
     """
     f_ref = _first_pooled_fields(network, image)
     f_rot = _first_pooled_fields(network, rotate_grid(image, GridSampleSpec(angle)))
@@ -302,7 +305,7 @@ def exact_quarter_turn_report(network, image: Tensor):
     for layer in network.trunk.layers:
         x_ref = layer.forward(x_ref, False)
         x_rot = layer.forward(x_rot, False)
-        if layer.__class__.__name__ == "OrientationPool":
+        if isinstance(layer, RConvLayer):
             expected = rotate_stack_90(x_ref[0], 1)
             diff = float(np.abs(x_rot[0] - expected).max())
             rows.append((f"stage{stage}", diff, diff == 0.0))
@@ -347,7 +350,7 @@ def verify_equivariance(
         # pixel Nyquist limit is meaningless, so the probe network uses
         # smooth ones
         for layer in net.trunk.layers:
-            if hasattr(layer, "bank"):
+            if isinstance(layer, RConvLayer):
                 w = layer.bank.weights
                 flat = w.reshape(w.shape[0], w.shape[1], -1, 1)
                 sm = np.stack(

@@ -83,6 +83,8 @@ CONFIG_CASES = {
     "unknown_network_key": json.dumps({"network": {"n_rotation": 4}}),
     "empty_backbone": json.dumps({"network": {"task": "orientation", "backbone": []}}),
     "zero_rotations": json.dumps({"train": {"n_rotations": 0}}),
+    "unknown_data_key": json.dumps({"train": {"task": "detection"}, "data": {"bogus": 1}}),
+    "string_rotations": json.dumps({"train": {"n_rotations": "8"}}),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,14 +6,13 @@ import pytest
 
 from oriconv import rconv
 from oriconv.errors import ConfigError, ShapeError
-from oriconv.fieldops import rotate_stack_90
+from oriconv.fieldops import orientation_pool_backward, orientation_pool_stack, rotate_stack_90
 from oriconv.netblocks import (
     AttentionMerge,
     FeatureFusion,
     FieldAvgPool2,
     Linear,
     OrientationHead,
-    OrientationPool,
     PlainConv,
     PyramidStage,
     RConvLayer,
@@ -96,11 +96,14 @@ class TestLayerGradients:
             l2.bank.weights[...] = p
             return np.sum(up * l2.forward(x))
 
-        assert finite_diff_check(loss, layer.bank.weights.copy(), layer.g_weights) < 1e-4
-        err = finite_diff_check(
-            lambda p: np.sum(up * layer.forward(p)), x.copy(), gx
+        # small step: pooling argmax boundaries make large steps non-smooth
+        err_w = finite_diff_check(
+            loss, layer.bank.weights.copy(), layer.g_weights, step=1e-6
         )
-        assert err < 1e-4
+        err_x = finite_diff_check(
+            lambda p: np.sum(up * layer.forward(p)), x.copy(), gx, step=1e-6
+        )
+        assert err_w < 1e-4 and err_x < 1e-4
 
     def test_steerable_rconv_layer(self, rng):
         layer = RConvLayer(
@@ -118,15 +121,20 @@ class TestLayerGradients:
             l2.mixing = p
             return np.sum(up * l2.forward(x))
 
-        assert finite_diff_check(loss, layer.mixing.copy(), layer.g_mixing) < 1e-4
+        err = finite_diff_check(loss, layer.mixing.copy(), layer.g_mixing, step=1e-6)
+        assert err < 1e-4
 
     @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
     def test_rconv_layer_batch_matches_per_image(self, rng, kind, monkeypatch):
         layer = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=np.float64)
         x = rng.normal(size=(3, 7, 7, 4))
-        up = rng.normal(size=(3, 7, 7, 16))
-        bwd = rconv.rconv_backward if kind == rconv.SCALAR else rconv.rconv_backward_vf
-        per_image = [bwd(img, layer.bank, g) for img, g in zip(x, up)]
+        up = rng.normal(size=(3, 7, 7, 4))
+        per_image = []
+        for img, g in zip(x, up):
+            y = rconv.rconv_forward(img, layer.bank)
+            stack, winners = orientation_pool_stack(y, 8)
+            g_pre = orientation_pool_backward(y, 8, winners, g)
+            per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
 
         calls = []
         expand = rconv.expand_rotations
@@ -136,14 +144,16 @@ class TestLayerGradients:
             return expand(bank)
 
         monkeypatch.setattr(rconv, "expand_rotations", counting)
-        layer.forward(x)
+        out = layer.forward(x)
         assert len(calls) == 1
         layer.zero_grads()
         gx = layer.backward(up)
         assert len(calls) == 1
-        # same per-image convs, adjoint slices and image-order sum: exact
-        assert np.array_equal(gx, np.stack([p[0] for p in per_image]))
-        assert np.array_equal(layer.g_weights, sum(p[1] for p in per_image))
+        # same per-image convs and pools, adjoint slices and image-order sum:
+        # exact
+        assert out.tobytes() == np.stack([p[0] for p in per_image]).tobytes()
+        assert gx.tobytes() == np.stack([p[1] for p in per_image]).tobytes()
+        assert layer.g_weights.tobytes() == sum(p[2] for p in per_image).tobytes()
 
     def test_plain_conv_bias_grad(self, rng):
         layer = PlainConv(3, 2, 3, rng=rng, dtype=np.float64)
@@ -440,31 +450,25 @@ class TestEndToEndCovariance:
         assert np.array_equal(f2, rotate_stack_90(f1, 1))
 
     def test_detector_merged_features_quarter_turn_exact(self, rng):
-        # rois disabled, 4 | rotations: every level's pooled field rotates
-        spec = NetworkSpec(task="detection", n_rotations=4, input_size=32,
-                           merge_channels=4,
-                           backbone=(
-                               {"size": 3, "filters": 3, "pool": 2, "tap": True},
-                               {"size": 3, "filters": 3, "pool": 2, "tap": True},
-                           ),
-                           anchor_scales=((8.0,), (16.0,)))
-        det = Detector(spec, rng=rng, dtype=np.float64)
+        # rois disabled, 4 | rotations: the merged fields that every level's
+        # head reads rotate with the image (the plain-conv heads do not),
+        # with and without the pyramid branch and the level fusion
         img = rng.normal(size=(32, 32, 1))
-        f1 = det.forward(img[None], training=False, use_rois=False)
-        f2 = det.forward(np.rot90(img).copy()[None], training=False, use_rois=False)
-        # compare the merged features (before the plain-conv heads, which are
-        # not rotation constrained)
-        m1 = det.attention[0].forward  # noqa: F841  (documented access point)
-        out1 = det.forward(img[None], training=False, use_rois=False)
-        # recompute merged features directly
-        # simpler: pooled head inputs d via a second forward with hooks is
-        # overkill; instead check the backbone taps which forward() consumed
-        x1 = img[None]
-        x2 = np.rot90(img).copy()[None]
-        for seg in det.segments:
-            x1 = seg.forward(x1, False)
-            x2 = seg.forward(x2, False)
-            assert np.array_equal(x2[0], rotate_stack_90(x1[0], 1))
+        for use_lipm, use_ffm in itertools.product((True, False), repeat=2):
+            spec = NetworkSpec(task="detection", n_rotations=4, input_size=32,
+                               merge_channels=4, use_lipm=use_lipm, use_ffm=use_ffm,
+                               backbone=(
+                                   {"size": 3, "filters": 3, "pool": 2, "tap": True},
+                                   {"size": 3, "filters": 3, "pool": 2, "tap": True},
+                               ),
+                               anchor_scales=((8.0,), (16.0,)))
+            det = Detector(spec, rng=rng, dtype=np.float64)
+            head_inputs = []
+            for x in (img, np.rot90(img).copy()):
+                det.forward(x[None], training=False, use_rois=False)
+                head_inputs.append([head._cache[0] for head in det.head_convs])
+            for d1, d2 in zip(*head_inputs):
+                assert np.array_equal(d2, rotate_stack_90(d1, 1)), (use_lipm, use_ffm)
 
 
 class TestParameterMatching:
