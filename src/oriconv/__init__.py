@@ -38,10 +38,10 @@ from .fieldops import (
 )
 from .steerbasis import BasisBank, BasisSpec, build_basis, compose_filters
 from .detect import (
-    AnchorSet,
     Detection,
     HBox,
     OBox,
+    anchor_boxes,
     composite_loss,
     iou_hbb,
     iou_obb,

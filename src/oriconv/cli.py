@@ -96,9 +96,14 @@ def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=No
     if data_dir:
         return load_dataset(data_dir)
     d = dict(cfg.get("data", {}))
-    count = int(d.pop("count", 256))
+    count = d.pop("count", 256)
     kind = d.pop("kind", "patches" if tc.task == "orientation" else "scenes")
-    patch = int(d.pop("patch_size", ns.input_size))
+    patch = d.pop("patch_size", ns.input_size)
+    for key, value in (("count", count), ("patch_size", patch)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"data.{key} must be int, got {value!r}")
+    if kind not in ("patches", "scenes"):
+        raise ConfigError(f"data.kind must be 'patches' or 'scenes', got {kind!r}")
     check_section("data", d, SceneSpec)
     scene = SceneSpec(**d) if d else SceneSpec(seed=tc.seed)
     if kind == "patches":

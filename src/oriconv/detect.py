@@ -13,6 +13,11 @@ descending score order, ties in input order (a stable argsort); `nms` runs
 over one IoU matrix and can stop after `limit` kept boxes. The clamped size
 exponential stays scalar `math.exp` (see `_scaled_exp`), so a decoded row
 does not depend on how many rows are decoded with it.
+
+Anchors are plain [N, 4] arrays. `anchor_boxes` tiles one feature level; a
+detector concatenates its levels into one flat anchor axis, so
+`match_anchors`, the losses and the decoders see every level as one set of
+rows, and `propose_rois` takes the rows of the level its RPN reads.
 """
 
 from __future__ import annotations
@@ -191,33 +196,22 @@ def iou_obb(a: OBox, b: OBox) -> float:
 # anchors and target assignment
 
 
-@dataclass
-class AnchorSet:
-    """Dense anchors tiling one feature level."""
-
-    boxes: np.ndarray  # [N, 4] xmin/ymin/xmax/ymax
-    stride: int
-    feature_hw: tuple
-
-    @classmethod
-    def build(cls, feature_hw, stride, scales, ratios):
-        h, w = feature_hw
-        ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        cx = (xs + 0.5) * stride
-        cy = (ys + 0.5) * stride
-        boxes = []
-        for s in scales:
-            for r in ratios:
-                bw = s * math.sqrt(r)
-                bh = s / math.sqrt(r)
-                boxes.append(
-                    np.stack(
-                        (cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2), axis=-1
-                    )
-                )
-        # row-major over (y, x, anchor-kind)
-        arr = np.stack(boxes, axis=2).reshape(-1, 4)
-        return cls(arr, stride, (h, w))
+def anchor_boxes(feature_hw, stride, scales, ratios) -> np.ndarray:
+    """Dense anchors tiling one feature level: [H*W*len(scales)*len(ratios), 4]
+    corner-coded rows, row-major over (y, x, anchor kind)."""
+    h, w = feature_hw
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    cx = (xs + 0.5) * stride
+    cy = (ys + 0.5) * stride
+    boxes = []
+    for s in scales:
+        for r in ratios:
+            bw = s * math.sqrt(r)
+            bh = s / math.sqrt(r)
+            boxes.append(
+                np.stack((cx - bw / 2, cy - bh / 2, cx + bw / 2, cy + bh / 2), axis=-1)
+            )
+    return np.stack(boxes, axis=2).reshape(-1, 4)
 
 
 def _iou_matrix(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -365,8 +359,8 @@ RPN_NEG_IOU = 0.3
 HEAD_POS_IOU = 0.5
 
 
-def match_anchors(anchors: AnchorSet, gt_boxes, gt_classes=None, stage="rpn") -> MatchResult:
-    """Assign labels and regression targets to anchors.
+def match_anchors(anchors: np.ndarray, gt_boxes, gt_classes=None, stage="rpn") -> MatchResult:
+    """Assign labels and regression targets to [N,4] anchor boxes.
 
     RPN stage: IoU >= 0.7 positive, <= 0.3 negative, in between ignored; the
     best anchor of each ground-truth box is forced positive so no object goes
@@ -374,7 +368,7 @@ def match_anchors(anchors: AnchorSet, gt_boxes, gt_classes=None, stage="rpn") ->
     IoU >= 0.5 takes the matched class, everything else is background.
     gt_boxes entries may be HBox or (HBox, OBox) pairs.
     """
-    n = anchors.boxes.shape[0]
+    n = anchors.shape[0]
     labels = np.full(n, -1 if stage == "rpn" else 0, dtype=np.int64)
     hbb_t = np.zeros((n, 4))
     obb_t = np.zeros((n, 5))
@@ -395,7 +389,7 @@ def match_anchors(anchors: AnchorSet, gt_boxes, gt_classes=None, stage="rpn") ->
         return MatchResult(labels, hbb_t, obb_t, matched)
 
     gt_arr = np.stack([b.as_array() for b in hb])
-    iou = _iou_matrix(anchors.boxes, gt_arr)
+    iou = _iou_matrix(anchors, gt_arr)
     best_gt = np.argmax(iou, axis=1)
     best_iou = iou[np.arange(n), best_gt]
 
@@ -421,9 +415,9 @@ def match_anchors(anchors: AnchorSet, gt_boxes, gt_classes=None, stage="rpn") ->
     for a in np.flatnonzero(pos):
         g = best_gt[a]
         matched[a] = g
-        hbb_t[a] = encode_hbb(anchors.boxes[a], hb[g])
+        hbb_t[a] = encode_hbb(anchors[a], hb[g])
         if ob[g] is not None:
-            obb_t[a] = encode_obb(anchors.boxes[a], ob[g])
+            obb_t[a] = encode_obb(anchors[a], ob[g])
         else:
             obb_t[a, :4] = hbb_t[a]
     return MatchResult(labels, hbb_t, obb_t, matched)
@@ -599,33 +593,33 @@ class Roi:
 def propose_rois(
     logits: np.ndarray,
     offsets: np.ndarray,
-    anchors: AnchorSet,
+    anchors: np.ndarray,
     n_levels: int,
     top_k: int = 16,
     nms_iou: float = 0.7,
-    k0: int = 1,
-    s0: float = 16.0,
 ):
-    """Turn per-anchor scores and offsets into regions of interest.
+    """Turn per-anchor scores and offsets against [N,4] anchor boxes into
+    regions of interest.
 
     The `max(4 * top_k, 64)` anchors with the highest logits are cut out in
     descending order, anchor index on ties (`np.argsort(-logits,
     kind="stable")`), and decoded; rows `decode_hbb_array` marks invalid
     are dropped, not replaced. The rest, scored by the sigmoid of their
     logits in the logits' dtype, go through `nms` at `nms_iou` until `top_k`
-    are kept, and each kept RoI gets a pyramid level from its decoded size.
-    A NaN logit means the RPN head has diverged and raises NumericalError.
+    are kept, and each kept RoI gets a pyramid level from its decoded size
+    (`assign_pyramid_level` at its default k0 and s0). A NaN logit means the
+    RPN head has diverged and raises NumericalError.
     """
     n_nan = int(np.isnan(logits).sum())
     if n_nan:
         raise NumericalError(f"non-finite RPN logits ({n_nan} NaN)")
     cut = np.argsort(-logits, kind="stable")[: max(4 * top_k, 64)]
-    boxes, valid = decode_hbb_array(anchors.boxes[cut], offsets[cut])
+    boxes, valid = decode_hbb_array(anchors[cut], offsets[cut])
     scores = sigmoid(logits[cut])
     cand = [
         Detection(0, float(scores[j]), hbox=HBox(*boxes[j])) for j in np.flatnonzero(valid)
     ]
     return [
-        Roi(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels, k0, s0))
+        Roi(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels))
         for d in nms(cand, nms_iou, limit=top_k)
     ]

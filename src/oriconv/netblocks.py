@@ -260,18 +260,18 @@ class FieldNorm(Layer):
 
 
 class PlainConv(Layer):
-    """Standard convolution with bias; used by prediction heads and the
-    non-equivariant baseline network."""
+    """Standard stride-1 convolution with bias, zero-padded to keep the extent
+    (odd `size`); used by prediction heads and the non-equivariant baseline
+    network."""
 
-    def __init__(self, size, cin, cout, rng=None, stride=1, dtype=np.float32, pad=None):
+    def __init__(self, size, cin, cout, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         std = math.sqrt(1.0 / (size * size * cin))
         self.w = rng.normal(0.0, std, size=(size, size, cin, cout)).astype(dtype)
         self.b = np.zeros(cout, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self.stride = stride
-        self.pad = size // 2 if pad is None else pad
+        self.pad = size // 2
         self._cache = None
 
     def params(self):
@@ -282,7 +282,7 @@ class PlainConv(Layer):
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
         out = np.stack(
-            [conv2d(img, self.w, self.stride, self.pad) for img in x]
+            [conv2d(img, self.w, padding=self.pad) for img in x]
         )
         self._cache = x
         return out + self.b[None, None, None, :]
@@ -291,7 +291,7 @@ class PlainConv(Layer):
         x = self._cache
         gxs = []
         for img, g in zip(x, gy):
-            gx, gw = conv2d_backward(img, self.w, g, self.stride, self.pad)
+            gx, gw = conv2d_backward(img, self.w, g, padding=self.pad)
             gxs.append(gx)
             self.gw += gw
             self.gb += g.sum(axis=(0, 1))
@@ -635,12 +635,6 @@ class OrientationHead(Layer):
         gvec[:, 0::2] = grp[:, None] * self.wr[None, :] + grq[:, None] * self.wi[None, :]
         gvec[:, 1::2] = grq[:, None] * self.wr[None, :] - grp[:, None] * self.wi[None, :]
         return gvec
-
-
-def predict_angle(sin_cos: np.ndarray) -> np.ndarray:
-    """Angle in degrees [0, 360) from (sin, cos) rows."""
-    a = np.degrees(np.arctan2(sin_cos[:, 0], sin_cos[:, 1]))
-    return np.where(a < 0, a + 360.0, a)
 
 
 def center_field_average(stack: Tensor, window: int):

@@ -5,6 +5,11 @@ A NetworkSpec is plain data (JSON-serializable) describing the backbone
 stages, pyramid attachments, head geometry and ablation switches. Building a
 network runs a symbolic shape dry-run first, so a mismatched merge fails at
 construction time with ConfigError rather than mid-training.
+
+The detector puts all prediction levels on one flat anchor axis: one [A, 4]
+anchor array, and `Detector._head_layout`, the one place that spells out the
+head's class-logit | HBB | OBB columns, for the head outputs. Matching,
+mining, the loss and decoding run once per image over all levels.
 """
 
 from __future__ import annotations
@@ -47,6 +52,17 @@ DEFAULT_BACKBONE = (
 
 
 @dataclass
+class StageSpec:
+    """The keys of one backbone stage and their JSON types; `size` and
+    `filters` are required."""
+
+    size: int = 3
+    filters: int = 8
+    pool: int = 1
+    tap: bool = False
+
+
+@dataclass
 class NetworkSpec:
     task: str = "detection"
     n_rotations: int = 8
@@ -83,6 +99,11 @@ class NetworkSpec:
         check_section("network", d, cls)
         d = dict(d)
         if "backbone" in d:
+            for i, st in enumerate(d["backbone"]):
+                where = f"network.backbone[{i}]"
+                if not isinstance(st, dict) or not {"size", "filters"} <= st.keys():
+                    raise ConfigError(f"{where} must be an object with size and filters")
+                check_section(where, st, StageSpec)
             d["backbone"] = tuple(dict(s) for s in d["backbone"])
         if "anchor_scales" in d:
             d["anchor_scales"] = tuple(tuple(x) for x in d["anchor_scales"])
@@ -96,8 +117,9 @@ class NetworkSpec:
     # -- symbolic dry run -------------------------------------------------
     def trace_backbone(self):
         """Propagate extents through the backbone; returns the tap records
-        {index, size, stride, filters}. Raises ConfigError on inconsistency,
-        before any array is allocated."""
+        {index, size, stride, filters}, plus for detection `level`, the
+        image-pyramid level whose stage feeds the tap. Raises ConfigError on
+        inconsistency, before any array is allocated."""
         size = self.input_size
         stride = 1
         taps = []
@@ -136,6 +158,7 @@ class NetworkSpec:
                     raise ConfigError(
                         f"tap size {t['size']} has no power-of-two pyramid level"
                     )
+                t["level"] = round(k)
         return taps
 
 
@@ -175,11 +198,14 @@ class Detector(Layer):
     spatial-attention block gated by region proposals; adjacent merged levels
     fuse coarse-into-fine; a plain conv head predicts per-anchor class logits
     plus axis-aligned (4) and oriented (5) box offsets.
+
+    `anchors` concatenates every level's `detect.anchor_boxes` into one
+    [A, 4] array (`anchor_counts` rows per level); `_head_layout` puts the
+    head outputs on the same axis. The RPN reads the last level's rows,
+    `rpn_anchors`.
     """
 
     SEP = "/"
-    K0 = 1
-    S0 = 16.0
     HARD_NEGATIVE_RATIO = 3
 
     def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32):
@@ -216,18 +242,20 @@ class Detector(Layer):
             PlainConv(3, 2 * cm, spec.anchors_per_cell(i) * (k + 10), rng=rng, dtype=dtype)
             for i in range(n)
         ]
-        self.anchors = [
-            detect.AnchorSet.build(
+        levels = [
+            detect.anchor_boxes(
                 (t["size"], t["size"]), t["stride"],
                 spec.anchor_scales[i], spec.anchor_ratios,
             )
             for i, t in enumerate(self.taps)
         ]
+        self.anchors = np.concatenate(levels)
+        self.anchor_counts = [len(a) for a in levels]
+        self.rpn_anchors = levels[-1]
         rpn_planes = 2 * self.taps[-1]["filters"]
         self.rpn_conv = PlainConv(
             3, rpn_planes, spec.anchors_per_cell(n - 1) * 5, rng=rng, dtype=dtype
         )
-        self.rpn_anchors = self.anchors[-1]
 
     def children(self):
         groups = (
@@ -241,10 +269,26 @@ class Detector(Layer):
         out["rpn"] = self.rpn_conv
         return out
 
+    def _head_layout(self, head_raw):
+        """Put per-level head outputs [B, H, W, a*(k+10)] on the anchor axis.
+
+        Returns the [B, A, k+10] array and views of its columns keyed as
+        `detect.composite_loss` keys them: class logits (k+1), HBB offsets
+        (4) and OBB offsets (5). Writing into a view writes the array.
+        """
+        k = self.spec.n_classes
+        head = np.concatenate([r.reshape(r.shape[0], -1, k + 10) for r in head_raw], axis=1)
+        cols = {
+            "cls_logits": head[..., : k + 1],
+            "hbb_offsets": head[..., k + 1 : k + 5],
+            "obb_offsets": head[..., k + 5 :],
+        }
+        return head, cols
+
     # -- forward ----------------------------------------------------------
     def forward(self, images: Tensor, training: bool = True, use_rois: bool = True):
-        """Run the feature pipeline on a batch; returns per-level merged
-        features, head raws, proposal raws and the proposals per image."""
+        """Run the feature pipeline on a batch; returns the per-level head
+        raws and the proposal raw."""
         spec = self.spec
         n = len(self.taps)
 
@@ -255,10 +299,10 @@ class Detector(Layer):
             taps_out.append(x)
 
         if spec.use_lipm:
-            ks = [int(round(math.log2(spec.input_size / (2 * t["size"])))) for t in self.taps]
-            pyramid = build_image_pyramid(images, ks[-1] + 1)
+            pyramid = build_image_pyramid(images, self.taps[-1]["level"] + 1)
             lipm_out = [
-                stage.forward(pyramid[k], training) for stage, k in zip(self.lipm_stages, ks)
+                stage.forward(pyramid[t["level"]], training)
+                for stage, t in zip(self.lipm_stages, self.taps)
             ]
         else:
             lipm_out = [np.zeros_like(t) for t in taps_out]
@@ -270,8 +314,7 @@ class Detector(Layer):
             for b in range(images.shape[0]):
                 flat = rpn_raw[b].reshape(-1, 5)
                 rois_per_image[b] = detect.propose_rois(
-                    flat[:, 0], flat[:, 1:5], self.rpn_anchors, n,
-                    top_k=spec.rpn_top_k, k0=self.K0, s0=self.S0,
+                    flat[:, 0], flat[:, 1:5], self.rpn_anchors, n, top_k=spec.rpn_top_k
                 )
 
         merged = []
@@ -301,48 +344,38 @@ class Detector(Layer):
                 d.append(merged[k])
 
         head_raw = [self.head_convs[i].forward(d[i], training) for i in range(n)]
-        return {
-            "head_raw": head_raw,
-            "rpn_raw": rpn_raw,
-            "rois": rois_per_image,
-        }
+        return {"head_raw": head_raw, "rpn_raw": rpn_raw}
 
-    def _backward(self, g_head_raw, g_rpn_raw):
-        """Reverse pass once the per-level head gradients are assembled."""
+    def _backward(self, g_head, g_rpn_raw):
+        """Reverse pass from the [B, A, k+10] head gradient on the anchor axis
+        and the proposal-raw gradient."""
         spec = self.spec
         n = len(self.taps)
-        g_d = [self.head_convs[i].backward(g_head_raw[i]) for i in range(n)]
+        g_levels = np.split(g_head, np.cumsum(self.anchor_counts)[:-1], axis=1)
+        g_d = [
+            conv.backward(g.reshape(g.shape[0], t["size"], t["size"], -1))
+            for conv, g, t in zip(self.head_convs, g_levels, self.taps)
+        ]
 
-        # fusion chain, coarse to fine
-        for k in range(n - 1, 0, -1):
-            if spec.use_ffm:
-                gp, gc = self.fusion[k - 1].backward(g_d[k])
+        # fusion chain, coarse to fine; g_d[k] becomes the gradient w.r.t. merged[k]
+        if spec.use_ffm:
+            for k in range(n - 1, 0, -1):
+                gp, g_d[k] = self.fusion[k - 1].backward(g_d[k])
                 g_d[k - 1] = g_d[k - 1] + gp
-                g_merged_k = gc
-            else:
-                g_merged_k = g_d[k]
-            g_d[k] = g_merged_k  # now gradient w.r.t. merged[k]
-        # level 0 merged gradient is g_d[0]
 
-        g_taps = [None] * n
-        g_lipm = [None] * n
-        for i in range(n):
-            ga, gb = self.attention[i].backward(g_d[i])
-            g_taps[i] = ga
-            g_lipm[i] = gb
+        g_taps, g_lipm = map(list, zip(*(a.backward(g) for a, g in zip(self.attention, g_d))))
 
         g_rpn_in = self.rpn_conv.backward(g_rpn_raw)
         if spec.use_lipm:
             g_lipm[-1] = g_lipm[-1] + g_rpn_in
-            for i in range(n):
-                self.lipm_stages[i].backward(g_lipm[i])
+            for stage, g in zip(self.lipm_stages, g_lipm):
+                stage.backward(g)
         else:
             g_taps[-1] = g_taps[-1] + g_rpn_in
 
         g = g_taps[-1]
         for k in range(n - 1, 0, -1):
-            g = self.segments[k].backward(g)
-            g = g + g_taps[k - 1]
+            g = self.segments[k].backward(g) + g_taps[k - 1]
         self.segments[0].backward(g)
 
     # -- training loss ------------------------------------------------------
@@ -350,84 +383,46 @@ class Detector(Layer):
         """Forward + composite loss + full backward for one batch.
 
         gt_per_image: list over images of (class_ids, [(HBox, OBox), ...]).
-        Gradients accumulate into the layers; returns (mean loss, components).
+        Per image, the head anchors of every level are matched, hard-mined
+        and scored as one set. Gradients accumulate into the layers; returns
+        (mean loss, components).
         """
-        spec = self.spec
-        n = len(self.taps)
         nb = images.shape[0]
         fwd = self.forward(images, training=True, use_rois=True)
-
-        g_head_raw = [np.zeros_like(fwd["head_raw"][i]) for i in range(n)]
-        g_rpn_raw = np.zeros_like(fwd["rpn_raw"])
-        k = spec.n_classes
+        head, cols = self._head_layout(fwd["head_raw"])
+        # the head gradient, written per image through its column views
+        g_head, g_cols = self._head_layout([np.zeros_like(head)])
+        rpn = fwd["rpn_raw"].reshape(nb, -1, 5)
+        g_rpn = np.zeros_like(rpn)
         total = 0.0
         comp_sum = {}
 
         for b in range(nb):
             classes, boxes = gt_per_image[b]
             gt_pairs = list(boxes)
-
-            # head targets across every level
-            cls_logits, hbb_off, obb_off = [], [], []
-            cls_labels, hbb_t, obb_t = [], [], []
-            splits = []
-            for i in range(n):
-                raw = fwd["head_raw"][i][b].reshape(-1, k + 10)
-                cls_logits.append(raw[:, : k + 1])
-                hbb_off.append(raw[:, k + 1 : k + 5])
-                obb_off.append(raw[:, k + 5 :])
-                m = detect.match_anchors(self.anchors[i], gt_pairs, classes, stage="head")
-                labels = m.labels.copy()
-                splits.append((raw.shape[0], m))
-                cls_labels.append(labels)
-                hbb_t.append(m.hbb_targets)
-                obb_t.append(m.obb_targets)
-            cls_logits = np.concatenate(cls_logits)
-            hbb_off = np.concatenate(hbb_off)
-            obb_off = np.concatenate(obb_off)
-            cls_labels = np.concatenate(cls_labels)
-            hbb_t = np.concatenate(hbb_t)
-            obb_t = np.concatenate(obb_t)
-
-            cls_labels = self._mine_negatives(cls_logits, cls_labels)
-
+            m = detect.match_anchors(self.anchors, gt_pairs, classes, stage="head")
             rm = detect.match_anchors(self.rpn_anchors, gt_pairs, classes, stage="rpn")
-            rpn_flat = fwd["rpn_raw"][b].reshape(-1, 5)
-
-            preds = {
-                "rpn_logits": rpn_flat[:, 0],
-                "rpn_offsets": rpn_flat[:, 1:5],
-                "cls_logits": cls_logits,
-                "hbb_offsets": hbb_off,
-                "obb_offsets": obb_off,
-            }
+            preds = {key: col[b] for key, col in cols.items()}
+            preds["rpn_logits"] = rpn[b, :, 0]
+            preds["rpn_offsets"] = rpn[b, :, 1:5]
             tgts = {
                 "rpn_labels": rm.labels,
                 "rpn_offsets": rm.hbb_targets,
-                "cls_labels": cls_labels,
-                "hbb_offsets": hbb_t,
-                "obb_offsets": obb_t,
+                "cls_labels": self._mine_negatives(preds["cls_logits"], m.labels),
+                "hbb_offsets": m.hbb_targets,
+                "obb_offsets": m.obb_targets,
             }
             loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
             total += loss
             for key, v in comps.items():
                 comp_sum[key] = comp_sum.get(key, 0.0) + v
 
-            g_rpn_raw[b] += np.concatenate(
-                [grads["rpn_logits"][:, None], grads["rpn_offsets"]], axis=1
-            ).reshape(fwd["rpn_raw"][b].shape) / nb
-            g_full = np.concatenate(
-                [grads["cls_logits"], grads["hbb_offsets"], grads["obb_offsets"]], axis=1
-            )
-            lo = 0
-            for i in range(n):
-                count, _ = splits[i]
-                g_head_raw[i][b] += g_full[lo : lo + count].reshape(
-                    fwd["head_raw"][i][b].shape
-                ) / nb
-                lo += count
+            for key, g in g_cols.items():
+                g[b] = grads[key] / nb
+            g_rpn[b, :, 0] = grads["rpn_logits"] / nb
+            g_rpn[b, :, 1:5] = grads["rpn_offsets"] / nb
 
-        self._backward(g_head_raw, g_rpn_raw)
+        self._backward(g_head, g_rpn.reshape(fwd["rpn_raw"].shape))
         comps = {key: v / nb for key, v in comp_sum.items()}
         return total / nb, comps
 
@@ -461,8 +456,8 @@ class Detector(Layer):
 
         Every anchor of every level whose best foreground probability is at
         or above `score_threshold` is a candidate. Candidates are visited by
-        descending score, ties in level order and then anchor order
-        (`np.argsort(-score, kind="stable")`), and decoded in that order only
+        descending score, ties in anchor-axis order (level, then anchor;
+        `np.argsort(-score, kind="stable")`), and decoded in that order only
         until `4 * max_per_image` valid ones (both boxes accepted by
         `HBox`/`OBox`) are found; invalid rows are skipped. NMS then runs per
         class, each stopping at `max_per_image` kept, and the best
@@ -470,30 +465,22 @@ class Detector(Layer):
         """
         k = self.spec.n_classes
         fwd = self.forward(image[None], training=False, use_rois=use_rois)
-        anchors, hbb_off, obb_off, cls, score = [], [], [], [], []
-        for i in range(len(self.taps)):
-            raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
-            probs = detect.softmax(raw[:, : k + 1].astype(np.float64))
-            best_cls = np.argmax(probs[:, 1:], axis=1) + 1
-            best_score = probs[np.arange(raw.shape[0]), best_cls]
-            sel = np.flatnonzero(best_score >= score_threshold)
-            anchors.append(self.anchors[i].boxes[sel])
-            hbb_off.append(raw[sel, k + 1 : k + 5])
-            obb_off.append(raw[sel, k + 5 :])
-            cls.append(best_cls[sel])
-            score.append(best_score[sel])
-        anchors, hbb_off, obb_off, cls, score = (
-            np.concatenate(a) for a in (anchors, hbb_off, obb_off, cls, score)
-        )
-        order = np.argsort(-score, kind="stable")
+        _, cols = self._head_layout(fwd["head_raw"])
+        hbb_off = cols["hbb_offsets"][0]
+        obb_off = cols["obb_offsets"][0]
+        probs = detect.softmax(cols["cls_logits"][0].astype(np.float64))
+        cls = np.argmax(probs[:, 1:], axis=1) + 1
+        score = probs[np.arange(len(probs)), cls]
+        sel = np.flatnonzero(score >= score_threshold)
+        order = sel[np.argsort(-score[sel], kind="stable")]
         cap = 4 * max_per_image
         dets = []
         start = 0
         while len(dets) < cap and start < len(order):
             idx = order[start : start + cap - len(dets)]
             start += len(idx)
-            hb, hb_ok = detect.decode_hbb_array(anchors[idx], hbb_off[idx])
-            ob, ob_ok = detect.decode_obb_array(anchors[idx], obb_off[idx])
+            hb, hb_ok = detect.decode_hbb_array(self.anchors[idx], hbb_off[idx])
+            ob, ob_ok = detect.decode_obb_array(self.anchors[idx], obb_off[idx])
             for j in np.flatnonzero(hb_ok & ob_ok):
                 a = idx[j]
                 dets.append(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oriconv.cli import cli
+from oriconv.networks import DEFAULT_BACKBONE
 from oriconv.synthdata import load_dataset
 
 
@@ -85,6 +86,12 @@ CONFIG_CASES = {
     "zero_rotations": json.dumps({"train": {"n_rotations": 0}}),
     "unknown_data_key": json.dumps({"train": {"task": "detection"}, "data": {"bogus": 1}}),
     "string_rotations": json.dumps({"train": {"n_rotations": "8"}}),
+    "string_data_count": json.dumps({"train": {"task": "detection"}, "data": {"count": "abc"}}),
+    "numeric_data_kind": json.dumps({"train": {"task": "detection"}, "data": {"kind": 5}}),
+    "string_stage_size": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "size": "5"}, *DEFAULT_BACKBONE[1:]]}}),
+    "unknown_stage_key": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "bogus": 1}, *DEFAULT_BACKBONE[1:]]}}),
 }
 
 

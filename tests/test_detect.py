@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from oriconv import synthdata
 from oriconv.detect import (
-    AnchorSet,
     Detection,
     HBox,
     OBox,
     _iou_matrix,
+    anchor_boxes,
     assign_pyramid_level,
     composite_loss,
     decode_hbb,
@@ -91,7 +91,7 @@ def propose_rois_oracle(logits, offsets, anchors, n_levels, top_k=16, nms_iou=0.
     cand = []
     for i in order[: max(4 * top_k, 64)]:
         try:
-            box = decode_hbb_oracle(anchors.boxes[i], offsets[i])
+            box = decode_hbb_oracle(anchors[i], offsets[i])
         except ShapeError:
             continue
         cand.append(Detection(0, float(sigmoid(np.array([logits[i]]))[0]), hbox=box))
@@ -104,6 +104,7 @@ def detect_image_oracle(net, image, score_threshold, nms_iou=0.45, max_per_image
     k = net.spec.n_classes
     fwd = net.forward(image[None], training=False)
     dets = []
+    levels = np.split(net.anchors, np.cumsum(net.anchor_counts)[:-1])
     for i in range(len(net.taps)):
         raw = fwd["head_raw"][i][0].reshape(-1, k + 10)
         probs = softmax(raw[:, : k + 1].astype(np.float64))
@@ -113,8 +114,8 @@ def detect_image_oracle(net, image, score_threshold, nms_iou=0.45, max_per_image
         best_score = probs[np.arange(raw.shape[0]), best_cls]
         for a in np.flatnonzero(best_score >= score_threshold):
             try:
-                hb = decode_hbb_oracle(net.anchors[i].boxes[a], hbb_off[a])
-                ob = decode_obb_oracle(net.anchors[i].boxes[a], obb_off[a])
+                hb = decode_hbb_oracle(levels[i][a], hbb_off[a])
+                ob = decode_obb_oracle(levels[i][a], obb_off[a])
             except Exception:
                 continue
             dets.append(Detection(int(best_cls[a]), float(best_score[a]), hbox=hb, obox=ob))
@@ -278,11 +279,11 @@ class TestEncoding:
 
 class TestMatching:
     def make_anchors(self):
-        return AnchorSet.build((4, 4), 16, scales=[20.0], ratios=[1.0])
+        return anchor_boxes((4, 4), 16, scales=[20.0], ratios=[1.0])
 
     def test_identical_anchor_positive_zero_target(self):
         an = self.make_anchors()
-        gt = HBox(*an.boxes[5])
+        gt = HBox(*an[5])
         m = match_anchors(an, [gt], stage="rpn")
         assert m.labels[5] == 1
         assert np.abs(m.hbb_targets[5]).max() < 1e-12
@@ -297,19 +298,19 @@ class TestMatching:
     def test_intermediate_iou_ignored_in_rpn(self):
         an = self.make_anchors()
         # shift an anchor box to a 0.6-ish IoU with anchor 5 only
-        base = an.boxes[5]
+        base = an[5]
         w = base[2] - base[0]
         gt = HBox(base[0] + 0.25 * w, base[1], base[2] + 0.25 * w, base[3])
         m = match_anchors(an, [gt], stage="rpn")
         # anchor 5 is the best match for this gt, so the forced rule marks it
         # positive; a second overlapping gt-free anchor at 0.6 stays ignored
         assert m.labels[5] == 1
-        others = [i for i in range(len(an.boxes)) if i != 5]
+        others = [i for i in range(len(an)) if i != 5]
         assert set(np.unique(m.labels[others])) <= {0, -1}
 
     def test_head_stage_takes_class(self):
         an = self.make_anchors()
-        gt = HBox(*an.boxes[3])
+        gt = HBox(*an[3])
         m = match_anchors(an, [gt], [2], stage="head")
         assert m.labels[3] == 2
         assert (m.labels[m.labels >= 0] >= 0).all()
@@ -321,7 +322,7 @@ class TestMatching:
 
     def test_obb_target_fifth_offset(self):
         an = self.make_anchors()
-        hb = HBox(*an.boxes[0])
+        hb = HBox(*an[0])
         ob = OBox(0.5 * (hb.xmin + hb.xmax), 0.5 * (hb.ymin + hb.ymax),
                   hb.width, hb.height, 30.0)
         m = match_anchors(an, [(hb, ob)], stage="rpn")
@@ -465,7 +466,7 @@ class TestRpn:
         assert assign_pyramid_level(16, 16, 5, k0=1, s0=16.0) == 1
 
     def test_zero_features_deterministic(self):
-        anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
+        anchors = anchor_boxes((4, 4), 8, scales=[12.0], ratios=[1.0])
         logits = np.zeros(16)
         offsets = np.zeros((16, 4))
         r1 = propose_rois(logits, offsets, anchors, n_levels=2, top_k=4)
@@ -476,21 +477,21 @@ class TestRpn:
         ]
 
     def test_nan_logit_raises_numerical_error(self):
-        anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
+        anchors = anchor_boxes((4, 4), 8, scales=[12.0], ratios=[1.0])
         logits = np.zeros(16)
         logits[5] = np.nan
         with pytest.raises(NumericalError, match="RPN logits"):
             propose_rois(logits, np.zeros((16, 4)), anchors, n_levels=2, top_k=4)
 
     def test_dominant_anchor_becomes_first_roi(self):
-        anchors = AnchorSet.build((4, 4), 8, scales=[12.0], ratios=[1.0])
+        anchors = anchor_boxes((4, 4), 8, scales=[12.0], ratios=[1.0])
         best = 2 * 4 + 1
         logits = np.full(16, -5.0, dtype=np.float32)
         logits[best] = 5.0
         offsets = np.zeros((16, 4), dtype=np.float32)
         rois = propose_rois(logits, offsets, anchors, n_levels=2, top_k=3)
         assert rois[0].score == pytest.approx(1 / (1 + math.exp(-5.0)))
-        assert np.abs(rois[0].box.as_array() - anchors.boxes[best]).max() < 1e-5
+        assert np.abs(rois[0].box.as_array() - anchors[best]).max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +600,8 @@ class TestVectorisedPostprocess:
     @pytest.mark.parametrize("seed", range(8))
     def test_propose_rois_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        anchors = AnchorSet.build((8, 8), 8, scales=[12.0, 20.0], ratios=[0.5, 1.0, 2.0])
-        n = anchors.boxes.shape[0]
+        anchors = anchor_boxes((8, 8), 8, scales=[12.0, 20.0], ratios=[0.5, 1.0, 2.0])
+        n = anchors.shape[0]
         dtype = (np.float32, np.float64)[seed % 2]
         logits = rng.normal(size=n).astype(dtype)
         if seed % 4 < 2:

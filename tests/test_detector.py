@@ -1,0 +1,239 @@
+"""The detector's training loss as a whole: the flat-anchor-axis
+`loss_and_grads` against the per-level target assembly it replaced, and its
+gradients against central finite differences."""
+
+import numpy as np
+import pytest
+
+from oriconv import detect, synthdata
+from oriconv.networks import Detector, NetworkSpec
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-level `loss_and_grads` and `_backward` that the flat anchor
+# axis replaced, kept verbatim except that `self` is the network argument and
+# each level's anchors are cut from the flat array.
+
+
+def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
+    spec = net.spec
+    n = len(net.taps)
+    nb = images.shape[0]
+    fwd = net.forward(images, training=True, use_rois=True)
+    level_anchors = np.split(net.anchors, np.cumsum(net.anchor_counts)[:-1])
+
+    g_head_raw = [np.zeros_like(fwd["head_raw"][i]) for i in range(n)]
+    g_rpn_raw = np.zeros_like(fwd["rpn_raw"])
+    k = spec.n_classes
+    total = 0.0
+    comp_sum = {}
+
+    for b in range(nb):
+        classes, boxes = gt_per_image[b]
+        gt_pairs = list(boxes)
+
+        # head targets across every level
+        cls_logits, hbb_off, obb_off = [], [], []
+        cls_labels, hbb_t, obb_t = [], [], []
+        splits = []
+        for i in range(n):
+            raw = fwd["head_raw"][i][b].reshape(-1, k + 10)
+            cls_logits.append(raw[:, : k + 1])
+            hbb_off.append(raw[:, k + 1 : k + 5])
+            obb_off.append(raw[:, k + 5 :])
+            m = detect.match_anchors(level_anchors[i], gt_pairs, classes, stage="head")
+            labels = m.labels.copy()
+            splits.append((raw.shape[0], m))
+            cls_labels.append(labels)
+            hbb_t.append(m.hbb_targets)
+            obb_t.append(m.obb_targets)
+        cls_logits = np.concatenate(cls_logits)
+        hbb_off = np.concatenate(hbb_off)
+        obb_off = np.concatenate(obb_off)
+        cls_labels = np.concatenate(cls_labels)
+        hbb_t = np.concatenate(hbb_t)
+        obb_t = np.concatenate(obb_t)
+
+        cls_labels = net._mine_negatives(cls_logits, cls_labels)
+
+        rm = detect.match_anchors(net.rpn_anchors, gt_pairs, classes, stage="rpn")
+        rpn_flat = fwd["rpn_raw"][b].reshape(-1, 5)
+
+        preds = {
+            "rpn_logits": rpn_flat[:, 0],
+            "rpn_offsets": rpn_flat[:, 1:5],
+            "cls_logits": cls_logits,
+            "hbb_offsets": hbb_off,
+            "obb_offsets": obb_off,
+        }
+        tgts = {
+            "rpn_labels": rm.labels,
+            "rpn_offsets": rm.hbb_targets,
+            "cls_labels": cls_labels,
+            "hbb_offsets": hbb_t,
+            "obb_offsets": obb_t,
+        }
+        loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
+        total += loss
+        for key, v in comps.items():
+            comp_sum[key] = comp_sum.get(key, 0.0) + v
+
+        g_rpn_raw[b] += np.concatenate(
+            [grads["rpn_logits"][:, None], grads["rpn_offsets"]], axis=1
+        ).reshape(fwd["rpn_raw"][b].shape) / nb
+        g_full = np.concatenate(
+            [grads["cls_logits"], grads["hbb_offsets"], grads["obb_offsets"]], axis=1
+        )
+        lo = 0
+        for i in range(n):
+            count, _ = splits[i]
+            g_head_raw[i][b] += g_full[lo : lo + count].reshape(
+                fwd["head_raw"][i][b].shape
+            ) / nb
+            lo += count
+
+    backward_oracle(net, g_head_raw, g_rpn_raw)
+    comps = {key: v / nb for key, v in comp_sum.items()}
+    return total / nb, comps
+
+
+def backward_oracle(net, g_head_raw, g_rpn_raw):
+    spec = net.spec
+    n = len(net.taps)
+    g_d = [net.head_convs[i].backward(g_head_raw[i]) for i in range(n)]
+
+    # fusion chain, coarse to fine
+    for k in range(n - 1, 0, -1):
+        if spec.use_ffm:
+            gp, gc = net.fusion[k - 1].backward(g_d[k])
+            g_d[k - 1] = g_d[k - 1] + gp
+            g_merged_k = gc
+        else:
+            g_merged_k = g_d[k]
+        g_d[k] = g_merged_k  # now gradient w.r.t. merged[k]
+    # level 0 merged gradient is g_d[0]
+
+    g_taps = [None] * n
+    g_lipm = [None] * n
+    for i in range(n):
+        ga, gb = net.attention[i].backward(g_d[i])
+        g_taps[i] = ga
+        g_lipm[i] = gb
+
+    g_rpn_in = net.rpn_conv.backward(g_rpn_raw)
+    if spec.use_lipm:
+        g_lipm[-1] = g_lipm[-1] + g_rpn_in
+        for i in range(n):
+            net.lipm_stages[i].backward(g_lipm[i])
+    else:
+        g_taps[-1] = g_taps[-1] + g_rpn_in
+
+    g = g_taps[-1]
+    for k in range(n - 1, 0, -1):
+        g = net.segments[k].backward(g)
+        g = g + g_taps[k - 1]
+    net.segments[0].backward(g)
+
+
+def _batch(n, dtype):
+    """n scenes with their ground truth, except that with n > 1 the last
+    image gets none."""
+    spec = synthdata.SceneSpec(seed=5, image_size=64, min_objects=1, max_objects=3)
+    scenes = [synthdata.generate_scene(spec, i) for i in range(n)]
+    gts = [
+        ([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
+        for s in scenes
+    ]
+    if n > 1:
+        gts[-1] = ([], [])
+    return np.stack([s.image for s in scenes]).astype(dtype), gts
+
+
+# float64 takes the exact-sum paths, over 10x the float32 time: one image
+ORACLE_SPECS = {
+    "default": (dict(), np.float32, 2),
+    "steerable": (dict(parametrization="steerable"), np.float32, 2),
+    "no_rpn": (dict(use_rpn=False), np.float32, 2),
+    "float64": (dict(), np.float64, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_SPECS))
+def test_loss_and_grads_match_per_level_oracle(case):
+    kwargs, dtype, batch = ORACLE_SPECS[case]
+    images, gts = _batch(batch, dtype)
+    got_net, want_net = (
+        Detector(NetworkSpec(**kwargs), rng=np.random.default_rng(0), dtype=dtype)
+        for _ in range(2)
+    )
+    got_loss, got_comps = got_net.loss_and_grads(images, gts)
+    want_loss, want_comps = loss_and_grads_oracle(want_net, images, gts)
+    assert repr(got_loss) == repr(want_loss)
+    assert {k: repr(v) for k, v in got_comps.items()} == {
+        k: repr(v) for k, v in want_comps.items()
+    }
+    got, want = got_net.grads(), want_net.grads()
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# whole-detector finite differences
+
+
+FD_SPEC = dict(
+    n_rotations=4,
+    input_size=32,
+    backbone=(
+        {"size": 3, "filters": 2, "pool": 2, "tap": False},
+        {"size": 3, "filters": 3, "pool": 2, "tap": True},
+        {"size": 3, "filters": 3, "pool": 2, "tap": True},
+    ),
+    merge_channels=4,
+    anchor_scales=((8.0, 12.0), (16.0, 24.0)),
+    rpn_top_k=4,
+)
+
+
+def test_detector_gradients_match_finite_differences():
+    """One entry with a nonzero gradient per parameter tensor, float64, RPN on.
+
+    The tolerance is relative with an absolute floor: a gradient near 1e-6
+    (the RPN weights here) is resolved by central differences at step 1e-6
+    only to about 1e-10, the round-off of the loss over the step.
+    """
+    net = Detector(NetworkSpec(**FD_SPEC), rng=np.random.default_rng(0), dtype=np.float64)
+    spec = synthdata.SceneSpec(seed=2, image_size=32, min_objects=2, max_objects=2,
+                               min_size=8.0, max_size=14.0)
+    scene = synthdata.generate_scene(spec, 0)
+    images = scene.image[None].astype(np.float64)
+    gts = [([o.class_id for o in scene.objects], [(o.hbox, o.obox) for o in scene.objects])]
+
+    net.zero_grads()
+    net.loss_and_grads(images, gts)
+    grads = {k: g.copy() for k, g in net.grads().items()}
+    params = net.params()
+    assert sorted(params) == sorted(grads)
+
+    def loss():
+        return net.loss_and_grads(images, gts)[0]
+
+    rng = np.random.default_rng(0)
+    step = 1e-6
+    for name, p in params.items():
+        flat = p.reshape(-1)
+        assert np.shares_memory(flat, p)
+        gflat = grads[name].reshape(-1)
+        nonzero = np.flatnonzero(gflat)
+        assert nonzero.size, f"{name}: no nonzero gradient entry"
+        i = rng.choice(nonzero)
+        orig = flat[i]
+        flat[i] = orig + step
+        lp = loss()
+        flat[i] = orig - step
+        lm = loss()
+        flat[i] = orig
+        fd = (lp - lm) / (2 * step)
+        assert abs(fd - gflat[i]) <= 1e-4 * abs(gflat[i]) + 1e-9, (name, fd, gflat[i])

@@ -23,7 +23,6 @@ from oriconv.netblocks import (
     center_field_average_backward,
     downsample2,
     init_canonical_weights,
-    predict_angle,
     roi_gate,
 )
 from oriconv.networks import (
@@ -351,7 +350,7 @@ class TestOrientationHead:
         head = OrientationHead(2, 8, rng=np.random.default_rng(0))
         out, flag = head.forward(np.zeros((1, 4)))
         assert flag[0]
-        assert predict_angle(out)[0] == 0.0
+        assert np.degrees(np.arctan2(out[:, 0], out[:, 1]))[0] % 360 == 0.0
 
     def test_angular_error_metric_endpoints(self):
         from oriconv.metrics import mean_orientation_error
@@ -377,8 +376,8 @@ class TestOrientationHead:
         rot[:, 0::2] = -vecs[:, 1::2]
         rot[:, 1::2] = vecs[:, 0::2]
         out2, _ = head.forward(rot)
-        ang1 = predict_angle(out1)
-        ang2 = predict_angle(out2)
+        ang1 = np.degrees(np.arctan2(out1[:, 0], out1[:, 1])) % 360
+        ang2 = np.degrees(np.arctan2(out2[:, 0], out2[:, 1])) % 360
         d = (ang2 - ang1) % 360.0
         assert np.abs(d - 90.0).max() < 1e-5
 
