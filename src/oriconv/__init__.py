@@ -15,6 +15,7 @@ from .tensor import (
     Tensor,
     conv2d,
     conv2d_backward,
+    conv2d_filter_grad,
     finite_diff_check,
     rotate_grid,
     rotate_grid_adjoint,
@@ -34,6 +35,7 @@ from .fieldops import (
     max_pool,
     orientation_pool,
     orientation_pool_backward,
+    orientation_pool_gate,
     vf_max_pool,
 )
 from .steerbasis import BasisBank, BasisSpec, build_basis, compose_filters

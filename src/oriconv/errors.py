@@ -19,6 +19,11 @@ class ConfigError(OriconvError, ValueError):
     """Raised for invalid network or training configuration."""
 
 
+class StateError(OriconvError, RuntimeError):
+    """Raised when a layer is called out of order, such as a backward pass
+    with no training forward pass before it."""
+
+
 def check_section(section: str, d: dict, spec_cls) -> None:
     """Raise ConfigError naming each key of config section `section` that is
     not a field of the dataclass `spec_cls`, or the first value whose JSON

@@ -102,23 +102,32 @@ def orientation_pool(y: Tensor) -> VectorField:
     return VectorField(stack[..., 0].copy(), stack[..., 1].copy())
 
 
-def orientation_pool_backward(
-    y: Tensor, n_rotations: int, winners: Tensor, upstream_stack: Tensor
-) -> Tensor:
-    """Adjoint of `orientation_pool_stack`: all gradient flows to the winning
-    rotation channel, gated by ReLU, along the fixed (cos, sin) direction."""
+def orientation_pool_gate(y: Tensor, n_rotations: int, winners: Tensor) -> Tensor:
+    """The ReLU gate of `orientation_pool_stack`: boolean [H, W, C], True
+    where the winning rotation channel's activation is positive. With the
+    winners it is all the pooling's adjoint needs of y."""
     h, w, _ = y.shape
-    c = y.shape[-1] // n_rotations
-    y4 = y.reshape(h, w, c, n_rotations)
-    rho = np.take_along_axis(y4, winners[..., None], axis=3)[..., 0]
-    gate = (rho > 0).astype(y.dtype)
+    y4 = y.reshape(h, w, -1, n_rotations)
+    return np.take_along_axis(y4, winners[..., None], axis=3)[..., 0] > 0
+
+
+def orientation_pool_backward(
+    winners: Tensor, gate: Tensor, n_rotations: int, upstream_stack: Tensor
+) -> Tensor:
+    """Adjoint of `orientation_pool_stack`, from its winners [H, W, C] and its
+    ReLU gate (`orientation_pool_gate`) instead of the pre-pool responses: all
+    gradient flows to the winning rotation channel, gated, along the fixed
+    (cos, sin) direction. Returns the [H, W, C*n] pre-pool gradient in the
+    upstream's dtype."""
+    h, w, c = winners.shape
+    dtype = upstream_stack.dtype
     cos_t, sin_t = angle_table(n_rotations)
     up_p = upstream_stack[..., 0::2]
     up_q = upstream_stack[..., 1::2]
     gval = gate * (
-        cos_t[winners].astype(y.dtype) * up_p + sin_t[winners].astype(y.dtype) * up_q
+        cos_t[winners].astype(dtype) * up_p + sin_t[winners].astype(dtype) * up_q
     )
-    grad4 = np.zeros_like(y4)
+    grad4 = np.zeros((h, w, c, n_rotations), dtype=dtype)
     np.put_along_axis(grad4, winners[..., None], gval[..., None], axis=3)
     return grad4.reshape(h, w, c * n_rotations)
 

@@ -3,7 +3,10 @@ attention merge, level fusion, and the prediction heads.
 
 Layers follow a hand-derived-backward protocol: `forward(x, training)` caches
 what the adjoint needs, `backward(gy)` returns the input gradient and
-accumulates parameter gradients. Arrays are batched [N, H, W, C]; vector-field
+accumulates parameter gradients. `RConvLayer`, the largest cache, keeps it
+only when `training` is true; its `backward` after an inference forward
+raises `StateError`, and a layer fed by the network input returns no input
+gradient (see `RConvLayer`). Arrays are batched [N, H, W, C]; vector-field
 stacks use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
 convolves against the rotated filter copies and orientation-pools the result,
 so every RConv in a block hands on vector fields. Every block keeps the fields
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fieldops, rconv, steerbasis
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, conv2d, conv2d_backward
+from .errors import ConfigError, ShapeError, StateError
+from .tensor import Tensor, conv2d, conv2d_backward, conv2d_filter_grad
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +89,21 @@ class RConvLayer(Layer):
     `forward` expands the canonical bank into its n rotated copies once per
     batch (`rconv.expand_rotations`, bit-identical to expanding per image),
     then per image convolves against them and pools the C*n rotation channels
-    into C vector fields (`fieldops.orientation_pool_stack`). It keeps the
-    input, the expanded filter, each image's rotation responses and pooling
-    winners for `backward`. `backward` pulls each image's gradient back
-    through the pooling (`fieldops.orientation_pool_backward`) and the
-    convolution, then maps the stacked per-image filter gradients onto the
-    canonical weights with one call to `rconv.expand_rotations_backward` and
-    adds the results in image order. Outputs and gradients are bit-identical
-    to `rconv.rconv_forward`, `fieldops.orientation_pool_stack` and their
-    adjoints called image by image.
+    into C vector fields (`fieldops.orientation_pool_stack`). In training it
+    keeps, for `backward`, the input, the expanded filter and each image's
+    pooling winners and ReLU gate (`fieldops.orientation_pool_gate`), never
+    the n-times wider rotation responses; at inference it keeps nothing.
+    `backward` pulls each image's gradient back through the pooling
+    (`fieldops.orientation_pool_backward`) and the convolution, then maps the
+    stacked per-image filter gradients onto the canonical weights with one
+    call to `rconv.expand_rotations_backward` and adds the results in image
+    order. Outputs and gradients are bit-identical to `rconv.rconv_forward`,
+    `fieldops.orientation_pool_stack` and their adjoints called image by
+    image.
+
+    A layer built with `input_grad=False` (one fed by the network input,
+    whose input gradient nobody reads) computes only its filter gradient
+    (`tensor.conv2d_filter_grad`) and its `backward` returns None.
     """
 
     def __init__(
@@ -108,9 +117,11 @@ class RConvLayer(Layer):
         basis_spec: steerbasis.BasisSpec | None = None,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
+        input_grad: bool = True,
     ):
         rng = rng or np.random.default_rng(0)
         self.n_rotations = n_rotations
+        self.input_grad = input_grad
         self.input_kind = input_kind
         self.parametrization = parametrization
         if parametrization == "steerable":
@@ -156,31 +167,40 @@ class RConvLayer(Layer):
             self.bank.apply_mask()
         f = rconv.expand_rotations(self.bank)
         pad = self.bank.size // 2
-        ys, winners, outs = [], [], []
+        n = self.n_rotations
+        outs, winners, gates = [], [], []
         for img in x:
             y = conv2d(img, f, stride=1, padding=pad)
-            stack, win = fieldops.orientation_pool_stack(y, self.n_rotations)
-            ys.append(y)
-            winners.append(win)
+            stack, win = fieldops.orientation_pool_stack(y, n)
             outs.append(stack)
-        self._cache = (x, f, ys, winners)
+            if training:
+                winners.append(win)
+                gates.append(fieldops.orientation_pool_gate(y, n, win))
+        self._cache = (x, f, winners, gates) if training else None
         return np.stack(outs)
 
-    def backward(self, gy: Tensor) -> Tensor:
-        x, f, ys, winners = self._cache
+    def backward(self, gy: Tensor) -> Tensor | None:
+        if self._cache is None:
+            raise StateError(
+                "RConvLayer.backward needs a preceding forward(..., training=True)"
+            )
+        x, f, winners, gates = self._cache
         pad = self.bank.size // 2
         gxs, gfs = [], []
-        for img, y, win, g in zip(x, ys, winners, gy):
-            gpre = fieldops.orientation_pool_backward(y, self.n_rotations, win, g)
-            gx, gf = conv2d_backward(img, f, gpre, stride=1, padding=pad)
-            gxs.append(gx)
+        for img, win, gate, g in zip(x, winners, gates, gy):
+            gpre = fieldops.orientation_pool_backward(win, gate, self.n_rotations, g)
+            if self.input_grad:
+                gx, gf = conv2d_backward(img, f, gpre, stride=1, padding=pad)
+                gxs.append(gx)
+            else:
+                gf = conv2d_filter_grad(img, f, gpre, stride=1, padding=pad)
             gfs.append(gf)
         for gw in rconv.expand_rotations_backward(self.bank, np.stack(gfs)):
             if self.parametrization == "steerable":
                 self.g_mixing += steerbasis.compose_filters_backward(self.basis, gw)
             else:
                 self.g_weights += gw
-        return np.stack(gxs)
+        return np.stack(gxs) if self.input_grad else None
 
 
 class VfMaxPool(Layer):
@@ -389,12 +409,17 @@ def build_image_pyramid(image: Tensor, n_levels: int):
 class PyramidStage(Sequential):
     """Per-scale feature extractor: two 3x3 and one 1x1 rotation conv, each
     orientation-pooled, with one 2x field max-pool before the last, which
-    lands on the matched prediction layer's spatial size."""
+    lands on the matched prediction layer's spatial size. It reads a pyramid
+    image, so its first conv skips the input gradient and `backward` returns
+    None."""
 
     def __init__(self, n_rotations, c1, c2, c_out, rng=None, dtype=np.float32, parametrization="free"):
         rng = rng or np.random.default_rng(0)
         super().__init__([
-            RConvLayer(3, 1, c1, n_rotations, rconv.SCALAR, parametrization, rng=rng, dtype=dtype),
+            RConvLayer(
+                3, 1, c1, n_rotations, rconv.SCALAR, parametrization,
+                rng=rng, dtype=dtype, input_grad=False,
+            ),
             RConvLayer(3, 2 * c1, c2, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
             VfMaxPool(2),
             RConvLayer(1, 2 * c2, c_out, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),

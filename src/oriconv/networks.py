@@ -106,8 +106,11 @@ class NetworkSpec:
                 check_section(where, st, StageSpec)
             d["backbone"] = tuple(dict(s) for s in d["backbone"])
         if "anchor_scales" in d:
+            for i, scales in enumerate(d["anchor_scales"]):
+                _check_positive_numbers(f"network.anchor_scales[{i}]", scales)
             d["anchor_scales"] = tuple(tuple(x) for x in d["anchor_scales"])
         if "anchor_ratios" in d:
+            _check_positive_numbers("network.anchor_ratios", d["anchor_ratios"])
             d["anchor_ratios"] = tuple(d["anchor_ratios"])
         return cls(**d)
 
@@ -162,17 +165,32 @@ class NetworkSpec:
         return taps
 
 
+def _check_positive_numbers(where: str, values) -> None:
+    """Raise ConfigError unless `values` is a non-empty list of finite
+    positive numbers (bools excluded)."""
+    ok = isinstance(values, (list, tuple)) and values and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) and v > 0
+        for v in values
+    )
+    if not ok:
+        raise ConfigError(
+            f"{where} must be a non-empty list of positive numbers, got {values!r}"
+        )
+
+
 def _build_backbone(spec: NetworkSpec, rng, dtype):
-    """Sequential segments split at taps; segment k ends at tap k."""
+    """Sequential segments split at taps; segment k ends at tap k. The first
+    RConv layer reads the image, so it skips its input gradient."""
     segments = []
     current = []
     in_planes = spec.input_channels
     kind = rconv.SCALAR
-    for st in spec.backbone:
+    for i, st in enumerate(spec.backbone):
         current.append(
             RConvLayer(
                 st["size"], in_planes, st["filters"], spec.n_rotations, kind,
-                spec.parametrization, rng=rng, dtype=dtype,
+                spec.parametrization, rng=rng, dtype=dtype, input_grad=i > 0,
             )
         )
         if st.get("pool", 1) > 1:

@@ -124,6 +124,21 @@ def conv2d(x: Tensor, f: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return check_finite(y, "conv2d output")
 
 
+def conv2d_filter_grad(
+    x: Tensor, f: Tensor, upstream: Tensor, stride: int = 1, padding: int = 0
+) -> Tensor:
+    """Filter half of `conv2d_backward`: the gradient of
+    sum(upstream * conv2d(x, f)) with respect to f, for callers that need no
+    input gradient (a layer fed by the network input)."""
+    m, cin, cout, ho, wo = _conv_geometry(x, f, stride, padding)
+    if upstream.shape != (ho, wo, cout):
+        raise ShapeError(
+            f"upstream shape {upstream.shape} does not match conv output {(ho, wo, cout)}"
+        )
+    cols = _im2col(x, m, stride, padding)
+    return (cols.T @ upstream.reshape(ho * wo, cout)).reshape(m, m, cin, cout)
+
+
 def conv2d_backward(
     x: Tensor, f: Tensor, upstream: Tensor, stride: int = 1, padding: int = 0
 ):
@@ -131,17 +146,10 @@ def conv2d_backward(
 
     Returns (grad_input, grad_filter).
     """
+    grad_filter = conv2d_filter_grad(x, f, upstream, stride, padding)
     m, cin, cout, ho, wo = _conv_geometry(x, f, stride, padding)
-    if upstream.shape != (ho, wo, cout):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} does not match conv output {(ho, wo, cout)}"
-        )
     h, w, _ = x.shape
-    cols = _im2col(x, m, stride, padding)
     up2 = upstream.reshape(ho * wo, cout)
-
-    gw2 = cols.T @ up2
-    grad_filter = gw2.reshape(m, m, cin, cout)
 
     # Scatter the per-window gradients back onto the (padded) input.
     gcols = up2 @ f.reshape(m * m * cin, cout).T  # [P, m*m*cin]

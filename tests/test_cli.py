@@ -92,6 +92,16 @@ CONFIG_CASES = {
         {**DEFAULT_BACKBONE[0], "size": "5"}, *DEFAULT_BACKBONE[1:]]}}),
     "unknown_stage_key": json.dumps({"network": {"backbone": [
         {**DEFAULT_BACKBONE[0], "bogus": 1}, *DEFAULT_BACKBONE[1:]]}}),
+    "string_anchor_ratio": json.dumps({"train": {"task": "detection"},
+                                       "network": {"anchor_ratios": ["1"]}}),
+    "string_anchor_scale": json.dumps({"train": {"task": "detection"},
+                                       "network": {"anchor_scales": [["12", 18.0], [24.0, 32.0]]}}),
+    "flat_anchor_scales": json.dumps({"train": {"task": "detection"},
+                                      "network": {"anchor_scales": [12.0, 24.0]}}),
+    "zero_anchor_ratio": json.dumps({"train": {"task": "detection"},
+                                     "network": {"anchor_ratios": [0.0, 1.0]}}),
+    "empty_anchor_ratios": json.dumps({"train": {"task": "detection"},
+                                       "network": {"anchor_ratios": []}}),
 }
 
 

@@ -12,6 +12,7 @@ from oriconv.fieldops import (
     max_pool_backward,
     orientation_pool,
     orientation_pool_backward,
+    orientation_pool_gate,
     orientation_pool_stack,
     rotate_stack_90,
     split_stack,
@@ -69,7 +70,9 @@ class TestOrientationPoolBackward:
     def test_zero_upstream(self, rng):
         y = rng.normal(size=(3, 3, 8))
         _, winners = orientation_pool_stack(y, 8)
-        g = orientation_pool_backward(y, 8, winners, np.zeros((3, 3, 2)))
+        g = orientation_pool_backward(
+            winners, orientation_pool_gate(y, 8, winners), 8, np.zeros((3, 3, 2))
+        )
         assert not g.any()
 
     def test_single_pixel_angle_zero(self):
@@ -78,7 +81,7 @@ class TestOrientationPoolBackward:
         _, winners = orientation_pool_stack(y, 4)
         up = np.zeros((1, 1, 2))
         up[0, 0, 0] = 0.7  # upstream on p only
-        g = orientation_pool_backward(y, 4, winners, up)
+        g = orientation_pool_backward(winners, orientation_pool_gate(y, 4, winners), 4, up)
         assert g[0, 0, 0] == pytest.approx(0.7)
         assert not g[0, 0, 1:].any()
 
@@ -92,7 +95,7 @@ class TestOrientationPoolBackward:
                 continue  # exclude near-ties and near-zero magnitudes
             stack, winners = orientation_pool_stack(y, 6)
             up = rng.normal(size=stack.shape)
-            g = orientation_pool_backward(y, 6, winners, up)
+            g = orientation_pool_backward(winners, orientation_pool_gate(y, 6, winners), 6, up)
 
             def loss(p):
                 s, _ = orientation_pool_stack(p, 6)

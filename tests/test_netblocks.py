@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from oriconv import rconv
-from oriconv.errors import ConfigError, ShapeError
-from oriconv.fieldops import orientation_pool_backward, orientation_pool_stack, rotate_stack_90
+from oriconv.errors import ConfigError, ShapeError, StateError
+from oriconv.fieldops import (
+    orientation_pool_backward,
+    orientation_pool_gate,
+    orientation_pool_stack,
+    rotate_stack_90,
+)
 from oriconv.netblocks import (
     AttentionMerge,
     FeatureFusion,
@@ -33,7 +38,7 @@ from oriconv.networks import (
     angle_targets,
     orientation_loss_and_grad,
 )
-from oriconv.tensor import finite_diff_check
+from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
 
 
 def area_average_oracle(img, k):
@@ -132,7 +137,7 @@ class TestLayerGradients:
         for img, g in zip(x, up):
             y = rconv.rconv_forward(img, layer.bank)
             stack, winners = orientation_pool_stack(y, 8)
-            g_pre = orientation_pool_backward(y, 8, winners, g)
+            g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
             per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
 
         calls = []
@@ -153,6 +158,37 @@ class TestLayerGradients:
         assert out.tobytes() == np.stack([p[0] for p in per_image]).tobytes()
         assert gx.tobytes() == np.stack([p[1] for p in per_image]).tobytes()
         assert layer.g_weights.tobytes() == sum(p[2] for p in per_image).tobytes()
+
+    def test_image_fed_layer_skips_input_gradient(self, rng):
+        # input_grad=False computes the same filter gradient from
+        # conv2d_filter_grad, byte for byte, and returns no input gradient
+        x = rng.normal(size=(2, 9, 9, 1)).astype(np.float32)
+        up = rng.normal(size=(2, 9, 9, 4)).astype(np.float32)
+        layer = RConvLayer(5, 1, 2, 8, rconv.SCALAR, rng=np.random.default_rng(3), input_grad=False)
+        layer.forward(x)
+        layer.zero_grads()
+        assert layer.backward(up) is None
+
+        f = rconv.expand_rotations(layer.bank)
+        gfs = []
+        for img, g in zip(x, up):
+            y = conv2d(img, f, 1, 2)
+            _, winners = orientation_pool_stack(y, 8)
+            g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
+            gfs.append(conv2d_backward(img, f, g_pre, 1, 2)[1])
+        want = sum(rconv.expand_rotations_backward(layer.bank, np.stack(gfs)))
+        assert layer.g_weights.tobytes() == want.tobytes()
+
+    def test_backward_needs_training_forward(self, rng):
+        layer = RConvLayer(3, 1, 2, 4, rconv.SCALAR, rng=rng)
+        x = rng.normal(size=(1, 6, 6, 1)).astype(np.float32)
+        up = np.ones((1, 6, 6, 4), dtype=np.float32)
+        with pytest.raises(StateError, match="training=True"):
+            layer.backward(up)
+        layer.forward(x, training=True)
+        layer.forward(x, training=False)
+        with pytest.raises(StateError, match="training=True"):
+            layer.backward(up)
 
     def test_plain_conv_bias_grad(self, rng):
         layer = PlainConv(3, 2, 3, rng=rng, dtype=np.float64)
@@ -392,6 +428,48 @@ class TestOrientationHead:
             lambda p: np.sum(up * head.forward(p)[0]), vecs.copy(), gv, step=1e-6
         )
         assert err < 1e-4
+
+
+def rconv_layers(layer):
+    if isinstance(layer, RConvLayer):
+        yield layer
+    for child in layer.children().values():
+        yield from rconv_layers(child)
+
+
+def cached_arrays(cache):
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (list, tuple)):
+        for item in cache:
+            yield from cached_arrays(item)
+
+
+class TestRConvCache:
+    def test_training_cache_holds_no_prepool_responses(self, rng):
+        net = Detector(NetworkSpec())
+        images = rng.normal(size=(2, 64, 64, 1)).astype(np.float32)
+        net.forward(images, training=True)
+        layers = list(rconv_layers(net))
+        assert len(layers) == 17  # 3 backbone, 6 pyramid, 4 attention, 4 fusion
+        for layer in layers:
+            _, f, winners, gates = layer._cache
+            assert len(winners) == len(gates) == 2
+            # nothing but the expanded filter is C*n rotation channels wide
+            wide = [a for a in cached_arrays(layer._cache) if a.shape[-1] == f.shape[3]]
+            assert len(wide) == 1 and wide[0] is f
+            assert all(g.dtype == bool for g in gates)
+        net.forward(images, training=False)
+        assert all(layer._cache is None for layer in layers)
+
+    def test_builders_mark_image_fed_layers(self):
+        net = Detector(NetworkSpec())
+        fed = {id(net.segments[0].layers[0])} | {id(s.layers[0]) for s in net.lipm_stages}
+        skipping = {id(l) for l in rconv_layers(net) if not l.input_grad}
+        assert skipping == fed and len(fed) == 3
+        est = OrientationEstimator(NetworkSpec(task="orientation", input_size=32))
+        skipping = [l for l in rconv_layers(est) if not l.input_grad]
+        assert skipping == [est.trunk.layers[0]]
 
 
 class TestNetworkSpecValidation:

@@ -8,6 +8,7 @@ from oriconv.tensor import (
     GridSampleSpec,
     conv2d,
     conv2d_backward,
+    conv2d_filter_grad,
     finite_diff_check,
     rotate_grid,
     rotate_grid_adjoint,
@@ -117,6 +118,8 @@ class TestConv2dBackward:
         f = rng.normal(size=(3, 3, 1, 1))
         with pytest.raises(ShapeError):
             conv2d_backward(x, f, np.zeros((4, 4, 1)), 1, 1)
+        with pytest.raises(ShapeError):
+            conv2d_filter_grad(x, f, np.zeros((4, 4, 1)), 1, 1)
 
 
 class TestRotateGrid:
