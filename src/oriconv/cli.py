@@ -89,6 +89,8 @@ def _build_specs(cfg: dict):
     nd.setdefault("task", tc.task)
     nd.setdefault("n_rotations", tc.n_rotations)
     ns = NetworkSpec.from_dict(nd)
+    if ns.task != tc.task:
+        raise ConfigError(f"network.task {ns.task!r} differs from train.task {tc.task!r}")
     return tc, ns
 
 

@@ -7,12 +7,20 @@ swapping width/height. Box coordinates live in the continuous pixel-edge
 frame (pixel centers at integer + 0.5). Box angles follow the package
 convention: counterclockwise as displayed.
 
+The box codec is one encoder and one decode core over centre-size rows
+(xc, yc, w, h) against axis-aligned anchors: `encode_boxes` gives the
+log-space offsets, `_decode_centre_size` inverts them, and the HBB and OBB
+codecs differ only in what surrounds that pair (corners, or theta / 90 as a
+fifth offset). Its logarithm and clamped exponential stay scalar `math.log`
+and `math.exp`, so a row does not depend on how many rows are coded with
+it: the numpy versions differ from them in the last ulp on a fraction of a
+percent of inputs, which would move match targets, decoded boxes and,
+through RoI choice, training losses.
+
 Post-processing works on arrays. The decoders return boxes plus a `valid`
 mask that agrees with the `HBox`/`OBox` checks; candidates are visited in
 descending score order, ties in input order (a stable argsort); `nms` runs
-over one IoU matrix and can stop after `limit` kept boxes. The clamped size
-exponential stays scalar `math.exp` (see `_scaled_exp`), so a decoded row
-does not depend on how many rows are decoded with it.
+over one IoU matrix and can stop after `limit` kept boxes.
 
 Anchors are plain [N, 4] arrays. `anchor_boxes` tiles one feature level; a
 detector concatenates its levels into one flat anchor axis, so
@@ -230,23 +238,6 @@ def _iou_matrix(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_g[None, :] - inter)
 
 
-def encode_hbb(anchor: np.ndarray, gt: HBox) -> np.ndarray:
-    """Standard 4-offset log-space encoding of a box against an anchor."""
-    wa = anchor[2] - anchor[0]
-    ha = anchor[3] - anchor[1]
-    xa = 0.5 * (anchor[0] + anchor[2])
-    ya = 0.5 * (anchor[1] + anchor[3])
-    xc, yc = gt.center
-    return np.array(
-        [
-            (xc - xa) / wa,
-            (yc - ya) / ha,
-            math.log(gt.width / wa),
-            math.log(gt.height / ha),
-        ]
-    )
-
-
 def _anchor_geometry(anchors: np.ndarray):
     """Widths, heights and centres of [N,4] corner-coded anchors."""
     wa = anchors[:, 2] - anchors[:, 0]
@@ -268,6 +259,24 @@ def _scaled_exp(t: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return np.array(e, dtype=scale.dtype) * scale
 
 
+def _decode_centre_size(anchors: np.ndarray, t: np.ndarray):
+    """Centre-size columns (xc, yc, w, h) of the log-space offsets `t[:, :4]`
+    against [N,4] anchors; the inverse of `encode_boxes`."""
+    wa, ha, xa, ya = _anchor_geometry(anchors)
+    xc = t[:, 0] * wa + xa
+    yc = t[:, 1] * ha + ya
+    return xc, yc, _scaled_exp(t[:, 2], wa), _scaled_exp(t[:, 3], ha)
+
+
+def encode_boxes(anchors: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Log-space offsets [N,4] of centre-size rows `boxes` [N,4] xc/yc/w/h
+    against [N,4] anchors; the logarithm is scalar `math.log`, like
+    `_scaled_exp`'s exponential."""
+    wa, ha, xa, ya = _anchor_geometry(anchors)
+    logs = [[math.log(v) for v in r.tolist()] for r in (boxes[:, 2] / wa, boxes[:, 3] / ha)]
+    return np.stack(((boxes[:, 0] - xa) / wa, (boxes[:, 1] - ya) / ha, *np.array(logs)), axis=1)
+
+
 def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
     """Decode [N,4] log-space offsets against [N,4] anchors.
 
@@ -276,11 +285,7 @@ def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
     extent). Row j equals
     `decode_hbb(anchors[j], t[j])` bit for bit, in the dtypes it produces.
     """
-    wa, ha, xa, ya = _anchor_geometry(anchors)
-    xc = t[:, 0] * wa + xa
-    yc = t[:, 1] * ha + ya
-    w = _scaled_exp(t[:, 2], wa)
-    h = _scaled_exp(t[:, 3], ha)
+    xc, yc, w, h = _decode_centre_size(anchors, t)
     boxes = np.stack((xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2), axis=1)
     valid = (
         np.isfinite(boxes).all(axis=1)
@@ -296,24 +301,6 @@ def decode_hbb(anchor: np.ndarray, t: np.ndarray) -> HBox:
     return HBox(*boxes[0])
 
 
-def encode_obb(anchor: np.ndarray, gt: OBox) -> np.ndarray:
-    """HBB offsets of the oriented center/size plus theta/90 as fifth offset
-    (anchors are axis-aligned, reference angle 0)."""
-    wa = anchor[2] - anchor[0]
-    ha = anchor[3] - anchor[1]
-    xa = 0.5 * (anchor[0] + anchor[2])
-    ya = 0.5 * (anchor[1] + anchor[3])
-    return np.array(
-        [
-            (gt.xc - xa) / wa,
-            (gt.yc - ya) / ha,
-            math.log(gt.w / wa),
-            math.log(gt.h / ha),
-            gt.theta / 90.0,
-        ]
-    )
-
-
 def decode_obb_array(anchors: np.ndarray, o: np.ndarray):
     """Decode [N,5] oriented offsets against [N,4] axis-aligned anchors.
 
@@ -323,10 +310,8 @@ def decode_obb_array(anchors: np.ndarray, o: np.ndarray):
     float32 theta), widened exactly into `boxes` and not yet canonicalized;
     `obox_from_row` turns a row back into the OBox `decode_obb` returns.
     """
-    wa, ha, xa, ya = _anchor_geometry(anchors)
-    w = _scaled_exp(o[:, 2], wa)
-    h = _scaled_exp(o[:, 3], ha)
-    boxes = np.stack((o[:, 0] * wa + xa, o[:, 1] * ha + ya, w, h, o[:, 4] * 90.0), axis=1)
+    xc, yc, w, h = _decode_centre_size(anchors, o)
+    boxes = np.stack((xc, yc, w, h, o[:, 4] * 90.0), axis=1)
     valid = np.isfinite(boxes).all(axis=1) & (w > 0) & (h > 0)
     return boxes, valid
 
@@ -367,27 +352,29 @@ def match_anchors(anchors: np.ndarray, gt_boxes, gt_classes=None, stage="rpn") -
     unsupervised (the usual two-stage-detector convention). Head stage:
     IoU >= 0.5 takes the matched class, everything else is background.
     gt_boxes entries may be HBox or (HBox, OBox) pairs.
+
+    Each ground truth becomes one centre-size row per target kind, and every
+    positive is encoded with one `encode_boxes` call per kind: HBB targets
+    from the HBox, OBB targets from the OBox plus theta / 90 as the fifth
+    offset. An HBox-only object's OBB target is its HBB target at angle 0.
     """
     n = anchors.shape[0]
     labels = np.full(n, -1 if stage == "rpn" else 0, dtype=np.int64)
     hbb_t = np.zeros((n, 4))
     obb_t = np.zeros((n, 5))
     matched = np.full(n, -1, dtype=np.int64)
-
-    hb = []
-    ob = []
-    for g in gt_boxes:
-        if isinstance(g, tuple):
-            hb.append(g[0])
-            ob.append(g[1])
-        else:
-            hb.append(g)
-            ob.append(None)
+    hb = [g[0] if isinstance(g, tuple) else g for g in gt_boxes]
+    ob = [g[1] if isinstance(g, tuple) else None for g in gt_boxes]
     if not hb:
         if stage == "rpn":
             labels[:] = 0
         return MatchResult(labels, hbb_t, obb_t, matched)
 
+    hbb_rows = np.array([(*b.center, b.width, b.height) for b in hb])
+    obb_rows = np.array([
+        (*r, 0.0) if o is None else (o.xc, o.yc, o.w, o.h, o.theta / 90.0)
+        for r, o in zip(hbb_rows, ob)
+    ])
     gt_arr = np.stack([b.as_array() for b in hb])
     iou = _iou_matrix(anchors, gt_arr)
     best_gt = np.argmax(iou, axis=1)
@@ -412,14 +399,11 @@ def match_anchors(anchors: np.ndarray, gt_boxes, gt_classes=None, stage="rpn") -
         )
         labels[pos] = classes[best_gt[pos]]
 
-    for a in np.flatnonzero(pos):
-        g = best_gt[a]
-        matched[a] = g
-        hbb_t[a] = encode_hbb(anchors[a], hb[g])
-        if ob[g] is not None:
-            obb_t[a] = encode_obb(anchors[a], ob[g])
-        else:
-            obb_t[a, :4] = hbb_t[a]
+    g = best_gt[pos]
+    matched[pos] = g
+    hbb_t[pos] = encode_boxes(anchors[pos], hbb_rows[g])
+    obb_t[pos, :4] = encode_boxes(anchors[pos], obb_rows[g, :4])
+    obb_t[pos, 4] = obb_rows[g, 4]
     return MatchResult(labels, hbb_t, obb_t, matched)
 
 

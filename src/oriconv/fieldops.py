@@ -142,15 +142,21 @@ def _pool_pad(x: Tensor, w: int, fill: float) -> Tensor:
     return x
 
 
+def _tiles(x: Tensor, w: int, fill: float) -> Tensor:
+    """[H, W, C] as non-overlapping w-by-w windows [H/w, W/w, C, w*w],
+    row-major within a window; ragged edges are padded with `fill`."""
+    x = _pool_pad(x, w, fill)
+    h, wd, c = x.shape
+    tiles = x.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3)
+    return tiles.reshape(h // w, wd // w, c, w * w)
+
+
 def max_pool(x: Tensor, w: int):
     """Non-overlapping w-by-w max pooling of [H, W, C]; ragged edges are
     padded with -inf-equivalent values. Returns (pooled, winners)."""
     if w < 1:
         raise ShapeError(f"window must be >= 1, got {w}")
-    x = _pool_pad(x, w, -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min)
-    h, wd, c = x.shape
-    tiles = x.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3)
-    flat = tiles.reshape(h // w, wd // w, c, w * w)
+    flat = _tiles(x, w, -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min)
     winners = np.argmax(flat, axis=3)
     pooled = np.take_along_axis(flat, winners[..., None], axis=3)[..., 0]
     return np.ascontiguousarray(pooled), winners
@@ -168,39 +174,16 @@ def max_pool_backward(x_shape, w: int, winners: Tensor, upstream: Tensor) -> Ten
 def vf_max_pool(stack: Tensor, w: int):
     """Vector-field max pooling: per field, keep the entire (p, q) vector at
     the window position of largest magnitude (row-major first on ties), never
-    a componentwise mix. Returns (pooled_stack, winners)."""
-    p, q = split_stack(stack)
-    rho = np.hypot(p, q)
-    rho = _pool_pad(rho, w, -np.inf)
-    pp = _pool_pad(p, w, 0.0)
-    qp = _pool_pad(q, w, 0.0)
-    h, wd, c = rho.shape
-    rt = rho.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3).reshape(
-        h // w, wd // w, c, w * w
-    )
-    winners = np.argmax(rt, axis=3)
-    out = np.empty((h // w, wd // w, 2 * c), dtype=stack.dtype)
-    for comp, plane in ((0, pp), (1, qp)):
-        t = plane.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3).reshape(
-            h // w, wd // w, c, w * w
-        )
-        out[..., comp::2] = np.take_along_axis(t, winners[..., None], axis=3)[..., 0]
-    return out, winners
+    a componentwise mix. Returns (pooled_stack, winners [H/w, W/w, C])."""
+    _, winners = max_pool(np.hypot(*split_stack(stack)), w)
+    both = np.repeat(winners, 2, axis=-1)[..., None]
+    pooled = np.take_along_axis(_tiles(stack, w, 0.0), both, axis=3)[..., 0]
+    return np.ascontiguousarray(pooled), winners
 
 
 def vf_max_pool_backward(stack_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
-    h, wd, c2 = stack_shape
-    c = c2 // 2
-    hp, wp = h + ((-h) % w), wd + ((-wd) % w)
-    grad = np.zeros((hp, wp, c2), dtype=upstream.dtype)
-    for comp in (0, 1):
-        flat = np.zeros((hp // w, wp // w, c, w * w), dtype=upstream.dtype)
-        np.put_along_axis(
-            flat, winners[..., None], upstream[..., comp::2][..., None], axis=3
-        )
-        tiles = flat.reshape(hp // w, wp // w, c, w, w).transpose(0, 3, 1, 4, 2)
-        grad[..., comp::2] = tiles.reshape(hp, wp, c)
-    return grad[:h, :wd, :]
+    """Adjoint of `vf_max_pool`: both components of a field go to its winner."""
+    return max_pool_backward(stack_shape, w, np.repeat(winners, 2, axis=-1), upstream)
 
 
 @dataclass

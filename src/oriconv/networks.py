@@ -7,9 +7,9 @@ network runs a symbolic shape dry-run first, so a mismatched merge fails at
 construction time with ConfigError rather than mid-training.
 
 The detector puts all prediction levels on one flat anchor axis: one [A, 4]
-anchor array, and `Detector._head_layout`, the one place that spells out the
-head's class-logit | HBB | OBB columns, for the head outputs. Matching,
-mining, the loss and decoding run once per image over all levels.
+anchor array, and `Detector._layout`, the one place that spells out the
+head's class-logit | HBB | OBB columns and the RPN's logit | offset columns.
+Matching, mining, the loss and decoding run once per image over all levels.
 """
 
 from __future__ import annotations
@@ -82,8 +82,15 @@ class NetworkSpec:
     head_window: int = 4  # orientation task: center window of pooled fields
 
     def __post_init__(self):
-        if self.n_rotations < 1:
-            raise ConfigError(f"rotation count must be >= 1, got {self.n_rotations}")
+        if self.task not in ("orientation", "detection"):
+            raise ConfigError(f"task must be 'orientation' or 'detection', got {self.task!r}")
+        if self.parametrization not in ("free", "steerable"):
+            raise ConfigError(
+                f"parametrization must be 'free' or 'steerable', got {self.parametrization!r}"
+            )
+        for key in ("n_rotations", "n_classes", "merge_channels", "input_size", "input_channels"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.backbone:
             raise ConfigError("backbone needs at least one stage")
 
@@ -218,8 +225,8 @@ class Detector(Layer):
     plus axis-aligned (4) and oriented (5) box offsets.
 
     `anchors` concatenates every level's `detect.anchor_boxes` into one
-    [A, 4] array (`anchor_counts` rows per level); `_head_layout` puts the
-    head outputs on the same axis. The RPN reads the last level's rows,
+    [A, 4] array (`anchor_counts` rows per level); `_layout` puts the head
+    outputs on the same axis. The RPN reads the last level's rows,
     `rpn_anchors`.
     """
 
@@ -287,21 +294,29 @@ class Detector(Layer):
         out["rpn"] = self.rpn_conv
         return out
 
-    def _head_layout(self, head_raw):
-        """Put per-level head outputs [B, H, W, a*(k+10)] on the anchor axis.
+    def _layout(self, head_raw=None, rpn_raw=None):
+        """Put the per-level head outputs [B, H, W, a*(k+10)] and the RPN
+        output [B, H, W, a*5] on their anchor axes.
 
-        Returns the [B, A, k+10] array and views of its columns keyed as
-        `detect.composite_loss` keys them: class logits (k+1), HBB offsets
-        (4) and OBB offsets (5). Writing into a view writes the array.
+        Returns the [B, A, k+10] head array, the [B, R, 5] RPN array and views
+        of their columns keyed as `detect.composite_loss` keys them: class
+        logits (k+1), HBB offsets (4) and OBB offsets (5) of the head; logits
+        (1) and offsets (4) of the RPN. A part whose output is None is left
+        out (None, no views). Writing into a view writes its array.
         """
         k = self.spec.n_classes
-        head = np.concatenate([r.reshape(r.shape[0], -1, k + 10) for r in head_raw], axis=1)
-        cols = {
-            "cls_logits": head[..., : k + 1],
-            "hbb_offsets": head[..., k + 1 : k + 5],
-            "obb_offsets": head[..., k + 5 :],
-        }
-        return head, cols
+        head = rpn = None
+        cols = {}
+        if head_raw is not None:
+            head = np.concatenate([r.reshape(r.shape[0], -1, k + 10) for r in head_raw], axis=1)
+            cols["cls_logits"] = head[..., : k + 1]
+            cols["hbb_offsets"] = head[..., k + 1 : k + 5]
+            cols["obb_offsets"] = head[..., k + 5 :]
+        if rpn_raw is not None:
+            rpn = rpn_raw.reshape(rpn_raw.shape[0], -1, 5)
+            cols["rpn_logits"] = rpn[..., 0]
+            cols["rpn_offsets"] = rpn[..., 1:]
+        return head, rpn, cols
 
     # -- forward ----------------------------------------------------------
     def forward(self, images: Tensor, training: bool = True, use_rois: bool = True):
@@ -329,10 +344,11 @@ class Detector(Layer):
         rpn_raw = self.rpn_conv.forward(rpn_feat, training)
         rois_per_image = [[] for _ in range(images.shape[0])]
         if spec.use_rpn:
+            _, _, cols = self._layout(rpn_raw=rpn_raw)
             for b in range(images.shape[0]):
-                flat = rpn_raw[b].reshape(-1, 5)
                 rois_per_image[b] = detect.propose_rois(
-                    flat[:, 0], flat[:, 1:5], self.rpn_anchors, n, top_k=spec.rpn_top_k
+                    cols["rpn_logits"][b], cols["rpn_offsets"][b], self.rpn_anchors, n,
+                    top_k=spec.rpn_top_k,
                 )
 
         merged = []
@@ -407,11 +423,9 @@ class Detector(Layer):
         """
         nb = images.shape[0]
         fwd = self.forward(images, training=True, use_rois=True)
-        head, cols = self._head_layout(fwd["head_raw"])
-        # the head gradient, written per image through its column views
-        g_head, g_cols = self._head_layout([np.zeros_like(head)])
-        rpn = fwd["rpn_raw"].reshape(nb, -1, 5)
-        g_rpn = np.zeros_like(rpn)
+        head, rpn, cols = self._layout(fwd["head_raw"], fwd["rpn_raw"])
+        # the gradients, written per image through the same column views
+        g_head, g_rpn, g_cols = self._layout([np.zeros_like(head)], np.zeros_like(rpn))
         total = 0.0
         comp_sum = {}
 
@@ -421,8 +435,6 @@ class Detector(Layer):
             m = detect.match_anchors(self.anchors, gt_pairs, classes, stage="head")
             rm = detect.match_anchors(self.rpn_anchors, gt_pairs, classes, stage="rpn")
             preds = {key: col[b] for key, col in cols.items()}
-            preds["rpn_logits"] = rpn[b, :, 0]
-            preds["rpn_offsets"] = rpn[b, :, 1:5]
             tgts = {
                 "rpn_labels": rm.labels,
                 "rpn_offsets": rm.hbb_targets,
@@ -437,8 +449,6 @@ class Detector(Layer):
 
             for key, g in g_cols.items():
                 g[b] = grads[key] / nb
-            g_rpn[b, :, 0] = grads["rpn_logits"] / nb
-            g_rpn[b, :, 1:5] = grads["rpn_offsets"] / nb
 
         self._backward(g_head, g_rpn.reshape(fwd["rpn_raw"].shape))
         comps = {key: v / nb for key, v in comp_sum.items()}
@@ -483,7 +493,7 @@ class Detector(Layer):
         """
         k = self.spec.n_classes
         fwd = self.forward(image[None], training=False, use_rois=use_rois)
-        _, cols = self._head_layout(fwd["head_raw"])
+        _, _, cols = self._layout(fwd["head_raw"])
         hbb_off = cols["hbb_offsets"][0]
         obb_off = cols["obb_offsets"][0]
         probs = detect.softmax(cols["cls_logits"][0].astype(np.float64))

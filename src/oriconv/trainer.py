@@ -52,6 +52,15 @@ class TrainConfig:
     hflip_augment: bool = False  # detection-task augmentation only
 
     def __post_init__(self):
+        if self.task not in ("orientation", "detection"):
+            raise ConfigError(f"task must be 'orientation' or 'detection', got {self.task!r}")
+        if len(self.lambdas) != 5 or len(self.phase_fractions) != 3:
+            raise ConfigError(
+                f"need 5 lambdas and 3 phase fractions, got {len(self.lambdas)} "
+                f"and {len(self.phase_fractions)}"
+            )
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         rates = (self.learning_rate, self.lr_second, self.lr_third)
         if any(r <= 0 for r in rates):
             raise ConfigError(f"learning rates must be positive, got {rates}")

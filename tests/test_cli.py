@@ -102,6 +102,21 @@ CONFIG_CASES = {
                                      "network": {"anchor_ratios": [0.0, 1.0]}}),
     "empty_anchor_ratios": json.dumps({"train": {"task": "detection"},
                                        "network": {"anchor_ratios": []}}),
+    "two_lambdas": json.dumps({"train": {"task": "detection", "lambdas": [1.0, 1.0]}}),
+    "two_phase_fractions": json.dumps({"train": {"task": "detection",
+                                                 "phase_fractions": [0.5, 0.5]}}),
+    "zero_classes": json.dumps({"train": {"task": "detection"}, "network": {"n_classes": 0}}),
+    "zero_merge_channels": json.dumps({"train": {"task": "detection"},
+                                       "network": {"merge_channels": 0}}),
+    "unknown_task": json.dumps({"train": {"task": "segmentation"}}),
+    "mismatched_tasks": json.dumps({"train": {"task": "detection"},
+                                    "network": {"task": "orientation"}}),
+    "unknown_parametrization": json.dumps({"train": {"task": "detection"},
+                                           "network": {"parametrization": "bogus"}}),
+    "zero_batch_size": json.dumps({"train": {"task": "detection", "batch_size": 0}}),
+    "zero_input_size": json.dumps({"train": {"task": "detection"}, "network": {"input_size": 0}}),
+    "zero_input_channels": json.dumps({"train": {"task": "detection"},
+                                       "network": {"input_channels": 0}}),
 }
 
 

@@ -9,7 +9,11 @@ from oriconv import synthdata
 from oriconv.detect import (
     Detection,
     HBox,
+    HEAD_POS_IOU,
+    MatchResult,
     OBox,
+    RPN_NEG_IOU,
+    RPN_POS_IOU,
     _iou_matrix,
     anchor_boxes,
     assign_pyramid_level,
@@ -18,8 +22,7 @@ from oriconv.detect import (
     decode_hbb_array,
     decode_obb,
     decode_obb_array,
-    encode_hbb,
-    encode_obb,
+    encode_boxes,
     iou_hbb,
     iou_obb,
     match_anchors,
@@ -35,9 +38,98 @@ from oriconv.networks import Detector, NetworkSpec
 
 
 # ---------------------------------------------------------------------------
-# Scalar oracles: the per-row decode, the pairwise greedy NMS and the
-# per-anchor post-processing loops the vectorised code replaced, kept verbatim
-# so the array paths are checked bit for bit against them.
+# Scalar oracles: the per-row encode and decode, the per-positive matcher, the
+# pairwise greedy NMS and the per-anchor post-processing loops the vectorised
+# code replaced, kept verbatim so the array paths are checked bit for bit
+# against them.
+
+
+def encode_hbb_oracle(anchor, gt):
+    wa = anchor[2] - anchor[0]
+    ha = anchor[3] - anchor[1]
+    xa = 0.5 * (anchor[0] + anchor[2])
+    ya = 0.5 * (anchor[1] + anchor[3])
+    xc, yc = gt.center
+    return np.array(
+        [
+            (xc - xa) / wa,
+            (yc - ya) / ha,
+            math.log(gt.width / wa),
+            math.log(gt.height / ha),
+        ]
+    )
+
+
+def encode_obb_oracle(anchor, gt):
+    wa = anchor[2] - anchor[0]
+    ha = anchor[3] - anchor[1]
+    xa = 0.5 * (anchor[0] + anchor[2])
+    ya = 0.5 * (anchor[1] + anchor[3])
+    return np.array(
+        [
+            (gt.xc - xa) / wa,
+            (gt.yc - ya) / ha,
+            math.log(gt.w / wa),
+            math.log(gt.h / ha),
+            gt.theta / 90.0,
+        ]
+    )
+
+
+def match_anchors_oracle(anchors, gt_boxes, gt_classes=None, stage="rpn"):
+    n = anchors.shape[0]
+    labels = np.full(n, -1 if stage == "rpn" else 0, dtype=np.int64)
+    hbb_t = np.zeros((n, 4))
+    obb_t = np.zeros((n, 5))
+    matched = np.full(n, -1, dtype=np.int64)
+
+    hb = []
+    ob = []
+    for g in gt_boxes:
+        if isinstance(g, tuple):
+            hb.append(g[0])
+            ob.append(g[1])
+        else:
+            hb.append(g)
+            ob.append(None)
+    if not hb:
+        if stage == "rpn":
+            labels[:] = 0
+        return MatchResult(labels, hbb_t, obb_t, matched)
+
+    gt_arr = np.stack([b.as_array() for b in hb])
+    iou = _iou_matrix(anchors, gt_arr)
+    best_gt = np.argmax(iou, axis=1)
+    best_iou = iou[np.arange(n), best_gt]
+
+    if stage == "rpn":
+        labels[best_iou <= RPN_NEG_IOU] = 0
+        labels[best_iou >= RPN_POS_IOU] = 1
+        # force the best anchor per ground truth positive
+        for g in range(len(hb)):
+            a = int(np.argmax(iou[:, g]))
+            if iou[a, g] > 0:
+                labels[a] = 1
+                best_gt[a] = g
+        pos = labels == 1
+    else:
+        pos = best_iou >= HEAD_POS_IOU
+        classes = (
+            np.asarray(gt_classes, dtype=np.int64)
+            if gt_classes is not None
+            else np.ones(len(hb), dtype=np.int64)
+        )
+        labels[pos] = classes[best_gt[pos]]
+
+    for a in np.flatnonzero(pos):
+        g = best_gt[a]
+        matched[a] = g
+        hbb_t[a] = encode_hbb_oracle(anchors[a], hb[g])
+        if ob[g] is not None:
+            obb_t[a] = encode_obb_oracle(anchors[a], ob[g])
+        else:
+            obb_t[a, :4] = hbb_t[a]
+    return MatchResult(labels, hbb_t, obb_t, matched)
 
 
 def decode_hbb_oracle(anchor, t):
@@ -254,13 +346,20 @@ class TestIouObb:
             assert abs(v - mc_iou(a, b, rng)) < 2e-3
 
 
+def centre_size(box):
+    """The centre-size row `encode_boxes` takes for an HBox or an OBox."""
+    if isinstance(box, HBox):
+        return np.array([*box.center, box.width, box.height])
+    return np.array([box.xc, box.yc, box.w, box.h])
+
+
 class TestEncoding:
     def test_hbb_roundtrip(self, rng):
         for _ in range(20):
             anchor = np.array([2.0, 3.0, 12.0, 11.0])
             g = HBox(*sorted(rng.uniform(0, 8, 2)), *sorted(rng.uniform(9, 20, 2)))
             g = HBox(g.xmin, g.ymin, g.xmax + 1, g.ymax + 1)
-            back = decode_hbb(anchor, encode_hbb(anchor, g))
+            back = decode_hbb(anchor, encode_boxes(anchor[None], centre_size(g)[None])[0])
             assert np.abs(back.as_array() - g.as_array()).max() < 1e-6
 
     def test_obb_roundtrip(self, rng):
@@ -268,12 +367,13 @@ class TestEncoding:
         for _ in range(20):
             g = OBox(rng.uniform(4, 9), rng.uniform(4, 9), rng.uniform(2, 6),
                      rng.uniform(2, 6), rng.uniform(0, 90))
-            back = decode_obb(anchor, encode_obb(anchor, g))
+            t = encode_boxes(anchor[None], centre_size(g)[None])[0]
+            back = decode_obb(anchor, np.append(t, g.theta / 90.0))
             assert np.abs(back.as_array() - g.as_array()).max() < 1e-6
 
     def test_identical_anchor_zero_offsets(self):
         anchor = np.array([0.0, 0.0, 10.0, 10.0])
-        t = encode_hbb(anchor, HBox(0, 0, 10, 10))
+        t = encode_boxes(anchor[None], centre_size(HBox(0, 0, 10, 10))[None])
         assert np.abs(t).max() < 1e-12
 
 
@@ -536,6 +636,65 @@ def _outcome(make):
         return box_bytes(make())
     except ShapeError:
         return None
+
+
+# the default detector's anchor levels: 16x16 cells at stride 4, 8x8 at stride 8
+MATCH_LEVELS = (
+    anchor_boxes((16, 16), 4, (12.0, 18.0), (0.5, 1.0, 2.0)),
+    anchor_boxes((8, 8), 8, (24.0, 32.0), (0.5, 1.0, 2.0)),
+)
+
+
+def _ground_truth(sample, mode):
+    objs = sample.objects
+    if mode == "pairs":
+        return [(o.hbox, o.obox) for o in objs]
+    if mode == "hboxes":
+        return [o.hbox for o in objs]
+    return [(o.hbox, o.obox) if j % 2 else o.hbox for j, o in enumerate(objs)]
+
+
+class TestCodecMatchesOracle:
+    @given(st.lists(st.tuples(ANCHORS, HBOXES, OBOXES), min_size=1, max_size=8))
+    def test_encode_boxes_matches_scalar_encoders(self, rows):
+        anchors = np.array([a for a, _, _ in rows], dtype=np.float64)
+        got_h = encode_boxes(anchors, np.stack([centre_size(h) for _, h, _ in rows]))
+        got_o = encode_boxes(anchors, np.stack([centre_size(o) for _, _, o in rows]))
+        for j, (anchor, (_, h, o)) in enumerate(zip(anchors, rows)):
+            assert got_h[j].tobytes() == encode_hbb_oracle(anchor, h).tobytes()
+            assert got_o[j].tobytes() == encode_obb_oracle(anchor, o)[:4].tobytes()
+
+    def test_encode_boxes_matches_scalar_encoders_on_random_rows(self, rng):
+        # thousands of size ratios, so a logarithm that is off by one ulp on
+        # a fraction of a percent of them shows
+        xy = rng.uniform(0, 60, size=(2000, 2))
+        anchors = np.concatenate([xy, xy + rng.uniform(2, 40, size=(2000, 2))], axis=1)
+        hboxes = [HBox(x, y, x + w, y + h) for x, y, w, h in rng.uniform(0.5, 40, (2000, 4))]
+        oboxes = [OBox(*r, t) for r, t in zip(rng.uniform(0.5, 40, (2000, 4)),
+                                               rng.uniform(0, 90, 2000))]
+        got_h = encode_boxes(anchors, np.stack([centre_size(b) for b in hboxes]))
+        got_o = encode_boxes(anchors, np.stack([centre_size(b) for b in oboxes]))
+        want_h = np.stack([encode_hbb_oracle(a, b) for a, b in zip(anchors, hboxes)])
+        want_o = np.stack([encode_obb_oracle(a, b)[:4] for a, b in zip(anchors, oboxes)])
+        assert got_h.tobytes() == want_h.tobytes()
+        assert got_o.tobytes() == want_o.tobytes()
+
+    @pytest.mark.parametrize("stage", ["head", "rpn"])
+    @pytest.mark.parametrize("mode", ["pairs", "hboxes", "mixed"])
+    def test_match_anchors_matches_per_positive_oracle(self, stage, mode):
+        spec = synthdata.SceneSpec(seed=3, image_size=64, min_objects=1, max_objects=4)
+        anchors = np.concatenate(MATCH_LEVELS) if stage == "head" else MATCH_LEVELS[-1]
+        for i in range(12):
+            scene = synthdata.generate_scene(spec, i)
+            for sample in (scene, synthdata.augment(scene, {"hflip": True})):
+                gt = _ground_truth(sample, mode)
+                classes = [o.class_id for o in sample.objects]
+                got = match_anchors(anchors, gt, classes, stage=stage)
+                want = match_anchors_oracle(anchors, gt, classes, stage=stage)
+                for name in ("labels", "hbb_targets", "obb_targets", "matched_gt"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), (i, name)
 
 
 class TestVectorisedPostprocess:

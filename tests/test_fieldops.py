@@ -6,6 +6,7 @@ import pytest
 from oriconv.fieldops import (
     VFBNState,
     VectorField,
+    _pool_pad,
     field_batch_norm,
     field_batch_norm_backward,
     max_pool,
@@ -23,6 +24,46 @@ from oriconv.rconv import CanonicalFilterBank, rconv_forward
 from oriconv.tensor import finite_diff_check
 
 from conftest import max_pool_oracle
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-component vector-field max pool and its adjoint that the
+# shared `max_pool` tiling replaced, kept verbatim.
+
+
+def vf_max_pool_oracle(stack, w):
+    p, q = split_stack(stack)
+    rho = np.hypot(p, q)
+    rho = _pool_pad(rho, w, -np.inf)
+    pp = _pool_pad(p, w, 0.0)
+    qp = _pool_pad(q, w, 0.0)
+    h, wd, c = rho.shape
+    rt = rho.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3).reshape(
+        h // w, wd // w, c, w * w
+    )
+    winners = np.argmax(rt, axis=3)
+    out = np.empty((h // w, wd // w, 2 * c), dtype=stack.dtype)
+    for comp, plane in ((0, pp), (1, qp)):
+        t = plane.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3).reshape(
+            h // w, wd // w, c, w * w
+        )
+        out[..., comp::2] = np.take_along_axis(t, winners[..., None], axis=3)[..., 0]
+    return out, winners
+
+
+def vf_max_pool_backward_oracle(stack_shape, w, winners, upstream):
+    h, wd, c2 = stack_shape
+    c = c2 // 2
+    hp, wp = h + ((-h) % w), wd + ((-wd) % w)
+    grad = np.zeros((hp, wp, c2), dtype=upstream.dtype)
+    for comp in (0, 1):
+        flat = np.zeros((hp // w, wp // w, c, w * w), dtype=upstream.dtype)
+        np.put_along_axis(
+            flat, winners[..., None], upstream[..., comp::2][..., None], axis=3
+        )
+        tiles = flat.reshape(hp // w, wp // w, c, w, w).transpose(0, 3, 1, 4, 2)
+        grad[..., comp::2] = tiles.reshape(hp, wp, c)
+    return grad[:h, :wd, :]
 
 
 class TestOrientationPool:
@@ -176,6 +217,30 @@ class TestVfMaxPool:
         v[1, 1] = [2, 0]  # same magnitude; first in row-major order wins
         pooled, _ = vf_max_pool(v, 2)
         assert tuple(pooled[0, 0]) == (0.0, 2.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, w", [((7, 9, 6), 4), ((5, 6, 4), 4), ((8, 8, 8), 2),
+                                          ((6, 6, 2), 1), ((9, 7, 10), 3), ((3, 2, 4), 5)])
+    @pytest.mark.parametrize("values", ["normal", "ties", "sparse"])
+    def test_matches_per_component_oracle(self, rng, dtype, shape, w, values):
+        if values == "normal":
+            v = rng.normal(size=shape)
+        elif values == "ties":  # equal magnitudes across each window
+            v = rng.integers(-1, 2, size=shape).astype(np.float64)
+        else:  # mostly zero vectors
+            v = np.zeros(shape)
+            v[::3, ::2] = rng.normal(size=v[::3, ::2].shape)
+        v = v.astype(dtype)
+        got, got_winners = vf_max_pool(v, w)
+        want, want_winners = vf_max_pool_oracle(v, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_winners.tobytes() == want_winners.tobytes()
+        up = rng.normal(size=want.shape).astype(dtype)
+        got = vf_max_pool_backward(v.shape, w, got_winners, up)
+        want = vf_max_pool_backward_oracle(v.shape, w, want_winners, up)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_backward_finite_differences(self, rng):
         v = rng.normal(size=(4, 4, 4))
