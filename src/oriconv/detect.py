@@ -18,9 +18,13 @@ percent of inputs, which would move match targets, decoded boxes and,
 through RoI choice, training losses.
 
 Post-processing works on arrays. The decoders return boxes plus a `valid`
-mask that agrees with the `HBox`/`OBox` checks; candidates are visited in
-descending score order, ties in input order (a stable argsort); `nms` runs
-over one IoU matrix and can stop after `limit` kept boxes.
+mask that agrees with the `HBox`/`OBox` checks. NMS has one core,
+`nms_indices`: a greedy pass over [N,4] float64 boxes and [N] scores, in
+descending score order with ties in row order (a stable argsort), over one
+IoU matrix, that can stop after `limit` kept rows and returns their indices.
+`propose_rois` and `Detector.detect_image` run it on decoded rows and build
+`HBox`, `Roi` and `Detection` objects only for the rows it keeps; `nms` is
+the same pass over a list of Detections, with optional oriented IoU.
 
 Anchors are plain [N, 4] arrays. `anchor_boxes` tiles one feature level; a
 detector concatenates its levels into one flat anchor axis, so
@@ -522,28 +526,25 @@ def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0
 # NMS and region proposals
 
 
-def nms(detections, iou_threshold: float, oriented: bool = False, limit: int = None):
-    """Greedy NMS: visit detections by descending score, ties in input order
-    (a stable sort), keep each one whose IoU with every detection kept so far
-    is at most `iou_threshold`, and return the kept ones in visiting order.
-    The pass stops once `limit` (>= 0) are kept, which equals slicing the
-    full result to `limit`; None keeps all.
+def nms_indices(boxes, scores, iou_threshold: float, limit: int = None, oboxes=None):
+    """Greedy NMS over [N,4] float64 corner-coded boxes and [N] float64
+    scores; returns the kept row indices in visiting order.
 
-    Axis-aligned IoU comes from one `_iou_matrix` over the hboxes in float64
-    and equals `iou_hbb` pairwise. With `oriented`, a pair where both carry
-    an obox uses `iou_obb(candidate, kept)` instead, evaluated only for the
-    pairs the greedy pass reaches.
+    Rows are visited by descending score, ties in row order (a stable
+    argsort), and each one whose IoU with every row kept so far is at most
+    `iou_threshold` is kept. The pass stops once `limit` (>= 0) are kept,
+    which equals slicing the full result to `limit`; None keeps all.
+
+    Axis-aligned IoU comes from one `_iou_matrix` and equals `iou_hbb`
+    pairwise. `oboxes`, if given, holds an OBox or None per row; a pair where
+    both carry one uses `iou_obb(candidate, kept)` instead, evaluated only for
+    the pairs the greedy pass reaches.
     """
-    if not detections or limit == 0:
-        return []
-    scores = np.array([d.score for d in detections], dtype=np.float64)
+    if len(scores) == 0 or limit == 0:
+        return np.zeros(0, dtype=np.int64)
     order = np.argsort(-scores, kind="stable").tolist()
-    boxes = np.array(
-        [(d.hbox.xmin, d.hbox.ymin, d.hbox.xmax, d.hbox.ymax) for d in detections],
-        dtype=np.float64,
-    )
     over = _iou_matrix(boxes, boxes) > iou_threshold
-    suppressed = np.zeros(len(detections), dtype=bool)
+    suppressed = np.zeros(len(scores), dtype=bool)
     keep = []
     for r, i in enumerate(order):
         if suppressed[i]:
@@ -551,13 +552,27 @@ def nms(detections, iou_threshold: float, oriented: bool = False, limit: int = N
         keep.append(i)
         if len(keep) == limit:
             break
-        kept_obox = detections[i].obox
-        if oriented and kept_obox is not None:
+        if oboxes is not None and oboxes[i] is not None:
             for j in order[r + 1 :]:
-                cand_obox = detections[j].obox
-                if not suppressed[j] and cand_obox is not None:
-                    over[i, j] = iou_obb(cand_obox, kept_obox) > iou_threshold
+                if not suppressed[j] and oboxes[j] is not None:
+                    over[i, j] = iou_obb(oboxes[j], oboxes[i]) > iou_threshold
         suppressed |= over[i]
+    return np.array(keep, dtype=np.int64)
+
+
+def nms(detections, iou_threshold: float, oriented: bool = False, limit: int = None):
+    """`nms_indices` over a list of Detections: their hboxes and scores in
+    float64, and with `oriented` their oboxes; returns the kept Detections
+    in visiting order."""
+    if not detections:
+        return []
+    boxes = np.array(
+        [(d.hbox.xmin, d.hbox.ymin, d.hbox.xmax, d.hbox.ymax) for d in detections],
+        dtype=np.float64,
+    )
+    scores = np.array([d.score for d in detections], dtype=np.float64)
+    oboxes = [d.obox for d in detections] if oriented else None
+    keep = nms_indices(boxes, scores, iou_threshold, limit, oboxes)
     return [detections[i] for i in keep]
 
 
@@ -589,21 +604,25 @@ def propose_rois(
     descending order, anchor index on ties (`np.argsort(-logits,
     kind="stable")`), and decoded; rows `decode_hbb_array` marks invalid
     are dropped, not replaced. The rest, scored by the sigmoid of their
-    logits in the logits' dtype, go through `nms` at `nms_iou` until `top_k`
-    are kept, and each kept RoI gets a pyramid level from its decoded size
-    (`assign_pyramid_level` at its default k0 and s0). A NaN logit means the
-    RPN head has diverged and raises NumericalError.
+    logits in the logits' dtype, go through `nms_indices` at `nms_iou` until
+    `top_k` are kept, and each kept RoI gets a pyramid level from its decoded
+    size (`assign_pyramid_level` at its default k0 and s0). A NaN logit means
+    the RPN head has diverged and raises NumericalError.
     """
     n_nan = int(np.isnan(logits).sum())
     if n_nan:
         raise NumericalError(f"non-finite RPN logits ({n_nan} NaN)")
     cut = np.argsort(-logits, kind="stable")[: max(4 * top_k, 64)]
     boxes, valid = decode_hbb_array(anchors[cut], offsets[cut])
-    scores = sigmoid(logits[cut])
-    cand = [
-        Detection(0, float(scores[j]), hbox=HBox(*boxes[j])) for j in np.flatnonzero(valid)
-    ]
-    return [
-        Roi(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels))
-        for d in nms(cand, nms_iou, limit=top_k)
-    ]
+    boxes = boxes[valid]
+    scores = sigmoid(logits[cut])[valid]
+    keep = nms_indices(
+        boxes.astype(np.float64), scores.astype(np.float64), nms_iou, limit=top_k
+    )
+    rois = []
+    for j in keep:
+        box = HBox(*boxes[j])
+        rois.append(
+            Roi(box, float(scores[j]), assign_pyramid_level(box.width, box.height, n_levels))
+        )
+    return rois

@@ -6,7 +6,10 @@ what the adjoint needs, `backward(gy)` returns the input gradient and
 accumulates parameter gradients. `RConvLayer`, the largest cache, keeps it
 only when `training` is true; its `backward` after an inference forward
 raises `StateError`, and a layer fed by the network input returns no input
-gradient (see `RConvLayer`). Arrays are batched [N, H, W, C]; vector-field
+gradient. Apart from that, each `RConvLayer` keeps its expanded rotated
+filter across calls, keyed on the bytes of its canonical weights, because
+those are written in place by the optimiser and by checkpoint loading (see
+`RConvLayer`). Arrays are batched [N, H, W, C]; vector-field
 stacks use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
 convolves against the rotated filter copies and orientation-pools the result,
 so every RConv in a block hands on vector fields. Every block keeps the fields
@@ -86,13 +89,24 @@ class RConvLayer(Layer):
     """Rotation-equivariant convolution with orientation pooling, free or
     basis-parametrized filters: [N, H, W, Cin] -> field stacks [N, H, W, 2C].
 
-    `forward` expands the canonical bank into its n rotated copies once per
-    batch (`rconv.expand_rotations`, bit-identical to expanding per image),
-    then per image convolves against them and pools the C*n rotation channels
-    into C vector fields (`fieldops.orientation_pool_stack`). In training it
-    keeps, for `backward`, the input, the expanded filter and each image's
+    `forward` expands the canonical bank into its n rotated copies at most
+    once per batch (`rconv.expand_rotations`, bit-identical to expanding per
+    image), then per image convolves against them and pools the C*n rotation
+    channels into C vector fields (`fieldops.orientation_pool_stack`).
+
+    The layer keeps its last expanded filter, read-only, and reuses it while
+    `bank.weights` (after steerable composition and masking) has the same
+    bytes, dtype and shape it was expanded from. The key is the weights'
+    content, not their identity, a version count or the `training` flag:
+    `trainer.SGD.step`, checkpoint loading and direct edits all write the
+    weights in place, and a stale filter would still pass the quarter-turn
+    checks while giving wrong losses. Repeated inference at fixed weights
+    thus expands nothing; in training the weights change every step and the
+    cached filter is the one `backward` reads, so no memory is added there.
+
+    In training it also keeps, for `backward`, the input and each image's
     pooling winners and ReLU gate (`fieldops.orientation_pool_gate`), never
-    the n-times wider rotation responses; at inference it keeps nothing.
+    the n-times wider rotation responses; at inference it keeps no more.
     `backward` pulls each image's gradient back through the pooling
     (`fieldops.orientation_pool_backward`) and the convolution, then maps the
     stacked per-image filter gradients onto the canonical weights with one
@@ -145,6 +159,7 @@ class RConvLayer(Layer):
         )
         self.g_weights = np.zeros_like(self.bank.weights)
         self._cache = None
+        self._expanded = (None, None)  # (weights key, read-only expanded filter)
 
     def params(self):
         if self.parametrization == "steerable":
@@ -161,11 +176,22 @@ class RConvLayer(Layer):
             self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
         self.bank.apply_mask()
 
+    def _expanded_filter(self) -> Tensor:
+        """`rconv.expand_rotations(self.bank)`, reused while the weights'
+        bytes, dtype and shape are those it was expanded from."""
+        w = self.bank.weights
+        key = (w.dtype.str, w.shape, w.tobytes())
+        if self._expanded[0] != key:
+            f = rconv.expand_rotations(self.bank)
+            f.flags.writeable = False
+            self._expanded = (key, f)
+        return self._expanded[1]
+
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
         if self.parametrization == "steerable":
             self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
             self.bank.apply_mask()
-        f = rconv.expand_rotations(self.bank)
+        f = self._expanded_filter()
         pad = self.bank.size // 2
         n = self.n_rotations
         outs, winners, gates = [], [], []

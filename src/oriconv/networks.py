@@ -88,9 +88,12 @@ class NetworkSpec:
             raise ConfigError(
                 f"parametrization must be 'free' or 'steerable', got {self.parametrization!r}"
             )
-        for key in ("n_rotations", "n_classes", "merge_channels", "input_size", "input_channels"):
+        for key in ("n_rotations", "n_classes", "merge_channels", "input_size",
+                    "input_channels", "head_window"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.rpn_top_k < 0:
+            raise ConfigError(f"rpn_top_k must be >= 0, got {self.rpn_top_k}")
         if not self.backbone:
             raise ConfigError("backbone needs at least one stage")
 
@@ -487,9 +490,11 @@ class Detector(Layer):
         descending score, ties in anchor-axis order (level, then anchor;
         `np.argsort(-score, kind="stable")`), and decoded in that order only
         until `4 * max_per_image` valid ones (both boxes accepted by
-        `HBox`/`OBox`) are found; invalid rows are skipped. NMS then runs per
-        class, each stopping at `max_per_image` kept, and the best
-        `max_per_image` overall are returned by descending score.
+        `HBox`/`OBox`) are found; invalid rows are skipped. NMS
+        (`detect.nms_indices`) then runs per class on the decoded rows, each
+        stopping at `max_per_image` kept, and the kept rows are ordered by
+        descending score, ties in class order (a stable argsort). Detections
+        are built only for the best `max_per_image` of them.
         """
         k = self.spec.n_classes
         fwd = self.forward(image[None], training=False, use_rois=use_rois)
@@ -502,27 +507,34 @@ class Detector(Layer):
         sel = np.flatnonzero(score >= score_threshold)
         order = sel[np.argsort(-score[sel], kind="stable")]
         cap = 4 * max_per_image
-        dets = []
-        start = 0
-        while len(dets) < cap and start < len(order):
-            idx = order[start : start + cap - len(dets)]
+        found = []  # (anchor index, HBB row, OBB row) of valid candidates
+        n_found = start = 0
+        while n_found < cap and start < len(order):
+            idx = order[start : start + cap - n_found]
             start += len(idx)
             hb, hb_ok = detect.decode_hbb_array(self.anchors[idx], hbb_off[idx])
             ob, ob_ok = detect.decode_obb_array(self.anchors[idx], obb_off[idx])
-            for j in np.flatnonzero(hb_ok & ob_ok):
-                a = idx[j]
-                dets.append(
-                    detect.Detection(
-                        int(cls[a]), float(score[a]), hbox=detect.HBox(*hb[j]),
-                        obox=detect.obox_from_row(ob[j], obb_off.dtype),
-                    )
-                )
-        out = []
+            ok = hb_ok & ob_ok
+            found.append((idx[ok], hb[ok], ob[ok]))
+            n_found += int(ok.sum())
+        if not found:
+            return []
+        idx, hb, ob = (np.concatenate(parts) for parts in zip(*found))
+        cand_cls, cand_score = cls[idx], score[idx]
+        kept = []
         for c in range(1, k + 1):
-            same = [d for d in dets if d.class_id == c]
-            out.extend(detect.nms(same, nms_iou, limit=max_per_image))
-        out.sort(key=lambda d: -d.score)
-        return out[:max_per_image]
+            rows = np.flatnonzero(cand_cls == c)
+            keep = detect.nms_indices(hb[rows], cand_score[rows], nms_iou, limit=max_per_image)
+            kept.append(rows[keep])
+        kept = np.concatenate(kept)
+        kept = kept[np.argsort(-cand_score[kept], kind="stable")][:max_per_image]
+        return [
+            detect.Detection(
+                int(cand_cls[j]), float(cand_score[j]), hbox=detect.HBox(*hb[j]),
+                obox=detect.obox_from_row(ob[j], obb_off.dtype),
+            )
+            for j in kept
+        ]
 
 
 # ---------------------------------------------------------------------------

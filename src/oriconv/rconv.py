@@ -70,8 +70,10 @@ def rotation_angles(n: int) -> np.ndarray:
     return np.array([TWO_PI * r / n for r in range(n)], dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=None)
 def angle_table(n: int):
-    """(cos, sin) of the sampled angles.
+    """(cos, sin) of the sampled angles; cached per n and read-only, like
+    `rotation_plan`.
 
     For n divisible by 4 the table is built from the first quadrant and
     extended by cos(a + pi/2) = -sin(a), sin(a + pi/2) = cos(a), so the
@@ -93,6 +95,8 @@ def angle_table(n: int):
             a = TWO_PI * r / n
             cos_t[r] = math.cos(a)
             sin_t[r] = math.sin(a)
+    cos_t.flags.writeable = False
+    sin_t.flags.writeable = False
     return cos_t, sin_t
 
 

@@ -61,6 +61,8 @@ class TrainConfig:
             )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         rates = (self.learning_rate, self.lr_second, self.lr_third)
         if any(r <= 0 for r in rates):
             raise ConfigError(f"learning rates must be positive, got {rates}")

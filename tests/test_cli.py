@@ -117,6 +117,11 @@ CONFIG_CASES = {
     "zero_input_size": json.dumps({"train": {"task": "detection"}, "network": {"input_size": 0}}),
     "zero_input_channels": json.dumps({"train": {"task": "detection"},
                                        "network": {"input_channels": 0}}),
+    "zero_head_window": json.dumps({"train": {"task": "orientation", "max_steps": 1},
+                                    "network": {"head_window": 0}}),
+    "negative_rpn_top_k": json.dumps({"train": {"task": "detection", "max_steps": 1},
+                                      "network": {"rpn_top_k": -1}}),
+    "negative_max_steps": json.dumps({"train": {"task": "detection", "max_steps": -3}}),
 }
 
 

@@ -27,6 +27,7 @@ from oriconv.detect import (
     iou_obb,
     match_anchors,
     nms,
+    nms_indices,
     obox_from_row,
     propose_rois,
     sigmoid,
@@ -755,6 +756,26 @@ class TestVectorisedPostprocess:
         got = nms(dets, threshold, oriented=True, limit=limit)
         assert [id(d) for d in got] == [id(d) for d in want]
 
+    @given(st.data())
+    def test_nms_indices_select_what_the_greedy_oracle_keeps(self, data):
+        n = data.draw(st.integers(0, 10))
+        dets = [
+            Detection(0, s, obox=data.draw(OBOXES)) if data.draw(st.booleans())
+            else Detection(0, s, hbox=data.draw(GRID_HBOXES))
+            for s in data.draw(st.lists(SCORES, min_size=n, max_size=n))
+        ]
+        oriented = data.draw(st.booleans())
+        threshold = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0, 1))
+        limit = data.draw(st.sampled_from([None, 0, 1, 3]))
+        keep = nms_indices(
+            np.array([d.hbox.as_array() for d in dets]).reshape(-1, 4),
+            np.array([d.score for d in dets], dtype=np.float64),
+            threshold, limit, [d.obox for d in dets] if oriented else None,
+        )
+        want = nms_oracle(dets, threshold, oriented=oriented)[:limit]
+        assert keep.dtype == np.int64
+        assert [id(dets[i]) for i in keep] == [id(d) for d in want]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(8))
     def test_propose_rois_matches_oracle(self, seed):
@@ -826,3 +847,16 @@ class TestDetectImageOracle:
             assert got
             assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
             assert all(np.isfinite(d.obox.as_array()).all() for d in got)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("max_per_image", [0, 1, 10])
+    @pytest.mark.parametrize("net_kind", ["plain", "degenerate"])
+    def test_matches_per_anchor_loop_at_smaller_caps(self, request, net_kind, max_per_image):
+        net, images = request.getfixturevalue(net_kind)
+        for threshold in (0.0, 0.2):
+            got = net.detect_image(images[0], score_threshold=threshold, nms_iou=0.1,
+                                   max_per_image=max_per_image)
+            want = detect_image_oracle(net, images[0], threshold, nms_iou=0.1,
+                                       max_per_image=max_per_image)
+            assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
+            assert len(got) == max_per_image

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oriconv import rconv
+from oriconv import checkpoint, rconv, synthdata, trainer
 from oriconv.errors import ConfigError, ShapeError, StateError
 from oriconv.fieldops import (
     orientation_pool_backward,
@@ -39,6 +39,19 @@ from oriconv.networks import (
     orientation_loss_and_grad,
 )
 from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
+
+
+def count_expansions(monkeypatch):
+    """Record each `rconv.expand_rotations` call; returns the list of banks."""
+    calls = []
+    expand = rconv.expand_rotations
+
+    def counting(bank):
+        calls.append(bank)
+        return expand(bank)
+
+    monkeypatch.setattr(rconv, "expand_rotations", counting)
+    return calls
 
 
 def area_average_oracle(img, k):
@@ -140,14 +153,7 @@ class TestLayerGradients:
             g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
             per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
 
-        calls = []
-        expand = rconv.expand_rotations
-
-        def counting(bank):
-            calls.append(bank)
-            return expand(bank)
-
-        monkeypatch.setattr(rconv, "expand_rotations", counting)
+        calls = count_expansions(monkeypatch)
         out = layer.forward(x)
         assert len(calls) == 1
         layer.zero_grads()
@@ -470,6 +476,85 @@ class TestRConvCache:
         est = OrientationEstimator(NetworkSpec(task="orientation", input_size=32))
         skipping = [l for l in rconv_layers(est) if not l.input_grad]
         assert skipping == [est.trunk.layers[0]]
+
+    @staticmethod
+    def uncached_forward(layer, x):
+        f = rconv.expand_rotations(layer.bank)
+        pad = layer.bank.size // 2
+        n = layer.n_rotations
+        return np.stack([orientation_pool_stack(conv2d(img, f, 1, pad), n)[0] for img in x])
+
+    @pytest.mark.parametrize(
+        "kind, parametrization",
+        [(rconv.SCALAR, "free"), (rconv.VECTOR, "free"), (rconv.SCALAR, "steerable")],
+    )
+    def test_repeated_inference_expands_once(self, rng, kind, parametrization, monkeypatch):
+        layer = RConvLayer(5, 4, 2, 8, kind, parametrization=parametrization, rng=rng)
+        x = rng.normal(size=(2, 7, 7, 4)).astype(np.float32)
+        calls = count_expansions(monkeypatch)
+        first = layer.forward(x, training=False)
+        assert len(calls) == 1
+        second = layer.forward(x, training=False)
+        assert len(calls) == 1
+        assert first.tobytes() == second.tobytes()
+        f = layer._expanded_filter()
+        assert len(calls) == 1
+        assert not f.flags.writeable
+        with pytest.raises(ValueError):
+            f[0, 0, 0, 0] = 1.0
+
+    def test_training_caches_the_reused_filter(self, rng):
+        layer = RConvLayer(3, 2, 2, 4, rconv.SCALAR, rng=rng)
+        x = rng.normal(size=(1, 6, 6, 2)).astype(np.float32)
+        layer.forward(x, training=True)
+        assert layer._cache[1] is layer._expanded_filter()
+
+    @pytest.mark.parametrize("change", ["sgd_step", "in_place", "checkpoint", "mixing"])
+    def test_changed_weights_invalidate_the_filter(self, rng, change, monkeypatch, tmp_path):
+        layer = RConvLayer(
+            5, 2, 3, 8, parametrization="steerable" if change == "mixing" else "free", rng=rng
+        )
+        x = rng.normal(size=(2, 7, 7, 2)).astype(np.float32)
+        before = layer.forward(x, training=False)
+        if change == "sgd_step":
+            layer.forward(x, training=True)
+            layer.zero_grads()
+            layer.backward(rng.normal(size=before.shape).astype(np.float32))
+            trainer.SGD(layer).step(0.1)
+        elif change == "in_place":
+            layer.bank.weights.flat[layer.bank.weights.size // 2] += 0.05
+        elif change == "checkpoint":
+            other = RConvLayer(5, 2, 3, 8, rng=np.random.default_rng(99))
+            path = str(tmp_path / "ck.bin")
+            checkpoint.save_checkpoint(path, checkpoint.network_tensors(other), 0, {})
+            checkpoint.restore_network(layer, checkpoint.load_checkpoint(path)[0])
+        else:
+            layer.mixing.flat[layer.mixing.size // 2] += 0.05
+        calls = count_expansions(monkeypatch)
+        after = layer.forward(x, training=False)
+        assert len(calls) == 1
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == self.uncached_forward(layer, x).tobytes()
+
+    def test_training_after_detect_image_matches_fresh_network(self):
+        spec = synthdata.SceneSpec(seed=5, image_size=64, min_objects=1, max_objects=3)
+        scenes = [synthdata.generate_scene(spec, i) for i in range(2)]
+        images = np.stack([s.image for s in scenes])
+        gts = [([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
+               for s in scenes]
+        used = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+        fresh = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+        opts = trainer.SGD(used), trainer.SGD(fresh)
+        for _ in range(2):
+            used.detect_image(images[0], score_threshold=0.2)
+            steps = []
+            for net, opt in zip((used, fresh), opts):
+                net.zero_grads()
+                loss, comps = net.loss_and_grads(images, gts)
+                steps.append((repr(loss), repr(comps),
+                              [g.tobytes() for _, g in sorted(net.grads().items())]))
+                opt.step(0.02)
+            assert steps[0] == steps[1]
 
 
 class TestNetworkSpecValidation:
