@@ -30,12 +30,11 @@ from .rconv import (
 )
 from .fieldops import (
     VFBNState,
-    VectorField,
     field_batch_norm,
     max_pool,
-    orientation_pool,
     orientation_pool_backward,
     orientation_pool_gate,
+    orientation_pool_stack,
     vf_max_pool,
 )
 from .steerbasis import BasisBank, BasisSpec, build_basis, compose_filters
@@ -48,14 +47,11 @@ from .detect import (
     iou_hbb,
     iou_obb,
     match_anchors,
-    nms,
+    nms_indices,
 )
 from .metrics import (
     EvalResult,
-    average_precision,
-    error_taxonomy,
     mean_average_precision,
-    mean_orientation_error,
     throughput,
 )
 from .synthdata import SceneSpec, Sample, augment, generate_orientation_patches, generate_scene

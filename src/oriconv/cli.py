@@ -272,6 +272,19 @@ def cmd_dump_features(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _unit_interval(text: str) -> float:
+    """argparse type of a probability or IoU threshold: a number in [0, 1].
+    NaN is rejected too: every comparison with it is False, so a NaN NMS
+    threshold would suppress nothing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oriconv",
@@ -305,8 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--run", required=True, help="run directory from train")
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--score-threshold", type=float, default=0.3)
-    e.add_argument("--nms-iou", type=float, default=0.45)
+    e.add_argument(
+        "--score-threshold", type=_unit_interval, default=0.3,
+        help="lowest class probability kept as a detection (default 0.3); an "
+        "under-trained model can score below it everywhere and report mAP 0: "
+        "after 600 steps of the default schedule mAP@0.5 was 0.000 at 0.3 "
+        "and 0.091 at 0.1",
+    )
+    e.add_argument(
+        "--nms-iou", type=_unit_interval, default=0.45,
+        help="IoU above which a lower-scored detection of the same class is "
+        "suppressed (default 0.45)",
+    )
     e.set_defaults(fn=cmd_eval)
 
     v = sub.add_parser("verify", help="equivariance verification report")

@@ -23,8 +23,10 @@ mask that agrees with the `HBox`/`OBox` checks. NMS has one core,
 descending score order with ties in row order (a stable argsort), over one
 IoU matrix, that can stop after `limit` kept rows and returns their indices.
 `propose_rois` and `Detector.detect_image` run it on decoded rows and build
-`HBox`, `Roi` and `Detection` objects only for the rows it keeps; `nms` is
-the same pass over a list of Detections, with optional oriented IoU.
+`HBox`, `Roi` and `Detection` objects only for the rows it keeps: `HBox(*row)`
+from a `decode_hbb_array` row and `obox_from_row` from a `decode_obb_array`
+row. Suppression is axis-aligned; oriented IoU (`iou_obb`) serves the
+metrics.
 
 Anchors are plain [N, 4] arrays. `anchor_boxes` tiles one feature level; a
 detector concatenates its levels into one flat anchor axis, so
@@ -136,7 +138,9 @@ class Detection:
     def __post_init__(self):
         if not math.isfinite(self.score):
             raise ShapeError(f"non-finite detection score {self.score}")
-        if self.hbox is None and self.obox is not None:
+        if self.hbox is None:
+            if self.obox is None:
+                raise ShapeError("a detection needs an hbox, an obox or both")
             self.hbox = self.obox.hull()
 
 
@@ -286,8 +290,7 @@ def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
 
     Returns (boxes [N,4] xmin/ymin/xmax/ymax, valid [N]); `valid` is False
     where `HBox` would reject the row (a non-finite field or an empty
-    extent). Row j equals
-    `decode_hbb(anchors[j], t[j])` bit for bit, in the dtypes it produces.
+    extent), and `HBox(*boxes[j])` builds the box of a valid row j.
     """
     xc, yc, w, h = _decode_centre_size(anchors, t)
     boxes = np.stack((xc - w / 2, yc - h / 2, xc + w / 2, yc + h / 2), axis=1)
@@ -299,12 +302,6 @@ def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
     return boxes, valid
 
 
-def decode_hbb(anchor: np.ndarray, t: np.ndarray) -> HBox:
-    """One-row `decode_hbb_array`; raises ShapeError on an invalid box."""
-    boxes, _ = decode_hbb_array(np.asarray(anchor)[None], np.asarray(t)[None])
-    return HBox(*boxes[0])
-
-
 def decode_obb_array(anchors: np.ndarray, o: np.ndarray):
     """Decode [N,5] oriented offsets against [N,4] axis-aligned anchors.
 
@@ -312,7 +309,7 @@ def decode_obb_array(anchors: np.ndarray, o: np.ndarray):
     `OBox` would reject the row (a non-finite field, or w or h not > 0).
     Theta is `o[:, 4] * 90.0` in the offsets' dtype (float32 offsets give a
     float32 theta), widened exactly into `boxes` and not yet canonicalized;
-    `obox_from_row` turns a row back into the OBox `decode_obb` returns.
+    `obox_from_row` builds the OBox of a valid row.
     """
     xc, yc, w, h = _decode_centre_size(anchors, o)
     boxes = np.stack((xc, yc, w, h, o[:, 4] * 90.0), axis=1)
@@ -326,13 +323,6 @@ def obox_from_row(row: np.ndarray, offset_dtype) -> OBox:
     canonicalized in that precision."""
     theta = np.result_type(offset_dtype, 90.0).type(row[4])
     return OBox(row[0], row[1], row[2], row[3], theta)
-
-
-def decode_obb(anchor: np.ndarray, o: np.ndarray) -> OBox:
-    """One-row `decode_obb_array`; raises ShapeError on an invalid box."""
-    o = np.asarray(o)
-    boxes, _ = decode_obb_array(np.asarray(anchor)[None], o[None])
-    return obox_from_row(boxes[0], o.dtype)
 
 
 @dataclass
@@ -526,7 +516,7 @@ def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0
 # NMS and region proposals
 
 
-def nms_indices(boxes, scores, iou_threshold: float, limit: int = None, oboxes=None):
+def nms_indices(boxes, scores, iou_threshold: float, limit: int = None):
     """Greedy NMS over [N,4] float64 corner-coded boxes and [N] float64
     scores; returns the kept row indices in visiting order.
 
@@ -535,10 +525,7 @@ def nms_indices(boxes, scores, iou_threshold: float, limit: int = None, oboxes=N
     `iou_threshold` is kept. The pass stops once `limit` (>= 0) are kept,
     which equals slicing the full result to `limit`; None keeps all.
 
-    Axis-aligned IoU comes from one `_iou_matrix` and equals `iou_hbb`
-    pairwise. `oboxes`, if given, holds an OBox or None per row; a pair where
-    both carry one uses `iou_obb(candidate, kept)` instead, evaluated only for
-    the pairs the greedy pass reaches.
+    The IoU comes from one `_iou_matrix` and equals `iou_hbb` pairwise.
     """
     if len(scores) == 0 or limit == 0:
         return np.zeros(0, dtype=np.int64)
@@ -546,34 +533,14 @@ def nms_indices(boxes, scores, iou_threshold: float, limit: int = None, oboxes=N
     over = _iou_matrix(boxes, boxes) > iou_threshold
     suppressed = np.zeros(len(scores), dtype=bool)
     keep = []
-    for r, i in enumerate(order):
+    for i in order:
         if suppressed[i]:
             continue
         keep.append(i)
         if len(keep) == limit:
             break
-        if oboxes is not None and oboxes[i] is not None:
-            for j in order[r + 1 :]:
-                if not suppressed[j] and oboxes[j] is not None:
-                    over[i, j] = iou_obb(oboxes[j], oboxes[i]) > iou_threshold
         suppressed |= over[i]
     return np.array(keep, dtype=np.int64)
-
-
-def nms(detections, iou_threshold: float, oriented: bool = False, limit: int = None):
-    """`nms_indices` over a list of Detections: their hboxes and scores in
-    float64, and with `oriented` their oboxes; returns the kept Detections
-    in visiting order."""
-    if not detections:
-        return []
-    boxes = np.array(
-        [(d.hbox.xmin, d.hbox.ymin, d.hbox.xmax, d.hbox.ymax) for d in detections],
-        dtype=np.float64,
-    )
-    scores = np.array([d.score for d in detections], dtype=np.float64)
-    oboxes = [d.obox for d in detections] if oriented else None
-    keep = nms_indices(boxes, scores, iou_threshold, limit, oboxes)
-    return [detections[i] for i in keep]
 
 
 def assign_pyramid_level(w: float, h: float, n_levels: int, k0: int = 1, s0: float = 16.0) -> int:

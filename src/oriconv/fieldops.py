@@ -1,12 +1,15 @@
 """Vector-field feature operations.
 
 An RConv output holds, per canonical filter, one activation map per sampled
-rotation. Orientation pooling collapses those rotation channels at every
-pixel into a single 2D vector whose magnitude is the strongest (ReLU-gated)
-activation and whose angle is that rotation's angle. A stack of C such fields
-is stored as an [H, W, 2C] array with plane 2c holding the horizontal (p) and
-plane 2c+1 the vertical (q) component of field c; the same interleaved layout
-is what the vector-field RConv consumes.
+rotation. Orientation pooling (`orientation_pool_stack`) collapses those
+rotation channels at every pixel into a single 2D vector whose magnitude is
+the strongest (ReLU-gated) activation and whose angle is that rotation's
+angle; `orientation_pool_gate` and `orientation_pool_backward` give its
+adjoint. Fields exist only as stacks: C fields are one [H, W, 2C] array with
+plane 2c holding the horizontal (p) and plane 2c+1 the vertical (q) component
+of field c, the interleaved layout the vector-field RConv consumes.
+`split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
+are the magnitudes and angles.
 
 Also here: scalar and vector-field max pooling and the magnitude-only batch
 normalization that rescales vectors by the standard deviation of their
@@ -15,37 +18,13 @@ lengths without touching their directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .rconv import angle_table
-from .tensor import TWO_PI, Tensor, stable_sum
-
-
-@dataclass
-class VectorField:
-    """A single H-by-W field of 2D vectors, component planes p and q."""
-
-    p: Tensor
-    q: Tensor
-
-    def __post_init__(self):
-        if self.p.shape != self.q.shape:
-            raise ShapeError(f"p/q shape mismatch: {self.p.shape} vs {self.q.shape}")
-
-    @property
-    def magnitude(self) -> Tensor:
-        return np.hypot(self.p, self.q)
-
-    @property
-    def angle(self) -> Tensor:
-        """atan2 angle in [0, 2*pi); defined as 0 where the magnitude is 0."""
-        rho = self.magnitude
-        a = np.arctan2(self.q, self.p)
-        a = np.where(a < 0, a + TWO_PI, a)
-        return np.where(rho > 0, a, 0.0)
+from .tensor import Tensor, stable_sum
 
 
 def split_stack(stack: Tensor):
@@ -92,14 +71,6 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     stack[..., 0::2] = gated * cos_w
     stack[..., 1::2] = gated * sin_w
     return stack, winners
-
-
-def orientation_pool(y: Tensor) -> VectorField:
-    """Pool a single filter's rotation channels [H, W, n] into a VectorField."""
-    if y.ndim != 3:
-        raise ShapeError(f"expected [H,W,n] rotation channels, got {y.shape}")
-    stack, _ = orientation_pool_stack(y, y.shape[-1])
-    return VectorField(stack[..., 0].copy(), stack[..., 1].copy())
 
 
 def orientation_pool_gate(y: Tensor, n_rotations: int, winners: Tensor) -> Tensor:

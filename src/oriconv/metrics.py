@@ -1,5 +1,6 @@
-"""Detection evaluation: average precision, false-positive taxonomy, mean
-orientation error and throughput.
+"""Detection evaluation: classwise average precision over an image set
+(`mean_average_precision`), the whole `oriconv eval` report (`evaluate`) and
+throughput.
 
 One greedy matcher, `_match`, serves every score: detections in descending
 score order (ties in input order) meet only the objects of their own image,
@@ -8,15 +9,18 @@ threshold and is still unused (no fallback to the next-best object).
 
 AP is the exact area under the all-point interpolated precision-recall curve
 (precision envelope), integrated piecewise at the recall increments -- the
-continuous integral, not a sampled approximation. False positives split into
-localization errors (0.1 < IoU < 0.5 with some object), background confusions
-(IoU < 0.1 with every object) and "other" (e.g. duplicates of an already
-matched object).
+continuous integral, not a sampled approximation. Oriented AP matches on
+`iou_obb` and needs `(HBox, OBox)` ground truth.
 
 `evaluate` reports at HBB IoU 0.5: per-class AP, mAP and each class's
-precision-recall rows; the taxonomy and corner gaps of each image's all-class
-match; and the mean angle error (modulo 90) against the best-overlapping
-object, used or not, at IoU >= 0.5.
+precision-recall rows; the false-positive taxonomy and corner gaps of each
+image's all-class match; and the mean angle error (modulo 90) against the
+best-overlapping object, used or not, at IoU >= 0.5. A false positive is a
+localization error at 0.1 <= IoU < 0.5 with its best-overlapping object, a
+background confusion at IoU < 0.1 with every object, and "other" at
+IoU >= 0.5 (a duplicate of an already matched object); the localization gap
+is the detection-to-object corner offset per axis, over the object's
+diagonal.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .detect import Detection, HBox, iou_hbb, iou_obb
+from .detect import Detection, HBox, OBox, iou_hbb, iou_obb
 from .errors import ShapeError
 
 
@@ -65,7 +69,10 @@ def _match(dets, gts, iou_threshold, oriented):
     `[(image, gt)]`. Returns (order, flags, best_iou, best_gt): detection
     indices by descending score and, aligned with them, true-positive flags,
     best IoUs and indices into `gts` of the best-overlapping objects (-1 when
-    nothing overlaps)."""
+    nothing overlaps). Oriented matching raises ShapeError for ground truth
+    that is not an `(HBox, OBox)` pair."""
+    if oriented and not all(isinstance(g, tuple) and isinstance(g[1], OBox) for _, g in gts):
+        raise ShapeError("oriented matching needs (HBox, OBox) ground truth pairs")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1].score, i))
     gt_by_image = {}
     for g_idx, (image, gt) in enumerate(gts):
@@ -88,14 +95,6 @@ def _match(dets, gts, iou_threshold, oriented):
     return order, flags, best_ious, best_gts
 
 
-def _match_detections(detections, ground_truth, iou_threshold, oriented):
-    """`_match` on the detections and ground truth of one image."""
-    return _match(
-        [(0, d) for d in detections], [(0, g) for g in ground_truth],
-        iou_threshold, oriented,
-    )
-
-
 def _pr(flags, n_gt):
     """(recall, precision) at each rank of a match's true-positive flags."""
     tp = np.cumsum(np.array(flags, dtype=np.float64))
@@ -113,21 +112,6 @@ def _area(recall, precision) -> float:
             ap += (r - prev_r) * p
             prev_r = r
     return float(ap)
-
-
-def pr_curve(detections, ground_truth, iou_threshold=0.5, oriented=False):
-    """(recall, precision) arrays at each detection rank, score-sorted."""
-    _, flags, _, _ = _match_detections(detections, ground_truth, iou_threshold, oriented)
-    return _pr(flags, len(ground_truth))
-
-
-def average_precision(detections, ground_truth, iou_threshold=0.5, oriented=False) -> float:
-    """Area under the interpolated precision-recall curve.
-
-    Zero ground truth with zero detections is the caller's signal to skip the
-    class; with detections present the AP is 0.
-    """
-    return _area(*pr_curve(detections, ground_truth, iou_threshold, oriented))
 
 
 def _class_curves(per_image_detections, per_image_gt, classes, iou_threshold, oriented):
@@ -150,8 +134,10 @@ def _mean_ap(curves):
 
 
 def mean_average_precision(per_image_detections, per_image_gt, classes, iou_threshold=0.5, oriented=False):
-    """Classwise AP over a whole image set; classes with neither ground truth
-    nor detections are skipped. Returns (per_class dict, mAP)."""
+    """Classwise AP over a whole image set, matched on `iou_obb` when
+    `oriented`. A class with neither ground truth nor detections is skipped;
+    one with detections but no ground truth scores 0. Returns (per_class
+    dict, mAP)."""
     return _mean_ap(_class_curves(per_image_detections, per_image_gt, classes, iou_threshold, oriented))
 
 
@@ -161,7 +147,7 @@ LOC_HIGH_IOU = 0.5
 
 def _false_positives(detections, ground_truth, match):
     """Taxonomy counts and per-axis corner gaps (lists of arrays) of the false
-    positives of one image's `_match_detections` result."""
+    positives of one image's `_match` result."""
     order, flags, best_ious, best_gts = match
     counts = {"localization": 0, "background": 0, "other": 0}
     gaps_x, gaps_y = [], []
@@ -183,39 +169,6 @@ def _false_positives(detections, ground_truth, match):
     return counts, gaps_x, gaps_y
 
 
-def error_taxonomy(detections, ground_truth, iou_threshold=0.5, oriented=False):
-    """Classify every false positive and collect corner-gap statistics.
-
-    A false positive with 0.1 < IoU < 0.5 against some object is a
-    localization error; with IoU < 0.1 against every object a background
-    confusion; anything else (duplicate of a matched object at IoU >= 0.5)
-    lands in "other". The localization gap is the detection-to-object corner
-    offset, per axis, normalized by the object's diagonal.
-    Returns (loc_stats, counts) where counts partition the false positives.
-    """
-    counts, gaps_x, gaps_y = _false_positives(
-        detections, ground_truth,
-        _match_detections(detections, ground_truth, iou_threshold, oriented),
-    )
-    if gaps_x:
-        gx = np.concatenate(gaps_x)
-        gy = np.concatenate(gaps_y)
-        loc_stats = {
-            "mean_x": float(gx.mean()),
-            "mean_y": float(gy.mean()),
-            "std_x": float(gx.std()),
-            "std_y": float(gy.std()),
-            "gaps_x": gx.tolist(),
-            "gaps_y": gy.tolist(),
-        }
-    else:
-        loc_stats = {
-            "mean_x": 0.0, "mean_y": 0.0, "std_x": 0.0, "std_y": 0.0,
-            "gaps_x": [], "gaps_y": [],
-        }
-    return loc_stats, counts
-
-
 def evaluate(per_image_detections, per_image_gt, images_per_second):
     """Score an image set at HBB IoU 0.5 (see the module docstring).
 
@@ -234,7 +187,7 @@ def evaluate(per_image_detections, per_image_gt, images_per_second):
     gaps_x, gaps_y, preds, trues = [], [], [], []
     for dets, gts in zip(per_image_detections, per_image_gt):
         boxes = [g for _, g in gts]
-        match = _match_detections(dets, boxes, 0.5, False)
+        match = _match([(0, d) for d in dets], [(0, g) for g in boxes], 0.5, False)
         image_counts, image_gaps_x, image_gaps_y = _false_positives(dets, boxes, match)
         for key in counts:
             counts[key] += image_counts[key]
@@ -264,27 +217,6 @@ def evaluate(per_image_detections, per_image_gt, images_per_second):
         images_per_second=images_per_second,
     )
     return result, pr_rows
-
-
-def mean_orientation_error(pred_angles, true_angles):
-    """Mean wrapped angular error in degrees plus the error-band shares used
-    for failure analysis (share below 14 degrees, share above 160 degrees).
-
-    Returns (mean_error, histogram) where histogram has keys
-    'below_14', 'above_160' and 'errors'.
-    """
-    pred = np.asarray(pred_angles, dtype=np.float64)
-    true = np.asarray(true_angles, dtype=np.float64)
-    if pred.shape != true.shape:
-        raise ShapeError(f"angle arrays differ: {pred.shape} vs {true.shape}")
-    d = np.abs(pred - true) % 360.0
-    err = np.minimum(d, 360.0 - d)
-    hist = {
-        "below_14": float(np.mean(err < 14.0)) if err.size else 0.0,
-        "above_160": float(np.mean(err > 160.0)) if err.size else 0.0,
-        "errors": err,
-    }
-    return float(err.mean()) if err.size else 0.0, hist
 
 
 def throughput(model_fn, images, warmup: int = 1) -> float:

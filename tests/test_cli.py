@@ -161,6 +161,18 @@ def test_run_dir_without_valid_config_exits_2(config_text, detection_run, tmp_pa
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--score-threshold", "--nms-iou"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5", "abc"])
+def test_eval_threshold_outside_unit_interval_exits_2(flag, value, detection_run, tmp_path, capfd):
+    # a NaN NMS threshold would suppress nothing, since every IoU > NaN is False
+    data, run_dir = detection_run
+    code, err = run(capfd, "eval", "--run", run_dir, "--data", data, "--out", tmp_path,
+                    f"{flag}={value}")
+    assert code == 2
+    assert f"argument {flag}: must be a number in [0, 1]" in err
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_eval_of_orientation_run_exits_2(orientation_run, detection_run, tmp_path, capfd):
     data, _ = detection_run
     code, err = run(capfd, "eval", "--run", orientation_run, "--data", data, "--out", tmp_path)

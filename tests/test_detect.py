@@ -18,15 +18,12 @@ from oriconv.detect import (
     anchor_boxes,
     assign_pyramid_level,
     composite_loss,
-    decode_hbb,
     decode_hbb_array,
-    decode_obb,
     decode_obb_array,
     encode_boxes,
     iou_hbb,
     iou_obb,
     match_anchors,
-    nms,
     nms_indices,
     obox_from_row,
     propose_rois,
@@ -159,7 +156,7 @@ def decode_obb_oracle(anchor, o):
     )
 
 
-def nms_oracle(detections, iou_threshold, oriented=False):
+def nms_oracle(detections, iou_threshold):
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     keep = []
     for i in order:
@@ -167,10 +164,7 @@ def nms_oracle(detections, iou_threshold, oriented=False):
         ok = True
         for j in keep:
             k = detections[j]
-            if oriented and d.obox is not None and k.obox is not None:
-                v = iou_obb(d.obox, k.obox)
-            else:
-                v = iou_hbb(d.hbox, k.hbox)
+            v = iou_hbb(d.hbox, k.hbox)
             if v > iou_threshold:
                 ok = False
                 break
@@ -274,7 +268,7 @@ class TestBoxes:
         assert np.isinf(boxes[0, [0, 2]]).all()
         assert valid.tolist() == [False, True]
         with pytest.raises(ShapeError):
-            decode_hbb(anchors[0], offsets[0])
+            HBox(*boxes[0])
 
     def test_obox_canonicalization(self):
         o = OBox(0, 0, 2, 5, 135.0)
@@ -301,6 +295,11 @@ class TestBoxes:
     def test_detection_requires_finite_score(self):
         with pytest.raises(ShapeError):
             Detection(1, float("nan"), HBox(0, 0, 1, 1))
+
+    def test_detection_requires_a_box(self):
+        with pytest.raises(ShapeError, match="hbox"):
+            Detection(0, 0.5)
+        assert Detection(0, 0.5, obox=OBox(5, 5, 4, 2, 0.0)).hbox == HBox(3, 4, 7, 6)
 
 
 class TestIouHbb:
@@ -360,7 +359,8 @@ class TestEncoding:
             anchor = np.array([2.0, 3.0, 12.0, 11.0])
             g = HBox(*sorted(rng.uniform(0, 8, 2)), *sorted(rng.uniform(9, 20, 2)))
             g = HBox(g.xmin, g.ymin, g.xmax + 1, g.ymax + 1)
-            back = decode_hbb(anchor, encode_boxes(anchor[None], centre_size(g)[None])[0])
+            boxes, _ = decode_hbb_array(anchor[None], encode_boxes(anchor[None], centre_size(g)[None]))
+            back = HBox(*boxes[0])
             assert np.abs(back.as_array() - g.as_array()).max() < 1e-6
 
     def test_obb_roundtrip(self, rng):
@@ -369,7 +369,8 @@ class TestEncoding:
             g = OBox(rng.uniform(4, 9), rng.uniform(4, 9), rng.uniform(2, 6),
                      rng.uniform(2, 6), rng.uniform(0, 90))
             t = encode_boxes(anchor[None], centre_size(g)[None])[0]
-            back = decode_obb(anchor, np.append(t, g.theta / 90.0))
+            o = np.append(t, g.theta / 90.0)
+            back = obox_from_row(decode_obb_array(anchor[None], o[None])[0][0], o.dtype)
             assert np.abs(back.as_array() - g.as_array()).max() < 1e-6
 
     def test_identical_anchor_zero_offsets(self):
@@ -519,45 +520,38 @@ class TestCompositeLoss:
         assert total >= 0
 
 
+def nms_rows(detections):
+    """The float64 [N,4] boxes and [N] scores `nms_indices` takes, from the
+    hboxes and scores of Detections."""
+    boxes = np.array([d.hbox.as_array() for d in detections]).reshape(-1, 4)
+    return boxes, np.array([d.score for d in detections], dtype=np.float64)
+
+
 class TestNms:
     def test_single_detection(self):
-        d = [Detection(0, 0.5, HBox(0, 0, 5, 5))]
-        assert nms(d, 0.5) == d
+        assert nms_indices(np.array([[0.0, 0.0, 5.0, 5.0]]), np.array([0.5]), 0.5).tolist() == [0]
 
     def test_identical_boxes_keep_best(self):
-        d1 = Detection(0, 0.9, HBox(0, 0, 10, 10))
-        d2 = Detection(0, 0.8, HBox(0, 0, 10, 10))
-        kept = nms([d2, d1], 0.5)
-        assert [k.score for k in kept] == [0.9]
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 2)
+        assert nms_indices(boxes, np.array([0.8, 0.9]), 0.5).tolist() == [1]
 
     def test_chain_of_three(self):
         # pairwise IoUs {a-b: 0.6, b-c: 0.6, a-c: 0.1}: greedy keeps a and c
-        a = Detection(0, 0.9, HBox(0, 0, 10, 4))
-        b = Detection(0, 0.8, HBox(2.5, 0, 12.5, 4))
-        c = Detection(0, 0.7, HBox(5.4, 0, 15.4, 4))
-        assert iou_hbb(a.hbox, b.hbox) == pytest.approx(0.6, abs=0.01)
-        assert iou_hbb(b.hbox, c.hbox) > 0.5
-        assert iou_hbb(a.hbox, c.hbox) < 0.5
-        kept = nms([a, b, c], 0.5)
-        assert [k.score for k in kept] == [0.9, 0.7]
+        boxes = np.array([[0.0, 0, 10, 4], [2.5, 0, 12.5, 4], [5.4, 0, 15.4, 4]])
+        a, b, c = (HBox(*row) for row in boxes)
+        assert iou_hbb(a, b) == pytest.approx(0.6, abs=0.01)
+        assert iou_hbb(b, c) > 0.5
+        assert iou_hbb(a, c) < 0.5
+        assert nms_indices(boxes, np.array([0.9, 0.8, 0.7]), 0.5).tolist() == [0, 2]
 
     def test_output_subset_no_retained_overlap(self, rng):
-        dets = [
-            Detection(0, float(rng.random()),
-                      HBox(x, y, x + rng.uniform(2, 6), y + rng.uniform(2, 6)))
-            for x, y in rng.uniform(0, 20, size=(30, 2))
-        ]
-        kept = nms(dets, 0.4)
-        assert all(d in dets for d in kept)
-        for i, d in enumerate(kept):
-            for e in kept[i + 1 :]:
-                assert iou_hbb(d.hbox, e.hbox) <= 0.4
-
-    def test_oriented_mode(self):
-        a = Detection(0, 0.9, obox=OBox(5, 5, 4, 2, 10.0))
-        b = Detection(0, 0.8, obox=OBox(5, 5, 4, 2, 12.0))
-        kept = nms([a, b], 0.5, oriented=True)
-        assert len(kept) == 1
+        xy = rng.uniform(0, 20, size=(30, 2))
+        boxes = np.concatenate([xy, xy + rng.uniform(2, 6, size=(30, 2))], axis=1)
+        keep = nms_indices(boxes, rng.random(30), 0.4).tolist()
+        assert len(set(keep)) == len(keep) and set(keep) <= set(range(30))
+        for i, j in enumerate(keep):
+            for k in keep[i + 1 :]:
+                assert iou_hbb(HBox(*boxes[j]), HBox(*boxes[k])) <= 0.4
 
 
 class TestRpn:
@@ -715,14 +709,10 @@ class TestVectorisedPostprocess:
         for j, (anchor, t) in enumerate(zip(anchors, offsets)):
             want = _outcome(lambda: decode_hbb_oracle(anchor, t[:4]))
             assert hb_ok[j] == (want is not None)
-            assert _outcome(lambda: decode_hbb(anchor, t[:4])) == want
-            if want is not None:
-                assert box_bytes(HBox(*hb[j])) == want
+            assert _outcome(lambda: HBox(*hb[j])) == want
             want = _outcome(lambda: decode_obb_oracle(anchor, t))
             assert ob_ok[j] == (want is not None)
-            assert _outcome(lambda: decode_obb(anchor, t)) == want
-            if want is not None:
-                assert box_bytes(obox_from_row(ob[j], offsets.dtype)) == want
+            assert _outcome(lambda: obox_from_row(ob[j], offsets.dtype)) == want
 
     @given(st.data())
     def test_nms_matches_greedy_oracle(self, data):
@@ -739,22 +729,8 @@ class TestVectorisedPostprocess:
         threshold = data.draw(st.sampled_from(pairwise) | st.floats(0, 1))
         limit = data.draw(st.none() | st.integers(0, n + 1))
         want = nms_oracle(dets, threshold)[:limit]
-        assert [id(d) for d in nms(dets, threshold, limit=limit)] == [id(d) for d in want]
-
-    @given(st.data())
-    def test_oriented_nms_matches_greedy_oracle(self, data):
-        n = data.draw(st.integers(1, 8))
-        dets = []
-        for s in data.draw(st.lists(SCORES, min_size=n, max_size=n)):
-            if data.draw(st.booleans()):
-                dets.append(Detection(0, s, obox=data.draw(OBOXES)))
-            else:
-                dets.append(Detection(0, s, hbox=data.draw(GRID_HBOXES)))
-        threshold = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0, 1))
-        limit = data.draw(st.none() | st.integers(0, n + 1))
-        want = nms_oracle(dets, threshold, oriented=True)[:limit]
-        got = nms(dets, threshold, oriented=True, limit=limit)
-        assert [id(d) for d in got] == [id(d) for d in want]
+        keep = nms_indices(*nms_rows(dets), threshold, limit)
+        assert [id(dets[i]) for i in keep] == [id(d) for d in want]
 
     @given(st.data())
     def test_nms_indices_select_what_the_greedy_oracle_keeps(self, data):
@@ -764,15 +740,10 @@ class TestVectorisedPostprocess:
             else Detection(0, s, hbox=data.draw(GRID_HBOXES))
             for s in data.draw(st.lists(SCORES, min_size=n, max_size=n))
         ]
-        oriented = data.draw(st.booleans())
         threshold = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0, 1))
         limit = data.draw(st.sampled_from([None, 0, 1, 3]))
-        keep = nms_indices(
-            np.array([d.hbox.as_array() for d in dets]).reshape(-1, 4),
-            np.array([d.score for d in dets], dtype=np.float64),
-            threshold, limit, [d.obox for d in dets] if oriented else None,
-        )
-        want = nms_oracle(dets, threshold, oriented=oriented)[:limit]
+        keep = nms_indices(*nms_rows(dets), threshold, limit)
+        want = nms_oracle(dets, threshold)[:limit]
         assert keep.dtype == np.int64
         assert [id(dets[i]) for i in keep] == [id(d) for d in want]
 

@@ -5,13 +5,11 @@ import pytest
 
 from oriconv.fieldops import (
     VFBNState,
-    VectorField,
     _pool_pad,
     field_batch_norm,
     field_batch_norm_backward,
     max_pool,
     max_pool_backward,
-    orientation_pool,
     orientation_pool_backward,
     orientation_pool_gate,
     orientation_pool_stack,
@@ -66,45 +64,52 @@ def vf_max_pool_backward_oracle(stack_shape, w, winners, upstream):
     return grad[:h, :wd, :]
 
 
+def pooled_field(y, n):
+    """p, q, magnitude and angle in [0, 2*pi) of the pooled [H, W, C*n]
+    responses, read from the stack with `np.hypot` and `np.arctan2`."""
+    stack, _ = orientation_pool_stack(y, n)
+    p, q = split_stack(stack)
+    return p, q, np.hypot(p, q), np.arctan2(q, p) % (2 * math.pi)
+
+
 class TestOrientationPool:
     def test_hand_example(self):
         y = np.zeros((1, 1, 4))
         y[0, 0] = [0.2, -0.5, 0.9, 0.1]
-        vf = orientation_pool(y)
-        assert vf.magnitude[0, 0] == pytest.approx(0.9)
-        assert vf.angle[0, 0] == pytest.approx(math.pi)
-        assert vf.p[0, 0] == pytest.approx(-0.9)
-        assert vf.q[0, 0] == pytest.approx(0.0, abs=1e-12)
+        p, q, rho, angle = pooled_field(y, 4)
+        assert rho[0, 0, 0] == pytest.approx(0.9)
+        assert angle[0, 0, 0] == pytest.approx(math.pi)
+        assert p[0, 0, 0] == pytest.approx(-0.9)
+        assert q[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_negative_clamps_to_zero(self):
         y = -np.ones((2, 2, 6))
-        vf = orientation_pool(y)
-        assert not vf.p.any() and not vf.q.any()
+        p, q, _, _ = pooled_field(y, 6)
+        assert not p.any() and not q.any()
 
     def test_tie_breaks_to_smallest_rotation(self):
         y = np.full((1, 1, 4), 0.7)
-        vf = orientation_pool(y)
-        assert vf.angle[0, 0] == 0.0
-        assert vf.p[0, 0] == pytest.approx(0.7)
-        assert vf.q[0, 0] == pytest.approx(0.0)
+        p, q, _, angle = pooled_field(y, 4)
+        assert angle[0, 0, 0] == 0.0
+        assert p[0, 0, 0] == pytest.approx(0.7)
+        assert q[0, 0, 0] == pytest.approx(0.0)
 
     def test_magnitude_equals_relu_max(self, rng):
         y = rng.normal(size=(5, 6, 8))
-        vf = orientation_pool(y)
+        _, _, rho, _ = pooled_field(y, 8)
         want = np.maximum(y.max(axis=2), 0.0)
-        assert np.allclose(vf.magnitude, want)
+        assert np.allclose(rho[..., 0], want)
 
     def test_multi_filter_stack_layout(self, rng):
         y = rng.normal(size=(4, 4, 12))  # 3 filters x 4 rotations
         stack, winners = orientation_pool_stack(y, 4)
         assert stack.shape == (4, 4, 6) and winners.shape == (4, 4, 3)
-        single = orientation_pool(y[:, :, 4:8])
-        assert np.array_equal(stack[:, :, 2], single.p)
-        assert np.array_equal(stack[:, :, 3], single.q)
+        single, _ = orientation_pool_stack(y[:, :, 4:8], 4)
+        assert np.array_equal(stack[:, :, 2:4], single)
 
     def test_angle_zero_where_magnitude_zero(self):
-        vf = VectorField(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert not vf.angle.any()
+        _, _, rho, angle = pooled_field(np.zeros((2, 2, 4)), 4)
+        assert not rho.any() and not angle.any()
 
 
 class TestOrientationPoolBackward:

@@ -9,21 +9,39 @@ from oriconv.errors import ShapeError
 from oriconv.metrics import (
     EvalResult,
     _area,
-    average_precision,
-    error_taxonomy,
+    _class_curves,
     evaluate,
     mean_average_precision,
-    mean_orientation_error,
-    pr_curve,
     throughput,
 )
+
+
+def image_ap(detections, ground_truth):
+    """AP of one image's class-0 detections against HBox ground truth, from
+    `mean_average_precision` (the mean of one class is its AP)."""
+    _, m = mean_average_precision([detections], [[(0, g) for g in ground_truth]], [0])
+    return m
+
+
+def evaluate_image(detections, ground_truth):
+    """`evaluate` on one image whose ground truth is all of class 0."""
+    result, _ = evaluate([detections], [[(0, g) for g in ground_truth]], 1.0)
+    return result
+
+
+def square_pair(x, angle):
+    """A 10 px square at (x, 50) as an (HBox, OBox) ground-truth pair."""
+    ob = OBox(x, 50.0, 10.0, 10.0, angle)
+    return ob.hull(), ob
 
 
 def riemann_ap_oracle(detections, ground_truth, n=1000):
     """Independent 1000-point midpoint Riemann integration of the interpolated
     precision envelope. Exact when every recall step edge lands on a cell
     boundary, i.e. when the ground-truth count divides n."""
-    rec, prec = pr_curve(detections, ground_truth)
+    _, flags, _, _ = _oracle_match_detections(detections, ground_truth, 0.5, False)
+    tp = np.cumsum(np.array(flags, dtype=np.float64))
+    rec, prec = tp / len(ground_truth), tp / np.arange(1, len(flags) + 1)
     total = 0.0
     for i in range(n):
         r = (i + 0.5) / n
@@ -51,10 +69,10 @@ class TestAveragePrecision:
     def test_single_correct_detection(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
-        assert average_precision(dets, gt) == 1.0
+        assert image_ap(dets, gt) == 1.0
 
     def test_no_detections(self):
-        assert average_precision([], [HBox(0, 0, 10, 10)]) == 0.0
+        assert image_ap([], [HBox(0, 0, 10, 10)]) == 0.0
 
     def test_hand_integrated_example(self):
         # 2 ground truths, ranked [TP, FP, TP] -> 0.5*1 + 0.5*(2/3) = 5/6
@@ -64,7 +82,7 @@ class TestAveragePrecision:
             Detection(0, 0.8, HBox(100, 100, 110, 110)),
             Detection(0, 0.7, HBox(50, 50, 60, 60)),
         ]
-        assert average_precision(dets, gts) == pytest.approx(5 / 6)
+        assert image_ap(dets, gts) == pytest.approx(5 / 6)
 
     def test_matches_riemann_oracle_100_sets(self, rng):
         # ground-truth counts divide 1000 so the midpoint oracle is exact
@@ -74,7 +92,7 @@ class TestAveragePrecision:
             dets, gts = random_detection_set(rng, n_gt)
             if not dets:
                 continue
-            a = average_precision(dets, gts)
+            a = image_ap(dets, gts)
             b = riemann_ap_oracle(dets, gts)
             assert abs(a - b) < 1e-6
             checked += 1
@@ -94,10 +112,10 @@ class TestAveragePrecision:
             unmatched = [i for i in range(len(gts)) if i not in matched]
             if not unmatched:
                 continue
-            base = average_precision(dets, gts)
+            base = image_ap(dets, gts)
             min_score = min((d.score for d in dets), default=1.0)
             extra = Detection(0, min_score * 0.5, gts[unmatched[0]])
-            assert average_precision(dets + [extra], gts) >= base - 1e-12
+            assert image_ap(dets + [extra], gts) >= base - 1e-12
 
     def test_per_class_skipping(self):
         # a class with no gt and no detections is skipped from the mean
@@ -112,21 +130,21 @@ class TestErrorTaxonomy:
     def test_localization_band(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(3, 3, 13, 13))]  # IoU ~ 0.32
-        _, counts = error_taxonomy(dets, gt)
-        assert counts == {"localization": 1, "background": 0, "other": 0}
+        r = evaluate_image(dets, gt)
+        assert (r.loc_error_rate, r.bg_confusion_rate) == (1.0, 0.0)
 
     def test_background_band(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(9.8, 9.8, 20, 20))]  # IoU < 0.1
-        _, counts = error_taxonomy(dets, gt)
-        assert counts["background"] == 1
+        assert evaluate_image(dets, gt).bg_confusion_rate == 1.0
 
     def test_perfect_detections_no_errors(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
-        stats, counts = error_taxonomy(dets, gt)
-        assert sum(counts.values()) == 0
-        assert stats["mean_x"] == 0.0
+        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]], 1.0)
+        assert [row[2] for row in pr_rows[0]] == [1.0]  # no false positive
+        assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
+        assert result.loc_error_mean == (0.0, 0.0)
 
     def test_duplicate_goes_to_other(self):
         gt = [HBox(0, 0, 10, 10)]
@@ -134,8 +152,9 @@ class TestErrorTaxonomy:
             Detection(0, 0.9, HBox(0, 0, 10, 10)),
             Detection(0, 0.8, HBox(0.5, 0, 10.5, 10)),  # IoU ~ 0.9, duplicate
         ]
-        _, counts = error_taxonomy(dets, gt)
-        assert counts == {"localization": 0, "background": 0, "other": 1}
+        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]], 1.0)
+        assert [row[2] for row in pr_rows[0]] == [1.0, 0.5]  # one false positive
+        assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
 
     def test_classes_partition_false_positives(self, rng):
         gts = [HBox(i * 15, 0, i * 15 + 10, 10) for i in range(5)]
@@ -144,48 +163,55 @@ class TestErrorTaxonomy:
                       HBox(x, y, x + 10, y + 10))
             for x, y in rng.uniform(0, 80, size=(25, 2))
         ]
-        order, flags = None, None
-        from oriconv.metrics import _match_detections
-
-        _, flags, _, _ = _match_detections(dets, gts, 0.5, False)
-        n_fp = sum(1 for f in flags if not f)
-        _, counts = error_taxonomy(dets, gts)
-        assert sum(counts.values()) == n_fp
+        _, flags, best_ious, _ = _oracle_match_detections(dets, gts, 0.5, False)
+        fp_ious = [iou for hit, iou in zip(flags, best_ious) if not hit]
+        loc = sum(0.1 <= iou < 0.5 for iou in fp_ious)
+        bg = sum(iou < 0.1 for iou in fp_ious)
+        assert fp_ious
+        r = evaluate_image(dets, gts)
+        assert r.loc_error_rate == loc / len(fp_ious)
+        assert r.bg_confusion_rate == bg / len(fp_ious)
 
     def test_gap_normalized_by_diagonal(self):
         gt = [HBox(0, 0, 8, 6)]  # diagonal 10
-        dets = [Detection(0, 0.9, HBox(2, 0, 10, 6))]  # IoU = 6/10 ... shift 2
-        # IoU = (6*6)/(48+48-36) = 0.6 -> that's a TP; shift more
         dets = [Detection(0, 0.9, HBox(4, 0, 12, 6))]  # IoU = 24/72 = 1/3
-        stats, counts = error_taxonomy(dets, gt)
-        assert counts["localization"] == 1
-        assert stats["mean_x"] == pytest.approx(0.4)  # 4 px / diagonal 10
+        r = evaluate_image(dets, gt)
+        assert r.loc_error_rate == 1.0
+        assert r.loc_error_mean[0] == pytest.approx(0.4)  # 4 px / diagonal 10
 
 
 class TestOrientationError:
+    """`evaluate`'s mean angle error, modulo 90, over detections at HBB
+    IoU >= 0.5 with an object (squares, so a quarter turn keeps the hull)."""
+
+    @staticmethod
+    def angle_error(pred_angles, true_angles):
+        gts = [square_pair(20.0 * (i + 1), a) for i, a in enumerate(true_angles)]
+        dets = [Detection(0, 0.9, obox=OBox(20.0 * (i + 1), 50.0, 10.0, 10.0, a))
+                for i, a in enumerate(pred_angles)]
+        return evaluate_image(dets, gts).mean_angular_error
+
     def test_identical(self):
-        err, _ = mean_orientation_error([10.0, 250.0], [10.0, 250.0])
-        assert err == 0.0
+        assert self.angle_error([10.0, 250.0], [10.0, 250.0]) == 0.0
 
     def test_wraparound(self):
-        err, _ = mean_orientation_error([355.0], [5.0])
-        assert err == pytest.approx(10.0)
+        assert self.angle_error([355.0], [5.0]) == pytest.approx(10.0)
 
     def test_hand_example(self):
-        err, _ = mean_orientation_error([0.0, 90.0], [10.0, 70.0])
-        assert err == pytest.approx(15.0)
+        # 0 vs 10 is 10; 90 (= 0) vs 70 is 20 modulo 90
+        assert self.angle_error([0.0, 90.0], [10.0, 70.0]) == pytest.approx(15.0)
 
-    def test_histogram_bands(self):
-        errs = [5.0, 10.0, 170.0, 30.0]
-        preds = [0.0, 0.0, 0.0, 0.0]
-        trues = [5.0, 10.0, 170.0, 30.0]
-        mean, hist = mean_orientation_error(preds, trues)
-        assert hist["below_14"] == pytest.approx(0.5)
-        assert hist["above_160"] == pytest.approx(0.25)
 
-    def test_shape_mismatch(self):
+class TestOrientedGroundTruth:
+    def test_hbox_only_ground_truth_rejected(self):
+        dets = [[Detection(0, 0.9, obox=OBox(5, 50, 10, 10, 0.0))]]
+        with pytest.raises(ShapeError, match=r"\(HBox, OBox\)"):
+            mean_average_precision(dets, [[(0, HBox(0, 0, 10, 10))]], [0], oriented=True)
         with pytest.raises(ShapeError):
-            mean_orientation_error([0.0], [0.0, 1.0])
+            mean_average_precision([[]], [[(0, HBox(0, 0, 10, 10))]], [0], oriented=True)
+        _, m = mean_average_precision(dets, [[(0, square_pair(5.0, 0.0))]], [0],
+                                              oriented=True)
+        assert m == 1.0
 
 
 class TestThroughput:
@@ -460,25 +486,32 @@ class TestOracleIdentity:
 
     @pytest.mark.parametrize("oriented, n_sets", [(False, 40), (True, 5)])
     def test_per_image_functions(self, oriented, n_sets):
+        # each image alone, its classes pooled into class 0, through the
+        # image-set functions
         for per_dets, per_gts in self.sets(n_sets):
             for dets, gts in zip(per_dets, per_gts):
                 pairs = [g for _, g in gts]
+                pooled_dets = [[Detection(0, d.score, d.hbox, d.obox) for d in dets]]
+                pooled_gts = [[(0, g) for g in pairs]]
                 for thr in (0.3, 0.5, 0.7):
                     _, flags, _, _ = _oracle_match_detections(dets, pairs, thr, oriented)
                     tp = np.cumsum(np.array(flags, dtype=np.float64))
-                    rec, prec = pr_curve(dets, pairs, thr, oriented)
-                    assert rec.tobytes() == (tp / max(len(pairs), 1)).tobytes()
-                    assert prec.tobytes() == (tp / np.arange(1, len(flags) + 1)).tobytes()
-                    ap = average_precision(dets, pairs, thr, oriented)
+                    curves = _class_curves(pooled_dets, pooled_gts, [0], thr, oriented)
+                    if curves:
+                        _, rec, prec = curves[0]
+                        assert rec.tobytes() == (tp / max(len(pairs), 1)).tobytes()
+                        assert prec.tobytes() == (tp / np.arange(1, len(flags) + 1)).tobytes()
+                    _, ap = mean_average_precision(pooled_dets, pooled_gts, [0], thr, oriented)
                     want = (
                         _average_precision_multi_image(
                             [(0, d) for d in dets], [(0, g) for g in pairs], thr, oriented
                         ) if pairs and dets else 0.0
                     )
                     assert repr(ap) == repr(want)
-                    assert repr(error_taxonomy(dets, pairs, thr, oriented)) == repr(
-                        _oracle_error_taxonomy(dets, pairs, thr, oriented)
-                    )
+                if not oriented:
+                    result, _ = evaluate([dets], [gts], 1.0)
+                    want = _oracle_taxonomy_sum([dets], [gts])
+                    assert repr({key: getattr(result, key) for key in want}) == repr(want)
 
     def test_evaluate(self):
         for per_dets, per_gts in self.sets():

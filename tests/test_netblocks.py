@@ -395,11 +395,16 @@ class TestOrientationHead:
         assert np.degrees(np.arctan2(out[:, 0], out[:, 1]))[0] % 360 == 0.0
 
     def test_angular_error_metric_endpoints(self):
-        from oriconv.metrics import mean_orientation_error
+        # the eval angle error is taken modulo 90: 0 when equal, at most 45
+        from oriconv.detect import Detection, OBox
+        from oriconv.metrics import evaluate
 
-        perfect, _ = mean_orientation_error([123.0], [123.0])
-        antipodal, _ = mean_orientation_error([0.0], [180.0])
-        assert perfect == 0.0 and antipodal == 180.0
+        def angle_error(pred, true):
+            gt = OBox(50.0, 50.0, 10.0, 10.0, true)
+            det = Detection(0, 0.9, obox=OBox(50.0, 50.0, 10.0, 10.0, pred))
+            return evaluate([[det]], [[(0, (gt.hull(), gt))]], 1.0)[0].mean_angular_error
+
+        assert angle_error(123.0, 123.0) == 0.0 and angle_error(22.5, 67.5) == 45.0
 
     def test_codebook_contains_sampled_orientations(self):
         head = OrientationHead(2, 4, rng=np.random.default_rng(0))

@@ -22,4 +22,7 @@ def test_tracer_absent_names_pinned():
         "oriconv.rconv.rotate_grid",
         "oriconv.rconv.rotate_grid_adjoint",
         "oriconv.networks.downsample2",
+        "oriconv.detect.nms",
+        "oriconv.detect.decode_hbb",
+        "oriconv.detect.decode_obb",
     ]
