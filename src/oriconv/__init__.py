@@ -11,7 +11,6 @@ gradient checks, exact quarter-turn covariance) live in `tensor` and
 
 from .errors import ConfigError, NumericalError, OriconvError, ShapeError
 from .tensor import (
-    GridSampleSpec,
     Tensor,
     conv2d,
     conv2d_backward,
@@ -31,7 +30,6 @@ from .rconv import (
 from .fieldops import (
     VFBNState,
     field_batch_norm,
-    max_pool,
     orientation_pool_backward,
     orientation_pool_gate,
     orientation_pool_stack,

@@ -89,8 +89,10 @@ def _build_specs(cfg: dict):
     nd.setdefault("task", tc.task)
     nd.setdefault("n_rotations", tc.n_rotations)
     ns = NetworkSpec.from_dict(nd)
-    if ns.task != tc.task:
-        raise ConfigError(f"network.task {ns.task!r} differs from train.task {tc.task!r}")
+    for key in ("task", "n_rotations"):
+        got, want = getattr(ns, key), getattr(tc, key)
+        if got != want:
+            raise ConfigError(f"network.{key} {got!r} differs from train.{key} {want!r}")
     return tc, ns
 
 

@@ -11,7 +11,7 @@ of field c, the interleaved layout the vector-field RConv consumes.
 `split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
 are the magnitudes and angles.
 
-Also here: scalar and vector-field max pooling and the magnitude-only batch
+Also here: vector-field max pooling and the magnitude-only batch
 normalization that rescales vectors by the standard deviation of their
 lengths without touching their directions.
 """
@@ -103,50 +103,25 @@ def orientation_pool_backward(
     return grad4.reshape(h, w, c * n_rotations)
 
 
-def _pool_pad(x: Tensor, w: int, fill: float) -> Tensor:
-    h, wd = x.shape[:2]
-    ph = (-h) % w
-    pw = (-wd) % w
-    if ph or pw:
-        pad = [(0, ph), (0, pw)] + [(0, 0)] * (x.ndim - 2)
-        x = np.pad(x, pad, constant_values=fill)
-    return x
-
-
 def _tiles(x: Tensor, w: int, fill: float) -> Tensor:
     """[H, W, C] as non-overlapping w-by-w windows [H/w, W/w, C, w*w],
     row-major within a window; ragged edges are padded with `fill`."""
-    x = _pool_pad(x, w, fill)
+    h, wd = x.shape[:2]
+    if h % w or wd % w:
+        x = np.pad(x, [(0, (-h) % w), (0, (-wd) % w), (0, 0)], constant_values=fill)
     h, wd, c = x.shape
     tiles = x.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3)
     return tiles.reshape(h // w, wd // w, c, w * w)
 
 
-def max_pool(x: Tensor, w: int):
-    """Non-overlapping w-by-w max pooling of [H, W, C]; ragged edges are
-    padded with -inf-equivalent values. Returns (pooled, winners)."""
-    if w < 1:
-        raise ShapeError(f"window must be >= 1, got {w}")
-    flat = _tiles(x, w, -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min)
-    winners = np.argmax(flat, axis=3)
-    pooled = np.take_along_axis(flat, winners[..., None], axis=3)[..., 0]
-    return np.ascontiguousarray(pooled), winners
-
-
-def max_pool_backward(x_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
-    h, wd, c = x_shape
-    hp, wp = h + ((-h) % w), wd + ((-wd) % w)
-    flat = np.zeros((hp // w, wp // w, c, w * w), dtype=upstream.dtype)
-    np.put_along_axis(flat, winners[..., None], upstream[..., None], axis=3)
-    tiles = flat.reshape(hp // w, wp // w, c, w, w).transpose(0, 3, 1, 4, 2)
-    return tiles.reshape(hp, wp, c)[:h, :wd, :]
-
-
 def vf_max_pool(stack: Tensor, w: int):
     """Vector-field max pooling: per field, keep the entire (p, q) vector at
     the window position of largest magnitude (row-major first on ties), never
-    a componentwise mix. Returns (pooled_stack, winners [H/w, W/w, C])."""
-    _, winners = max_pool(np.hypot(*split_stack(stack)), w)
+    a componentwise mix; ragged-edge padding never wins. Returns
+    (pooled_stack, winners [H/w, W/w, C])."""
+    if w < 1:
+        raise ShapeError(f"window must be >= 1, got {w}")
+    winners = np.argmax(_tiles(np.hypot(*split_stack(stack)), w, -np.inf), axis=3)
     both = np.repeat(winners, 2, axis=-1)[..., None]
     pooled = np.take_along_axis(_tiles(stack, w, 0.0), both, axis=3)[..., 0]
     return np.ascontiguousarray(pooled), winners
@@ -154,7 +129,13 @@ def vf_max_pool(stack: Tensor, w: int):
 
 def vf_max_pool_backward(stack_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
     """Adjoint of `vf_max_pool`: both components of a field go to its winner."""
-    return max_pool_backward(stack_shape, w, np.repeat(winners, 2, axis=-1), upstream)
+    h, wd, c = stack_shape
+    hp, wp = h + ((-h) % w), wd + ((-wd) % w)
+    flat = np.zeros((hp // w, wp // w, c, w * w), dtype=upstream.dtype)
+    both = np.repeat(winners, 2, axis=-1)[..., None]
+    np.put_along_axis(flat, both, upstream[..., None], axis=3)
+    tiles = flat.reshape(hp // w, wp // w, c, w, w).transpose(0, 3, 1, 4, 2)
+    return tiles.reshape(hp, wp, c)[:h, :wd, :]
 
 
 @dataclass

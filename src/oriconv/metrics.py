@@ -174,8 +174,13 @@ def evaluate(per_image_detections, per_image_gt, images_per_second):
 
     `per_image_gt` holds `(class, (HBox, OBox))` pairs per image. Returns
     (EvalResult, {class: [(rank, score, precision, recall)]}) with the rows
-    of every ground-truth class.
+    of every ground-truth class. Raises ShapeError unless both lists hold one
+    entry per image.
     """
+    if len(per_image_detections) != len(per_image_gt):
+        raise ShapeError(
+            f"{len(per_image_detections)} detection lists for {len(per_image_gt)} ground-truth lists"
+        )
     classes = sorted({c for gts in per_image_gt for c, _ in gts})
     curves = _class_curves(per_image_detections, per_image_gt, classes, 0.5, False)
     per_class, map50 = _mean_ap(curves)

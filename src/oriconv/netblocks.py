@@ -28,7 +28,7 @@ two, see `Sequential.children`). `params`, `grads` and
 (`SEP = "."`; the networks use `"/"`, giving `backbone0/0.weights`), and
 `apply_constraints`, `zero_grads` and `parameter_count` walk the same tree.
 Only the leaves that own arrays override the collectors: `RConvLayer`,
-`PlainConv`, `Linear` and `OrientationHead` their parameters and gradients
+`PlainConv` and `OrientationHead` their parameters and gradients
 (`RConvLayer` its constraint too), `FieldNorm` its running statistics.
 """
 
@@ -252,29 +252,6 @@ class VfMaxPool(Layer):
         )
 
 
-class MaxPool(Layer):
-    def __init__(self, window: int):
-        self.window = window
-        self._cache = None
-
-    def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        outs, caches = [], []
-        for img in x:
-            pooled, winners = fieldops.max_pool(img, self.window)
-            outs.append(pooled)
-            caches.append((img.shape, winners))
-        self._cache = caches
-        return np.stack(outs)
-
-    def backward(self, gy: Tensor) -> Tensor:
-        return np.stack(
-            [
-                fieldops.max_pool_backward(shape, self.window, winners, g)
-                for (shape, winners), g in zip(self._cache, gy)
-            ]
-        )
-
-
 class FieldAvgPool2(Layer):
     """2x vector-average downsampling of a field stack (used to align a finer
     pyramid level with its coarser neighbor)."""
@@ -307,8 +284,7 @@ class FieldNorm(Layer):
 
 class PlainConv(Layer):
     """Standard stride-1 convolution with bias, zero-padded to keep the extent
-    (odd `size`); used by prediction heads and the non-equivariant baseline
-    network."""
+    (odd `size`); used by the prediction heads."""
 
     def __init__(self, size, cin, cout, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
@@ -342,15 +318,6 @@ class PlainConv(Layer):
             self.gw += gw
             self.gb += g.sum(axis=(0, 1))
         return np.stack(gxs)
-
-
-class Relu(Layer):
-    def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        self._mask = x > 0
-        return np.maximum(x, 0)
-
-    def backward(self, gy: Tensor) -> Tensor:
-        return gy * self._mask
 
 
 class Sequential(Layer):
@@ -600,35 +567,6 @@ def tanh_unit_backward(cache, gs, gc):
     gtp = gc * (tq**2) / n3 - gs * tp * tq / n3
     gtq = gs * (tp**2) / n3 - gc * tp * tq / n3
     return gtp * (1.0 - tp**2), gtq * (1.0 - tq**2)
-
-
-class Linear(Layer):
-    """Dense layer for the non-equivariant baseline head."""
-
-    def __init__(self, d_in, d_out, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        std = math.sqrt(1.0 / d_in)
-        self.w = rng.normal(0.0, std, size=(d_in, d_out)).astype(dtype)
-        self.b = np.zeros(d_out, dtype=dtype)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self._cache = None
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.gw, "b": self.gb}
-
-    def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        self._cache = x
-        return x @ self.w + self.b
-
-    def backward(self, gy: Tensor) -> Tensor:
-        x = self._cache
-        self.gw += x.T @ gy
-        self.gb += gy.sum(axis=0)
-        return gy @ self.w.T
 
 
 class OrientationHead(Layer):

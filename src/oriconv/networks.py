@@ -1,5 +1,8 @@
 """Network assembly: declarative specs, the oriented detector, and the
 orientation estimators used by the rotational-generalization experiments.
+Every network is built from rotation-equivariant convolutions; the
+non-equivariant control is the same network at `n_rotations=1`, whose single
+filter orientation pins every field vector to angle 0.
 
 A NetworkSpec is plain data (JSON-serializable) describing the backbone
 stages, pyramid attachments, head geometry and ablation switches. Building a
@@ -25,21 +28,16 @@ from .netblocks import (
     AttentionMerge,
     FeatureFusion,
     Layer,
-    Linear,
-    MaxPool,
     OrientationHead,
     PlainConv,
     PyramidStage,
     RConvLayer,
-    Relu,
     Sequential,
     VfMaxPool,
     center_field_average,
     center_field_average_backward,
     build_image_pyramid,
     roi_gate,
-    tanh_unit_backward,
-    tanh_unit_forward,
 )
 from .tensor import Tensor
 
@@ -578,54 +576,6 @@ class OrientationEstimator(Layer):
         gv = self.head.backward(g_out)
         gf = center_field_average_backward(self._cache, gv)
         self.trunk.backward(gf)
-
-
-class BaselineOrientationCNN(Layer):
-    """Parameter-matched plain-convolution baseline: same layer plan, no
-    rotation weight sharing, dense head on the center window."""
-
-    SEP = "/"
-
-    def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32, widths=None):
-        rng = rng or np.random.default_rng(0)
-        self.spec = spec
-        widths = widths or tuple(2 * st["filters"] for st in spec.backbone)
-        layers = []
-        in_c = spec.input_channels
-        for st, w in zip(spec.backbone, widths):
-            layers.append(PlainConv(st["size"], in_c, w, rng=rng, dtype=dtype))
-            layers.append(Relu())
-            if st.get("pool", 1) > 1:
-                layers.append(MaxPool(st["pool"]))
-            in_c = w
-        self.trunk = Sequential(layers)
-        win = spec.head_window
-        self.dense = Linear(win * win * in_c, 2, rng=rng, dtype=dtype)
-        self._cache = None
-
-    def forward(self, images: Tensor, training: bool = True):
-        feat = self.trunk.forward(images, training)
-        n, h, w, c = feat.shape
-        win = self.spec.head_window
-        y0 = (h - win) // 2
-        x0 = (w - win) // 2
-        patch = feat[:, y0 : y0 + win, x0 : x0 + win, :]
-        flat = patch.reshape(n, -1)
-        raw = self.dense.forward(flat, training)
-        s_hat, c_hat, degenerate, tcache = tanh_unit_forward(raw[:, 0], raw[:, 1])
-        self._cache = (feat.shape, y0, x0, tcache)
-        return np.stack([s_hat, c_hat], axis=1), degenerate
-
-    def backward(self, g_out: Tensor):
-        shape, y0, x0, tcache = self._cache
-        grp, grq = tanh_unit_backward(tcache, g_out[:, 0], g_out[:, 1])
-        graw = np.stack([grp, grq], axis=1)
-        gflat = self.dense.backward(graw)
-        win = self.spec.head_window
-        n, h, w, c = shape
-        gfeat = np.zeros(shape, dtype=gflat.dtype)
-        gfeat[:, y0 : y0 + win, x0 : x0 + win, :] = gflat.reshape(n, win, win, c)
-        self.trunk.backward(gfeat)
 
 
 def angle_targets(alphas_deg: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (
-    GridSampleSpec,
     Tensor,
     TWO_PI,
     conv2d,
@@ -194,10 +193,10 @@ def rotation_plan(m: int, n: int) -> RotationPlan:
     weights = np.zeros((k, 4, npix), dtype=np.float64)
     exact = []
     for j in range(k):
-        spec = GridSampleSpec(TWO_PI * j / n)
-        q = _quarter_turns(spec.angle)
+        angle = (TWO_PI * j / n) % TWO_PI
+        q = _quarter_turns(angle)
         if q is None:
-            idx, wgt = _rotation_taps(m, spec.angle)
+            idx, wgt = _rotation_taps(m, angle)
             taps[j] = idx
             weights[j] = wgt
         else:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .detect import HBox, OBox, iou_hbb
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 CLASS_NAMES = ("arrow", "rect", "ellipse")
 CLASS_IDS = {name: i + 1 for i, name in enumerate(CLASS_NAMES)}
@@ -287,28 +287,15 @@ def generate_orientation_patches(spec: SceneSpec, count: int, patch_size: int = 
 # augmentation
 
 
-def _bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    h, w, c = img.shape
-    ys = (np.arange(new_h) + 0.5) * h / new_h - 0.5
-    xs = (np.arange(new_w) + 0.5) * w / new_w - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    fy = np.clip(ys - y0, 0, 1)[:, None, None]
-    fx = np.clip(xs - x0, 0, 1)[None, :, None]
-    top = img[y0][:, x0] * (1 - fx) + img[y0][:, x1] * fx
-    bot = img[y1][:, x0] * (1 - fx) + img[y1][:, x1] * fx
-    return (top * (1 - fy) + bot * fy).astype(img.dtype)
-
-
 def augment(sample: Sample, ops: dict) -> Sample:
-    """Apply {rotate_quarters: k, hflip: bool, rescale: f} with consistent
-    label transport. Rescaled objects pushed out of frame are dropped and the
-    sample flagged."""
+    """Apply {rotate_quarters: k, hflip: bool} with consistent label
+    transport: boxes, orientations and direction vectors move with the image.
+    Any other key raises ConfigError."""
+    unknown = set(ops) - {"rotate_quarters", "hflip"}
+    if unknown:
+        raise ConfigError(f"unknown augment ops {sorted(unknown)}")
     img = sample.image
     objects = list(sample.objects)
-    flagged = sample.placement_failed
 
     k = int(ops.get("rotate_quarters", 0)) % 4
     for _ in range(k):
@@ -340,27 +327,7 @@ def augment(sample: Sample, ops: dict) -> Sample:
             new_objs.append(SceneObject(o.class_name, nh, nob, nalpha, ux, uy, o.size))
         objects = new_objs
 
-    f = float(ops.get("rescale", 1.0))
-    if f != 1.0:
-        h, w = img.shape[:2]
-        nh, nw = max(int(round(h * f)), 1), max(int(round(w * f)), 1)
-        img = _bilinear_resize(img, nh, nw)
-        new_objs = []
-        for o in objects:
-            hb = o.hbox
-            scaled_h = HBox(hb.xmin * f, hb.ymin * f, hb.xmax * f, hb.ymax * f)
-            if (scaled_h.xmin < 0 or scaled_h.ymin < 0
-                    or scaled_h.xmax > nw or scaled_h.ymax > nh):
-                flagged = True
-                continue
-            ob = o.obox
-            nob = OBox(ob.xc * f, ob.yc * f, ob.w * f, ob.h * f, ob.theta)
-            new_objs.append(
-                SceneObject(o.class_name, scaled_h, nob, o.alpha, o.ux, o.uy, o.size * f)
-            )
-        objects = new_objs
-
-    return Sample(img, objects, flagged)
+    return Sample(img, objects, sample.placement_failed)
 
 
 # ---------------------------------------------------------------------------

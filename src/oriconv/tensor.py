@@ -18,8 +18,6 @@ the axes; it is documented here once and never re-derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericalError, ShapeError
@@ -44,19 +42,6 @@ def stable_sum(a: Tensor, axis: int) -> Tensor:
     if a.dtype == np.float64:
         return np.sort(a, axis=axis).sum(axis=axis)
     return a.sum(axis=axis)
-
-
-@dataclass(frozen=True)
-class GridSampleSpec:
-    """Rotation resampling parameters: counterclockwise angle about the grid
-    center, bilinear interpolation, constant fill outside the support."""
-
-    angle: float
-    fill: float = 0.0
-
-    def __post_init__(self):
-        a = float(self.angle) % TWO_PI
-        object.__setattr__(self, "angle", a)
 
 
 def _out_extent(size: int, m: int, stride: int, padding: int) -> int:
@@ -212,35 +197,33 @@ def _rotation_taps(m: int, angle: float):
     return indices, weights
 
 
-def rotate_grid(src: Tensor, spec: GridSampleSpec) -> Tensor:
-    """Rotate a square [m, m, ...] grid counterclockwise by spec.angle about
-    its center, bilinear resampling, fill outside the support.
+def rotate_grid(src: Tensor, angle: float) -> Tensor:
+    """Rotate a square [m, m, ...] grid counterclockwise by `angle` about its
+    center, bilinear resampling, zero outside the support.
 
-    Exact multiples of 90 degrees take a pure index-permutation path
+    The angle is taken modulo 2*pi first, so -pi/4 and 7*pi/4 sample the same
+    taps. Exact multiples of 90 degrees take a pure index-permutation path
     (``np.rot90``) and are bit-exact.
     """
     if src.ndim < 2 or src.shape[0] != src.shape[1]:
         raise ShapeError(f"rotate_grid needs a square leading grid, got {src.shape}")
     m = src.shape[0]
-    k = _quarter_turns(spec.angle)
+    angle = float(angle) % TWO_PI
+    k = _quarter_turns(angle)
     if k is not None:
         return np.rot90(src, k).copy()
 
     trailing = src.shape[2:]
     flat = src.reshape(m * m, -1)
-    indices, weights = _rotation_taps(m, spec.angle)
+    indices, weights = _rotation_taps(m, angle)
     out = np.zeros_like(flat)
-    covered = np.zeros(m * m, dtype=flat.dtype)
     for idx, wgt in zip(indices, weights):
         out += flat[idx] * wgt[:, None].astype(flat.dtype)
-        covered += wgt.astype(flat.dtype)
-    if spec.fill != 0.0:
-        out += (1.0 - covered)[:, None] * spec.fill
     return out.reshape((m, m) + trailing)
 
 
-def rotate_grid_adjoint(grad: Tensor, spec: GridSampleSpec) -> Tensor:
-    """Transpose of the linear map `rotate_grid(., spec)` applied to `grad`.
+def rotate_grid_adjoint(grad: Tensor, angle: float) -> Tensor:
+    """Transpose of the linear map `rotate_grid(., angle)` applied to `grad`.
 
     For quarter-turn angles this coincides with rotation by -angle; for other
     angles it is the scatter (gather-transpose) of the bilinear taps, which is
@@ -249,13 +232,14 @@ def rotate_grid_adjoint(grad: Tensor, spec: GridSampleSpec) -> Tensor:
     if grad.ndim < 2 or grad.shape[0] != grad.shape[1]:
         raise ShapeError(f"rotate_grid_adjoint needs a square grid, got {grad.shape}")
     m = grad.shape[0]
-    k = _quarter_turns(spec.angle)
+    angle = float(angle) % TWO_PI
+    k = _quarter_turns(angle)
     if k is not None:
         return np.rot90(grad, -k).copy()
 
     trailing = grad.shape[2:]
     flat = grad.reshape(m * m, -1)
-    indices, weights = _rotation_taps(m, spec.angle)
+    indices, weights = _rotation_taps(m, angle)
     out = np.zeros_like(flat)
     for idx, wgt in zip(indices, weights):
         np.add.at(out, idx, flat * wgt[:, None].astype(flat.dtype))

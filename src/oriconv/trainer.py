@@ -24,15 +24,14 @@ from .errors import ConfigError, NumericalError, check_section
 from .fieldops import rotate_stack_90, split_stack
 from .netblocks import RConvLayer
 from .networks import (
-    BaselineOrientationCNN,
     Detector,
     NetworkSpec,
     OrientationEstimator,
     angle_targets,
     orientation_loss_and_grad,
 )
-from .synthdata import SceneSpec, generate_orientation_patches, generate_scene
-from .tensor import GridSampleSpec, Tensor, rotate_grid
+from .synthdata import SceneSpec, augment, generate_orientation_patches, generate_scene
+from .tensor import Tensor, rotate_grid
 
 
 @dataclass
@@ -122,12 +121,10 @@ class SGD:
         self.network.apply_constraints()
 
 
-def build_network(net_spec: NetworkSpec, config: TrainConfig, kind: str = "main"):
-    rng = np.random.default_rng(config.seed + (0 if kind == "main" else 7919))
+def build_network(net_spec: NetworkSpec, config: TrainConfig):
+    rng = np.random.default_rng(config.seed)
     if net_spec.task == "detection":
         return Detector(net_spec, rng=rng)
-    if kind == "baseline":
-        return BaselineOrientationCNN(net_spec, rng=rng, widths=(5, 8, 8))
     return OrientationEstimator(net_spec, rng=rng)
 
 
@@ -176,8 +173,6 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
         else:
             batch = [dataset[i] for i in idx]
             if config.hflip_augment:
-                from .synthdata import augment
-
                 flip = order_rng.random(len(batch)) < 0.5
                 batch = [
                     augment(s, {"hflip": True}) if f else s
@@ -228,7 +223,7 @@ def rotate_field_stack(stack: Tensor, angle: float) -> Tensor:
     k = angle / (0.5 * math.pi)
     if abs(k - round(k)) < 1e-12:
         return rotate_stack_90(stack, int(round(k)))
-    spatial = rotate_grid(stack, GridSampleSpec(angle))
+    spatial = rotate_grid(stack, angle)
     p, q = split_stack(spatial)
     ca, sa = math.cos(angle), math.sin(angle)
     out = np.empty_like(spatial)
@@ -286,7 +281,7 @@ def covariance_error(network, image: Tensor, angle: float) -> float:
     for n = 4, 8, 16 and 32.
     """
     f_ref = _first_pooled_fields(network, image)
-    f_rot = _first_pooled_fields(network, rotate_grid(image, GridSampleSpec(angle)))
+    f_rot = _first_pooled_fields(network, rotate_grid(image, angle))
     expected = rotate_field_stack(f_ref, angle)
     crop = max(image.shape[0] // 6, 2)
     act = f_rot[crop:-crop, crop:-crop]

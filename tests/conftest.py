@@ -39,17 +39,6 @@ def conv2d_oracle(x, f, stride=1, padding=0):
     return y
 
 
-def max_pool_oracle(x, w):
-    h, wd, c = x.shape
-    ho, wo = h // w, wd // w
-    out = np.zeros((ho, wo, c), dtype=x.dtype)
-    for i in range(ho):
-        for j in range(wo):
-            for k in range(c):
-                out[i, j, k] = x[i * w : (i + 1) * w, j * w : (j + 1) * w, k].max()
-    return out
-
-
 def gaussian_bump(m, sigma=2.0):
     c = 0.5 * (m - 1)
     ys, xs = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")

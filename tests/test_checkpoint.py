@@ -9,12 +9,11 @@ from oriconv.cli import cli
 from oriconv.errors import ConfigError
 from oriconv.networks import (
     ORIENT_BACKBONE,
-    BaselineOrientationCNN,
     Detector,
     NetworkSpec,
     OrientationEstimator,
 )
-from oriconv.synthdata import SceneSpec, generate_orientation_patches
+from oriconv.synthdata import SceneSpec, generate_orientation_patches, generate_scene
 from oriconv.trainer import TrainConfig, build_network, save_training_checkpoint, train
 
 
@@ -81,9 +80,6 @@ NETWORKS = {
     "estimator_steerable": lambda seed=0: OrientationEstimator(
         _orient_spec(parametrization="steerable"), rng=np.random.default_rng(seed)
     ),
-    "baseline": lambda seed=0: BaselineOrientationCNN(
-        _orient_spec(), rng=np.random.default_rng(seed), widths=(5, 8, 8)
-    ),
 }
 
 DETECTOR_STATE = [
@@ -127,13 +123,6 @@ PINNED = {
     ),
     "estimator_steerable": (
         ["head/wi", "head/wr", "trunk/0.mixing", "trunk/3.mixing", "trunk/6.mixing"],
-        [],
-    ),
-    "baseline": (
-        [
-            "dense/b", "dense/w", "trunk/0.b", "trunk/0.w",
-            "trunk/3.b", "trunk/3.w", "trunk/6.b", "trunk/6.w",
-        ],
         [],
     ),
 }
@@ -184,3 +173,16 @@ def test_same_seed_same_log_and_checkpoint(tmp_path):
     assert len(runs[0][0]) == 2
     assert all(math.isfinite(row[2]) for row in runs[0][0])
     assert runs[0] == runs[1]
+
+
+def test_hflip_augment_is_seeded_and_changes_the_batches():
+    spec = NetworkSpec(n_rotations=4)
+    data = [generate_scene(SceneSpec(seed=0), i) for i in range(4)]
+    logs = {}
+    for flip in (True, True, False):
+        config = TrainConfig(task="detection", n_rotations=4, batch_size=2, max_steps=2,
+                             hflip_augment=flip)
+        rows = train(config, data, build_network(spec, config)).log_rows
+        assert all(math.isfinite(row[2]) for row in rows)
+        assert logs.setdefault(flip, rows) == rows
+    assert [row[2] for row in logs[True]] != [row[2] for row in logs[False]]

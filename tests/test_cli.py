@@ -111,6 +111,8 @@ CONFIG_CASES = {
     "unknown_task": json.dumps({"train": {"task": "segmentation"}}),
     "mismatched_tasks": json.dumps({"train": {"task": "detection"},
                                     "network": {"task": "orientation"}}),
+    "mismatched_rotations": json.dumps({"train": {"n_rotations": 4},
+                                        "network": {"n_rotations": 8}}),
     "unknown_parametrization": json.dumps({"train": {"task": "detection"},
                                            "network": {"parametrization": "bogus"}}),
     "zero_batch_size": json.dumps({"train": {"task": "detection", "batch_size": 0}}),
@@ -145,6 +147,28 @@ def test_usage_errors_exit_2(tmp_path, capfd):
     assert run(capfd, "train", "--config", tmp_path / "missing.json", "--out", tmp_path)[0] == 2
     assert run(capfd, "verify", "--rotations", "0", "--out", tmp_path / "v")[0] == 2
     assert run(capfd, "bench", "--sweep", "0", "--count", "1", "--out", tmp_path / "b")[0] == 2
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_verify_report(tmp_path, capfd):
+    code, _ = run(capfd, "verify", "--sweep", "1,8", "--image-size", "32", "--out", tmp_path)
+    assert code == 0
+    exact = read_csv(tmp_path / "exact90.csv")
+    assert exact and all(r["exact"] == "True" and float(r["max_abs_discrepancy"]) == 0.0
+                         for r in exact)
+    cov = read_csv(tmp_path / "covariance.csv")
+    assert [float(r["angle_deg"]) for r in cov] == [0.0, 90.0, 180.0, 270.0]
+    assert all(float(r["angular_error_deg"]) == 0.0 for r in cov)
+    # a single filter orientation pins every field vector to angle 0, so the
+    # n=1 control is off by exactly the probe angle
+    sweep = {int(r["n_rotations"]): float(r["angular_error_45deg"])
+             for r in read_csv(tmp_path / "sweep.csv")}
+    assert set(sweep) == {1, 8}
+    assert sweep[1] == 45.0
 
 
 @pytest.mark.parametrize("config_text", [None, "{not json"])

@@ -5,11 +5,8 @@ import pytest
 
 from oriconv.fieldops import (
     VFBNState,
-    _pool_pad,
     field_batch_norm,
     field_batch_norm_backward,
-    max_pool,
-    max_pool_backward,
     orientation_pool_backward,
     orientation_pool_gate,
     orientation_pool_stack,
@@ -21,12 +18,15 @@ from oriconv.fieldops import (
 from oriconv.rconv import CanonicalFilterBank, rconv_forward
 from oriconv.tensor import finite_diff_check
 
-from conftest import max_pool_oracle
-
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-component vector-field max pool and its adjoint that the
-# shared `max_pool` tiling replaced, kept verbatim.
+# shared tiling replaced, kept verbatim but for the padding helper.
+
+
+def _pool_pad(x, w, fill):
+    h, wd = x.shape[:2]
+    return np.pad(x, [(0, (-h) % w), (0, (-wd) % w), (0, 0)], constant_values=fill)
 
 
 def vf_max_pool_oracle(stack, w):
@@ -148,41 +148,6 @@ class TestOrientationPoolBackward:
                 return np.sum(up * s)
 
             assert finite_diff_check(loss, y.copy(), g, step=1e-5) < 1e-4
-
-
-class TestMaxPool:
-    def test_constant(self):
-        x = np.full((4, 4, 2), 3.3)
-        pooled, _ = max_pool(x, 2)
-        assert np.allclose(pooled, 3.3)
-
-    def test_single_window(self):
-        x = np.array([[1.0, 3.0], [2.0, 0.0]])[:, :, None]
-        pooled, _ = max_pool(x, 2)
-        assert pooled[0, 0, 0] == 3.0
-
-    def test_matches_loop_oracle(self, rng):
-        x = rng.normal(size=(6, 8, 3))
-        pooled, _ = max_pool(x, 2)
-        assert np.array_equal(pooled, max_pool_oracle(x, 2))
-
-    def test_ragged_edges_padded(self, rng):
-        x = rng.normal(size=(5, 5, 1))
-        pooled, _ = max_pool(x, 2)
-        assert pooled.shape == (3, 3, 1)
-        assert pooled[2, 2, 0] == x[4, 4, 0]
-
-    def test_backward_routes_to_winner(self, rng):
-        x = rng.normal(size=(4, 4, 2))
-        pooled, winners = max_pool(x, 2)
-        up = rng.normal(size=pooled.shape)
-        g = max_pool_backward(x.shape, 2, winners, up)
-
-        def loss(p):
-            out, _ = max_pool(p, 2)
-            return np.sum(up * out)
-
-        assert finite_diff_check(loss, x.copy(), g, step=1e-5) < 1e-4
 
 
 class TestVfMaxPool:

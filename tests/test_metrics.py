@@ -172,6 +172,19 @@ class TestErrorTaxonomy:
         assert r.loc_error_rate == loc / len(fp_ious)
         assert r.bg_confusion_rate == bg / len(fp_ious)
 
+    def test_one_ground_truth_list_per_image(self):
+        # the far detection of the second image is a background error once
+        # that image has a (possibly empty) ground-truth entry
+        gt = (0, HBox(0, 0, 10, 10))
+        tp = Detection(0, 0.9, HBox(0, 0, 10, 10))
+        far = Detection(0, 0.8, HBox(50, 50, 60, 60))
+        result, _ = evaluate([[tp], [far]], [[gt], []], 1.0)
+        assert result.bg_confusion_rate == 1.0
+        with pytest.raises(ShapeError, match="2 detection lists for 1 ground-truth"):
+            evaluate([[tp], [far]], [[gt]], 1.0)
+        with pytest.raises(ShapeError):
+            evaluate([[tp]], [[gt], []], 1.0)
+
     def test_gap_normalized_by_diagonal(self):
         gt = [HBox(0, 0, 8, 6)]  # diagonal 10
         dets = [Detection(0, 0.9, HBox(4, 0, 12, 6))]  # IoU = 24/72 = 1/3

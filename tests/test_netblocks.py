@@ -16,7 +16,6 @@ from oriconv.netblocks import (
     AttentionMerge,
     FeatureFusion,
     FieldAvgPool2,
-    Linear,
     OrientationHead,
     PlainConv,
     PyramidStage,
@@ -31,7 +30,6 @@ from oriconv.netblocks import (
     roi_gate,
 )
 from oriconv.networks import (
-    BaselineOrientationCNN,
     Detector,
     NetworkSpec,
     OrientationEstimator,
@@ -216,16 +214,6 @@ class TestLayerGradients:
             lambda p: np.sum(up * FieldAvgPool2().forward(p)), x.copy(), g
         )
         assert err < 1e-8
-
-    def test_linear(self, rng):
-        layer = Linear(4, 2, rng=rng, dtype=np.float64)
-        x = rng.normal(size=(3, 4))
-        y = layer.forward(x)
-        up = rng.normal(size=y.shape)
-        layer.zero_grads()
-        gx = layer.backward(up)
-        err = finite_diff_check(lambda p: np.sum(up * (p @ layer.w + layer.b)), x.copy(), gx)
-        assert err < 1e-6
 
 
 class TestPyramidStage:
@@ -636,22 +624,6 @@ class TestEndToEndCovariance:
                 head_inputs.append([head._cache[0] for head in det.head_convs])
             for d1, d2 in zip(*head_inputs):
                 assert np.array_equal(d2, rotate_stack_90(d1, 1)), (use_lipm, use_ffm)
-
-
-class TestParameterMatching:
-    def test_baseline_parameter_budget(self):
-        spec = NetworkSpec(
-            task="orientation", input_size=80,
-            backbone=(
-                {"size": 7, "filters": 4, "pool": 2},
-                {"size": 5, "filters": 6, "pool": 2},
-                {"size": 3, "filters": 6, "pool": 2},
-            ),
-        )
-        est = OrientationEstimator(spec, rng=np.random.default_rng(0))
-        base = BaselineOrientationCNN(spec, rng=np.random.default_rng(0), widths=(5, 8, 8))
-        ratio = base.parameter_count() / est.parameter_count()
-        assert 0.9 <= ratio <= 1.15  # matched within a tenth
 
 
 class TestOrientationLoss:

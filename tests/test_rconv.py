@@ -17,7 +17,7 @@ from oriconv.rconv import (
     rotation_angles,
     rotation_plan,
 )
-from oriconv.tensor import GridSampleSpec, finite_diff_check, rotate_grid, rotate_grid_adjoint
+from oriconv.tensor import finite_diff_check, rotate_grid, rotate_grid_adjoint
 
 from conftest import conv2d_oracle, gaussian_bump, smooth_random_image
 
@@ -86,8 +86,8 @@ def expand_oracle(bank):
     def rot(a, r):
         if n % 4 == 0:
             q, j = divmod(r, n // 4)
-            return np.rot90(rotate_grid(a, GridSampleSpec(2 * math.pi * j / n)), q)
-        return rotate_grid(a, GridSampleSpec(2 * math.pi * r / n))
+            return np.rot90(rotate_grid(a, 2 * math.pi * j / n), q)
+        return rotate_grid(a, 2 * math.pi * r / n)
 
     out = np.empty((m, m, cin, c * n), dtype=w.dtype)
     for r in range(n):
@@ -127,11 +127,11 @@ def expand_backward_oracle(bank, grad):
             acc = per_rot[j].copy()
             for q in range(1, 4):
                 acc += np.rot90(per_rot[j + q * k], -q)
-            t = rotate_grid_adjoint(acc, GridSampleSpec(2 * math.pi * j / n))
+            t = rotate_grid_adjoint(acc, 2 * math.pi * j / n)
             total = t if total is None else total + t
     else:
         for r in range(n):
-            t = rotate_grid_adjoint(per_rot[r], GridSampleSpec(2 * math.pi * r / n))
+            t = rotate_grid_adjoint(per_rot[r], 2 * math.pi * r / n)
             total = t if total is None else total + t
     return total * mask
 
@@ -229,7 +229,7 @@ class TestForward:
         mask = circular_mask(3)
         for c in range(2):
             for r in range(4):
-                f = rotate_grid(bank.weights[:, :, :, c], GridSampleSpec(2 * math.pi * r / 4))
+                f = rotate_grid(bank.weights[:, :, :, c], 2 * math.pi * r / 4)
                 f = f * mask[:, :, None]
                 want = conv2d_oracle(x, f[:, :, :, None], 1, 1)[:, :, 0]
                 assert np.abs(got[:, :, c * 4 + r] - want).max() < 1e-10
@@ -309,8 +309,8 @@ class TestVectorField:
         cos_t, sin_t = angle_table(6)
         for c in range(2):
             for r in range(6):
-                fp = rotate_grid(bank.weights[:, :, 0::2, c], GridSampleSpec(2 * math.pi * r / 6))
-                fq = rotate_grid(bank.weights[:, :, 1::2, c], GridSampleSpec(2 * math.pi * r / 6))
+                fp = rotate_grid(bank.weights[:, :, 0::2, c], 2 * math.pi * r / 6)
+                fq = rotate_grid(bank.weights[:, :, 1::2, c], 2 * math.pi * r / 6)
                 mp = (cos_t[r] * fp - sin_t[r] * fq) * mask
                 mq = (cos_t[r] * fq + sin_t[r] * fp) * mask
                 full = np.zeros((5, 5, 4, 1))
@@ -369,8 +369,8 @@ class TestInvariants:
         bank = CanonicalFilterBank(w.copy(), n)
         alpha = 2 * math.pi / n
         y1 = rconv_forward(x, bank).reshape(24, 24, 2, n)
-        y2 = rconv_forward(rotate_grid(x, GridSampleSpec(alpha)), bank)
-        expect = rotate_grid(np.roll(y1, 1, axis=3).reshape(24, 24, 2 * n), GridSampleSpec(alpha))
+        y2 = rconv_forward(rotate_grid(x, alpha), bank)
+        expect = rotate_grid(np.roll(y1, 1, axis=3).reshape(24, 24, 2 * n), alpha)
         crop = 6
         d = (y2 - expect)[crop:-crop, crop:-crop]
         rel = np.linalg.norm(d) / np.linalg.norm(expect[crop:-crop, crop:-crop])

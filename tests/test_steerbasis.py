@@ -12,7 +12,7 @@ from oriconv.steerbasis import (
     compose_filters_backward,
     steer_pair,
 )
-from oriconv.tensor import GridSampleSpec, finite_diff_check, rotate_grid
+from oriconv.tensor import finite_diff_check, rotate_grid
 
 
 def rms(a):
@@ -47,7 +47,7 @@ class TestBuildBasis:
         spec = BasisSpec(size=19, frequencies=(0,), rings=(0,), sigma=3.2)
         elem = build_basis(spec).elements[0]
         for beta in (0.3, 0.9, 1.4):
-            rot = rotate_grid(elem.planes, GridSampleSpec(beta))
+            rot = rotate_grid(elem.planes, beta)
             assert rms(rot - elem.planes) < 1e-3
 
     def test_out_of_support_ring_rejected(self):
@@ -65,7 +65,7 @@ class TestSteerability:
         spec = BasisSpec(size=9, frequencies=(2,), rings=(3,), sigma=1.0)
         elem = build_basis(spec).elements[0]
         for beta in (0.3, 0.5, 0.9, 1.3):
-            rot = rotate_grid(elem.planes, GridSampleSpec(beta))
+            rot = rotate_grid(elem.planes, beta)
             assert rms(rot - steer_pair(elem, beta)) < 0.02
 
     def test_every_element_within_frozen_tolerance(self):
@@ -75,7 +75,7 @@ class TestSteerability:
         bank = build_basis(BasisSpec(size=9))
         for elem in bank.elements:
             for beta in (0.4, 0.8, 1.2):
-                rot = rotate_grid(elem.planes, GridSampleSpec(beta))
+                rot = rotate_grid(elem.planes, beta)
                 ana = steer_pair(elem, beta)
                 assert rms(rot - ana) < frozen[elem.frequency], (
                     elem.frequency,
@@ -85,7 +85,7 @@ class TestSteerability:
     def test_quarter_turn_steering_exact(self):
         bank = build_basis(BasisSpec(size=9))
         for elem in bank.elements:
-            rot = rotate_grid(elem.planes, GridSampleSpec(math.pi / 2))
+            rot = rotate_grid(elem.planes, math.pi / 2)
             ana = steer_pair(elem, math.pi / 2)
             assert rms(rot - ana) < 1e-12
 

@@ -5,7 +5,6 @@ import pytest
 
 from oriconv.errors import ShapeError
 from oriconv.tensor import (
-    GridSampleSpec,
     conv2d,
     conv2d_backward,
     conv2d_filter_grad,
@@ -125,13 +124,13 @@ class TestConv2dBackward:
 class TestRotateGrid:
     def test_zero_angle_is_exact_copy(self, rng):
         src = rng.normal(size=(5, 5, 2))
-        out = rotate_grid(src, GridSampleSpec(0.0))
+        out = rotate_grid(src, 0.0)
         assert np.array_equal(out, src)
 
     def test_quarter_turn_index_permutation(self):
         src = np.zeros((3, 3))
         src[0, 1] = 1.0
-        out = rotate_grid(src, GridSampleSpec(math.pi / 2))
+        out = rotate_grid(src, math.pi / 2)
         want = np.zeros((3, 3))
         want[1, 0] = 1.0  # top-middle moves to left-middle (counterclockwise)
         assert np.array_equal(out, want)
@@ -139,13 +138,13 @@ class TestRotateGrid:
     def test_all_quarter_turns_bit_exact(self, rng):
         src = rng.normal(size=(7, 7, 3))
         for k in range(4):
-            out = rotate_grid(src, GridSampleSpec(k * math.pi / 2))
+            out = rotate_grid(src, k * math.pi / 2)
             assert np.array_equal(out, np.rot90(src, k))
 
     def test_roundtrip_smooth_bump(self):
         g = gaussian_bump(9, sigma=1.4)
-        fwd = rotate_grid(g, GridSampleSpec(math.pi / 4))
-        back = rotate_grid(fwd, GridSampleSpec(-math.pi / 4))
+        fwd = rotate_grid(g, math.pi / 4)
+        back = rotate_grid(fwd, -math.pi / 4)
         rms = math.sqrt(float(np.mean((back - g) ** 2)))
         assert rms < 0.05
 
@@ -155,23 +154,31 @@ class TestRotateGrid:
         for m, sigma in ((7, 1.1), (9, 1.4), (13, 2.0)):
             g = gaussian_bump(m, sigma)
             for angle in (0.3, 0.7, 1.1, 2.0):
-                out = rotate_grid(g, GridSampleSpec(angle))
+                out = rotate_grid(g, angle)
                 assert abs(out.sum() / g.sum() - 1.0) < 0.02
 
-    def test_fill_value(self):
-        src = np.ones((5, 5))
-        out = rotate_grid(src, GridSampleSpec(math.pi / 4, fill=-3.0))
-        # corners rotate out of support and read the fill value
-        assert out.min() < 0.0
+    def test_zero_outside_support(self):
+        out = rotate_grid(np.ones((9, 9)), math.pi / 4)
+        # corners sample more than a pixel outside the source and read zero
+        assert out[0, 0] == out[0, 8] == out[8, 0] == out[8, 8] == 0.0
+        assert out[4, 4] == 1.0
+
+    def test_angle_taken_modulo_two_pi(self, rng):
+        # cos/sin of -a and 2*pi - a differ in the last bit; both must
+        # sample the same taps
+        g = rng.normal(size=(9, 9, 2))
+        for angle in (math.pi / 4, 0.3, 2.0):
+            for fn in (rotate_grid, rotate_grid_adjoint):
+                want = fn(g, 2 * math.pi - angle)
+                assert fn(g, -angle).tobytes() == want.tobytes()
 
     def test_adjoint_identity(self, rng):
         # <R a, b> == <a, R^T b> for the bilinear sampling map
         a = rng.normal(size=(7, 7))
         b = rng.normal(size=(7, 7))
         for angle in (0.4, 1.2, math.pi / 2):
-            spec = GridSampleSpec(angle)
-            lhs = float(np.sum(rotate_grid(a, spec) * b))
-            rhs = float(np.sum(a * rotate_grid_adjoint(b, spec)))
+            lhs = float(np.sum(rotate_grid(a, angle) * b))
+            rhs = float(np.sum(a * rotate_grid_adjoint(b, angle)))
             assert abs(lhs - rhs) < 1e-10
 
 
