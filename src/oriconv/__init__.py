@@ -25,7 +25,6 @@ from .rconv import (
     expand_rotations,
     rconv_backward,
     rconv_forward,
-    rotation_angles,
 )
 from .fieldops import (
     VFBNState,

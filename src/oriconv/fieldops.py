@@ -5,9 +5,11 @@ rotation. Orientation pooling (`orientation_pool_stack`) collapses those
 rotation channels at every pixel into a single 2D vector whose magnitude is
 the strongest (ReLU-gated) activation and whose angle is that rotation's
 angle; `orientation_pool_gate` and `orientation_pool_backward` give its
-adjoint. Fields exist only as stacks: C fields are one [H, W, 2C] array with
-plane 2c holding the horizontal (p) and plane 2c+1 the vertical (q) component
-of field c, the interleaved layout the vector-field RConv consumes.
+adjoint. Fields exist only as stacks: C fields are one [..., H, W, 2C] array
+with plane 2c holding the horizontal (p) and plane 2c+1 the vertical (q)
+component of field c, the interleaved layout the vector-field RConv consumes.
+Leading axes are a batch; every pooling op treats each image as it would on
+its own.
 `split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
 are the magnitudes and angles.
 
@@ -48,49 +50,47 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
 
 
 def orientation_pool_stack(y: Tensor, n_rotations: int):
-    """Pool rotation channels of [H, W, C*n] into a field stack [H, W, 2C].
+    """Pool rotation channels of [..., H, W, C*n] into a field stack
+    [..., H, W, 2C].
 
     Per pixel and filter: r* = argmax over rotation channels (ties -> smallest
     r), magnitude = ReLU of that activation, angle = 2*pi*r*/n. Returns
-    (stack, winners) where winners [H, W, C] feeds the backward pass.
+    (stack, winners) where winners [..., H, W, C] feeds the backward pass.
     """
     if y.shape[-1] % n_rotations != 0:
         raise ShapeError(
             f"channel count {y.shape[-1]} not divisible by rotations {n_rotations}"
         )
-    h, w, _ = y.shape
     c = y.shape[-1] // n_rotations
-    y4 = y.reshape(h, w, c, n_rotations)
-    winners = np.argmax(y4, axis=3)  # first max wins ties
-    rho = np.take_along_axis(y4, winners[..., None], axis=3)[..., 0]
+    y4 = y.reshape(y.shape[:-1] + (c, n_rotations))
+    winners = np.argmax(y4, axis=-1)  # first max wins ties
+    rho = np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0]
     gated = np.maximum(rho, 0)
     cos_t, sin_t = angle_table(n_rotations)
     cos_w = cos_t[winners].astype(y.dtype)
     sin_w = sin_t[winners].astype(y.dtype)
-    stack = np.empty((h, w, 2 * c), dtype=y.dtype)
+    stack = np.empty(y.shape[:-1] + (2 * c,), dtype=y.dtype)
     stack[..., 0::2] = gated * cos_w
     stack[..., 1::2] = gated * sin_w
     return stack, winners
 
 
 def orientation_pool_gate(y: Tensor, n_rotations: int, winners: Tensor) -> Tensor:
-    """The ReLU gate of `orientation_pool_stack`: boolean [H, W, C], True
-    where the winning rotation channel's activation is positive. With the
-    winners it is all the pooling's adjoint needs of y."""
-    h, w, _ = y.shape
-    y4 = y.reshape(h, w, -1, n_rotations)
-    return np.take_along_axis(y4, winners[..., None], axis=3)[..., 0] > 0
+    """The ReLU gate of `orientation_pool_stack`: boolean [..., H, W, C],
+    True where the winning rotation channel's activation is positive. With
+    the winners it is all the pooling's adjoint needs of y."""
+    y4 = y.reshape(winners.shape + (n_rotations,))
+    return np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0] > 0
 
 
 def orientation_pool_backward(
     winners: Tensor, gate: Tensor, n_rotations: int, upstream_stack: Tensor
 ) -> Tensor:
-    """Adjoint of `orientation_pool_stack`, from its winners [H, W, C] and its
-    ReLU gate (`orientation_pool_gate`) instead of the pre-pool responses: all
-    gradient flows to the winning rotation channel, gated, along the fixed
-    (cos, sin) direction. Returns the [H, W, C*n] pre-pool gradient in the
-    upstream's dtype."""
-    h, w, c = winners.shape
+    """Adjoint of `orientation_pool_stack`, from its winners [..., H, W, C]
+    and its ReLU gate (`orientation_pool_gate`) instead of the pre-pool
+    responses: all gradient flows to the winning rotation channel, gated,
+    along the fixed (cos, sin) direction. Returns the [..., H, W, C*n]
+    pre-pool gradient in the upstream's dtype."""
     dtype = upstream_stack.dtype
     cos_t, sin_t = angle_table(n_rotations)
     up_p = upstream_stack[..., 0::2]
@@ -98,44 +98,50 @@ def orientation_pool_backward(
     gval = gate * (
         cos_t[winners].astype(dtype) * up_p + sin_t[winners].astype(dtype) * up_q
     )
-    grad4 = np.zeros((h, w, c, n_rotations), dtype=dtype)
-    np.put_along_axis(grad4, winners[..., None], gval[..., None], axis=3)
-    return grad4.reshape(h, w, c * n_rotations)
+    grad4 = np.zeros(winners.shape + (n_rotations,), dtype=dtype)
+    np.put_along_axis(grad4, winners[..., None], gval[..., None], axis=-1)
+    return grad4.reshape(winners.shape[:-1] + (-1,))
 
 
 def _tiles(x: Tensor, w: int, fill: float) -> Tensor:
-    """[H, W, C] as non-overlapping w-by-w windows [H/w, W/w, C, w*w],
-    row-major within a window; ragged edges are padded with `fill`."""
-    h, wd = x.shape[:2]
+    """[..., H, W, C] as non-overlapping w-by-w windows
+    [..., H/w, W/w, C, w*w], row-major within a window; ragged edges are
+    padded with `fill`."""
+    *lead, h, wd, c = x.shape
+    d = len(lead)
     if h % w or wd % w:
-        x = np.pad(x, [(0, (-h) % w), (0, (-wd) % w), (0, 0)], constant_values=fill)
-    h, wd, c = x.shape
-    tiles = x.reshape(h // w, w, wd // w, w, c).transpose(0, 2, 4, 1, 3)
-    return tiles.reshape(h // w, wd // w, c, w * w)
+        pad = [(0, 0)] * d + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
+        x = np.pad(x, pad, constant_values=fill)
+        h, wd = x.shape[d : d + 2]
+    tiles = x.reshape(*lead, h // w, w, wd // w, w, c)
+    tiles = tiles.transpose(*range(d), d, d + 2, d + 4, d + 1, d + 3)
+    return tiles.reshape(*lead, h // w, wd // w, c, w * w)
 
 
 def vf_max_pool(stack: Tensor, w: int):
-    """Vector-field max pooling: per field, keep the entire (p, q) vector at
-    the window position of largest magnitude (row-major first on ties), never
-    a componentwise mix; ragged-edge padding never wins. Returns
-    (pooled_stack, winners [H/w, W/w, C])."""
+    """Vector-field max pooling of [..., H, W, 2C]: per field, keep the
+    entire (p, q) vector at the window position of largest magnitude
+    (row-major first on ties), never a componentwise mix; ragged-edge padding
+    never wins. Returns (pooled_stack, winners [..., H/w, W/w, C])."""
     if w < 1:
         raise ShapeError(f"window must be >= 1, got {w}")
-    winners = np.argmax(_tiles(np.hypot(*split_stack(stack)), w, -np.inf), axis=3)
+    winners = np.argmax(_tiles(np.hypot(*split_stack(stack)), w, -np.inf), axis=-1)
     both = np.repeat(winners, 2, axis=-1)[..., None]
-    pooled = np.take_along_axis(_tiles(stack, w, 0.0), both, axis=3)[..., 0]
+    pooled = np.take_along_axis(_tiles(stack, w, 0.0), both, axis=-1)[..., 0]
     return np.ascontiguousarray(pooled), winners
 
 
 def vf_max_pool_backward(stack_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
     """Adjoint of `vf_max_pool`: both components of a field go to its winner."""
-    h, wd, c = stack_shape
+    *lead, h, wd, c = stack_shape
+    d = len(lead)
     hp, wp = h + ((-h) % w), wd + ((-wd) % w)
-    flat = np.zeros((hp // w, wp // w, c, w * w), dtype=upstream.dtype)
+    flat = np.zeros((*lead, hp // w, wp // w, c, w * w), dtype=upstream.dtype)
     both = np.repeat(winners, 2, axis=-1)[..., None]
-    np.put_along_axis(flat, both, upstream[..., None], axis=3)
-    tiles = flat.reshape(hp // w, wp // w, c, w, w).transpose(0, 3, 1, 4, 2)
-    return tiles.reshape(hp, wp, c)[:h, :wd, :]
+    np.put_along_axis(flat, both, upstream[..., None], axis=-1)
+    tiles = flat.reshape(*lead, hp // w, wp // w, c, w, w)
+    tiles = tiles.transpose(*range(d), d, d + 3, d + 1, d + 4, d + 2)
+    return tiles.reshape(*lead, hp, wp, c)[..., :h, :wd, :]
 
 
 @dataclass

@@ -9,8 +9,9 @@ raises `StateError`, and a layer fed by the network input returns no input
 gradient. Apart from that, each `RConvLayer` keeps its expanded rotated
 filter across calls, keyed on the bytes of its canonical weights, because
 those are written in place by the optimiser and by checkpoint loading (see
-`RConvLayer`). Arrays are batched [N, H, W, C]; vector-field
-stacks use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
+`RConvLayer`). Arrays are batched [N, H, W, C], and each layer hands the
+whole batch to one convolution or pooling call per pass; vector-field stacks
+use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
 convolves against the rotated filter copies and orientation-pools the result,
 so every RConv in a block hands on vector fields. Every block keeps the fields
 equivariant: rotating the network input by a quarter turn rotates each level's
@@ -26,7 +27,7 @@ order, and `Sequential` names its layers by index (an `RConvLayer` takes
 two, see `Sequential.children`). `params`, `grads` and
 `state` gather the children's arrays under `f"{name}{SEP}{key}"`
 (`SEP = "."`; the networks use `"/"`, giving `backbone0/0.weights`), and
-`apply_constraints`, `zero_grads` and `parameter_count` walk the same tree.
+`apply_constraints` and `zero_grads` walk the same tree.
 Only the leaves that own arrays override the collectors: `RConvLayer`,
 `PlainConv` and `OrientationHead` their parameters and gradients
 (`RConvLayer` its constraint too), `FieldNorm` its running statistics.
@@ -81,18 +82,15 @@ class Layer:
         for child in self.children().values():
             child.apply_constraints()
 
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.params().values())
-
 
 class RConvLayer(Layer):
     """Rotation-equivariant convolution with orientation pooling, free or
     basis-parametrized filters: [N, H, W, Cin] -> field stacks [N, H, W, 2C].
 
     `forward` expands the canonical bank into its n rotated copies at most
-    once per batch (`rconv.expand_rotations`, bit-identical to expanding per
-    image), then per image convolves against them and pools the C*n rotation
-    channels into C vector fields (`fieldops.orientation_pool_stack`).
+    once per batch (`rconv.expand_rotations`), then convolves the batch
+    against them and pools the C*n rotation channels into C vector fields
+    (`fieldops.orientation_pool_stack`).
 
     The layer keeps its last expanded filter, read-only, and reuses it while
     `bank.weights` (after steerable composition and masking) has the same
@@ -104,14 +102,15 @@ class RConvLayer(Layer):
     thus expands nothing; in training the weights change every step and the
     cached filter is the one `backward` reads, so no memory is added there.
 
-    In training it also keeps, for `backward`, the input and each image's
+    In training it also keeps, for `backward`, the input and the batch's
     pooling winners and ReLU gate (`fieldops.orientation_pool_gate`), never
     the n-times wider rotation responses; at inference it keeps no more.
-    `backward` pulls each image's gradient back through the pooling
+    `backward` pulls the gradient back through the pooling
     (`fieldops.orientation_pool_backward`) and the convolution, then maps the
-    stacked per-image filter gradients onto the canonical weights with one
-    call to `rconv.expand_rotations_backward` and adds the results in image
-    order. Outputs and gradients are bit-identical to `rconv.rconv_forward`,
+    per-image filter gradients onto the canonical weights with one call to
+    `rconv.expand_rotations_backward` and adds the results in image order.
+    Every primitive treats each image as it would on its own, so outputs and
+    gradients are bit-identical to `rconv.rconv_forward`,
     `fieldops.orientation_pool_stack` and their adjoints called image by
     image.
 
@@ -128,7 +127,6 @@ class RConvLayer(Layer):
         n_rotations: int,
         input_kind: str = rconv.SCALAR,
         parametrization: str = "free",
-        basis_spec: steerbasis.BasisSpec | None = None,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
         input_grad: bool = True,
@@ -139,9 +137,7 @@ class RConvLayer(Layer):
         self.input_kind = input_kind
         self.parametrization = parametrization
         if parametrization == "steerable":
-            self.basis = steerbasis.build_basis(
-                basis_spec or steerbasis.BasisSpec(size=size)
-            )
+            self.basis = steerbasis.build_basis(steerbasis.BasisSpec(size=size))
             fan_in = size * size * in_planes
             std = math.sqrt(1.0 / (fan_in * n_rotations))
             self.mixing = rng.normal(
@@ -192,41 +188,32 @@ class RConvLayer(Layer):
             self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
             self.bank.apply_mask()
         f = self._expanded_filter()
-        pad = self.bank.size // 2
-        n = self.n_rotations
-        outs, winners, gates = [], [], []
-        for img in x:
-            y = conv2d(img, f, stride=1, padding=pad)
-            stack, win = fieldops.orientation_pool_stack(y, n)
-            outs.append(stack)
-            if training:
-                winners.append(win)
-                gates.append(fieldops.orientation_pool_gate(y, n, win))
-        self._cache = (x, f, winners, gates) if training else None
-        return np.stack(outs)
+        y = conv2d(x, f)
+        stack, winners = fieldops.orientation_pool_stack(y, self.n_rotations)
+        if training:
+            gate = fieldops.orientation_pool_gate(y, self.n_rotations, winners)
+            self._cache = (x, f, winners, gate)
+        else:
+            self._cache = None
+        return stack
 
     def backward(self, gy: Tensor) -> Tensor | None:
         if self._cache is None:
             raise StateError(
                 "RConvLayer.backward needs a preceding forward(..., training=True)"
             )
-        x, f, winners, gates = self._cache
-        pad = self.bank.size // 2
-        gxs, gfs = [], []
-        for img, win, gate, g in zip(x, winners, gates, gy):
-            gpre = fieldops.orientation_pool_backward(win, gate, self.n_rotations, g)
-            if self.input_grad:
-                gx, gf = conv2d_backward(img, f, gpre, stride=1, padding=pad)
-                gxs.append(gx)
-            else:
-                gf = conv2d_filter_grad(img, f, gpre, stride=1, padding=pad)
-            gfs.append(gf)
-        for gw in rconv.expand_rotations_backward(self.bank, np.stack(gfs)):
+        x, f, winners, gate = self._cache
+        gpre = fieldops.orientation_pool_backward(winners, gate, self.n_rotations, gy)
+        if self.input_grad:
+            gx, gf = conv2d_backward(x, f, gpre)
+        else:
+            gx, gf = None, conv2d_filter_grad(x, f, gpre)
+        for gw in rconv.expand_rotations_backward(self.bank, gf):
             if self.parametrization == "steerable":
                 self.g_mixing += steerbasis.compose_filters_backward(self.basis, gw)
             else:
                 self.g_weights += gw
-        return np.stack(gxs) if self.input_grad else None
+        return gx
 
 
 class VfMaxPool(Layer):
@@ -235,21 +222,13 @@ class VfMaxPool(Layer):
         self._cache = None
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        outs, caches = [], []
-        for img in x:
-            pooled, winners = fieldops.vf_max_pool(img, self.window)
-            outs.append(pooled)
-            caches.append((img.shape, winners))
-        self._cache = caches
-        return np.stack(outs)
+        pooled, winners = fieldops.vf_max_pool(x, self.window)
+        self._cache = (x.shape, winners)
+        return pooled
 
     def backward(self, gy: Tensor) -> Tensor:
-        return np.stack(
-            [
-                fieldops.vf_max_pool_backward(shape, self.window, winners, g)
-                for (shape, winners), g in zip(self._cache, gy)
-            ]
-        )
+        shape, winners = self._cache
+        return fieldops.vf_max_pool_backward(shape, self.window, winners, gy)
 
 
 class FieldAvgPool2(Layer):
@@ -283,8 +262,8 @@ class FieldNorm(Layer):
 
 
 class PlainConv(Layer):
-    """Standard stride-1 convolution with bias, zero-padded to keep the extent
-    (odd `size`); used by the prediction heads."""
+    """Standard convolution with bias, same-padded and stride 1 like every
+    conv (odd `size`); used by the prediction heads."""
 
     def __init__(self, size, cin, cout, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
@@ -293,7 +272,6 @@ class PlainConv(Layer):
         self.b = np.zeros(cout, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self.pad = size // 2
         self._cache = None
 
     def params(self):
@@ -303,21 +281,16 @@ class PlainConv(Layer):
         return {"w": self.gw, "b": self.gb}
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        out = np.stack(
-            [conv2d(img, self.w, padding=self.pad) for img in x]
-        )
         self._cache = x
-        return out + self.b[None, None, None, :]
+        return conv2d(x, self.w) + self.b
 
     def backward(self, gy: Tensor) -> Tensor:
-        x = self._cache
-        gxs = []
-        for img, g in zip(x, gy):
-            gx, gw = conv2d_backward(img, self.w, g, padding=self.pad)
-            gxs.append(gx)
-            self.gw += gw
-            self.gb += g.sum(axis=(0, 1))
-        return np.stack(gxs)
+        gx, gw = conv2d_backward(self._cache, self.w, gy)
+        # per-image gradients, added in image order
+        for gw_i, gb_i in zip(gw, gy.sum(axis=(1, 2))):
+            self.gw += gw_i
+            self.gb += gb_i
+        return gx
 
 
 class Sequential(Layer):

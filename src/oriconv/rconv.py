@@ -64,11 +64,6 @@ def circular_mask(m: int, dtype=np.float64) -> Tensor:
     return (r2 <= (0.5 * m) ** 2 + 1e-9).astype(dtype)
 
 
-def rotation_angles(n: int) -> np.ndarray:
-    """Sampled rotation angles 2*pi*r/n, r = 0..n-1."""
-    return np.array([TWO_PI * r / n for r in range(n)], dtype=np.float64)
-
-
 @functools.lru_cache(maxsize=None)
 def angle_table(n: int):
     """(cos, sin) of the sampled angles; cached per n and read-only, like
@@ -142,16 +137,9 @@ class CanonicalFilterBank:
     def n_filters(self) -> int:
         return self.weights.shape[3]
 
-    @property
-    def angles(self) -> np.ndarray:
-        return rotation_angles(self.n_rotations)
-
     def apply_mask(self) -> None:
         """Zero the weights outside the inscribed circle, in place."""
         self.weights *= self.mask[:, :, None, None].astype(self.weights.dtype)
-
-    def parameter_count(self) -> int:
-        return self.weights.size
 
 
 def _masked(bank: CanonicalFilterBank) -> Tensor:
@@ -339,22 +327,23 @@ def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) 
 
 
 def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> Tensor:
-    """Same-padding stride-1 convolution against all rotated filter copies.
+    """Same-padded stride-1 convolution (`tensor.conv2d`) against all rotated
+    filter copies.
 
-    x is [H, W, Cin]: scalar planes for a scalar bank, or interleaved (p, q)
-    planes for a vector-field bank, whose rotated copies also turn the (p, q)
-    frame (see `expand_rotations`). Returns [H, W, C*n], filter-major and
-    rotation-minor.
+    x is [..., H, W, Cin]: scalar planes for a scalar bank, or interleaved
+    (p, q) planes for a vector-field bank, whose rotated copies also turn the
+    (p, q) frame (see `expand_rotations`). Returns [..., H, W, C*n],
+    filter-major and rotation-minor.
     """
-    return conv2d(x, expand_rotations(bank), stride=1, padding=bank.size // 2)
+    return conv2d(x, expand_rotations(bank))
 
 
 def rconv_backward(x: Tensor, bank: CanonicalFilterBank, upstream: Tensor):
     """Gradients of sum(upstream * rconv_forward(x, bank)).
 
     Returns (grad_x, grad_weights); grad_weights is masked and has the
-    canonical [m, m, Cin, C] shape.
+    canonical [m, m, Cin, C] shape, per image for a batched x.
     """
     f = expand_rotations(bank)
-    gx, gf = conv2d_backward(x, f, upstream, stride=1, padding=bank.size // 2)
+    gx, gf = conv2d_backward(x, f, upstream)
     return gx, expand_rotations_backward(bank, gf)

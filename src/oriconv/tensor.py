@@ -1,8 +1,10 @@
 """Dense-array primitives: 2D convolution, grid rotation, and gradient checking.
 
-Values are plain numpy arrays in channel-last layout ([H, W, C] images,
-[m, m, Cin, Cout] filters). float32 is the working precision; float64 is the
-verification precision. In float64 every reduction in `conv2d`, `stable_sum`
+Values are plain numpy arrays in channel-last layout ([..., H, W, C] images
+with any leading batch axes, [m, m, Cin, Cout] filters). The convolution
+(`conv2d` and its adjoints) is the only one the package needs: same padding
+(m // 2), stride 1, batched, one GEMM per image. float32 is the working
+precision; float64 is the verification precision. In float64 every reduction in `conv2d`, `stable_sum`
 and friends is carried out in a value-sorted order, which makes the result
 invariant under permutations of the summands. That property is what turns the
 90-degree covariance identities elsewhere in the package into bit-exact
@@ -44,111 +46,102 @@ def stable_sum(a: Tensor, axis: int) -> Tensor:
     return a.sum(axis=axis)
 
 
-def _out_extent(size: int, m: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - m) // stride + 1
-
-
-def _conv_geometry(x: Tensor, f: Tensor, stride: int, padding: int):
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be [H,W,Cin], got shape {x.shape}")
+def _conv_geometry(x: Tensor, f: Tensor, upstream: Tensor | None = None):
+    if x.ndim < 3:
+        raise ShapeError(f"conv2d input must be [..., H, W, Cin], got shape {x.shape}")
     if f.ndim != 4:
         raise ShapeError(f"conv2d filter must be [m,m,Cin,Cout], got shape {f.shape}")
-    m, n, cin_f, cout = f.shape
+    m, n, cin, cout = f.shape
     if m != n:
         raise ShapeError(f"filter must be square, got {m}x{n}")
     if m % 2 != 1:
         raise ShapeError(f"filter size must be odd, got {m}")
-    h, w, cin = x.shape
-    if cin != cin_f:
+    if x.shape[-1] != cin:
         raise ShapeError(
-            f"channel mismatch: input has {cin} channels, filter expects {cin_f} "
+            f"channel mismatch: input has {x.shape[-1]} channels, filter expects {cin} "
             f"(input {x.shape}, filter {f.shape})"
         )
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    ho = _out_extent(h, m, stride, padding)
-    wo = _out_extent(w, m, stride, padding)
-    if ho < 1 or wo < 1:
+    if upstream is not None and upstream.shape != x.shape[:-1] + (cout,):
         raise ShapeError(
-            f"empty output: input {h}x{w}, filter {m}, stride {stride}, padding {padding}"
+            f"upstream shape {upstream.shape} does not match conv output "
+            f"{x.shape[:-1] + (cout,)}"
         )
-    return m, cin, cout, ho, wo
+    return m, cin, cout
 
 
-def _im2col(x: Tensor, m: int, stride: int, padding: int) -> Tensor:
-    """Extract sliding windows as rows ordered (ky, kx, cin), row-major."""
-    if padding:
-        x = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (m, m), axis=(0, 1))
-    win = win[::stride, ::stride]  # [Ho, Wo, Cin, m, m]
-    ho, wo = win.shape[:2]
-    cols = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, m * m * x.shape[2])
-    return np.ascontiguousarray(cols)
+def _im2col(x: Tensor, m: int) -> Tensor:
+    """Same-padded sliding windows of [..., H, W, Cin] as [..., H*W, m*m*Cin]
+    rows ordered (ky, kx, cin), row-major."""
+    *lead, h, w, cin = x.shape
+    p = m // 2
+    if p:
+        padded = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
+        padded[..., p : p + h, p : p + w, :] = x
+        x = padded
+    win = np.lib.stride_tricks.sliding_window_view(x, (m, m), axis=(-3, -2))
+    d = len(lead)  # win: [..., H, W, Cin, m, m]
+    cols = win.transpose(*range(d), d, d + 1, d + 3, d + 4, d + 2)
+    return np.ascontiguousarray(cols.reshape(*lead, h * w, m * m * cin))
 
 
-def conv2d(x: Tensor, f: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation (no kernel flip) of [H,W,Cin] with [m,m,Cin,Cout].
+def conv2d(x: Tensor, f: Tensor) -> Tensor:
+    """Same-padded (m // 2), stride-1 cross-correlation (no kernel flip) of
+    [..., H, W, Cin] with [m, m, Cin, Cout]; returns [..., H, W, Cout].
 
-    Output [Ho,Wo,Cout] with Ho = (H + 2*padding - m)//stride + 1. In float64
-    the per-pixel accumulation is permutation-invariant (see module docstring).
+    Each image is one GEMM of its own (`np.matmul` over the stacked windows),
+    so its bytes do not depend on the batch it came in. In float64 the
+    per-pixel accumulation is permutation-invariant (see module docstring).
     """
-    m, cin, cout, ho, wo = _conv_geometry(x, f, stride, padding)
-    cols = _im2col(x, m, stride, padding)
+    m, cin, cout = _conv_geometry(x, f)
+    cols = _im2col(x, m)
     w2 = f.reshape(m * m * cin, cout)
     if x.dtype == np.float64 or f.dtype == np.float64:
-        cols = cols.astype(np.float64, copy=False)
+        rows = cols.reshape(-1, cols.shape[-1]).astype(np.float64, copy=False)
         w2 = w2.astype(np.float64, copy=False)
-        out = np.empty((cols.shape[0], cout), dtype=np.float64)
-        for lo in range(0, cols.shape[0], _SORT_CHUNK):
-            hi = min(lo + _SORT_CHUNK, cols.shape[0])
-            prod = cols[lo:hi, :, None] * w2[None, :, :]
+        out = np.empty((rows.shape[0], cout), dtype=np.float64)
+        for lo in range(0, rows.shape[0], _SORT_CHUNK):
+            hi = min(lo + _SORT_CHUNK, rows.shape[0])
+            prod = rows[lo:hi, :, None] * w2[None, :, :]
             out[lo:hi] = stable_sum(prod, axis=1)
     else:
-        out = cols @ w2
-    y = out.reshape(ho, wo, cout)
+        out = np.matmul(cols, w2)
+    y = out.reshape(x.shape[:-1] + (cout,))
     return check_finite(y, "conv2d output")
 
 
-def conv2d_filter_grad(
-    x: Tensor, f: Tensor, upstream: Tensor, stride: int = 1, padding: int = 0
-) -> Tensor:
+def conv2d_filter_grad(x: Tensor, f: Tensor, upstream: Tensor) -> Tensor:
     """Filter half of `conv2d_backward`: the gradient of
-    sum(upstream * conv2d(x, f)) with respect to f, for callers that need no
-    input gradient (a layer fed by the network input)."""
-    m, cin, cout, ho, wo = _conv_geometry(x, f, stride, padding)
-    if upstream.shape != (ho, wo, cout):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} does not match conv output {(ho, wo, cout)}"
-        )
-    cols = _im2col(x, m, stride, padding)
-    return (cols.T @ upstream.reshape(ho * wo, cout)).reshape(m, m, cin, cout)
+    sum(upstream * conv2d(x, f)) with respect to f, per image
+    ([..., m, m, Cin, Cout]), for callers that need no input gradient (a
+    layer fed by the network input)."""
+    m, cin, cout = _conv_geometry(x, f, upstream)
+    cols = _im2col(x, m)
+    up = upstream.reshape(cols.shape[:-1] + (cout,))
+    return np.matmul(cols.swapaxes(-1, -2), up).reshape(x.shape[:-3] + f.shape)
 
 
-def conv2d_backward(
-    x: Tensor, f: Tensor, upstream: Tensor, stride: int = 1, padding: int = 0
-):
+def conv2d_backward(x: Tensor, f: Tensor, upstream: Tensor):
     """Adjoint of `conv2d`: gradients of sum(upstream * conv2d(x, f)).
 
-    Returns (grad_input, grad_filter).
+    Returns (grad_input [..., H, W, Cin], grad_filter [..., m, m, Cin, Cout]),
+    the filter gradient per image. Each half is one GEMM per image, as in
+    `conv2d`: the batch is never concatenated into a GEMM's rows, which would
+    change the input gradient's bytes (1x1 filters at 8x8x16 show it).
     """
-    grad_filter = conv2d_filter_grad(x, f, upstream, stride, padding)
-    m, cin, cout, ho, wo = _conv_geometry(x, f, stride, padding)
-    h, w, _ = x.shape
-    up2 = upstream.reshape(ho * wo, cout)
+    grad_filter = conv2d_filter_grad(x, f, upstream)
+    m, _, cin, cout = f.shape
+    *lead, h, w, _ = x.shape
+    up = upstream.reshape(*lead, h * w, cout)
 
-    # Scatter the per-window gradients back onto the (padded) input.
-    gcols = up2 @ f.reshape(m * m * cin, cout).T  # [P, m*m*cin]
-    gcols = gcols.reshape(ho, wo, m, m, cin)
-    gx_pad = np.zeros((h + 2 * padding, w + 2 * padding, cin), dtype=gcols.dtype)
+    # Scatter the per-window gradients back onto the padded input.
+    gcols = np.matmul(up, f.reshape(m * m * cin, cout).T)
+    gcols = gcols.reshape(*lead, h, w, m, m, cin)
+    p = m // 2
+    gx_pad = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=gcols.dtype)
     for ky in range(m):
         for kx in range(m):
-            gx_pad[ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += (
-                gcols[:, :, ky, kx, :]
-            )
-    if padding:
-        gx = gx_pad[padding : padding + h, padding : padding + w]
-    else:
-        gx = gx_pad
+            gx_pad[..., ky : ky + h, kx : kx + w, :] += gcols[..., ky, kx, :]
+    gx = gx_pad[..., p : p + h, p : p + w, :]
     return np.ascontiguousarray(gx), grad_filter
 
 
@@ -163,9 +156,10 @@ def _quarter_turns(angle: float, tol: float = 1e-12):
 def _rotation_taps(m: int, angle: float):
     """Bilinear taps for sampling a rotated m-by-m grid.
 
-    Returns (idx0, idx1, idx2, idx3, w0, w1, w2, w3) where each idx is a flat
-    index into the source grid (clipped) and each w already includes the
-    in-bounds mask, so out-of-support taps have weight zero.
+    Returns (indices, weights), two lists of four arrays each, one per tap:
+    indices[t] holds flat indices into the source grid (clipped), and
+    weights[t] already includes the in-bounds mask, so out-of-support taps
+    have weight zero.
     """
     c = 0.5 * (m - 1)
     rows, cols = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")

@@ -148,6 +148,9 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
         raise ConfigError("dataset is empty")
     opt = SGD(network, config.momentum, config.weight_decay)
     order_rng = np.random.default_rng(config.seed ^ 0x5EED)
+    # the hflip coin flips have their own stream, so the flag leaves the data
+    # order alone
+    flip_rng = np.random.default_rng(config.seed ^ 0xF11B)
     rows = []
     if config.task == "orientation":
         header = ("step", "lr", "loss")
@@ -173,7 +176,7 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
         else:
             batch = [dataset[i] for i in idx]
             if config.hflip_augment:
-                flip = order_rng.random(len(batch)) < 0.5
+                flip = flip_rng.random(len(batch)) < 0.5
                 batch = [
                     augment(s, {"hflip": True}) if f else s
                     for s, f in zip(batch, flip)

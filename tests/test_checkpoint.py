@@ -186,3 +186,32 @@ def test_hflip_augment_is_seeded_and_changes_the_batches():
         assert all(math.isfinite(row[2]) for row in rows)
         assert logs.setdefault(flip, rows) == rows
     assert [row[2] for row in logs[True]] != [row[2] for row in logs[False]]
+
+
+def test_hflip_augment_only_flips_the_batches_it_would_draw(monkeypatch):
+    # Over three epochs the flag-on run sees the flag-off run's scenes in the
+    # same batches, some of them mirrored: the coin flips do not move the
+    # data order.
+    spec = NetworkSpec(n_rotations=4)
+    data = [generate_scene(SceneSpec(seed=0), i) for i in range(4)]
+    seen = {}
+    for flip in (False, True):
+        config = TrainConfig(task="detection", n_rotations=4, batch_size=2, max_steps=6,
+                             hflip_augment=flip)
+        net = build_network(spec, config)
+        batches = seen.setdefault(flip, [])
+
+        def record(images, gts, lambdas, batches=batches):
+            batches.append(images.copy())
+            return 1.0, dict.fromkeys(("rpn_cls", "rpn_reg", "head_cls", "head_hbb", "head_obb"), 0.0)
+
+        monkeypatch.setattr(net, "loss_and_grads", record)
+        train(config, data, net)
+    assert len(seen[True]) == len(seen[False]) == 6
+    flipped = []
+    for on, off in zip(seen[True], seen[False]):
+        for a, b in zip(on, off):
+            mirrored = a.tobytes() == b[:, ::-1].tobytes()
+            assert mirrored or a.tobytes() == b.tobytes()
+            flipped.append(mirrored)
+    assert any(flipped) and not all(flipped)

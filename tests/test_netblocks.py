@@ -176,10 +176,10 @@ class TestLayerGradients:
         f = rconv.expand_rotations(layer.bank)
         gfs = []
         for img, g in zip(x, up):
-            y = conv2d(img, f, 1, 2)
+            y = conv2d(img, f)
             _, winners = orientation_pool_stack(y, 8)
             g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
-            gfs.append(conv2d_backward(img, f, g_pre, 1, 2)[1])
+            gfs.append(conv2d_backward(img, f, g_pre)[1])
         want = sum(rconv.expand_rotations_backward(layer.bank, np.stack(gfs)))
         assert layer.g_weights.tobytes() == want.tobytes()
 
@@ -452,12 +452,12 @@ class TestRConvCache:
         layers = list(rconv_layers(net))
         assert len(layers) == 17  # 3 backbone, 6 pyramid, 4 attention, 4 fusion
         for layer in layers:
-            _, f, winners, gates = layer._cache
-            assert len(winners) == len(gates) == 2
+            _, f, winners, gate = layer._cache
+            assert winners.shape == gate.shape and len(gate) == 2
             # nothing but the expanded filter is C*n rotation channels wide
             wide = [a for a in cached_arrays(layer._cache) if a.shape[-1] == f.shape[3]]
             assert len(wide) == 1 and wide[0] is f
-            assert all(g.dtype == bool for g in gates)
+            assert gate.dtype == bool
         net.forward(images, training=False)
         assert all(layer._cache is None for layer in layers)
 
@@ -473,9 +473,8 @@ class TestRConvCache:
     @staticmethod
     def uncached_forward(layer, x):
         f = rconv.expand_rotations(layer.bank)
-        pad = layer.bank.size // 2
         n = layer.n_rotations
-        return np.stack([orientation_pool_stack(conv2d(img, f, 1, pad), n)[0] for img in x])
+        return np.stack([orientation_pool_stack(conv2d(img, f), n)[0] for img in x])
 
     @pytest.mark.parametrize(
         "kind, parametrization",

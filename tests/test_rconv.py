@@ -14,7 +14,6 @@ from oriconv.rconv import (
     expand_rotations_backward,
     rconv_backward,
     rconv_forward,
-    rotation_angles,
     rotation_plan,
 )
 from oriconv.tensor import finite_diff_check, rotate_grid, rotate_grid_adjoint
@@ -60,10 +59,6 @@ class TestExpandRotations:
             a = exp[:, :, 0, r]
             b = exp[:, :, 0, r + 2]  # quarter turn later
             assert np.array_equal(b, np.rot90(a))
-
-    def test_rotation_angles(self):
-        a = rotation_angles(8)
-        assert a[0] == 0.0 and abs(a[1] - math.pi / 4) < 1e-15
 
     def test_angle_table_quarter_symmetry_bitwise(self):
         for n in (4, 8, 16, 24):
@@ -255,7 +250,7 @@ class TestBackward:
         x = rng.normal(size=(6, 6, 2))
         up = rng.normal(size=(6, 6, 2))
         gx, gw = rconv_backward(x, bank, up)
-        gx2, gw2 = conv2d_backward(x, expand_rotations(bank), up, 1, 1)
+        gx2, gw2 = conv2d_backward(x, expand_rotations(bank), up)
         assert np.array_equal(gx, gx2)
         assert np.array_equal(gw, gw2)
 
@@ -346,7 +341,7 @@ class TestInvariants:
         for n in (4, 8, 17):
             bank = make_bank(rng, m=5, cin=3, c=4, n=n)
             standard = 5 * 5 * 3 * (4 * n)
-            assert standard == n * bank.parameter_count()
+            assert standard == n * bank.weights.size
 
     def test_exact_90_degree_equivariance(self, rng):
         for n in (4, 8, 16):

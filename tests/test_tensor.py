@@ -23,73 +23,63 @@ class TestConv2d:
         f = np.zeros((3, 3, 2, 2), dtype=np.float32)
         f[1, 1, 0, 0] = 1.0
         f[1, 1, 1, 1] = 1.0
-        y = conv2d(x, f, stride=1, padding=1)
+        y = conv2d(x, f)
         assert np.allclose(y, x, atol=1e-7)
 
     def test_zero_input(self):
         x = np.zeros((5, 5, 3))
         f = np.ones((3, 3, 3, 4))
-        assert not conv2d(x, f, 1, 1).any()
+        assert not conv2d(x, f).any()
 
     def test_matches_loop_oracle_example(self, rng):
         x = rng.normal(size=(7, 7, 2))
         f = rng.normal(size=(3, 3, 2, 4))
-        got = conv2d(x, f, stride=1, padding=0)
-        want = conv2d_oracle(x, f, 1, 0)
+        got = conv2d(x, f)
+        want = conv2d_oracle(x, f, 1, 1)
         assert np.abs(got - want).max() < 1e-6
 
     def test_matches_oracle_100_random_instances(self, rng):
-        # float32 within 1e-6, float64 within 1e-12
+        # float32 within 1e-6, float64 within 1e-12; conv2d always pads m // 2
         for _ in range(100):
             h = int(rng.integers(3, 8))
             w = int(rng.integers(3, 8))
             cin = int(rng.integers(1, 3))
             cout = int(rng.integers(1, 4))
             m = int(rng.choice([1, 3]))
-            stride = int(rng.integers(1, 3))
-            pad = int(rng.integers(0, 2))
-            if (h + 2 * pad - m) // stride + 1 < 1 or (w + 2 * pad - m) // stride + 1 < 1:
-                continue
             x64 = 0.5 * rng.normal(size=(h, w, cin))
             f64 = 0.5 * rng.normal(size=(m, m, cin, cout))
-            want = conv2d_oracle(x64, f64, stride, pad)
-            got64 = conv2d(x64, f64, stride, pad)
+            want = conv2d_oracle(x64, f64, 1, m // 2)
+            got64 = conv2d(x64, f64)
             assert np.abs(got64 - want).max() < 1e-12
             x32 = x64.astype(np.float32)
             f32 = f64.astype(np.float32)
-            want32 = conv2d_oracle(x32.astype(np.float64), f32.astype(np.float64), stride, pad)
-            got32 = conv2d(x32, f32, stride, pad)
+            want32 = conv2d_oracle(x32.astype(np.float64), f32.astype(np.float64), 1, m // 2)
+            got32 = conv2d(x32, f32)
             assert np.abs(got32 - want32).max() < 1e-6
-
-    def test_output_extent_formula(self, rng):
-        x = rng.normal(size=(11, 9, 1))
-        f = rng.normal(size=(3, 3, 1, 1))
-        y = conv2d(x, f, stride=2, padding=1)
-        assert y.shape == ((11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1, 1)
 
     def test_channel_mismatch_rejected(self, rng):
         x = rng.normal(size=(5, 5, 2))
         f = rng.normal(size=(3, 3, 3, 1))
         with pytest.raises(ShapeError, match="channel"):
-            conv2d(x, f, 1, 1)
+            conv2d(x, f)
 
     def test_even_filter_rejected(self, rng):
         with pytest.raises(ShapeError):
-            conv2d(rng.normal(size=(5, 5, 1)), rng.normal(size=(2, 2, 1, 1)), 1, 0)
+            conv2d(rng.normal(size=(5, 5, 1)), rng.normal(size=(2, 2, 1, 1)))
 
 
 class TestConv2dBackward:
     def test_zero_upstream(self, rng):
         x = rng.normal(size=(5, 5, 2))
         f = rng.normal(size=(3, 3, 2, 3))
-        gx, gf = conv2d_backward(x, f, np.zeros((5, 5, 3)), 1, 1)
+        gx, gf = conv2d_backward(x, f, np.zeros((5, 5, 3)))
         assert not gx.any() and not gf.any()
 
     def test_1x1_closed_form(self, rng):
         x = rng.normal(size=(4, 4, 2))
         f = rng.normal(size=(1, 1, 2, 3))
         up = rng.normal(size=(4, 4, 3))
-        _, gf = conv2d_backward(x, f, up, 1, 0)
+        _, gf = conv2d_backward(x, f, up)
         for ci in range(2):
             for co in range(3):
                 want = (x[:, :, ci] * up[:, :, co]).sum()
@@ -99,26 +89,18 @@ class TestConv2dBackward:
         x = rng.normal(size=(6, 6, 2))
         f = rng.normal(size=(3, 3, 2, 3))
         up = rng.normal(size=(6, 6, 3))
-        gx, gf = conv2d_backward(x, f, up, 1, 1)
-        err_f = finite_diff_check(lambda p: np.sum(up * conv2d(x, p, 1, 1)), f.copy(), gf)
-        err_x = finite_diff_check(lambda p: np.sum(up * conv2d(p, f, 1, 1)), x.copy(), gx)
+        gx, gf = conv2d_backward(x, f, up)
+        err_f = finite_diff_check(lambda p: np.sum(up * conv2d(x, p)), f.copy(), gf)
+        err_x = finite_diff_check(lambda p: np.sum(up * conv2d(p, f)), x.copy(), gx)
         assert err_f < 1e-4 and err_x < 1e-4
-
-    def test_strided_finite_differences(self, rng):
-        x = rng.normal(size=(7, 7, 2))
-        f = rng.normal(size=(3, 3, 2, 2))
-        up = rng.normal(size=(4, 4, 2))
-        gx, gf = conv2d_backward(x, f, up, 2, 1)
-        err = finite_diff_check(lambda p: np.sum(up * conv2d(p, f, 2, 1)), x.copy(), gx)
-        assert err < 1e-4
 
     def test_upstream_shape_checked(self, rng):
         x = rng.normal(size=(5, 5, 1))
         f = rng.normal(size=(3, 3, 1, 1))
         with pytest.raises(ShapeError):
-            conv2d_backward(x, f, np.zeros((4, 4, 1)), 1, 1)
+            conv2d_backward(x, f, np.zeros((4, 4, 1)))
         with pytest.raises(ShapeError):
-            conv2d_filter_grad(x, f, np.zeros((4, 4, 1)), 1, 1)
+            conv2d_filter_grad(x, f, np.zeros((4, 4, 1)))
 
 
 class TestRotateGrid:
