@@ -30,7 +30,6 @@ from .fieldops import (
     VFBNState,
     field_batch_norm,
     orientation_pool_backward,
-    orientation_pool_gate,
     orientation_pool_stack,
     vf_max_pool,
 )

@@ -4,8 +4,9 @@ An RConv output holds, per canonical filter, one activation map per sampled
 rotation. Orientation pooling (`orientation_pool_stack`) collapses those
 rotation channels at every pixel into a single 2D vector whose magnitude is
 the strongest (ReLU-gated) activation and whose angle is that rotation's
-angle; `orientation_pool_gate` and `orientation_pool_backward` give its
-adjoint. Fields exist only as stacks: C fields are one [..., H, W, 2C] array
+angle. The same pass yields the winning rotations and the ReLU gate, from
+which `orientation_pool_backward` gives its adjoint without the pre-pool
+responses. Fields exist only as stacks: C fields are one [..., H, W, 2C] array
 with plane 2c holding the horizontal (p) and plane 2c+1 the vertical (q)
 component of field c, the interleaved layout the vector-field RConv consumes.
 Leading axes are a batch; every pooling op treats each image as it would on
@@ -20,6 +21,7 @@ lengths without touching their directions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +51,33 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
     return out
 
 
+def _running_max(views):
+    """Elementwise max of equal-shape arrays views[0], views[1], ... and the
+    index of the first one holding it, in the smallest unsigned dtype holding
+    len(views)-1. A view wins only by a strict improvement and the index only
+    grows, so the last improvement is argmax's first maximum, without a
+    masked store (a NaN after view 0 never wins, where argmax would pick
+    it)."""
+    wdt = np.min_scalar_type(len(views) - 1)
+    best = views[0].copy()
+    winners = np.zeros(best.shape, dtype=wdt)
+    for k in range(1, len(views)):
+        np.maximum(winners, np.multiply(views[k] > best, k, dtype=wdt), out=winners)
+        np.maximum(best, views[k], out=best)
+    return best, winners
+
+
 def orientation_pool_stack(y: Tensor, n_rotations: int):
     """Pool rotation channels of [..., H, W, C*n] into a field stack
     [..., H, W, 2C].
 
     Per pixel and filter: r* = argmax over rotation channels (ties -> smallest
-    r), magnitude = ReLU of that activation, angle = 2*pi*r*/n. Returns
-    (stack, winners) where winners [..., H, W, C] feeds the backward pass.
+    r), taken by `_running_max` over the n strided rotation views of y;
+    magnitude = ReLU of that activation, angle = 2*pi*r*/n. Returns (stack,
+    winners, gate): winners [..., H, W, C] of the smallest unsigned dtype
+    holding n-1 (uint8 for n <= 256) and the boolean ReLU gate, True where
+    the winning activation is positive; the two are all the adjoint needs
+    of y.
     """
     if y.shape[-1] % n_rotations != 0:
         raise ShapeError(
@@ -63,85 +85,77 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
         )
     c = y.shape[-1] // n_rotations
     y4 = y.reshape(y.shape[:-1] + (c, n_rotations))
-    winners = np.argmax(y4, axis=-1)  # first max wins ties
-    rho = np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0]
+    rho, winners = _running_max([y4[..., r] for r in range(n_rotations)])
+    # rho can differ from y[r*] only in the sign of a zero, which the ReLU drops
     gated = np.maximum(rho, 0)
     cos_t, sin_t = angle_table(n_rotations)
-    cos_w = cos_t[winners].astype(y.dtype)
-    sin_w = sin_t[winners].astype(y.dtype)
     stack = np.empty(y.shape[:-1] + (2 * c,), dtype=y.dtype)
-    stack[..., 0::2] = gated * cos_w
-    stack[..., 1::2] = gated * sin_w
-    return stack, winners
-
-
-def orientation_pool_gate(y: Tensor, n_rotations: int, winners: Tensor) -> Tensor:
-    """The ReLU gate of `orientation_pool_stack`: boolean [..., H, W, C],
-    True where the winning rotation channel's activation is positive. With
-    the winners it is all the pooling's adjoint needs of y."""
-    y4 = y.reshape(winners.shape + (n_rotations,))
-    return np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0] > 0
+    np.multiply(gated, cos_t.astype(y.dtype)[winners], out=stack[..., 0::2])
+    np.multiply(gated, sin_t.astype(y.dtype)[winners], out=stack[..., 1::2])
+    return stack, winners, gated > 0
 
 
 def orientation_pool_backward(
     winners: Tensor, gate: Tensor, n_rotations: int, upstream_stack: Tensor
 ) -> Tensor:
-    """Adjoint of `orientation_pool_stack`, from its winners [..., H, W, C]
-    and its ReLU gate (`orientation_pool_gate`) instead of the pre-pool
-    responses: all gradient flows to the winning rotation channel, gated,
-    along the fixed (cos, sin) direction. Returns the [..., H, W, C*n]
-    pre-pool gradient in the upstream's dtype."""
+    """Adjoint of `orientation_pool_stack`, from its winners and gate instead
+    of the pre-pool responses: all gradient flows to the winning rotation
+    channel, gated, along the fixed (cos, sin) direction. Returns the
+    [..., H, W, C*n] pre-pool gradient in the upstream's dtype."""
     dtype = upstream_stack.dtype
     cos_t, sin_t = angle_table(n_rotations)
-    up_p = upstream_stack[..., 0::2]
-    up_q = upstream_stack[..., 1::2]
+    up_p, up_q = split_stack(upstream_stack)
     gval = gate * (
-        cos_t[winners].astype(dtype) * up_p + sin_t[winners].astype(dtype) * up_q
+        cos_t.astype(dtype)[winners] * up_p + sin_t.astype(dtype)[winners] * up_q
     )
-    grad4 = np.zeros(winners.shape + (n_rotations,), dtype=dtype)
-    np.put_along_axis(grad4, winners[..., None], gval[..., None], axis=-1)
-    return grad4.reshape(winners.shape[:-1] + (-1,))
+    grad = np.zeros(winners.size * n_rotations, dtype=dtype)
+    grad[np.arange(0, grad.size, n_rotations) + winners.ravel()] = gval.ravel()
+    return grad.reshape(winners.shape[:-1] + (-1,))
 
 
-def _tiles(x: Tensor, w: int, fill: float) -> Tensor:
-    """[..., H, W, C] as non-overlapping w-by-w windows
-    [..., H/w, W/w, C, w*w], row-major within a window; ragged edges are
-    padded with `fill`."""
-    *lead, h, wd, c = x.shape
-    d = len(lead)
-    if h % w or wd % w:
-        pad = [(0, 0)] * d + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
-        x = np.pad(x, pad, constant_values=fill)
-        h, wd = x.shape[d : d + 2]
-    tiles = x.reshape(*lead, h // w, w, wd // w, w, c)
-    tiles = tiles.transpose(*range(d), d, d + 2, d + 4, d + 1, d + 3)
-    return tiles.reshape(*lead, h // w, wd // w, c, w * w)
+def _window_index(shape, w: int, winners: Tensor) -> Tensor:
+    """Flat index into a C-ordered [..., H, W, 2C] stack of the p component
+    at each window's winner (window position k = a*w + b, row-major)."""
+    *lead, h, wd, c2 = shape
+    ho, wo, _ = winners.shape[-3:]
+    k = np.arange(w * w)
+    offset = (k // w * wd + k % w) * c2
+    origin = (np.arange(ho)[:, None] * (w * wd) + np.arange(wo) * w)[..., None] * c2
+    image = np.arange(math.prod(lead)).reshape(*lead, 1, 1, 1) * (h * wd * c2)
+    return image + (origin + np.arange(0, c2, 2)) + offset[winners]
 
 
 def vf_max_pool(stack: Tensor, w: int):
     """Vector-field max pooling of [..., H, W, 2C]: per field, keep the
     entire (p, q) vector at the window position of largest magnitude
     (row-major first on ties), never a componentwise mix; ragged-edge padding
-    never wins. Returns (pooled_stack, winners [..., H/w, W/w, C])."""
+    never wins. `_running_max` over the w*w strided magnitude views finds
+    the winners. Returns (pooled_stack, winners [..., H/w, W/w, C]), the
+    winners of the smallest unsigned dtype holding w*w-1."""
     if w < 1:
         raise ShapeError(f"window must be >= 1, got {w}")
-    winners = np.argmax(_tiles(np.hypot(*split_stack(stack)), w, -np.inf), axis=-1)
-    both = np.repeat(winners, 2, axis=-1)[..., None]
-    pooled = np.take_along_axis(_tiles(stack, w, 0.0), both, axis=-1)[..., 0]
-    return np.ascontiguousarray(pooled), winners
+    mag = np.hypot(*split_stack(stack))
+    *lead, h, wd, c = mag.shape
+    if h % w or wd % w:
+        pad = [(0, 0)] * len(lead) + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
+        mag = np.pad(mag, pad, constant_values=-np.inf)
+    _, winners = _running_max([mag[..., a::w, b::w, :] for a in range(w) for b in range(w)])
+    index = _window_index(stack.shape, w, winners)
+    flat = stack.ravel()
+    pooled = np.empty(winners.shape[:-1] + (2 * c,), dtype=stack.dtype)
+    pooled[..., 0::2] = flat[index]
+    pooled[..., 1::2] = flat[index + 1]
+    return pooled, winners
 
 
 def vf_max_pool_backward(stack_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
     """Adjoint of `vf_max_pool`: both components of a field go to its winner."""
-    *lead, h, wd, c = stack_shape
-    d = len(lead)
-    hp, wp = h + ((-h) % w), wd + ((-wd) % w)
-    flat = np.zeros((*lead, hp // w, wp // w, c, w * w), dtype=upstream.dtype)
-    both = np.repeat(winners, 2, axis=-1)[..., None]
-    np.put_along_axis(flat, both, upstream[..., None], axis=-1)
-    tiles = flat.reshape(*lead, hp // w, wp // w, c, w, w)
-    tiles = tiles.transpose(*range(d), d, d + 3, d + 1, d + 4, d + 2)
-    return tiles.reshape(*lead, hp, wp, c)[..., :h, :wd, :]
+    index = _window_index(stack_shape, w, winners)
+    grad = np.zeros(stack_shape, dtype=upstream.dtype)
+    flat = grad.reshape(-1)
+    flat[index] = upstream[..., 0::2]
+    flat[index + 1] = upstream[..., 1::2]
+    return grad
 
 
 @dataclass

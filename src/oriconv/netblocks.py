@@ -102,9 +102,10 @@ class RConvLayer(Layer):
     thus expands nothing; in training the weights change every step and the
     cached filter is the one `backward` reads, so no memory is added there.
 
-    In training it also keeps, for `backward`, the input and the batch's
-    pooling winners and ReLU gate (`fieldops.orientation_pool_gate`), never
-    the n-times wider rotation responses; at inference it keeps no more.
+    In training it also keeps, for `backward`, the input and the pooling's
+    winning rotations (one byte each for n <= 256) and ReLU gate, both from
+    the forward pass, never the n-times wider rotation responses; at
+    inference it keeps no more.
     `backward` pulls the gradient back through the pooling
     (`fieldops.orientation_pool_backward`) and the convolution, then maps the
     per-image filter gradients onto the canonical weights with one call to
@@ -189,12 +190,8 @@ class RConvLayer(Layer):
             self.bank.apply_mask()
         f = self._expanded_filter()
         y = conv2d(x, f)
-        stack, winners = fieldops.orientation_pool_stack(y, self.n_rotations)
-        if training:
-            gate = fieldops.orientation_pool_gate(y, self.n_rotations, winners)
-            self._cache = (x, f, winners, gate)
-        else:
-            self._cache = None
+        stack, winners, gate = fieldops.orientation_pool_stack(y, self.n_rotations)
+        self._cache = (x, f, winners, gate) if training else None
         return stack
 
     def backward(self, gy: Tensor) -> Tensor | None:

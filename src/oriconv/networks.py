@@ -94,6 +94,11 @@ class NetworkSpec:
             raise ConfigError(f"rpn_top_k must be >= 0, got {self.rpn_top_k}")
         if not self.backbone:
             raise ConfigError("backbone needs at least one stage")
+        for i, st in enumerate(self.backbone):
+            size, pool = st["size"], st.get("pool", 1)
+            if size < 1 or size % 2 == 0 or st["filters"] < 1 or pool < 1:
+                raise ConfigError(f"network.backbone[{i}] needs an odd size >= 1, "
+                                  f"filters >= 1 and pool >= 1, got {dict(st)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

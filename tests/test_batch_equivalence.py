@@ -9,7 +9,6 @@ import pytest
 from oriconv import fieldops, netblocks, networks
 from oriconv.fieldops import (
     orientation_pool_backward,
-    orientation_pool_gate,
     orientation_pool_stack,
     vf_max_pool,
     vf_max_pool_backward,
@@ -88,17 +87,15 @@ def test_orientation_pool_batch_matches_one_image_at_a_time(y_shape, n_rot, dtyp
     y = rng.normal(size=(b,) + y_shape).astype(dtype)
     up = rng.normal(size=(b,) + y_shape[:2] + (2 * y_shape[2] // n_rot,)).astype(dtype)
     pooled = [orientation_pool_stack(yi, n_rot) for yi in y]
-    gates = [orientation_pool_gate(yi, n_rot, w) for yi, (_, w) in zip(y, pooled)]
     grads = [
         orientation_pool_backward(w, g, n_rot, u)
-        for (_, w), g, u in zip(pooled, gates, up)
+        for (_, w, g), u in zip(pooled, up)
     ]
     for n in BATCHES:
-        stack, winners = orientation_pool_stack(y[:n], n_rot)
-        gate = orientation_pool_gate(y[:n], n_rot, winners)
+        stack, winners, gate = orientation_pool_stack(y[:n], n_rot)
         assert stack.tobytes() == stacked([p[0] for p in pooled], n)
         assert winners.tobytes() == stacked([p[1] for p in pooled], n)
-        assert gate.tobytes() == stacked(gates, n)
+        assert gate.tobytes() == stacked([p[2] for p in pooled], n)
         grad = orientation_pool_backward(winners, gate, n_rot, up[:n])
         assert grad.tobytes() == stacked(grads, n)
 

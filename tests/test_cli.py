@@ -90,6 +90,14 @@ CONFIG_CASES = {
     "numeric_data_kind": json.dumps({"train": {"task": "detection"}, "data": {"kind": 5}}),
     "string_stage_size": json.dumps({"network": {"backbone": [
         {**DEFAULT_BACKBONE[0], "size": "5"}, *DEFAULT_BACKBONE[1:]]}}),
+    "zero_stage_filters": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "filters": 0}, *DEFAULT_BACKBONE[1:]]}}),
+    "negative_stage_size": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "size": -1}, *DEFAULT_BACKBONE[1:]]}}),
+    "even_stage_size": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "size": 4}, *DEFAULT_BACKBONE[1:]]}}),
+    "zero_stage_pool": json.dumps({"network": {"backbone": [
+        {**DEFAULT_BACKBONE[0], "pool": 0}, *DEFAULT_BACKBONE[1:]]}}),
     "unknown_stage_key": json.dumps({"network": {"backbone": [
         {**DEFAULT_BACKBONE[0], "bogus": 1}, *DEFAULT_BACKBONE[1:]]}}),
     "string_anchor_ratio": json.dumps({"train": {"task": "detection"},

@@ -8,20 +8,48 @@ from oriconv.fieldops import (
     field_batch_norm,
     field_batch_norm_backward,
     orientation_pool_backward,
-    orientation_pool_gate,
     orientation_pool_stack,
     rotate_stack_90,
     split_stack,
     vf_max_pool,
     vf_max_pool_backward,
 )
-from oriconv.rconv import CanonicalFilterBank, rconv_forward
+from oriconv.rconv import CanonicalFilterBank, angle_table, rconv_forward
 from oriconv.tensor import finite_diff_check
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-component vector-field max pool and its adjoint that the
-# shared tiling replaced, kept verbatim but for the padding helper.
+# Oracles: the argmax / take_along_axis orientation pool with its gate, and
+# its put_along_axis adjoint; the per-component vector-field max pool and its
+# adjoint, verbatim but for the padding helper.
+
+
+def orientation_pool_oracle(y, n):
+    c = y.shape[-1] // n
+    y4 = y.reshape(y.shape[:-1] + (c, n))
+    winners = np.argmax(y4, axis=-1)  # first max wins ties
+    rho = np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0]
+    gated = np.maximum(rho, 0)
+    cos_t, sin_t = angle_table(n)
+    cos_w = cos_t[winners].astype(y.dtype)
+    sin_w = sin_t[winners].astype(y.dtype)
+    stack = np.empty(y.shape[:-1] + (2 * c,), dtype=y.dtype)
+    stack[..., 0::2] = gated * cos_w
+    stack[..., 1::2] = gated * sin_w
+    return stack, winners, rho > 0
+
+
+def orientation_pool_backward_oracle(winners, gate, n, upstream_stack):
+    dtype = upstream_stack.dtype
+    cos_t, sin_t = angle_table(n)
+    up_p = upstream_stack[..., 0::2]
+    up_q = upstream_stack[..., 1::2]
+    gval = gate * (
+        cos_t[winners].astype(dtype) * up_p + sin_t[winners].astype(dtype) * up_q
+    )
+    grad4 = np.zeros(winners.shape + (n,), dtype=dtype)
+    np.put_along_axis(grad4, winners[..., None], gval[..., None], axis=-1)
+    return grad4.reshape(winners.shape[:-1] + (-1,))
 
 
 def _pool_pad(x, w, fill):
@@ -67,7 +95,7 @@ def vf_max_pool_backward_oracle(stack_shape, w, winners, upstream):
 def pooled_field(y, n):
     """p, q, magnitude and angle in [0, 2*pi) of the pooled [H, W, C*n]
     responses, read from the stack with `np.hypot` and `np.arctan2`."""
-    stack, _ = orientation_pool_stack(y, n)
+    stack, _, _ = orientation_pool_stack(y, n)
     p, q = split_stack(stack)
     return p, q, np.hypot(p, q), np.arctan2(q, p) % (2 * math.pi)
 
@@ -102,32 +130,67 @@ class TestOrientationPool:
 
     def test_multi_filter_stack_layout(self, rng):
         y = rng.normal(size=(4, 4, 12))  # 3 filters x 4 rotations
-        stack, winners = orientation_pool_stack(y, 4)
-        assert stack.shape == (4, 4, 6) and winners.shape == (4, 4, 3)
-        single, _ = orientation_pool_stack(y[:, :, 4:8], 4)
+        stack, winners, gate = orientation_pool_stack(y, 4)
+        assert stack.shape == (4, 4, 6) and winners.shape == gate.shape == (4, 4, 3)
+        single, _, _ = orientation_pool_stack(y[:, :, 4:8], 4)
         assert np.array_equal(stack[:, :, 2:4], single)
 
     def test_angle_zero_where_magnitude_zero(self):
         _, _, rho, angle = pooled_field(np.zeros((2, 2, 4)), 4)
         assert not rho.any() and not angle.any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 17, 24])
+    @pytest.mark.parametrize("values", ["normal", "signed_zeros", "integer_ties", "negative"])
+    def test_matches_argmax_oracle(self, rng, dtype, n, values):
+        shape = (2, 3, 5, 3 * n)
+        if values == "normal":
+            y = rng.normal(size=shape)
+        elif values == "signed_zeros":  # +0.0 and -0.0 tie, with a few +-1
+            y = rng.choice([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0], size=shape)
+        elif values == "integer_ties":
+            y = rng.integers(-2, 3, size=shape).astype(np.float64)
+        else:  # every response negative, with ties
+            y = -rng.integers(1, 4, size=shape).astype(np.float64)
+        y = y.astype(dtype)
+        stack, winners, gate = orientation_pool_stack(y, n)
+        want_stack, want_winners, want_gate = orientation_pool_oracle(y, n)
+        assert stack.dtype == want_stack.dtype and stack.tobytes() == want_stack.tobytes()
+        assert winners.dtype == np.uint8 and np.array_equal(winners, want_winners)
+        assert gate.dtype == bool and gate.tobytes() == want_gate.tobytes()
+        up = rng.normal(size=stack.shape).astype(dtype)
+        got = orientation_pool_backward(winners, gate, n, up)
+        want = orientation_pool_backward_oracle(want_winners, want_gate, n, up)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_wide_rotation_axis_uses_uint16_winners(self, rng):
+        y = rng.integers(-3, 4, size=(1, 1, 2 * 300)).astype(np.float32)
+        y[0, 0, 300 + 280] = 9.0  # second filter wins past uint8's range
+        stack, winners, gate = orientation_pool_stack(y, 300)
+        want_stack, want_winners, want_gate = orientation_pool_oracle(y, 300)
+        assert winners.dtype == np.uint16 and winners[0, 0, 1] == 280
+        assert np.array_equal(winners, want_winners)
+        assert stack.tobytes() == want_stack.tobytes() and gate.tobytes() == want_gate.tobytes()
+        up = rng.normal(size=stack.shape).astype(np.float32)
+        got = orientation_pool_backward(winners, gate, 300, up)
+        assert got.tobytes() == orientation_pool_backward_oracle(
+            want_winners, want_gate, 300, up).tobytes()
+
 
 class TestOrientationPoolBackward:
     def test_zero_upstream(self, rng):
         y = rng.normal(size=(3, 3, 8))
-        _, winners = orientation_pool_stack(y, 8)
-        g = orientation_pool_backward(
-            winners, orientation_pool_gate(y, 8, winners), 8, np.zeros((3, 3, 2))
-        )
+        _, winners, gate = orientation_pool_stack(y, 8)
+        g = orientation_pool_backward(winners, gate, 8, np.zeros((3, 3, 2)))
         assert not g.any()
 
     def test_single_pixel_angle_zero(self):
         y = np.zeros((1, 1, 4))
         y[0, 0] = [2.0, 1.0, 0.0, -1.0]  # winner r=0, theta=0
-        _, winners = orientation_pool_stack(y, 4)
+        _, winners, gate = orientation_pool_stack(y, 4)
         up = np.zeros((1, 1, 2))
         up[0, 0, 0] = 0.7  # upstream on p only
-        g = orientation_pool_backward(winners, orientation_pool_gate(y, 4, winners), 4, up)
+        g = orientation_pool_backward(winners, gate, 4, up)
         assert g[0, 0, 0] == pytest.approx(0.7)
         assert not g[0, 0, 1:].any()
 
@@ -139,12 +202,12 @@ class TestOrientationPoolBackward:
             gap = srt[..., -1] - srt[..., -2]
             if gap.min() < 1e-3 or np.abs(y4.max(axis=3)).min() < 1e-3:
                 continue  # exclude near-ties and near-zero magnitudes
-            stack, winners = orientation_pool_stack(y, 6)
+            stack, winners, gate = orientation_pool_stack(y, 6)
             up = rng.normal(size=stack.shape)
-            g = orientation_pool_backward(winners, orientation_pool_gate(y, 6, winners), 6, up)
+            g = orientation_pool_backward(winners, gate, 6, up)
 
             def loss(p):
-                s, _ = orientation_pool_stack(p, 6)
+                s, _, _ = orientation_pool_stack(p, 6)
                 return np.sum(up * s)
 
             assert finite_diff_check(loss, y.copy(), g, step=1e-5) < 1e-4
@@ -205,7 +268,8 @@ class TestVfMaxPool:
         want, want_winners = vf_max_pool_oracle(v, w)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        assert got_winners.tobytes() == want_winners.tobytes()
+        assert got_winners.dtype == np.min_scalar_type(w * w - 1)
+        assert np.array_equal(got_winners, want_winners)
         up = rng.normal(size=want.shape).astype(dtype)
         got = vf_max_pool_backward(v.shape, w, got_winners, up)
         want = vf_max_pool_backward_oracle(v.shape, w, want_winners, up)
@@ -298,8 +362,8 @@ class TestRotationCovariance:
             w = rng.normal(size=(5, 5, 1, 3))
             bank = CanonicalFilterBank(w.copy(), n)
             x = rng.normal(size=(12, 12, 1))
-            f1, _ = orientation_pool_stack(rconv_forward(x, bank), n)
-            f2, _ = orientation_pool_stack(
+            f1, _, _ = orientation_pool_stack(rconv_forward(x, bank), n)
+            f2, _, _ = orientation_pool_stack(
                 rconv_forward(np.rot90(x).copy(), bank), n
             )
             assert np.array_equal(f2, rotate_stack_90(f1, 1))

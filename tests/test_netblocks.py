@@ -8,7 +8,6 @@ from oriconv import checkpoint, rconv, synthdata, trainer
 from oriconv.errors import ConfigError, ShapeError, StateError
 from oriconv.fieldops import (
     orientation_pool_backward,
-    orientation_pool_gate,
     orientation_pool_stack,
     rotate_stack_90,
 )
@@ -147,8 +146,8 @@ class TestLayerGradients:
         per_image = []
         for img, g in zip(x, up):
             y = rconv.rconv_forward(img, layer.bank)
-            stack, winners = orientation_pool_stack(y, 8)
-            g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
+            stack, winners, gate = orientation_pool_stack(y, 8)
+            g_pre = orientation_pool_backward(winners, gate, 8, g)
             per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
 
         calls = count_expansions(monkeypatch)
@@ -177,8 +176,8 @@ class TestLayerGradients:
         gfs = []
         for img, g in zip(x, up):
             y = conv2d(img, f)
-            _, winners = orientation_pool_stack(y, 8)
-            g_pre = orientation_pool_backward(winners, orientation_pool_gate(y, 8, winners), 8, g)
+            _, winners, gate = orientation_pool_stack(y, 8)
+            g_pre = orientation_pool_backward(winners, gate, 8, g)
             gfs.append(conv2d_backward(img, f, g_pre)[1])
         want = sum(rconv.expand_rotations_backward(layer.bank, np.stack(gfs)))
         assert layer.g_weights.tobytes() == want.tobytes()
@@ -457,7 +456,7 @@ class TestRConvCache:
             # nothing but the expanded filter is C*n rotation channels wide
             wide = [a for a in cached_arrays(layer._cache) if a.shape[-1] == f.shape[3]]
             assert len(wide) == 1 and wide[0] is f
-            assert gate.dtype == bool
+            assert gate.dtype == bool and winners.dtype == np.uint8
         net.forward(images, training=False)
         assert all(layer._cache is None for layer in layers)
 
