@@ -4,13 +4,15 @@ An RConv output holds, per canonical filter, one activation map per sampled
 rotation. Orientation pooling (`orientation_pool_stack`) collapses those
 rotation channels at every pixel into a single 2D vector whose magnitude is
 the strongest (ReLU-gated) activation and whose angle is that rotation's
-angle. The same pass yields the winning rotations and the ReLU gate, from
-which `orientation_pool_backward` gives its adjoint without the pre-pool
-responses. Fields exist only as stacks: C fields are one [..., H, W, 2C] array
-with plane 2c holding the horizontal (p) and plane 2c+1 the vertical (q)
-component of field c, the interleaved layout the vector-field RConv consumes.
-Leading axes are a batch; every pooling op treats each image as it would on
-its own.
+angle. It reads the responses as `tensor.conv2d` writes them, pixel planes
+[..., C*n, H, W], and keeps the winning rotations and the ReLU gate in that
+plane layout, [..., C, H, W]; from those two `orientation_pool_backward`
+gives its adjoint without the pre-pool responses, channel-last like every
+other gradient. Fields exist only as stacks: C fields are one [..., H, W, 2C]
+array with plane 2c holding the horizontal (p) and plane 2c+1 the vertical
+(q) component of field c, the interleaved layout the vector-field RConv
+consumes. Leading axes are a batch; every pooling op treats each image as it
+would on its own.
 `split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
 are the magnitudes and angles.
 
@@ -21,6 +23,7 @@ lengths without touching their directions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,10 +42,11 @@ def split_stack(stack: Tensor):
 
 
 def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
-    """Exact quarter-turn of a field stack: rotate the maps spatially and each
-    vector with them ((p, q) -> (-q, p) per turn). Used by the covariance
-    checks; every step is an index permutation or a sign flip, hence exact."""
-    out = np.rot90(stack, k % 4, axes=(0, 1)).copy()
+    """Exact quarter-turn of a field stack [..., H, W, 2C], each image on its
+    own: rotate the maps spatially and each vector with them
+    ((p, q) -> (-q, p) per turn). Used by the covariance checks; every step
+    is an index permutation or a sign flip, hence exact."""
+    out = np.rot90(stack, k % 4, axes=(-3, -2)).copy()
     for _ in range(k % 4):
         p = out[..., 0::2].copy()
         q = out[..., 1::2].copy()
@@ -68,61 +72,85 @@ def _running_max(views):
 
 
 def orientation_pool_stack(y: Tensor, n_rotations: int):
-    """Pool rotation channels of [..., H, W, C*n] into a field stack
+    """Pool the rotation planes of [..., C*n, H, W] (`tensor.conv2d`'s
+    output; plane c*n + r is filter c at rotation r) into a field stack
     [..., H, W, 2C].
 
-    Per pixel and filter: r* = argmax over rotation channels (ties -> smallest
-    r), taken by `_running_max` over the n strided rotation views of y;
-    magnitude = ReLU of that activation, angle = 2*pi*r*/n. Returns (stack,
-    winners, gate): winners [..., H, W, C] of the smallest unsigned dtype
-    holding n-1 (uint8 for n <= 256) and the boolean ReLU gate, True where
-    the winning activation is positive; the two are all the adjoint needs
-    of y.
+    Per pixel and filter: r* = argmax over rotations (ties -> smallest r),
+    taken by `_running_max` over the n rotation views [..., C, H*W], whose
+    rows are contiguous pixels; magnitude = ReLU of that activation, angle =
+    2*pi*r*/n. The C-ordered stack is written once, channel-last. Returns
+    (stack, winners, gate), the last two in plane layout [..., C, H, W]:
+    winners of the smallest unsigned dtype holding n-1 (uint8 for n <= 256)
+    and the boolean ReLU gate, True where the winning activation is
+    positive; the two are all the adjoint needs of y.
     """
-    if y.shape[-1] % n_rotations != 0:
+    if y.ndim < 3 or y.shape[-3] % n_rotations != 0:
         raise ShapeError(
-            f"channel count {y.shape[-1]} not divisible by rotations {n_rotations}"
+            f"rotation planes {y.shape} do not split into {n_rotations} rotations"
         )
-    c = y.shape[-1] // n_rotations
-    y4 = y.reshape(y.shape[:-1] + (c, n_rotations))
-    rho, winners = _running_max([y4[..., r] for r in range(n_rotations)])
+    *lead, cn, h, w = y.shape
+    c = cn // n_rotations
+    y4 = y.reshape(*lead, c, n_rotations, h * w)
+    rho, winners = _running_max([y4[..., r, :] for r in range(n_rotations)])
     # rho can differ from y[r*] only in the sign of a zero, which the ReLU drops
     gated = np.maximum(rho, 0)
     cos_t, sin_t = angle_table(n_rotations)
-    stack = np.empty(y.shape[:-1] + (2 * c,), dtype=y.dtype)
-    np.multiply(gated, cos_t.astype(y.dtype)[winners], out=stack[..., 0::2])
-    np.multiply(gated, sin_t.astype(y.dtype)[winners], out=stack[..., 1::2])
-    return stack, winners, gated > 0
+    stack = np.empty((*lead, h, w, 2 * c), dtype=y.dtype)
+    pixel_rows = stack.reshape(*lead, h * w, 2 * c)
+    # np.take, not a fancy index: twice as fast on small-integer indices
+    for comp, table in ((0, cos_t), (1, sin_t)):
+        out = pixel_rows[..., comp::2].swapaxes(-1, -2)  # [..., C, H*W] view
+        np.multiply(gated, table.astype(y.dtype).take(winners), out=out)
+    planes = (*lead, c, h, w)
+    return stack, winners.reshape(planes), (gated > 0).reshape(planes)
 
 
 def orientation_pool_backward(
     winners: Tensor, gate: Tensor, n_rotations: int, upstream_stack: Tensor
 ) -> Tensor:
-    """Adjoint of `orientation_pool_stack`, from its winners and gate instead
-    of the pre-pool responses: all gradient flows to the winning rotation
-    channel, gated, along the fixed (cos, sin) direction. Returns the
-    [..., H, W, C*n] pre-pool gradient in the upstream's dtype."""
+    """Adjoint of `orientation_pool_stack`, from its winners and gate
+    ([..., C, H, W] planes) instead of the pre-pool responses: all gradient
+    flows to the winning rotation channel, gated, along the fixed (cos, sin)
+    direction. Returns the channel-last, filter-major [..., H, W, C*n]
+    pre-pool gradient in the upstream's dtype, the upstream layout of
+    `tensor.conv2d_backward`."""
     dtype = upstream_stack.dtype
     cos_t, sin_t = angle_table(n_rotations)
     up_p, up_q = split_stack(upstream_stack)
-    gval = gate * (
-        cos_t.astype(dtype)[winners] * up_p + sin_t.astype(dtype)[winners] * up_q
+    winners = np.ascontiguousarray(np.moveaxis(winners, -3, -1))
+    gval = np.moveaxis(gate, -3, -1) * (
+        cos_t.astype(dtype).take(winners) * up_p
+        + sin_t.astype(dtype).take(winners) * up_q
     )
     grad = np.zeros(winners.size * n_rotations, dtype=dtype)
     grad[np.arange(0, grad.size, n_rotations) + winners.ravel()] = gval.ravel()
     return grad.reshape(winners.shape[:-1] + (-1,))
 
 
-def _window_index(shape, w: int, winners: Tensor) -> Tensor:
-    """Flat index into a C-ordered [..., H, W, 2C] stack of the p component
-    at each window's winner (window position k = a*w + b, row-major)."""
+@functools.lru_cache(maxsize=64)
+def _window_base(shape, w: int):
+    """Shape-only part of `_window_index`, read-only: the flat index into a
+    C-ordered [..., H, W, 2C] stack of each pooled field's p component at
+    its window's origin, and the offset of window position k = a*w + b
+    (row-major) from that origin."""
     *lead, h, wd, c2 = shape
-    ho, wo, _ = winners.shape[-3:]
+    ho, wo = -(-h // w), -(-wd // w)
     k = np.arange(w * w)
     offset = (k // w * wd + k % w) * c2
     origin = (np.arange(ho)[:, None] * (w * wd) + np.arange(wo) * w)[..., None] * c2
     image = np.arange(math.prod(lead)).reshape(*lead, 1, 1, 1) * (h * wd * c2)
-    return image + (origin + np.arange(0, c2, 2)) + offset[winners]
+    base = image + (origin + np.arange(0, c2, 2))
+    for a in (base, offset):
+        a.flags.writeable = False
+    return base, offset
+
+
+def _window_index(shape, w: int, winners: Tensor) -> Tensor:
+    """Flat index into a C-ordered [..., H, W, 2C] stack of the p component
+    at each window's winner."""
+    base, offset = _window_base(tuple(shape), w)
+    return base + offset.take(winners)
 
 
 def vf_max_pool(stack: Tensor, w: int):
@@ -188,20 +216,21 @@ def field_batch_norm(batch: Tensor, state: VFBNState, training: bool):
     orientation information and are left untouched).
 
     batch: [N, H, W, 2C]. In training mode the batch variance is used and the
-    running estimate updated; in eval mode the running estimate is used.
+    running estimate updated; in eval mode the running estimate is used and
+    no magnitudes are computed, since only the training backward reads them.
     Returns (normalized, cache) where cache feeds `field_batch_norm_backward`.
     """
     if batch.ndim != 4 or batch.shape[-1] % 2 != 0:
         raise ShapeError(f"expected [N,H,W,2C] field batch, got {batch.shape}")
     p, q = split_stack(batch)
-    rho = np.hypot(p, q)
     if training:
+        rho = np.hypot(p, q)
         var = _magnitude_variance(rho.astype(np.float64, copy=False))
         state.running_var = (
             state.momentum * state.running_var + (1.0 - state.momentum) * var
         )
     else:
-        var = state.running_var
+        rho, var = None, state.running_var
     scale = 1.0 / np.sqrt(var + state.eps)
     scale = scale.astype(batch.dtype)
     out = np.empty_like(batch)

@@ -89,8 +89,9 @@ class RConvLayer(Layer):
 
     `forward` expands the canonical bank into its n rotated copies at most
     once per batch (`rconv.expand_rotations`), then convolves the batch
-    against them and pools the C*n rotation channels into C vector fields
-    (`fieldops.orientation_pool_stack`).
+    against them into C*n rotation planes [N, C*n, H, W] (`tensor.conv2d`)
+    and pools those into C vector fields (`fieldops.orientation_pool_stack`),
+    handed on C-ordered and channel-last.
 
     The layer keeps its last expanded filter, read-only, and reuses it while
     `bank.weights` (after steerable composition and masking) has the same
@@ -103,9 +104,9 @@ class RConvLayer(Layer):
     cached filter is the one `backward` reads, so no memory is added there.
 
     In training it also keeps, for `backward`, the input and the pooling's
-    winning rotations (one byte each for n <= 256) and ReLU gate, both from
-    the forward pass, never the n-times wider rotation responses; at
-    inference it keeps no more.
+    winning rotations (one byte each for n <= 256) and ReLU gate, both
+    [N, C, H, W] planes from the forward pass, never the n-times wider
+    rotation responses; at inference it keeps no more.
     `backward` pulls the gradient back through the pooling
     (`fieldops.orientation_pool_backward`) and the convolution, then maps the
     per-image filter gradients onto the canonical weights with one call to
@@ -260,7 +261,8 @@ class FieldNorm(Layer):
 
 class PlainConv(Layer):
     """Standard convolution with bias, same-padded and stride 1 like every
-    conv (odd `size`); used by the prediction heads."""
+    conv (odd `size`); used by the prediction heads. The bias is added as
+    the conv's planes are moved channel-last, into a C-ordered output."""
 
     def __init__(self, size, cin, cout, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
@@ -279,7 +281,7 @@ class PlainConv(Layer):
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
         self._cache = x
-        return conv2d(x, self.w) + self.b
+        return np.add(np.moveaxis(conv2d(x, self.w), -3, -1), self.b, order="C")
 
     def backward(self, gy: Tensor) -> Tensor:
         gx, gw = conv2d_backward(self._cache, self.w, gy)

@@ -332,10 +332,11 @@ def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> Tensor:
 
     x is [..., H, W, Cin]: scalar planes for a scalar bank, or interleaved
     (p, q) planes for a vector-field bank, whose rotated copies also turn the
-    (p, q) frame (see `expand_rotations`). Returns [..., H, W, C*n],
-    filter-major and rotation-minor.
+    (p, q) frame (see `expand_rotations`). Returns C-ordered
+    [..., H, W, C*n], filter-major and rotation-minor: `conv2d`'s planes
+    moved channel-last, the layout `rconv_backward`'s upstream takes.
     """
-    return conv2d(x, expand_rotations(bank))
+    return np.ascontiguousarray(np.moveaxis(conv2d(x, expand_rotations(bank)), -3, -1))
 
 
 def rconv_backward(x: Tensor, bank: CanonicalFilterBank, upstream: Tensor):

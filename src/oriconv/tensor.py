@@ -3,12 +3,15 @@
 Values are plain numpy arrays in channel-last layout ([..., H, W, C] images
 with any leading batch axes, [m, m, Cin, Cout] filters). The convolution
 (`conv2d` and its adjoints) is the only one the package needs: same padding
-(m // 2), stride 1, batched, one GEMM per image. float32 is the working
-precision; float64 is the verification precision. In float64 every reduction in `conv2d`, `stable_sum`
-and friends is carried out in a value-sorted order, which makes the result
-invariant under permutations of the summands. That property is what turns the
-90-degree covariance identities elsewhere in the package into bit-exact
-equalities instead of up-to-rounding ones.
+(m // 2), stride 1, batched, one GEMM per image. Its one exception to the
+channel-last layout is `conv2d`'s output, which comes as pixel planes
+[..., Cout, H, W], the layout the orientation pool reads. float32 is the
+working precision; float64 is the verification precision. In float64 every
+reduction in `conv2d`, `stable_sum` and friends is carried out in a
+value-sorted order, which makes the result invariant under permutations of
+the summands. That property is what turns the 90-degree covariance identities
+elsewhere in the package into bit-exact equalities instead of up-to-rounding
+ones.
 
 Angle convention (used package-wide): angles are in radians and rotate content
 counterclockwise as displayed, i.e. with row 0 at the top a quarter turn moves
@@ -71,28 +74,44 @@ def _conv_geometry(x: Tensor, f: Tensor, upstream: Tensor | None = None):
 
 def _im2col(x: Tensor, m: int) -> Tensor:
     """Same-padded sliding windows of [..., H, W, Cin] as [..., H*W, m*m*Cin]
-    rows ordered (ky, kx, cin), row-major."""
+    rows ordered (ky, kx, cin), row-major. A 1x1 filter's columns are the
+    input itself (a view of a C-ordered x); larger filters take their
+    windows from the zero-padded input with one strided copy."""
     *lead, h, w, cin = x.shape
+    if m == 1:
+        return x.reshape(*lead, h * w, cin)
     p = m // 2
-    if p:
-        padded = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
-        padded[..., p : p + h, p : p + w, :] = x
-        x = padded
-    win = np.lib.stride_tricks.sliding_window_view(x, (m, m), axis=(-3, -2))
-    d = len(lead)  # win: [..., H, W, Cin, m, m]
-    cols = win.transpose(*range(d), d, d + 1, d + 3, d + 4, d + 2)
-    return np.ascontiguousarray(cols.reshape(*lead, h * w, m * m * cin))
+    padded = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
+    padded[..., p : p + h, p : p + w, :] = x
+    *lead_strides, sh, sw, sc = padded.strides
+    win = np.lib.stride_tricks.as_strided(
+        padded, (*lead, h, w, m, m, cin), (*lead_strides, sh, sw, sh, sw, sc),
+        writeable=False,
+    )
+    return win.reshape(*lead, h * w, m * m * cin)
 
 
 def conv2d(x: Tensor, f: Tensor) -> Tensor:
     """Same-padded (m // 2), stride-1 cross-correlation (no kernel flip) of
-    [..., H, W, Cin] with [m, m, Cin, Cout]; returns [..., H, W, Cout].
+    [..., H, W, Cin] with [m, m, Cin, Cout]; returns C-ordered pixel planes
+    [..., Cout, H, W], each output channel one contiguous H*W plane.
 
-    Each image is one GEMM of its own (`np.matmul` over the stacked windows),
-    so its bytes do not depend on the batch it came in. In float64 the
-    per-pixel accumulation is permutation-invariant (see module docstring).
+    Each image is one GEMM of its own, f2^T @ cols^T with f2 the filter as
+    [m*m*Cin, Cout] rows (filter-major columns, as stored) and cols the
+    image's [H*W, m*m*Cin] windows, so its bytes do not depend on the batch
+    it came in. Every output is the dot product cols @ f2 would compute,
+    and OpenBLAS accumulates it in the same order whichever operand comes
+    first, so the planes hold the bytes of the channel-last product
+    transposed; tests/test_batch_equivalence.py pins that for every layer
+    shape the networks run. In float64 the per-pixel accumulation is
+    permutation-invariant (see module docstring) and its result is written
+    in the same layout.
+
+    The adjoints (`conv2d_backward`, `conv2d_filter_grad`) take the upstream
+    gradient channel-last, [..., H, W, Cout].
     """
     m, cin, cout = _conv_geometry(x, f)
+    *lead, h, w, _ = x.shape
     cols = _im2col(x, m)
     w2 = f.reshape(m * m * cin, cout)
     if x.dtype == np.float64 or f.dtype == np.float64:
@@ -103,15 +122,16 @@ def conv2d(x: Tensor, f: Tensor) -> Tensor:
             hi = min(lo + _SORT_CHUNK, rows.shape[0])
             prod = rows[lo:hi, :, None] * w2[None, :, :]
             out[lo:hi] = stable_sum(prod, axis=1)
+        out = np.ascontiguousarray(out.reshape(*lead, h * w, cout).swapaxes(-1, -2))
     else:
-        out = np.matmul(cols, w2)
-    y = out.reshape(x.shape[:-1] + (cout,))
+        out = np.matmul(w2.T, cols.swapaxes(-1, -2))
+    y = out.reshape(*lead, cout, h, w)
     return check_finite(y, "conv2d output")
 
 
 def conv2d_filter_grad(x: Tensor, f: Tensor, upstream: Tensor) -> Tensor:
-    """Filter half of `conv2d_backward`: the gradient of
-    sum(upstream * conv2d(x, f)) with respect to f, per image
+    """Filter half of `conv2d_backward`: the gradient with respect to f of
+    the sum of upstream [..., H, W, Cout] times the conv output, per image
     ([..., m, m, Cin, Cout]), for callers that need no input gradient (a
     layer fed by the network input)."""
     m, cin, cout = _conv_geometry(x, f, upstream)
@@ -121,7 +141,8 @@ def conv2d_filter_grad(x: Tensor, f: Tensor, upstream: Tensor) -> Tensor:
 
 
 def conv2d_backward(x: Tensor, f: Tensor, upstream: Tensor):
-    """Adjoint of `conv2d`: gradients of sum(upstream * conv2d(x, f)).
+    """Adjoint of `conv2d`: gradients of the sum of upstream [..., H, W, Cout]
+    (channel-last, unlike `conv2d`'s planes) times the conv output.
 
     Returns (grad_input [..., H, W, Cin], grad_filter [..., m, m, Cin, Cout]),
     the filter gradient per image. Each half is one GEMM per image, as in

@@ -222,7 +222,9 @@ def save_training_checkpoint(path: str, result: TrainResult, config: TrainConfig
 def rotate_field_stack(stack: Tensor, angle: float) -> Tensor:
     """Reference transform of a field stack under image rotation by `angle`:
     rotate each component plane spatially, then rotate every vector by the
-    same angle (2x2 mixing). Exact quarter turns use the permutation path."""
+    same angle (2x2 mixing). Exact quarter turns use the permutation path,
+    which takes a batch [..., H, W, 2C]; the off-grid path (`rotate_grid`)
+    takes one square image [H, H, 2C]."""
     k = angle / (0.5 * math.pi)
     if abs(k - round(k)) < 1e-12:
         return rotate_stack_90(stack, int(round(k)))

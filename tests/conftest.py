@@ -39,6 +39,13 @@ def conv2d_oracle(x, f, stride=1, padding=0):
     return y
 
 
+def planes(y):
+    """Channel-last responses [..., H, W, C] as the C-ordered pixel planes
+    [..., C, H, W] that `tensor.conv2d` writes and the orientation pool
+    reads."""
+    return np.ascontiguousarray(np.moveaxis(y, -1, -3))
+
+
 def gaussian_bump(m, sigma=2.0):
     c = 0.5 * (m - 1)
     ys, xs = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")

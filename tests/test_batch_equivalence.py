@@ -1,7 +1,9 @@
 """The batched convolution and field pools give, byte for byte, what they
 give one image at a time, on every shape the default detector and the
-orientation estimator run. The shapes are recorded from one forward pass of
-each network, so a new layer shape is covered without editing this file."""
+orientation estimator run; the convolution's pixel planes hold the bytes of
+the channel-last GEMM transposed. The shapes are recorded from one forward
+pass of each network, so a new layer shape is covered without editing this
+file."""
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ DTYPES = (np.float32, np.float64)
 
 def record_shapes():
     """Per-image shapes reaching the conv and the two pools in a forward of
-    the default `Detector` and of an `ORIENT_BACKBONE` estimator."""
+    the default `Detector` and of an `ORIENT_BACKBONE` estimator: the conv's
+    [H, W, Cin] input and filter, the orientation pool's [C*n, H, W] planes
+    and the field pool's [H, W, 2C] stack."""
     convs, opools, vfpools = set(), set(), set()
 
     def recorder(fn, seen, key):
@@ -72,11 +76,31 @@ def test_conv_batch_matches_one_image_at_a_time(x_shape, f_shape, dtype):
     ys = [conv2d(xi, f) for xi in x]
     grads = [conv2d_backward(xi, f, ui) for xi, ui in zip(x, up)]
     for n in BATCHES:
-        assert conv2d(x[:n], f).tobytes() == stacked(ys, n)
+        out = conv2d(x[:n], f)
+        assert out.flags.c_contiguous and out.tobytes() == stacked(ys, n)
         gx, gf = conv2d_backward(x[:n], f, up[:n])
         assert gx.tobytes() == stacked([g[0] for g in grads], n)
         assert gf.tobytes() == stacked([g[1] for g in grads], n)
         assert conv2d_filter_grad(x[:n], f, up[:n]).tobytes() == gf.tobytes()
+
+
+@pytest.mark.parametrize("x_shape, f_shape", CONV_SHAPES, ids=str)
+def test_conv_planes_are_the_channel_last_gemm_transposed(x_shape, f_shape):
+    # f2^T @ cols^T is the column-major problem of cols @ f2 with the
+    # operands' roles swapped; the BLAS must give the same bytes for both
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2,) + x_shape).astype(np.float32)
+    f = rng.normal(size=f_shape).astype(np.float32)
+    m, _, cin, cout = f_shape
+    h, w, _ = x_shape
+    padded = np.pad(x, [(0, 0), (m // 2, m // 2), (m // 2, m // 2), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(padded, (m, m), axis=(1, 2))
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(2, h * w, m * m * cin)
+    for xi, ci in zip(x, cols):
+        channel_last = np.matmul(ci, f.reshape(m * m * cin, cout))
+        y = conv2d(xi, f)
+        assert y.shape == (cout, h, w) and y.flags.c_contiguous
+        assert y.tobytes() == channel_last.T.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: d.__name__)
@@ -85,7 +109,7 @@ def test_orientation_pool_batch_matches_one_image_at_a_time(y_shape, n_rot, dtyp
     rng = np.random.default_rng(1)
     b = max(BATCHES)
     y = rng.normal(size=(b,) + y_shape).astype(dtype)
-    up = rng.normal(size=(b,) + y_shape[:2] + (2 * y_shape[2] // n_rot,)).astype(dtype)
+    up = rng.normal(size=(b,) + y_shape[1:] + (2 * y_shape[0] // n_rot,)).astype(dtype)
     pooled = [orientation_pool_stack(yi, n_rot) for yi in y]
     grads = [
         orientation_pool_backward(w, g, n_rot, u)

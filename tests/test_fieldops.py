@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oriconv import fieldops
+from oriconv.errors import ShapeError
 from oriconv.fieldops import (
     VFBNState,
     field_batch_norm,
@@ -14,14 +16,17 @@ from oriconv.fieldops import (
     vf_max_pool,
     vf_max_pool_backward,
 )
-from oriconv.rconv import CanonicalFilterBank, angle_table, rconv_forward
-from oriconv.tensor import finite_diff_check
+from oriconv.rconv import CanonicalFilterBank, angle_table, expand_rotations
+from oriconv.tensor import conv2d, finite_diff_check
+
+from conftest import planes
 
 
 # ---------------------------------------------------------------------------
 # Oracles: the argmax / take_along_axis orientation pool with its gate, and
-# its put_along_axis adjoint; the per-component vector-field max pool and its
-# adjoint, verbatim but for the padding helper.
+# its put_along_axis adjoint, both on channel-last responses [..., H, W, C*n]
+# (the tests feed the pool their `planes`); the per-component vector-field
+# max pool and its adjoint, verbatim but for the padding helper.
 
 
 def orientation_pool_oracle(y, n):
@@ -95,7 +100,7 @@ def vf_max_pool_backward_oracle(stack_shape, w, winners, upstream):
 def pooled_field(y, n):
     """p, q, magnitude and angle in [0, 2*pi) of the pooled [H, W, C*n]
     responses, read from the stack with `np.hypot` and `np.arctan2`."""
-    stack, _, _ = orientation_pool_stack(y, n)
+    stack, _, _ = orientation_pool_stack(planes(y), n)
     p, q = split_stack(stack)
     return p, q, np.hypot(p, q), np.arctan2(q, p) % (2 * math.pi)
 
@@ -130,10 +135,17 @@ class TestOrientationPool:
 
     def test_multi_filter_stack_layout(self, rng):
         y = rng.normal(size=(4, 4, 12))  # 3 filters x 4 rotations
-        stack, winners, gate = orientation_pool_stack(y, 4)
-        assert stack.shape == (4, 4, 6) and winners.shape == gate.shape == (4, 4, 3)
-        single, _, _ = orientation_pool_stack(y[:, :, 4:8], 4)
+        stack, winners, gate = orientation_pool_stack(planes(y), 4)
+        assert stack.shape == (4, 4, 6) and winners.shape == gate.shape == (3, 4, 4)
+        assert stack.flags.c_contiguous
+        single, _, _ = orientation_pool_stack(planes(y[:, :, 4:8]), 4)
         assert np.array_equal(stack[:, :, 2:4], single)
+
+    def test_planes_must_split_into_rotations(self):
+        with pytest.raises(ShapeError):
+            orientation_pool_stack(np.zeros((7, 2, 2)), 4)
+        with pytest.raises(ShapeError):
+            orientation_pool_stack(np.zeros((8, 2)), 4)
 
     def test_angle_zero_where_magnitude_zero(self):
         _, _, rho, angle = pooled_field(np.zeros((2, 2, 4)), 4)
@@ -143,6 +155,7 @@ class TestOrientationPool:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 17, 24])
     @pytest.mark.parametrize("values", ["normal", "signed_zeros", "integer_ties", "negative"])
     def test_matches_argmax_oracle(self, rng, dtype, n, values):
+        # the pool reads planes; winners and gate come back as planes too
         shape = (2, 3, 5, 3 * n)
         if values == "normal":
             y = rng.normal(size=shape)
@@ -153,11 +166,11 @@ class TestOrientationPool:
         else:  # every response negative, with ties
             y = -rng.integers(1, 4, size=shape).astype(np.float64)
         y = y.astype(dtype)
-        stack, winners, gate = orientation_pool_stack(y, n)
+        stack, winners, gate = orientation_pool_stack(planes(y), n)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, n)
         assert stack.dtype == want_stack.dtype and stack.tobytes() == want_stack.tobytes()
-        assert winners.dtype == np.uint8 and np.array_equal(winners, want_winners)
-        assert gate.dtype == bool and gate.tobytes() == want_gate.tobytes()
+        assert winners.dtype == np.uint8 and np.array_equal(winners, planes(want_winners))
+        assert gate.dtype == bool and gate.tobytes() == planes(want_gate).tobytes()
         up = rng.normal(size=stack.shape).astype(dtype)
         got = orientation_pool_backward(winners, gate, n, up)
         want = orientation_pool_backward_oracle(want_winners, want_gate, n, up)
@@ -166,11 +179,12 @@ class TestOrientationPool:
     def test_wide_rotation_axis_uses_uint16_winners(self, rng):
         y = rng.integers(-3, 4, size=(1, 1, 2 * 300)).astype(np.float32)
         y[0, 0, 300 + 280] = 9.0  # second filter wins past uint8's range
-        stack, winners, gate = orientation_pool_stack(y, 300)
+        stack, winners, gate = orientation_pool_stack(planes(y), 300)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, 300)
-        assert winners.dtype == np.uint16 and winners[0, 0, 1] == 280
-        assert np.array_equal(winners, want_winners)
-        assert stack.tobytes() == want_stack.tobytes() and gate.tobytes() == want_gate.tobytes()
+        assert winners.dtype == np.uint16 and winners[1, 0, 0] == 280
+        assert np.array_equal(winners, planes(want_winners))
+        assert stack.tobytes() == want_stack.tobytes()
+        assert gate.tobytes() == planes(want_gate).tobytes()
         up = rng.normal(size=stack.shape).astype(np.float32)
         got = orientation_pool_backward(winners, gate, 300, up)
         assert got.tobytes() == orientation_pool_backward_oracle(
@@ -179,14 +193,14 @@ class TestOrientationPool:
 
 class TestOrientationPoolBackward:
     def test_zero_upstream(self, rng):
-        y = rng.normal(size=(3, 3, 8))
+        y = rng.normal(size=(8, 3, 3))
         _, winners, gate = orientation_pool_stack(y, 8)
         g = orientation_pool_backward(winners, gate, 8, np.zeros((3, 3, 2)))
         assert not g.any()
 
     def test_single_pixel_angle_zero(self):
-        y = np.zeros((1, 1, 4))
-        y[0, 0] = [2.0, 1.0, 0.0, -1.0]  # winner r=0, theta=0
+        y = np.zeros((4, 1, 1))
+        y[:, 0, 0] = [2.0, 1.0, 0.0, -1.0]  # winner r=0, theta=0
         _, winners, gate = orientation_pool_stack(y, 4)
         up = np.zeros((1, 1, 2))
         up[0, 0, 0] = 0.7  # upstream on p only
@@ -202,12 +216,12 @@ class TestOrientationPoolBackward:
             gap = srt[..., -1] - srt[..., -2]
             if gap.min() < 1e-3 or np.abs(y4.max(axis=3)).min() < 1e-3:
                 continue  # exclude near-ties and near-zero magnitudes
-            stack, winners, gate = orientation_pool_stack(y, 6)
+            stack, winners, gate = orientation_pool_stack(planes(y), 6)
             up = rng.normal(size=stack.shape)
             g = orientation_pool_backward(winners, gate, 6, up)
 
             def loss(p):
-                s, _, _ = orientation_pool_stack(p, 6)
+                s, _, _ = orientation_pool_stack(planes(p), 6)
                 return np.sum(up * s)
 
             assert finite_diff_check(loss, y.copy(), g, step=1e-5) < 1e-4
@@ -355,17 +369,73 @@ class TestFieldBatchNorm:
         assert finite_diff_check(loss, batch.copy(), g, step=1e-5) < 1e-4
 
 
+class TestFieldBatchNormEval:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_scales_by_running_var_without_magnitudes(self, rng, dtype):
+        batch = rng.normal(size=(2, 3, 4, 6)).astype(dtype)
+        st = VFBNState.create(3)
+        st.running_var = rng.uniform(0.5, 2.0, size=3)
+        out, cache = field_batch_norm(batch, st, training=False)
+        scale = (1.0 / np.sqrt(st.running_var + st.eps)).astype(dtype)
+        want = np.empty_like(batch)
+        want[..., 0::2] = batch[..., 0::2] * scale
+        want[..., 1::2] = batch[..., 1::2] * scale
+        assert out.tobytes() == want.tobytes()
+        # the eval cache holds no magnitudes, and its backward needs none
+        _, rho, *_ = cache
+        assert rho is None
+        up = rng.normal(size=batch.shape).astype(dtype)
+        g = field_batch_norm_backward(cache, up)
+        assert g.tobytes() == (up * np.repeat(scale, 2)).tobytes()
+
+    def test_training_cache_keeps_magnitudes(self, rng):
+        batch = rng.normal(size=(1, 3, 3, 4))
+        _, (_, rho, *_) = field_batch_norm(batch, VFBNState.create(2), training=True)
+        assert np.array_equal(rho, np.hypot(*split_stack(batch)))
+
+
+class TestVfMaxPoolIndex:
+    def test_shape_only_index_is_cached_read_only(self, rng):
+        v = rng.normal(size=(2, 6, 7, 4)).astype(np.float32)
+        base, offset = fieldops._window_base(v.shape, 3)
+        assert fieldops._window_base(v.shape, 3)[0] is base
+        assert not base.flags.writeable and not offset.flags.writeable
+        assert base.shape == (2, 2, 3, 2) and offset.shape == (9,)
+        pooled, winners = vf_max_pool(v, 3)
+        per_image = [vf_max_pool(vi, 3) for vi in v]
+        assert pooled.tobytes() == np.stack([p for p, _ in per_image]).tobytes()
+        assert winners.tobytes() == np.stack([w for _, w in per_image]).tobytes()
+
+
+class TestRotateStack90:
+    @pytest.mark.parametrize("shape", [(2, 4, 4, 2), (3, 4, 5, 2), (2, 1, 3, 6, 4)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, -1, 5])
+    def test_batch_equals_its_per_image_rotations(self, rng, shape, k):
+        batch = rng.normal(size=shape)
+        got = rotate_stack_90(batch, k)
+        flat = batch.reshape((-1,) + shape[-3:])
+        want = np.stack([rotate_stack_90(img, k) for img in flat])
+        assert got.shape == shape[:-3] + want.shape[1:]
+        assert got.tobytes() == want.tobytes()
+
+    def test_single_image_turns_its_maps_and_vectors(self):
+        stack = np.arange(4 * 5 * 4, dtype=np.float64).reshape(4, 5, 4)
+        got = rotate_stack_90(stack, 1)
+        spatial = np.rot90(stack, 1, axes=(0, 1))
+        assert got.shape == (5, 4, 4)
+        assert np.array_equal(got[..., 0::2], -spatial[..., 1::2])
+        assert np.array_equal(got[..., 1::2], spatial[..., 0::2])
+
+
 class TestRotationCovariance:
     def test_pooled_field_rotates_with_image(self, rng):
         # 90-degree covariance of rconv + orientation pooling, bit-exact
         for n in (4, 8):
             w = rng.normal(size=(5, 5, 1, 3))
-            bank = CanonicalFilterBank(w.copy(), n)
+            f = expand_rotations(CanonicalFilterBank(w.copy(), n))
             x = rng.normal(size=(12, 12, 1))
-            f1, _, _ = orientation_pool_stack(rconv_forward(x, bank), n)
-            f2, _, _ = orientation_pool_stack(
-                rconv_forward(np.rot90(x).copy(), bank), n
-            )
+            f1, _, _ = orientation_pool_stack(conv2d(x, f), n)
+            f2, _, _ = orientation_pool_stack(conv2d(np.rot90(x).copy(), f), n)
             assert np.array_equal(f2, rotate_stack_90(f1, 1))
 
     def test_vfbn_commutes_with_rotation(self, rng):

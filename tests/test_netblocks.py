@@ -37,6 +37,8 @@ from oriconv.networks import (
 )
 from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
 
+from conftest import planes
+
 
 def count_expansions(monkeypatch):
     """Record each `rconv.expand_rotations` call; returns the list of banks."""
@@ -146,7 +148,7 @@ class TestLayerGradients:
         per_image = []
         for img, g in zip(x, up):
             y = rconv.rconv_forward(img, layer.bank)
-            stack, winners, gate = orientation_pool_stack(y, 8)
+            stack, winners, gate = orientation_pool_stack(planes(y), 8)
             g_pre = orientation_pool_backward(winners, gate, 8, g)
             per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
 
@@ -201,6 +203,20 @@ class TestLayerGradients:
         layer.zero_grads()
         layer.backward(up)
         assert np.allclose(layer.gb, up.sum(axis=(0, 1, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_layers_hand_on_c_ordered_channel_last_arrays(self, rng, dtype):
+        # the conv writes pixel planes; no layer hands that order on
+        x = rng.normal(size=(2, 6, 5, 4)).astype(dtype)
+        for layer, width in ((RConvLayer(3, 4, 3, 8, rng=rng, dtype=dtype), 6),
+                             (RConvLayer(1, 4, 2, 4, rconv.VECTOR, rng=rng, dtype=dtype), 4),
+                             (PlainConv(3, 4, 5, rng=rng, dtype=dtype), 5),
+                             (PlainConv(1, 4, 3, rng=rng, dtype=dtype), 3)):
+            y = layer.forward(x, training=True)
+            assert y.shape == (2, 6, 5, width) and y.dtype == dtype
+            assert y.flags.c_contiguous
+            gx = layer.backward(rng.normal(size=y.shape).astype(dtype))
+            assert gx.shape == x.shape and gx.flags.c_contiguous
 
     def test_field_avg_pool(self, rng):
         layer = FieldAvgPool2()
@@ -451,11 +467,13 @@ class TestRConvCache:
         layers = list(rconv_layers(net))
         assert len(layers) == 17  # 3 backbone, 6 pyramid, 4 attention, 4 fusion
         for layer in layers:
-            _, f, winners, gate = layer._cache
-            assert winners.shape == gate.shape and len(gate) == 2
-            # nothing but the expanded filter is C*n rotation channels wide
-            wide = [a for a in cached_arrays(layer._cache) if a.shape[-1] == f.shape[3]]
-            assert len(wide) == 1 and wide[0] is f
+            x, f, winners, gate = layer._cache
+            n_fields = f.shape[3] // layer.n_rotations
+            # besides its input and expanded filter the layer keeps only the
+            # [N, C, H, W] winner and gate planes, never the n-times wider
+            # rotation responses
+            assert winners.shape == gate.shape == (2, n_fields) + x.shape[1:3]
+            assert len(list(cached_arrays(layer._cache))) == 4
             assert gate.dtype == bool and winners.dtype == np.uint8
         net.forward(images, training=False)
         assert all(layer._cache is None for layer in layers)

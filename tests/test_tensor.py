@@ -5,6 +5,7 @@ import pytest
 
 from oriconv.errors import ShapeError
 from oriconv.tensor import (
+    _im2col,
     conv2d,
     conv2d_backward,
     conv2d_filter_grad,
@@ -14,7 +15,7 @@ from oriconv.tensor import (
     stable_sum,
 )
 
-from conftest import conv2d_oracle, gaussian_bump
+from conftest import conv2d_oracle, gaussian_bump, planes
 
 
 class TestConv2d:
@@ -24,7 +25,7 @@ class TestConv2d:
         f[1, 1, 0, 0] = 1.0
         f[1, 1, 1, 1] = 1.0
         y = conv2d(x, f)
-        assert np.allclose(y, x, atol=1e-7)
+        assert np.allclose(y, planes(x), atol=1e-7)
 
     def test_zero_input(self):
         x = np.zeros((5, 5, 3))
@@ -36,7 +37,8 @@ class TestConv2d:
         f = rng.normal(size=(3, 3, 2, 4))
         got = conv2d(x, f)
         want = conv2d_oracle(x, f, 1, 1)
-        assert np.abs(got - want).max() < 1e-6
+        assert got.shape == (4, 7, 7) and got.flags.c_contiguous
+        assert np.abs(got - planes(want)).max() < 1e-6
 
     def test_matches_oracle_100_random_instances(self, rng):
         # float32 within 1e-6, float64 within 1e-12; conv2d always pads m // 2
@@ -48,12 +50,14 @@ class TestConv2d:
             m = int(rng.choice([1, 3]))
             x64 = 0.5 * rng.normal(size=(h, w, cin))
             f64 = 0.5 * rng.normal(size=(m, m, cin, cout))
-            want = conv2d_oracle(x64, f64, 1, m // 2)
+            want = planes(conv2d_oracle(x64, f64, 1, m // 2))
             got64 = conv2d(x64, f64)
             assert np.abs(got64 - want).max() < 1e-12
             x32 = x64.astype(np.float32)
             f32 = f64.astype(np.float32)
-            want32 = conv2d_oracle(x32.astype(np.float64), f32.astype(np.float64), 1, m // 2)
+            want32 = planes(
+                conv2d_oracle(x32.astype(np.float64), f32.astype(np.float64), 1, m // 2)
+            )
             got32 = conv2d(x32, f32)
             assert np.abs(got32 - want32).max() < 1e-6
 
@@ -66,6 +70,22 @@ class TestConv2d:
     def test_even_filter_rejected(self, rng):
         with pytest.raises(ShapeError):
             conv2d(rng.normal(size=(5, 5, 1)), rng.normal(size=(2, 2, 1, 1)))
+
+    def test_1x1_columns_are_the_input(self, rng):
+        x = rng.normal(size=(2, 4, 5, 3)).astype(np.float32)
+        cols = _im2col(x, 1)
+        assert cols.shape == (2, 20, 3) and np.shares_memory(cols, x)
+        assert cols.tobytes() == x.tobytes()
+
+    def test_columns_are_windows_in_ky_kx_cin_order(self, rng):
+        x = rng.normal(size=(2, 4, 5, 3))
+        cols = _im2col(x, 3)
+        padded = np.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
+        assert cols.shape == (2, 20, 27) and cols.flags.c_contiguous
+        for i in range(4):
+            for j in range(5):
+                window = padded[:, i : i + 3, j : j + 3, :].reshape(2, 27)
+                assert np.array_equal(cols[:, i * 5 + j], window)
 
 
 class TestConv2dBackward:
@@ -90,8 +110,9 @@ class TestConv2dBackward:
         f = rng.normal(size=(3, 3, 2, 3))
         up = rng.normal(size=(6, 6, 3))
         gx, gf = conv2d_backward(x, f, up)
-        err_f = finite_diff_check(lambda p: np.sum(up * conv2d(x, p)), f.copy(), gf)
-        err_x = finite_diff_check(lambda p: np.sum(up * conv2d(p, f)), x.copy(), gx)
+        # the adjoint takes the upstream channel-last, the output is planes
+        err_f = finite_diff_check(lambda p: np.sum(planes(up) * conv2d(x, p)), f.copy(), gf)
+        err_x = finite_diff_check(lambda p: np.sum(planes(up) * conv2d(p, f)), x.copy(), gx)
         assert err_f < 1e-4 and err_x < 1e-4
 
     def test_upstream_shape_checked(self, rng):
