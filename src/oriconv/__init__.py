@@ -1,12 +1,12 @@
 """Rotation-equivariant convolution toolkit.
 
 Core stack: canonical filters expanded over sampled rotations (`rconv`),
-orientation pooling into 2D vector fields (`fieldops`), an analytically
-steerable filter basis (`steerbasis`), and the detector blocks built on them
-(`netblocks`, `networks`). Verification primitives (finite-difference
-gradient checks, exact quarter-turn covariance) live in `tensor` and
-`trainer`; evaluation in `metrics`; deterministic synthetic data in
-`synthdata`.
+orientation pooling into 2D vector fields (`fieldops`), a steerable filter
+basis (`steerbasis`) whose composed filters `rconv` resamples like free ones,
+and the detector blocks built on them (`netblocks`, `networks`).
+Verification primitives (finite-difference gradient checks, exact
+quarter-turn covariance) live in `tensor` and `trainer`; evaluation in
+`metrics`; deterministic synthetic data in `synthdata`.
 """
 
 from .errors import ConfigError, NumericalError, OriconvError, ShapeError
@@ -19,13 +19,7 @@ from .tensor import (
     rotate_grid,
     rotate_grid_adjoint,
 )
-from .rconv import (
-    CanonicalFilterBank,
-    circular_mask,
-    expand_rotations,
-    rconv_backward,
-    rconv_forward,
-)
+from .rconv import CanonicalFilterBank, circular_mask, expand_rotations
 from .fieldops import (
     VFBNState,
     field_batch_norm,
@@ -33,7 +27,7 @@ from .fieldops import (
     orientation_pool_stack,
     vf_max_pool,
 )
-from .steerbasis import BasisBank, BasisSpec, build_basis, compose_filters
+from .steerbasis import build_basis, compose_filters
 from .detect import (
     Detection,
     HBox,

@@ -87,6 +87,9 @@ class RConvLayer(Layer):
     """Rotation-equivariant convolution with orientation pooling, free or
     basis-parametrized filters: [N, H, W, Cin] -> field stacks [N, H, W, 2C].
 
+    A steerable layer learns `mixing` [K, Cin, C] over the cached basis
+    atoms (`steerbasis.build_basis`, held as `atoms`) and composes its bank
+    from them on every forward; a free layer learns `bank.weights` itself.
     `forward` expands the canonical bank into its n rotated copies at most
     once per batch (`rconv.expand_rotations`), then convolves the batch
     against them into C*n rotation planes [N, C*n, H, W] (`tensor.conv2d`)
@@ -112,7 +115,7 @@ class RConvLayer(Layer):
     per-image filter gradients onto the canonical weights with one call to
     `rconv.expand_rotations_backward` and adds the results in image order.
     Every primitive treats each image as it would on its own, so outputs and
-    gradients are bit-identical to `rconv.rconv_forward`,
+    gradients are bit-identical to `tensor.conv2d`,
     `fieldops.orientation_pool_stack` and their adjoints called image by
     image.
 
@@ -139,16 +142,16 @@ class RConvLayer(Layer):
         self.input_kind = input_kind
         self.parametrization = parametrization
         if parametrization == "steerable":
-            self.basis = steerbasis.build_basis(steerbasis.BasisSpec(size=size))
+            self.atoms = steerbasis.build_basis(size)
             fan_in = size * size * in_planes
             std = math.sqrt(1.0 / (fan_in * n_rotations))
             self.mixing = rng.normal(
-                0.0, std, size=(self.basis.n_atoms, in_planes, n_filters)
+                0.0, std, size=(self.atoms.shape[2], in_planes, n_filters)
             ).astype(dtype)
             self.g_mixing = np.zeros_like(self.mixing)
-            w = steerbasis.compose_filters(self.basis, self.mixing)
+            w = steerbasis.compose_filters(self.atoms, self.mixing)
         else:
-            self.basis = None
+            self.atoms = None
             w = init_canonical_weights(
                 size, in_planes, n_filters, n_rotations, rng
             ).astype(dtype)
@@ -171,7 +174,7 @@ class RConvLayer(Layer):
 
     def apply_constraints(self):
         if self.parametrization == "steerable":
-            self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
+            self.bank.weights = steerbasis.compose_filters(self.atoms, self.mixing)
         self.bank.apply_mask()
 
     def _expanded_filter(self) -> Tensor:
@@ -187,7 +190,7 @@ class RConvLayer(Layer):
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
         if self.parametrization == "steerable":
-            self.bank.weights = steerbasis.compose_filters(self.basis, self.mixing)
+            self.bank.weights = steerbasis.compose_filters(self.atoms, self.mixing)
             self.bank.apply_mask()
         f = self._expanded_filter()
         y = conv2d(x, f)
@@ -208,7 +211,7 @@ class RConvLayer(Layer):
             gx, gf = None, conv2d_filter_grad(x, f, gpre)
         for gw in rconv.expand_rotations_backward(self.bank, gf):
             if self.parametrization == "steerable":
-                self.g_mixing += steerbasis.compose_filters_backward(self.basis, gw)
+                self.g_mixing += steerbasis.compose_filters_backward(self.atoms, gw)
             else:
                 self.g_weights += gw
         return gx

@@ -64,7 +64,9 @@ class StageSpec:
 class NetworkSpec:
     task: str = "detection"
     n_rotations: int = 8
-    parametrization: str = "free"  # free | steerable
+    # free | steerable; reaches only the backbone and pyramid-stage RConvs,
+    # the attention and fusion RConvs stay free
+    parametrization: str = "free"
     input_size: int = 64
     input_channels: int = 1
     backbone: tuple = DEFAULT_BACKBONE
@@ -484,7 +486,6 @@ class Detector(Layer):
         score_threshold: float = 0.3,
         nms_iou: float = 0.45,
         max_per_image: int = 40,
-        use_rois: bool = True,
     ):
         """Threshold, decode and NMS the head outputs for one image.
 
@@ -500,7 +501,7 @@ class Detector(Layer):
         are built only for the best `max_per_image` of them.
         """
         k = self.spec.n_classes
-        fwd = self.forward(image[None], training=False, use_rois=use_rois)
+        fwd = self.forward(image[None], training=False)
         _, _, cols = self._layout(fwd["head_raw"])
         hbb_off = cols["hbb_offsets"][0]
         obb_off = cols["obb_offsets"][0]

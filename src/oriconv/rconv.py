@@ -41,14 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    TWO_PI,
-    conv2d,
-    conv2d_backward,
-    _quarter_turns,
-    _rotation_taps,
-)
+from .tensor import Tensor, TWO_PI, _quarter_turns, _rotation_taps
 
 SCALAR = "scalar"
 VECTOR = "vector-field"
@@ -325,26 +318,3 @@ def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) 
     total = _rotate_base_adjoint(g.reshape(g.shape[0], plan.n_base, m * m, cin * c), plan)
     return total.reshape(lead + (m, m, cin, c)) * maskb
 
-
-def rconv_forward(x: Tensor, bank: CanonicalFilterBank) -> Tensor:
-    """Same-padded stride-1 convolution (`tensor.conv2d`) against all rotated
-    filter copies.
-
-    x is [..., H, W, Cin]: scalar planes for a scalar bank, or interleaved
-    (p, q) planes for a vector-field bank, whose rotated copies also turn the
-    (p, q) frame (see `expand_rotations`). Returns C-ordered
-    [..., H, W, C*n], filter-major and rotation-minor: `conv2d`'s planes
-    moved channel-last, the layout `rconv_backward`'s upstream takes.
-    """
-    return np.ascontiguousarray(np.moveaxis(conv2d(x, expand_rotations(bank)), -3, -1))
-
-
-def rconv_backward(x: Tensor, bank: CanonicalFilterBank, upstream: Tensor):
-    """Gradients of sum(upstream * rconv_forward(x, bank)).
-
-    Returns (grad_x, grad_weights); grad_weights is masked and has the
-    canonical [m, m, Cin, C] shape, per image for a batched x.
-    """
-    f = expand_rotations(bank)
-    gx, gf = conv2d_backward(x, f, upstream)
-    return gx, expand_rotations_backward(bank, gf)

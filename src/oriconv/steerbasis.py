@@ -1,22 +1,23 @@
 """Rotation-steerable filter basis: Gaussian rings times angular harmonics.
 
-Each basis element is a radial profile exp(-(r - ring)^2 / (2 sigma^2))
-multiplied by cos(J*phi) or sin(J*phi) on the filter grid, masked to the
-inscribed circle and L2-normalized. Rotating such an element spatially is,
-up to interpolation error, the same as mixing the (cos, sin) pair of its
-frequency by the phase J*beta -- which is what makes filters composed from
-this basis rotate analytically instead of numerically.
+Each atom is a radial profile exp(-(r - ring)^2 / (2 sigma^2)) multiplied by
+cos(J*phi) or sin(J*phi) on the filter grid, masked to the inscribed circle
+and L2-normalized (circular harmonics, Weiler et al., arXiv 1711.07289).
+Rotating such an atom spatially is, up to interpolation error, the same as
+mixing the (cos, sin) pair of its frequency by the phase J*beta. Filters
+composed from the basis are smooth and band-limited, but `RConvLayer` still
+rotates them like free filters: `rconv.expand_rotations` resamples the
+composed filter, it does not steer the atoms.
 
-Frequency-0 elements are rotation-invariant rings. The angular coordinate phi
+Frequency-0 atoms are rotation-invariant rings. The angular coordinate phi
 follows the package angle convention (counterclockwise as displayed), so
-`rotate_grid(elem, beta)` matches the phase mixing with the same sign of
+`rotate_grid(atom, beta)` matches the phase mixing with the same sign of
 beta.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -25,129 +26,63 @@ from .rconv import circular_mask
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    """Basis layout: angular frequencies, ring radii (pixels), radial width
-    sigma (pixels) and odd support size."""
+@functools.lru_cache(maxsize=None)
+def build_basis(m: int) -> Tensor:
+    """The basis atoms of odd filter size m, as a cached, read-only float64
+    array [m, m, K] with K = 1 + 7 * (m // 2).
 
-    frequencies: tuple = (0, 1, 2, 3)
-    rings: tuple = None
-    sigma: float = 0.6
-    size: int = 9
-
-    def __post_init__(self):
-        if self.size % 2 != 1:
-            raise ShapeError(f"support size must be odd, got {self.size}")
-        if self.sigma <= 0:
-            raise ShapeError(f"sigma must be positive, got {self.sigma}")
-        if self.rings is None:
-            object.__setattr__(self, "rings", tuple(range(self.size // 2 + 1)))
-        for r in self.rings:
-            if not 0 <= r <= self.size / 2:
-                raise ShapeError(f"ring radius {r} outside [0, {self.size / 2}]")
-        for j in self.frequencies:
-            if j < 0:
-                raise ShapeError(f"frequencies must be non-negative, got {j}")
-
-
-@dataclass
-class BasisElement:
-    frequency: int
-    ring: float
-    planes: Tensor  # [m, m, 1] for J = 0, [m, m, 2] = (cos, sin) for J >= 1
-
-
-@dataclass
-class BasisBank:
-    spec: BasisSpec
-    elements: list
-
-    @property
-    def n_atoms(self) -> int:
-        """Total number of scalar basis filters (harmonic pairs count as 2)."""
-        return sum(e.planes.shape[2] for e in self.elements)
-
-    def atoms(self) -> Tensor:
-        """All scalar basis filters stacked as [m, m, n_atoms]."""
-        return np.concatenate([e.planes for e in self.elements], axis=2)
-
-
-def build_basis(spec: BasisSpec) -> BasisBank:
-    """Sample, mask and L2-normalize every basis element of `spec`.
-
-    Raises ShapeError for a ring/frequency combination whose masked sampling
-    is identically zero (no support for that element at this filter size).
+    Rings are 0..m//2 pixels, the radial width sigma is 0.6 pixels and the
+    frequencies J are 0..3. Planes are ordered ring by ring; within a
+    ring, frequency by frequency, each J >= 1 as its (cos, sin) pair. Ring 0
+    holds only its J = 0 plane, because the angle is undefined at the centre.
+    So plane 0 is the centre blob and ring r >= 1 starts at 1 + 7 * (r - 1)
+    with [J0, J1 cos, J1 sin, J2 cos, J2 sin, J3 cos, J3 sin].
     """
-    m = spec.size
+    mask = circular_mask(m)
     c = 0.5 * (m - 1)
     rows, cols = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     x = cols - c
     y = c - rows  # y up: phi increases counterclockwise as displayed
     radius = np.hypot(x, y)
     phi = np.arctan2(y, x)
-    mask = circular_mask(m)
 
     center = int(c)
-    elements = []
-    for ring in spec.rings:
-        radial = np.exp(-0.5 * ((radius - ring) ** 2) / (spec.sigma**2))
-        for j in sorted(set(spec.frequencies)):
-            if j >= 1 and ring == 0:
-                # the angular coordinate is undefined at the center pixel, so
-                # oscillating harmonics on the innermost ring are not sampleable
-                continue
+    planes = []
+    for ring in range(m // 2 + 1):
+        radial = np.exp(-0.5 * ((radius - ring) ** 2) / (0.6**2))
+        for j in range(4):
             if j == 0:
-                planes = (radial * mask)[:, :, None]
+                pair = (radial * mask)[:, :, None]
+            elif ring == 0:
+                continue
             else:
-                planes = np.stack(
+                pair = np.stack(
                     (radial * np.cos(j * phi) * mask, radial * np.sin(j * phi) * mask),
                     axis=2,
                 )
                 # the harmonic has no defined value at the exact center; its
                 # pixel average is zero, and any other sample breaks steering
-                planes[center, center, :] = 0.0
-            norms = np.sqrt((planes**2).sum(axis=(0, 1)))
-            if np.any(norms < 1e-12):
-                raise ShapeError(
-                    f"basis element J={j}, ring={ring} has no support at size {m}"
-                )
-            elements.append(BasisElement(j, float(ring), planes / norms))
-    return BasisBank(spec, elements)
+                pair[center, center, :] = 0.0
+            planes.append(pair / np.sqrt((pair**2).sum(axis=(0, 1))))
+    atoms = np.concatenate(planes, axis=2)
+    atoms.flags.writeable = False
+    return atoms
 
 
-def compose_filters(bank: BasisBank, weights: Tensor) -> Tensor:
+def compose_filters(atoms: Tensor, weights: Tensor) -> Tensor:
     """Linearly combine basis atoms into filters.
 
-    weights: [n_atoms, Cin, C] -> filters [m, m, Cin, C].
+    weights: [K, Cin, C] -> filters [m, m, Cin, C], in the weights' dtype.
     """
-    atoms = bank.atoms()
-    n = atoms.shape[2]
-    if weights.ndim != 3 or weights.shape[0] != n:
-        raise ShapeError(
-            f"weights must be [n_atoms={n}, Cin, C], got {weights.shape}"
-        )
+    k = atoms.shape[2]
+    if weights.ndim != 3 or weights.shape[0] != k:
+        raise ShapeError(f"weights must be [K={k}, Cin, C], got {weights.shape}")
     f = np.tensordot(atoms, weights.astype(atoms.dtype), axes=([2], [0]))
     return f.astype(weights.dtype)
 
 
-def compose_filters_backward(bank: BasisBank, grad_filters: Tensor) -> Tensor:
+def compose_filters_backward(atoms: Tensor, grad_filters: Tensor) -> Tensor:
     """Transpose of `compose_filters`: gradient w.r.t. the mixing weights is
     the inner product of the filter gradient with each basis atom."""
-    atoms = bank.atoms()
-    g = np.tensordot(
-        atoms.astype(np.float64), grad_filters.astype(np.float64), axes=([0, 1], [0, 1])
-    )
+    g = np.tensordot(atoms, grad_filters.astype(np.float64), axes=([0, 1], [0, 1]))
     return g.astype(grad_filters.dtype)
-
-
-def steer_pair(element: BasisElement, beta: float) -> Tensor:
-    """Analytic rotation of a harmonic pair by `beta`: phase mixing by
-    J*beta. For J = 0 the element is returned unchanged."""
-    j = element.frequency
-    if j == 0:
-        return element.planes.copy()
-    cb = math.cos(j * beta)
-    sb = math.sin(j * beta)
-    cos_e = element.planes[:, :, 0]
-    sin_e = element.planes[:, :, 1]
-    return np.stack((cb * cos_e + sb * sin_e, cb * sin_e - sb * cos_e), axis=2)

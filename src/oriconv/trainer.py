@@ -359,7 +359,9 @@ def verify_equivariance(
         net = OrientationEstimator(spec, rng=np.random.default_rng(seed), dtype=np.float64)
         # band-limit the random filters: rotating kernels with content at the
         # pixel Nyquist limit is meaningless, so the probe network uses
-        # smooth ones
+        # smooth ones. A steerable layer recomposes its filters from `mixing`
+        # on every forward, so the blurred filters go there as their
+        # least-squares projection onto the basis atoms.
         for layer in net.trunk.layers:
             if isinstance(layer, RConvLayer):
                 w = layer.bank.weights
@@ -368,8 +370,13 @@ def verify_equivariance(
                     [_gaussian_blur(flat[:, :, i], 1.0) for i in range(flat.shape[2])],
                     axis=2,
                 )[..., 0]
-                layer.bank.weights = sm.reshape(w.shape)
-                layer.bank.apply_mask()
+                if layer.parametrization == "steerable":
+                    atoms = layer.atoms.reshape(-1, layer.atoms.shape[2])
+                    fit = np.linalg.lstsq(atoms, sm.reshape(atoms.shape[0], -1), rcond=None)[0]
+                    layer.mixing[...] = fit.reshape(layer.mixing.shape)
+                else:
+                    layer.bank.weights = sm.reshape(w.shape)
+                layer.apply_constraints()
         return net
 
     probes = [image] + [

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from oriconv.rconv import expand_rotations, expand_rotations_backward
+from oriconv.tensor import conv2d, conv2d_backward
+
 # Property tests replay the same examples on every run (no flakes from a
 # random draw or from a slow, contended host hitting a deadline) and stay
 # within about a second each. `pytest --hypothesis-profile=<name>` overrides.
@@ -44,6 +47,19 @@ def planes(y):
     [..., C, H, W] that `tensor.conv2d` writes and the orientation pool
     reads."""
     return np.ascontiguousarray(np.moveaxis(y, -1, -3))
+
+
+def rconv_planes(x, bank):
+    """The convolution `RConvLayer.forward` runs: x [..., H, W, Cin] against
+    every rotated copy, as rotation planes [..., C*n, H, W]."""
+    return conv2d(x, expand_rotations(bank))
+
+
+def rconv_grads(x, bank, upstream):
+    """Its adjoint as `RConvLayer.backward` runs it, for a channel-last
+    upstream [..., H, W, C*n]: (grad_x, canonical grad_weights)."""
+    gx, gf = conv2d_backward(x, expand_rotations(bank), upstream)
+    return gx, expand_rotations_backward(bank, gf)
 
 
 def gaussian_bump(m, sigma=2.0):

@@ -250,7 +250,9 @@ class TestThroughput:
         # asserted on the work that sets the time, not on a wall clock: 4x
         # the sampled rotations expand to 4x the filters and convolve to 4x
         # the output channels
-        from oriconv.rconv import CanonicalFilterBank, expand_rotations, rconv_forward
+        from oriconv.rconv import CanonicalFilterBank, expand_rotations
+
+        from conftest import rconv_planes
 
         img = rng.normal(size=(32, 32, 1)).astype(np.float32)
         w = rng.normal(size=(5, 5, 1, 4)).astype(np.float32)
@@ -258,7 +260,7 @@ class TestThroughput:
         for n in (2, 8):
             bank = CanonicalFilterBank(w.copy(), n)
             widths.append(expand_rotations(bank).shape[-1])
-            channels.append(rconv_forward(img, bank).shape[-1])
+            channels.append(rconv_planes(img, bank).shape[0])
         assert widths[1] == 4 * widths[0]
         assert channels[1] == 4 * channels[0]
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oriconv import checkpoint, rconv, synthdata, trainer
+from oriconv import checkpoint, rconv, steerbasis, synthdata, trainer
 from oriconv.errors import ConfigError, ShapeError, StateError
 from oriconv.fieldops import (
     orientation_pool_backward,
@@ -37,7 +37,7 @@ from oriconv.networks import (
 )
 from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
 
-from conftest import planes
+from conftest import planes, rconv_grads, rconv_planes
 
 
 def count_expansions(monkeypatch):
@@ -140,6 +140,31 @@ class TestLayerGradients:
         err = finite_diff_check(loss, layer.mixing.copy(), layer.g_mixing, step=1e-6)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
+    def test_steerable_layer_is_a_free_layer_with_composed_weights(self, rng, kind, dtype):
+        steer = RConvLayer(5, 4, 2, 8, kind, "steerable", rng=rng, dtype=dtype)
+        free = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=dtype)
+        x = rng.normal(size=(3, 7, 7, 4)).astype(dtype)
+        up = rng.normal(size=(3, 7, 7, 4)).astype(dtype)
+        out = steer.forward(x)
+        free.bank.weights[...] = steerbasis.compose_filters(steer.atoms, steer.mixing)
+        free.bank.apply_mask()
+        assert free.bank.weights.tobytes() == steer.bank.weights.tobytes()
+        assert out.tobytes() == free.forward(x).tobytes()
+        steer.zero_grads()
+        free.zero_grads()
+        assert steer.backward(up).tobytes() == free.backward(up).tobytes()
+        # g_mixing is each image's filter gradient pulled onto the atoms,
+        # added in image order
+        want = np.zeros_like(steer.mixing)
+        for img, g in zip(x, up):
+            free.zero_grads()
+            free.forward(img[None])
+            free.backward(g[None])
+            want += steerbasis.compose_filters_backward(steer.atoms, free.g_weights)
+        assert steer.g_mixing.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
     def test_rconv_layer_batch_matches_per_image(self, rng, kind, monkeypatch):
         layer = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=np.float64)
@@ -147,10 +172,9 @@ class TestLayerGradients:
         up = rng.normal(size=(3, 7, 7, 4))
         per_image = []
         for img, g in zip(x, up):
-            y = rconv.rconv_forward(img, layer.bank)
-            stack, winners, gate = orientation_pool_stack(planes(y), 8)
+            stack, winners, gate = orientation_pool_stack(rconv_planes(img, layer.bank), 8)
             g_pre = orientation_pool_backward(winners, gate, 8, g)
-            per_image.append((stack, *rconv.rconv_backward(img, layer.bank, g_pre)))
+            per_image.append((stack, *rconv_grads(img, layer.bank, g_pre)))
 
         calls = count_expansions(monkeypatch)
         out = layer.forward(x)
@@ -640,6 +664,32 @@ class TestEndToEndCovariance:
                 head_inputs.append([head._cache[0] for head in det.head_convs])
             for d1, d2 in zip(*head_inputs):
                 assert np.array_equal(d2, rotate_stack_90(d1, 1)), (use_lipm, use_ffm)
+
+    @pytest.mark.parametrize("parametrization", ["free", "steerable"])
+    def test_verify_probe_runs_its_band_limited_filters(self, parametrization, monkeypatch,
+                                                        tmp_path):
+        # `verify_equivariance` blurs the probe's random filters; the
+        # forwards of its report must run those filters, also in a steerable
+        # layer, which recomposes its filters from `mixing` on every forward
+        seen = []
+        report = trainer.exact_quarter_turn_report
+
+        def spy(net, image):
+            before = [l.bank.weights.copy() for l in rconv_layers(net)]
+            rows = report(net, image)
+            seen.append((net, before))
+            return rows
+
+        monkeypatch.setattr(trainer, "exact_quarter_turn_report", spy)
+        spec = NetworkSpec(task="orientation", n_rotations=4, parametrization=parametrization)
+        trainer.verify_equivariance(spec, [90.0], str(tmp_path), rotation_counts=(4,),
+                                    image_size=32)
+        net, before = seen[0]
+        unblurred = OrientationEstimator(net.spec, rng=np.random.default_rng(0),
+                                         dtype=np.float64)
+        for layer, w, raw in zip(rconv_layers(net), before, rconv_layers(unblurred)):
+            assert layer.bank.weights.tobytes() == w.tobytes()
+            assert np.abs(w - raw.bank.weights).max() > 1e-3
 
 
 class TestOrientationLoss:

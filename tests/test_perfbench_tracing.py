@@ -17,6 +17,8 @@ def load_tracing():
 
 def test_tracer_absent_names_pinned():
     assert load_tracing().Tracer().absent == [
+        "oriconv.rconv.conv2d",
+        "oriconv.rconv.conv2d_backward",
         "oriconv.detect.conv2d",
         "oriconv.detect.conv2d_backward",
         "oriconv.rconv.rotate_grid",

@@ -12,13 +12,18 @@ from oriconv.rconv import (
     circular_mask,
     expand_rotations,
     expand_rotations_backward,
-    rconv_backward,
-    rconv_forward,
     rotation_plan,
 )
-from oriconv.tensor import finite_diff_check, rotate_grid, rotate_grid_adjoint
+from oriconv.tensor import conv2d_backward, finite_diff_check, rotate_grid, rotate_grid_adjoint
 
-from conftest import conv2d_oracle, gaussian_bump, smooth_random_image
+from conftest import (
+    conv2d_oracle,
+    gaussian_bump,
+    planes,
+    rconv_grads,
+    rconv_planes,
+    smooth_random_image,
+)
 
 
 def make_bank(rng, m=3, cin=1, c=2, n=4, kind=SCALAR):
@@ -200,26 +205,26 @@ class TestForward:
         w = gaussian_bump(5, sigma=1.2)[:, :, None, None]
         bank = CanonicalFilterBank(w.copy(), 4)
         x = rng.normal(size=(8, 8, 1))
-        y = rconv_forward(x, bank)
+        y = rconv_planes(x, bank)
         for r in range(1, 4):
-            assert np.abs(y[:, :, r] - y[:, :, 0]).max() < 1e-6
+            assert np.abs(y[r] - y[0]).max() < 1e-6
         # off-grid sampling: equal up to the bilinear interpolation floor
         # (bound measured once on this configuration and frozen)
         bank6 = CanonicalFilterBank(w.copy(), 6)
-        y6 = rconv_forward(x, bank6)
-        scale = np.abs(y6[:, :, 0]).max()
+        y6 = rconv_planes(x, bank6)
+        scale = np.abs(y6[0]).max()
         for r in range(1, 6):
-            assert np.abs(y6[:, :, r] - y6[:, :, 0]).max() < 0.10 * scale
+            assert np.abs(y6[r] - y6[0]).max() < 0.10 * scale
 
     def test_zero_input(self, rng):
         bank = make_bank(rng, n=5)
-        y = rconv_forward(np.zeros((6, 6, 1)), bank)
+        y = rconv_planes(np.zeros((6, 6, 1)), bank)
         assert not y.any()
 
     def test_matches_independent_loop_oracle(self, rng):
         bank = make_bank(rng, m=3, cin=2, c=2, n=4)
         x = rng.normal(size=(6, 6, 2))
-        got = rconv_forward(x, bank)
+        got = rconv_planes(x, bank)
         # independent path: rotate each filter with rotate_grid, then loop conv
         mask = circular_mask(3)
         for c in range(2):
@@ -227,29 +232,27 @@ class TestForward:
                 f = rotate_grid(bank.weights[:, :, :, c], 2 * math.pi * r / 4)
                 f = f * mask[:, :, None]
                 want = conv2d_oracle(x, f[:, :, :, None], 1, 1)[:, :, 0]
-                assert np.abs(got[:, :, c * 4 + r] - want).max() < 1e-10
+                assert np.abs(got[c * 4 + r] - want).max() < 1e-10
 
     def test_channel_mismatch(self, rng):
         bank = make_bank(rng, cin=2)
         with pytest.raises(ShapeError):
-            rconv_forward(rng.normal(size=(5, 5, 3)), bank)
+            rconv_planes(rng.normal(size=(5, 5, 3)), bank)
 
 
 class TestBackward:
     def test_zero_upstream(self, rng):
         bank = make_bank(rng, n=4)
         x = rng.normal(size=(5, 5, 1))
-        gx, gw = rconv_backward(x, bank, np.zeros((5, 5, 8)))
+        gx, gw = rconv_grads(x, bank, np.zeros((5, 5, 8)))
         assert not gx.any() and not gw.any()
 
     def test_single_rotation_reduces_to_conv_backward(self, rng):
         # m = 3: the circular mask is all-ones, so the degenerate case is exact
-        from oriconv.tensor import conv2d_backward
-
         bank = make_bank(rng, m=3, cin=2, c=2, n=1)
         x = rng.normal(size=(6, 6, 2))
         up = rng.normal(size=(6, 6, 2))
-        gx, gw = rconv_backward(x, bank, up)
+        gx, gw = rconv_grads(x, bank, up)
         gx2, gw2 = conv2d_backward(x, expand_rotations(bank), up)
         assert np.array_equal(gx, gx2)
         assert np.array_equal(gw, gw2)
@@ -258,10 +261,10 @@ class TestBackward:
         bank = make_bank(rng, m=5, cin=1, c=2, n=8)
         x = rng.normal(size=(6, 6, 1))
         up = rng.normal(size=(6, 6, 16))
-        _, gw = rconv_backward(x, bank, up)
+        _, gw = rconv_grads(x, bank, up)
 
         def loss(p):
-            return np.sum(up * rconv_forward(x, CanonicalFilterBank(p.copy(), 8)))
+            return np.sum(planes(up) * rconv_planes(x, CanonicalFilterBank(p.copy(), 8)))
 
         assert finite_diff_check(loss, bank.weights.copy(), gw) < 1e-4
 
@@ -269,9 +272,9 @@ class TestBackward:
         bank = make_bank(rng, m=5, cin=2, c=1, n=6)
         x = rng.normal(size=(5, 5, 2))
         up = rng.normal(size=(5, 5, 6))
-        gx, _ = rconv_backward(x, bank, up)
+        gx, _ = rconv_grads(x, bank, up)
         err = finite_diff_check(
-            lambda p: np.sum(up * rconv_forward(p, bank)), x.copy(), gx
+            lambda p: np.sum(planes(up) * rconv_planes(p, bank)), x.copy(), gx
         )
         assert err < 1e-4
 
@@ -280,9 +283,9 @@ class TestVectorField:
     def test_identity_rotation_no_mixing(self, rng):
         bank = make_bank(rng, m=3, cin=2, c=1, n=4, kind=VECTOR)
         v = rng.normal(size=(5, 5, 2))
-        y = rconv_forward(v, bank)
+        y = rconv_planes(v, bank)
         want = conv2d_oracle(v, expand_rotations(bank)[:, :, :, :1], 1, 1)
-        assert np.abs(y[:, :, 0] - want[:, :, 0]).max() < 1e-10
+        assert np.abs(y[0] - want[:, :, 0]).max() < 1e-10
 
     def test_hand_mixing_formula_quarter_turn(self, rng):
         # f_q = 0: the quarter-turn copy must be (f_p -> 0, f_q -> rotated f_p)
@@ -299,7 +302,7 @@ class TestVectorField:
         # independent implementation: rotate component filters first, then mix
         bank = make_bank(rng, m=5, cin=4, c=2, n=6, kind=VECTOR)
         v = rng.normal(size=(6, 6, 4))
-        got = rconv_forward(v, bank)
+        got = rconv_planes(v, bank)
         mask = circular_mask(5)[:, :, None]
         cos_t, sin_t = angle_table(6)
         for c in range(2):
@@ -312,7 +315,7 @@ class TestVectorField:
                 full[:, :, 0::2, 0] = mp
                 full[:, :, 1::2, 0] = mq
                 want = conv2d_oracle(v, full, 1, 2)[:, :, 0]
-                assert np.abs(got[:, :, c * 6 + r] - want).max() < 1e-6
+                assert np.abs(got[c * 6 + r] - want).max() < 1e-6
 
     def test_odd_plane_count_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -322,15 +325,15 @@ class TestVectorField:
         bank = make_bank(rng, m=3, cin=2, c=2, n=8, kind=VECTOR)
         v = rng.normal(size=(5, 5, 2))
         up = rng.normal(size=(5, 5, 16))
-        gv, gw = rconv_backward(v, bank, up)
+        gv, gw = rconv_grads(v, bank, up)
 
         def loss_w(p):
             b = CanonicalFilterBank(p.copy(), 8, input_kind=VECTOR)
-            return np.sum(up * rconv_forward(v, b))
+            return np.sum(planes(up) * rconv_planes(v, b))
 
         assert finite_diff_check(loss_w, bank.weights.copy(), gw) < 1e-4
         err = finite_diff_check(
-            lambda p: np.sum(up * rconv_forward(p, bank)), v.copy(), gv
+            lambda p: np.sum(planes(up) * rconv_planes(p, bank)), v.copy(), gv
         )
         assert err < 1e-4
 
@@ -344,15 +347,17 @@ class TestInvariants:
             assert standard == n * bank.weights.size
 
     def test_exact_90_degree_equivariance(self, rng):
+        # a quarter turn of the input turns every plane and shifts each
+        # filter's rotation planes by n/4, bit for bit
         for n in (4, 8, 16):
             bank = make_bank(rng, m=5, cin=2, c=3, n=n)
             x = rng.normal(size=(10, 10, 2))
-            y = rconv_forward(x, bank)
-            yr = rconv_forward(np.rot90(x).copy(), bank)
-            h, w, _ = y.shape
-            y4 = y.reshape(h, w, 3, n)
-            expect = np.rot90(np.roll(y4, n // 4, axis=3), 1, axes=(0, 1))
-            assert np.array_equal(yr, expect.reshape(h, w, 3 * n))
+            y = rconv_planes(x, bank)
+            yr = rconv_planes(np.rot90(x).copy(), bank)
+            _, h, w = y.shape
+            y4 = y.reshape(3, n, h, w)
+            expect = np.rot90(np.roll(y4, n // 4, axis=1), 1, axes=(2, 3))
+            assert np.array_equal(yr, expect.reshape(3 * n, h, w))
 
     def test_approximate_equivariance_at_sampled_angle(self, rng):
         # smooth input, m >= 7, lam = 8: relative L2 of the shift-and-rotate
@@ -363,12 +368,13 @@ class TestInvariants:
                       for _ in range(2)], axis=2)[:, :, None, :]
         bank = CanonicalFilterBank(w.copy(), n)
         alpha = 2 * math.pi / n
-        y1 = rconv_forward(x, bank).reshape(24, 24, 2, n)
-        y2 = rconv_forward(rotate_grid(x, alpha), bank)
-        expect = rotate_grid(np.roll(y1, 1, axis=3).reshape(24, 24, 2 * n), alpha)
+        y1 = rconv_planes(x, bank).reshape(2, n, 24, 24)
+        y2 = rconv_planes(rotate_grid(x, alpha), bank)
+        shifted = np.roll(y1, 1, axis=1).reshape(2 * n, 24, 24)
+        expect = planes(rotate_grid(np.moveaxis(shifted, 0, -1), alpha))
         crop = 6
-        d = (y2 - expect)[crop:-crop, crop:-crop]
-        rel = np.linalg.norm(d) / np.linalg.norm(expect[crop:-crop, crop:-crop])
+        d = (y2 - expect)[:, crop:-crop, crop:-crop]
+        rel = np.linalg.norm(d) / np.linalg.norm(expect[:, crop:-crop, crop:-crop])
         assert rel < 0.05
 
     def test_masked_weights_stay_masked_through_updates(self, rng):
@@ -378,7 +384,7 @@ class TestInvariants:
         vel = np.zeros_like(bank.weights)
         for _ in range(5):
             up = rng.normal(size=(6, 6, 4))
-            _, gw = rconv_backward(x, bank, up)
+            _, gw = rconv_grads(x, bank, up)
             vel = 0.9 * vel + gw
             bank.weights -= 0.05 * vel
             bank.apply_mask()
