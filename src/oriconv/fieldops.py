@@ -16,6 +16,9 @@ would on its own.
 `split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
 are the magnitudes and angles.
 
+Both pools find their winners, argmax's first maximum, with one
+max-reduction and one rank pass (`_first_max`).
+
 Also here: vector-field max pooling and the magnitude-only batch
 normalization that rescales vectors by the standard deviation of their
 lengths without touching their directions.
@@ -55,20 +58,41 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
     return out
 
 
-def _running_max(views):
-    """Elementwise max of equal-shape arrays views[0], views[1], ... and the
-    index of the first one holding it, in the smallest unsigned dtype holding
-    len(views)-1. A view wins only by a strict improvement and the index only
-    grows, so the last improvement is argmax's first maximum, without a
-    masked store (a NaN after view 0 never wins, where argmax would pick
-    it)."""
-    wdt = np.min_scalar_type(len(views) - 1)
-    best = views[0].copy()
-    winners = np.zeros(best.shape, dtype=wdt)
-    for k in range(1, len(views)):
-        np.maximum(winners, np.multiply(views[k] > best, k, dtype=wdt), out=winners)
-        np.maximum(best, views[k], out=best)
-    return best, winners
+@functools.lru_cache(maxsize=64)
+def _countdown(n: int, ndim: int, axis: int) -> Tensor:
+    """Read-only n-1, n-2, ..., 0 along `axis` of an ndim-dimensional
+    broadcast shape, in the smallest unsigned dtype holding n-1: the score
+    `_first_max` gives a maximum at rank 0, 1, ..., n-1."""
+    shape = [1] * ndim
+    shape[axis] = n
+    countdown = np.arange(n - 1, -1, -1, dtype=np.min_scalar_type(n - 1)).reshape(shape)
+    countdown.flags.writeable = False
+    return countdown
+
+
+def _first_max(a: Tensor, axis: int):
+    """Max of `a` over `axis` and the winner, the smallest rank (index along
+    `axis`) holding it, both without that axis; the winners come in the
+    smallest unsigned dtype holding the largest rank.
+
+    A fixed number of calls, whatever the axis length: one max-reduction,
+    then the hits `np.equal(a, best)` as uint8, scaled in place by
+    `_countdown`, one max over `axis` and n-1 minus that. NaN counts as the
+    max, as in argmax: a NaN in `a` makes that max NaN and its winner the
+    first NaN's rank, never a rank no NaN holds (such as a ragged window's
+    padding)."""
+    best = a.max(axis=axis, keepdims=True)
+    countdown = _countdown(a.shape[axis], a.ndim, axis)
+    score = np.equal(a, best).view(np.uint8)
+    narrow = countdown.dtype == np.uint8
+    score = np.multiply(score, countdown, out=score if narrow else None)
+    winners = score.max(axis=axis)
+    np.subtract(countdown.dtype.type(a.shape[axis] - 1), winners, out=winners)
+    nan = np.isnan(best)
+    if nan.any():  # no rank equals a NaN max: take the first NaN
+        first = np.isnan(a).argmax(axis=axis, keepdims=True)
+        np.copyto(winners, first.squeeze(axis), where=nan.squeeze(axis), casting="unsafe")
+    return best.squeeze(axis), winners
 
 
 def orientation_pool_stack(y: Tensor, n_rotations: int):
@@ -76,10 +100,11 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     output; plane c*n + r is filter c at rotation r) into a field stack
     [..., H, W, 2C].
 
-    Per pixel and filter: r* = argmax over rotations (ties -> smallest r),
-    taken by `_running_max` over the n rotation views [..., C, H*W], whose
-    rows are contiguous pixels; magnitude = ReLU of that activation, angle =
-    2*pi*r*/n. The C-ordered stack is written once, channel-last. Returns
+    Per pixel and filter: r* = argmax over rotations (ties -> smallest r,
+    NaN wins as in argmax), taken by `_first_max` down the rotation axis of
+    the [..., C, n, H*W] view, whose rows are contiguous pixels; magnitude =
+    ReLU of that activation, angle = 2*pi*r*/n. The C-ordered stack is
+    written once, channel-last. Returns
     (stack, winners, gate), the last two in plane layout [..., C, H, W]:
     winners of the smallest unsigned dtype holding n-1 (uint8 for n <= 256)
     and the boolean ReLU gate, True where the winning activation is
@@ -92,7 +117,7 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     *lead, cn, h, w = y.shape
     c = cn // n_rotations
     y4 = y.reshape(*lead, c, n_rotations, h * w)
-    rho, winners = _running_max([y4[..., r, :] for r in range(n_rotations)])
+    rho, winners = _first_max(y4, -2)
     # rho can differ from y[r*] only in the sign of a zero, which the ReLU drops
     gated = np.maximum(rho, 0)
     cos_t, sin_t = angle_table(n_rotations)
@@ -157,9 +182,11 @@ def vf_max_pool(stack: Tensor, w: int):
     """Vector-field max pooling of [..., H, W, 2C]: per field, keep the
     entire (p, q) vector at the window position of largest magnitude
     (row-major first on ties), never a componentwise mix; ragged-edge padding
-    never wins. `_running_max` over the w*w strided magnitude views finds
-    the winners. Returns (pooled_stack, winners [..., H/w, W/w, C]), the
-    winners of the smallest unsigned dtype holding w*w-1."""
+    never wins, and a window holding a NaN magnitude pools its first NaN
+    vector. `_first_max` over the w*w strided magnitude views, stacked on a
+    new leading axis, finds the winners. Returns (pooled_stack, winners
+    [..., H/w, W/w, C]), the winners of the smallest unsigned dtype holding
+    w*w-1."""
     if w < 1:
         raise ShapeError(f"window must be >= 1, got {w}")
     mag = np.hypot(*split_stack(stack))
@@ -167,7 +194,8 @@ def vf_max_pool(stack: Tensor, w: int):
     if h % w or wd % w:
         pad = [(0, 0)] * len(lead) + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
         mag = np.pad(mag, pad, constant_values=-np.inf)
-    _, winners = _running_max([mag[..., a::w, b::w, :] for a in range(w) for b in range(w)])
+    views = [mag[..., a::w, b::w, :] for a in range(w) for b in range(w)]
+    _, winners = _first_max(np.stack(views), 0)
     index = _window_index(stack.shape, w, winners)
     flat = stack.ravel()
     pooled = np.empty(winners.shape[:-1] + (2 * c,), dtype=stack.dtype)

@@ -36,7 +36,7 @@ _SORT_CHUNK = 2048
 
 
 def check_finite(a: Tensor, what: str = "array") -> Tensor:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"non-finite values in {what}")
     return a
 

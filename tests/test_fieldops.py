@@ -152,7 +152,7 @@ class TestOrientationPool:
         assert not rho.any() and not angle.any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 17, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 16, 17, 24, 256, 257])
     @pytest.mark.parametrize("values", ["normal", "signed_zeros", "integer_ties", "negative"])
     def test_matches_argmax_oracle(self, rng, dtype, n, values):
         # the pool reads planes; winners and gate come back as planes too
@@ -165,11 +165,13 @@ class TestOrientationPool:
             y = rng.integers(-2, 3, size=shape).astype(np.float64)
         else:  # every response negative, with ties
             y = -rng.integers(1, 4, size=shape).astype(np.float64)
+        y[0, 0, 0, n - 1] = y.max() + 1  # the last rotation wins somewhere
         y = y.astype(dtype)
         stack, winners, gate = orientation_pool_stack(planes(y), n)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, n)
         assert stack.dtype == want_stack.dtype and stack.tobytes() == want_stack.tobytes()
-        assert winners.dtype == np.uint8 and np.array_equal(winners, planes(want_winners))
+        assert winners.dtype == np.min_scalar_type(n - 1) and winners[0, 0, 0, 0] == n - 1
+        assert np.array_equal(winners, planes(want_winners))
         assert gate.dtype == bool and gate.tobytes() == planes(want_gate).tobytes()
         up = rng.normal(size=stack.shape).astype(dtype)
         got = orientation_pool_backward(winners, gate, n, up)
@@ -189,6 +191,27 @@ class TestOrientationPool:
         got = orientation_pool_backward(winners, gate, 300, up)
         assert got.tobytes() == orientation_pool_backward_oracle(
             want_winners, want_gate, 300, up).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nan_at", [(0,), (3,), (3, 5), (7,)])
+    def test_nan_wins_at_its_first_rotation(self, rng, dtype, nan_at):
+        # as in argmax, the oracle: the field is NaN and the winner is the
+        # first NaN rotation. A running max would drop a NaN after rotation
+        # 0; a plain reduction would find no rotation equal to a NaN max.
+        y = rng.normal(size=(2, 3, 4, 2 * 8)).astype(dtype)
+        for r in nan_at:
+            y[1, 2, 0, 8 + r] = np.nan  # filter 1 at one pixel
+        stack, winners, gate = orientation_pool_stack(planes(y), 8)
+        want_stack, want_winners, want_gate = orientation_pool_oracle(y, 8)
+        assert np.isnan(stack).sum() == 2 and np.isnan(stack[1, 2, 0, 2:]).all()
+        assert winners[1, 1, 2, 0] == nan_at[0] and not gate[1, 1, 2, 0]
+        assert np.array_equal(winners, planes(want_winners))
+        assert stack.tobytes() == want_stack.tobytes()
+        assert gate.tobytes() == planes(want_gate).tobytes()
+        up = rng.normal(size=stack.shape).astype(dtype)
+        got = orientation_pool_backward(winners, gate, 8, up)
+        assert got.tobytes() == orientation_pool_backward_oracle(
+            want_winners, want_gate, 8, up).tobytes()
 
 
 class TestOrientationPoolBackward:
@@ -267,7 +290,8 @@ class TestVfMaxPool:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, w", [((7, 9, 6), 4), ((5, 6, 4), 4), ((8, 8, 8), 2),
-                                          ((6, 6, 2), 1), ((9, 7, 10), 3), ((3, 2, 4), 5)])
+                                          ((6, 6, 2), 1), ((9, 7, 10), 3), ((3, 2, 4), 5),
+                                          ((17, 18, 2), 17), ((20, 16, 4), 16)])
     @pytest.mark.parametrize("values", ["normal", "ties", "sparse"])
     def test_matches_per_component_oracle(self, rng, dtype, shape, w, values):
         if values == "normal":
@@ -277,18 +301,53 @@ class TestVfMaxPool:
         else:  # mostly zero vectors
             v = np.zeros(shape)
             v[::3, ::2] = rng.normal(size=v[::3, ::2].shape)
+        last = w <= min(shape[:2])
+        if last:  # the last window position wins the first window
+            v[w - 1, w - 1, :2] = (2 * np.abs(v).max() + 1, 0.0)
         v = v.astype(dtype)
         got, got_winners = vf_max_pool(v, w)
         want, want_winners = vf_max_pool_oracle(v, w)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got_winners.dtype == np.min_scalar_type(w * w - 1)
+        assert not last or got_winners[0, 0, 0] == w * w - 1
         assert np.array_equal(got_winners, want_winners)
         up = rng.normal(size=want.shape).astype(dtype)
         got = vf_max_pool_backward(v.shape, w, got_winners, up)
         want = vf_max_pool_backward_oracle(v.shape, w, want_winners, up)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, nans", [
+        ((4, 4, 2), [(1, 1)]),          # even windows, at the last position
+        ((4, 4, 4), [(2, 3), (3, 2)]),  # two in one window: the first wins
+        ((5, 5, 2), [(4, 4)]),          # ragged: the rest of its window is padding
+        ((5, 6, 2), [(4, 1)]),
+    ])
+    def test_nan_window_pools_its_first_nan(self, rng, dtype, shape, nans):
+        # as in argmax, the oracle. A running max would drop a NaN after
+        # window position 0; a plain reduction would find no position equal
+        # to a NaN max and land on the last, padding in a ragged window.
+        v = rng.uniform(0.1, 1.0, size=(2,) + shape).astype(dtype)
+        for i, j in nans:
+            v[0, i, j, 0] = np.nan  # image 0, so a winner past its end reads image 1
+        pooled, winners = vf_max_pool(v, 2)
+        up = rng.normal(size=pooled.shape).astype(dtype)
+        grad = vf_max_pool_backward(v.shape, 2, winners, up)
+        for b in range(2):
+            want, want_winners = vf_max_pool_oracle(v[b], 2)
+            assert pooled[b].tobytes() == want.tobytes()
+            assert np.array_equal(winners[b], want_winners)
+            assert grad[b].tobytes() == vf_max_pool_backward_oracle(
+                shape, 2, want_winners, up[b]).tobytes()
+        nan_windows = {(i // 2, j // 2) for i, j in nans}
+        assert {tuple(ij) for ij in np.argwhere(np.isnan(pooled[0, ..., 0]))} == nan_windows
+        assert np.isnan(pooled).sum() == len(nan_windows)
+        a, b = np.divmod(winners, 2)
+        rows = 2 * np.arange(winners.shape[1])[:, None, None] + a
+        cols = 2 * np.arange(winners.shape[2])[None, :, None] + b
+        assert (rows < shape[0]).all() and (cols < shape[1]).all()
 
     def test_backward_finite_differences(self, rng):
         v = rng.normal(size=(4, 4, 4))

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oriconv.errors import ShapeError
+from oriconv import rconv
+from oriconv.errors import NumericalError, ShapeError
+from oriconv.fieldops import orientation_pool_stack
+from oriconv.netblocks import RConvLayer
 from oriconv.tensor import (
     _im2col,
     conv2d,
@@ -86,6 +89,45 @@ class TestConv2d:
             for j in range(5):
                 window = padded[:, i : i + 3, j : j + 3, :].reshape(2, 27)
                 assert np.array_equal(cols[:, i * 5 + j], window)
+
+
+class TestConv2dNonFiniteGuard:
+    """`conv2d` raises on a non-finite output: it is the only guard between
+    a diverging input or filter and the pools, which can hide one."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_input_raises(self, rng, dtype):
+        x = rng.normal(size=(2, 5, 6, 2)).astype(dtype)
+        x[1, 3, 2, 1] = np.nan
+        f = rng.normal(size=(3, 3, 2, 4)).astype(dtype)
+        with pytest.raises(NumericalError):
+            conv2d(x, f)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_overflow_to_inf_raises(self, dtype):
+        big = np.sqrt(np.finfo(dtype).max)  # finite operands, infinite products
+        x = np.full((1, 4, 4, 1), 2 * big, dtype=dtype)
+        f = np.full((3, 3, 1, 2), 2 * big, dtype=dtype)
+        # numpy warns of the overflow before the guard sees the +inf
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            conv2d(x, f)
+
+    def test_losing_negative_inf_cannot_slip_through_the_pool(self):
+        # one huge edge tap, rotated exactly by the quarter-turn copies: every
+        # pixel that gets -inf on one rotation plane gets 0 on the other three
+        layer = RConvLayer(3, 1, 1, 4, rconv.SCALAR, dtype=np.float32)
+        layer.bank.weights[...] = 0.0
+        layer.bank.weights[0, 1, 0, 0] = -1e30
+        x = np.zeros((1, 5, 5, 1), dtype=np.float32)
+        x[0, 2, 2, 0] = 1e30
+        with np.errstate(over="ignore"):  # the unguarded planes, cast to float32
+            y = planes(conv2d_oracle(x[0], rconv.expand_rotations(layer.bank)))
+            y = y.astype(np.float32)
+        assert np.isneginf(y).sum() == 4 and (np.isneginf(y).sum(axis=0) <= 1).all()
+        stack, _, _ = orientation_pool_stack(y, 4)
+        assert np.isfinite(stack).all()  # the pool alone would hide them
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            layer.forward(x, training=False)
 
 
 class TestConv2dBackward:
