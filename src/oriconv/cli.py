@@ -109,7 +109,13 @@ def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=No
     if kind not in ("patches", "scenes"):
         raise ConfigError(f"data.kind must be 'patches' or 'scenes', got {kind!r}")
     check_section("data", d, SceneSpec)
-    scene = SceneSpec(**d) if d else SceneSpec(seed=tc.seed)
+    if not d:
+        d["seed"] = tc.seed
+    # the images take the network's input shape unless the config sets one
+    d.setdefault("channels", ns.input_channels)
+    if kind == "scenes":
+        d.setdefault("image_size", ns.input_size)
+    scene = SceneSpec(**d)
     if kind == "patches":
         return generate_orientation_patches(scene, count, patch_size=patch)
     n = worker_threads()

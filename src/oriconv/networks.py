@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import detect, rconv
-from .errors import ConfigError, check_section
+from .errors import ConfigError, ShapeError, check_section
 from .netblocks import (
     AttentionMerge,
     FeatureFusion,
@@ -327,10 +327,16 @@ class Detector(Layer):
         return head, rpn, cols
 
     # -- forward ----------------------------------------------------------
-    def forward(self, images: Tensor, training: bool = True, use_rois: bool = True):
-        """Run the feature pipeline on a batch; returns the per-level head
-        raws and the proposal raw."""
+    def forward(self, images: Tensor, training: bool = True):
+        """Run the feature pipeline on a batch [B, input_size, input_size,
+        input_channels]; returns the per-level head raws and the proposal
+        raw. Other shapes raise `ShapeError`: the anchors are laid out for
+        the spec's input size."""
         spec = self.spec
+        size, chans = spec.input_size, spec.input_channels
+        if images.ndim != 4 or images.shape[1:] != (size, size, chans):
+            raise ShapeError(f"detector input must be [B, {size}, {size}, {chans}], "
+                             f"got {images.shape}")
         n = len(self.taps)
 
         taps_out = []
@@ -362,7 +368,7 @@ class Detector(Layer):
         merged = []
         for i, t in enumerate(self.taps):
             gates = None
-            if use_rois and spec.use_rpn:
+            if spec.use_rpn:
                 gates = np.stack(
                     [
                         roi_gate(
@@ -430,7 +436,7 @@ class Detector(Layer):
         (mean loss, components).
         """
         nb = images.shape[0]
-        fwd = self.forward(images, training=True, use_rois=True)
+        fwd = self.forward(images, training=True)
         head, rpn, cols = self._layout(fwd["head_raw"], fwd["rpn_raw"])
         # the gradients, written per image through the same column views
         g_head, g_rpn, g_cols = self._layout([np.zeros_like(head)], np.zeros_like(rpn))

@@ -11,7 +11,11 @@ reduction in `conv2d`, `stable_sum` and friends is carried out in a
 value-sorted order, which makes the result invariant under permutations of
 the summands. That property is what turns the 90-degree covariance identities
 elsewhere in the package into bit-exact equalities instead of up-to-rounding
-ones.
+ones. A conv output that overflows raises `NumericalError` (no numpy warning).
+
+`rotate_grid` and `rotate_grid_adjoint` are the package's only rotation
+resampler (RConv expansion calls them per base angle); the bilinear taps of
+each (m, angle) are computed once and kept, read-only, in a bounded cache.
 
 Angle convention (used package-wide): angles are in radians and rotate content
 counterclockwise as displayed, i.e. with row 0 at the top a quarter turn moves
@@ -22,7 +26,9 @@ the axes; it is documented here once and never re-derived.
 
 from __future__ import annotations
 
+import functools
 import math
+
 import numpy as np
 
 from .errors import NumericalError, ShapeError
@@ -114,17 +120,19 @@ def conv2d(x: Tensor, f: Tensor) -> Tensor:
     *lead, h, w, _ = x.shape
     cols = _im2col(x, m)
     w2 = f.reshape(m * m * cin, cout)
-    if x.dtype == np.float64 or f.dtype == np.float64:
-        rows = cols.reshape(-1, cols.shape[-1]).astype(np.float64, copy=False)
-        w2 = w2.astype(np.float64, copy=False)
-        out = np.empty((rows.shape[0], cout), dtype=np.float64)
-        for lo in range(0, rows.shape[0], _SORT_CHUNK):
-            hi = min(lo + _SORT_CHUNK, rows.shape[0])
-            prod = rows[lo:hi, :, None] * w2[None, :, :]
-            out[lo:hi] = stable_sum(prod, axis=1)
-        out = np.ascontiguousarray(out.reshape(*lead, h * w, cout).swapaxes(-1, -2))
-    else:
-        out = np.matmul(w2.T, cols.swapaxes(-1, -2))
+    # an overflow is reported by check_finite below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.dtype == np.float64 or f.dtype == np.float64:
+            rows = cols.reshape(-1, cols.shape[-1]).astype(np.float64, copy=False)
+            w2 = w2.astype(np.float64, copy=False)
+            out = np.empty((rows.shape[0], cout), dtype=np.float64)
+            for lo in range(0, rows.shape[0], _SORT_CHUNK):
+                hi = min(lo + _SORT_CHUNK, rows.shape[0])
+                prod = rows[lo:hi, :, None] * w2[None, :, :]
+                out[lo:hi] = stable_sum(prod, axis=1)
+            out = np.ascontiguousarray(out.reshape(*lead, h * w, cout).swapaxes(-1, -2))
+        else:
+            out = np.matmul(w2.T, cols.swapaxes(-1, -2))
     y = out.reshape(*lead, cout, h, w)
     return check_finite(y, "conv2d output")
 
@@ -174,10 +182,12 @@ def _quarter_turns(angle: float, tol: float = 1e-12):
     return None
 
 
+@functools.lru_cache(maxsize=64)
 def _rotation_taps(m: int, angle: float):
-    """Bilinear taps for sampling a rotated m-by-m grid.
+    """Bilinear taps for sampling a rotated m-by-m grid; cached per
+    (m, angle) and read-only.
 
-    Returns (indices, weights), two lists of four arrays each, one per tap:
+    Returns (indices, weights), two tuples of four arrays each, one per tap:
     indices[t] holds flat indices into the source grid (clipped), and
     weights[t] already includes the in-bounds mask, so out-of-support taps
     have weight zero.
@@ -209,7 +219,9 @@ def _rotation_taps(m: int, angle: float):
         flat = np.clip(ro, 0, m - 1) * m + np.clip(co, 0, m - 1)
         indices.append(flat.ravel())
         weights.append((wgt * valid).ravel())
-    return indices, weights
+    for a in indices + weights:
+        a.flags.writeable = False
+    return tuple(indices), tuple(weights)
 
 
 def rotate_grid(src: Tensor, angle: float) -> Tensor:
@@ -254,10 +266,15 @@ def rotate_grid_adjoint(grad: Tensor, angle: float) -> Tensor:
 
     trailing = grad.shape[2:]
     flat = grad.reshape(m * m, -1)
+    cols = flat.shape[1]
     indices, weights = _rotation_taps(m, angle)
-    out = np.zeros_like(flat)
+    # one flat scatter per tap: numpy's fast 1-D `add.at` path, each element
+    # still getting its terms in tap, then output-pixel order
+    out = np.zeros(m * m * cols, dtype=flat.dtype)
+    lanes = np.arange(cols)
     for idx, wgt in zip(indices, weights):
-        np.add.at(out, idx, flat * wgt[:, None].astype(flat.dtype))
+        dest = (idx[:, None] * cols + lanes).ravel()
+        np.add.at(out, dest, (flat * wgt[:, None].astype(flat.dtype)).ravel())
     return out.reshape((m, m) + trailing)
 
 

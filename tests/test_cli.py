@@ -212,6 +212,25 @@ def test_eval_of_orientation_run_exits_2(orientation_run, detection_run, tmp_pat
     assert "detection" in err
 
 
+def test_scenes_of_another_size_than_the_network_exit_2(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "train": {"task": "detection", "max_steps": 1},
+        "data": {"count": 4, "image_size": 32},
+    })
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert err.startswith("error: detector input must be [B, 64, 64, 1]")
+
+
+def test_generated_scenes_take_the_network_input_size(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "train": {"task": "detection", "max_steps": 1, "batch_size": 2},
+        "data": {"count": 2},
+        "network": {"input_size": 32},
+    })
+    assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
+
+
 def test_diverging_training_exits_3(tmp_path, capfd):
     cfg = write_json(tmp_path / "cfg.json", {
         "train": {"task": "orientation", "batch_size": 2, "learning_rate": 1e30},

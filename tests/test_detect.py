@@ -808,6 +808,13 @@ class TestDetectImageOracle:
             assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
             assert threshold == 0.3 or len(got) == 40
 
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (64, 64, 3), (64, 32, 1)])
+    def test_image_of_another_shape_raises(self, plain, shape):
+        # the anchors are laid out for the spec's 64 px, 1-channel input
+        net, _ = plain
+        with pytest.raises(ShapeError, match="detector input"):
+            net.detect_image(np.zeros(shape, dtype=np.float32))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.3])
     def test_matches_per_anchor_loop_with_invalid_boxes(self, degenerate, threshold):

@@ -19,7 +19,7 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
     spec = net.spec
     n = len(net.taps)
     nb = images.shape[0]
-    fwd = net.forward(images, training=True, use_rois=True)
+    fwd = net.forward(images, training=True)
     level_anchors = np.split(net.anchors, np.cumsum(net.anchor_counts)[:-1])
 
     g_head_raw = [np.zeros_like(fwd["head_raw"][i]) for i in range(n)]

@@ -645,13 +645,14 @@ class TestEndToEndCovariance:
         assert np.array_equal(f2, rotate_stack_90(f1, 1))
 
     def test_detector_merged_features_quarter_turn_exact(self, rng):
-        # rois disabled, 4 | rotations: the merged fields that every level's
+        # no proposals, 4 | rotations: the merged fields that every level's
         # head reads rotate with the image (the plain-conv heads do not),
         # with and without the pyramid branch and the level fusion
         img = rng.normal(size=(32, 32, 1))
         for use_lipm, use_ffm in itertools.product((True, False), repeat=2):
             spec = NetworkSpec(task="detection", n_rotations=4, input_size=32,
                                merge_channels=4, use_lipm=use_lipm, use_ffm=use_ffm,
+                               use_rpn=False,
                                backbone=(
                                    {"size": 3, "filters": 3, "pool": 2, "tap": True},
                                    {"size": 3, "filters": 3, "pool": 2, "tap": True},
@@ -660,7 +661,7 @@ class TestEndToEndCovariance:
             det = Detector(spec, rng=rng, dtype=np.float64)
             head_inputs = []
             for x in (img, np.rot90(img).copy()):
-                det.forward(x[None], training=False, use_rois=False)
+                det.forward(x[None], training=False)
                 head_inputs.append([head._cache[0] for head in det.head_convs])
             for d1, d2 in zip(*head_inputs):
                 assert np.array_equal(d2, rotate_stack_90(d1, 1)), (use_lipm, use_ffm)

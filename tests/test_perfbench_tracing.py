@@ -21,8 +21,6 @@ def test_tracer_absent_names_pinned():
         "oriconv.rconv.conv2d_backward",
         "oriconv.detect.conv2d",
         "oriconv.detect.conv2d_backward",
-        "oriconv.rconv.rotate_grid",
-        "oriconv.rconv.rotate_grid_adjoint",
         "oriconv.networks.downsample2",
         "oriconv.detect.nms",
         "oriconv.detect.decode_hbb",

@@ -12,9 +12,14 @@ from oriconv.rconv import (
     circular_mask,
     expand_rotations,
     expand_rotations_backward,
-    rotation_plan,
 )
-from oriconv.tensor import conv2d_backward, finite_diff_check, rotate_grid, rotate_grid_adjoint
+from oriconv.tensor import (
+    _rotation_taps,
+    conv2d_backward,
+    finite_diff_check,
+    rotate_grid,
+    rotate_grid_adjoint,
+)
 
 from conftest import (
     conv2d_oracle,
@@ -155,13 +160,13 @@ class TestRotationPlan:
         assert back.dtype == dtype
         assert np.array_equal(back, expand_backward_oracle(bank, g))
 
-    def test_plan_cached_and_read_only(self):
-        plan = rotation_plan(5, 8)
-        assert rotation_plan(5, 8) is plan
-        assert plan.n_base == 2 and plan.scatter_src.shape[:2] == (2, 25)
-        arrays = [plan.taps, plan.weights, plan.scatter_src, plan.scatter_wgt]
-        arrays += [a for e in plan.exact for a in e[1:]]
-        for a in arrays:
+    def test_taps_cached_and_read_only(self):
+        idx, wgt = _rotation_taps(5, 2 * math.pi / 8)
+        again = _rotation_taps(5, 2 * math.pi / 8)
+        assert again[0] is idx and again[1] is wgt
+        assert len(idx) == len(wgt) == 4
+        for a in idx + wgt:
+            assert a.shape == (25,)
             with pytest.raises(ValueError):
                 a.flat[0] = 0
 
