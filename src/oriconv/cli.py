@@ -109,9 +109,9 @@ def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=No
     if kind not in ("patches", "scenes"):
         raise ConfigError(f"data.kind must be 'patches' or 'scenes', got {kind!r}")
     check_section("data", d, SceneSpec)
-    if not d:
-        d["seed"] = tc.seed
-    # the images take the network's input shape unless the config sets one
+    # the images take the run's seed and the network's input shape unless
+    # the config sets them
+    d.setdefault("seed", tc.seed)
     d.setdefault("channels", ns.input_channels)
     if kind == "scenes":
         d.setdefault("image_size", ns.input_size)

@@ -15,8 +15,13 @@ use the interleaved (p, q) plane layout from `fieldops`. `RConvLayer`
 convolves against the rotated filter copies and orientation-pools the result,
 so every RConv in a block hands on vector fields. Every block keeps the fields
 equivariant: rotating the network input by a quarter turn rotates each level's
-fields per `fieldops.rotate_stack_90`, exactly in float64 when 4 divides the
-rotation count.
+fields per `fieldops.rotate_stack_90`. That holds exactly only when 4 divides
+the rotation count, the arithmetic is float64, the pools meet no exact ties
+(both pools keep the lowest-index winner of a tied set, which does not turn
+with the image; flat patches of real scenes tie) and no region-of-interest
+gate is applied: the detector's RPN gate comes from a plain conv and does not
+turn with the image, so the detector's merged fields are exact only with
+`use_rpn=False`.
 
 A shape dry-run with symbolic extents validates every merge point at build
 time, so mismatched pyramids fail before any real data flows.
@@ -36,12 +41,11 @@ Only the leaves that own arrays override the collectors: `RConvLayer`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fieldops, rconv, steerbasis
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ShapeError, StateError
 from .tensor import Tensor, conv2d, conv2d_backward, conv2d_filter_grad
 
 
@@ -378,14 +382,15 @@ class PyramidStage(Sequential):
     """Per-scale feature extractor: two 3x3 and one 1x1 rotation conv, each
     orientation-pooled, with one 2x field max-pool before the last, which
     lands on the matched prediction layer's spatial size. It reads a pyramid
-    image, so its first conv skips the input gradient and `backward` returns
-    None."""
+    image of `in_planes` channels, so its first conv skips the input gradient
+    and `backward` returns None."""
 
-    def __init__(self, n_rotations, c1, c2, c_out, rng=None, dtype=np.float32, parametrization="free"):
+    def __init__(self, n_rotations, c1, c2, c_out, in_planes=1, rng=None, dtype=np.float32,
+                 parametrization="free"):
         rng = rng or np.random.default_rng(0)
         super().__init__([
             RConvLayer(
-                3, 1, c1, n_rotations, rconv.SCALAR, parametrization,
+                3, in_planes, c1, n_rotations, rconv.SCALAR, parametrization,
                 rng=rng, dtype=dtype, input_grad=False,
             ),
             RConvLayer(3, 2 * c1, c2, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
@@ -424,20 +429,18 @@ def roi_gate(shape_hw, rois, stride: int, dtype=np.float32) -> Tensor:
 
 class AttentionMerge(Layer):
     """Fuse a prediction-layer field stack with the matching pyramid-stage
-    stack: normalize both, combine (channel concatenation by default,
-    elementwise product behind a switch), apply the region-of-interest gate,
-    then reform with a 3x3 and a 1x1 rotation conv, orientation-pooled."""
+    stack: normalize both, concatenate their channels, apply the
+    region-of-interest gate, then reform with a 3x3 and a 1x1 rotation conv,
+    orientation-pooled. Each step commutes with a quarter turn of the fields,
+    so the merged stack is exact under the module docstring's conditions when
+    no gate is given; a gate keeps it exact only if it turns with the image,
+    which the detector's RPN gate does not."""
 
-    def __init__(self, n_rotations, c_ssd, c_lipm, c_out, mode="concat", rng=None, dtype=np.float32):
+    def __init__(self, n_rotations, c_ssd, c_lipm, c_out, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
-        if mode not in ("concat", "product"):
-            raise ConfigError(f"unknown attention mode {mode!r}")
-        if mode == "product" and c_ssd != c_lipm:
-            raise ConfigError("product attention needs equal channel counts")
-        self.mode = mode
         self.norm_ssd = FieldNorm(c_ssd)
         self.norm_lipm = FieldNorm(c_lipm)
-        c_mix = c_ssd + c_lipm if mode == "concat" else c_ssd
+        c_mix = c_ssd + c_lipm
         mid = max(c_out, c_mix // 2)
         self.conv3 = RConvLayer(3, 2 * c_mix, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
         self.conv1 = RConvLayer(1, 2 * mid, c_out, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
@@ -453,25 +456,17 @@ class AttentionMerge(Layer):
             )
         a = self.norm_ssd.forward(ssd_feat, training)
         b = self.norm_lipm.forward(lipm_feat, training)
-        if self.mode == "concat":
-            mix = np.concatenate([a, b], axis=3)
-        else:
-            mix = a * b
+        mix = np.concatenate([a, b], axis=3)
         gated = mix if gates is None else mix * gates
-        self._cache = (a, b, gates)
+        self._cache = (a.shape[3], gates)
         return self.conv1.forward(self.conv3.forward(gated, training), training)
 
     def backward(self, gy):
         g = self.conv3.backward(self.conv1.backward(gy))
-        a, b, gates = self._cache
+        ca, gates = self._cache
         if gates is not None:
             g = g * gates
-        ca = a.shape[3]
-        if self.mode == "concat":
-            ga, gb = g[..., :ca], g[..., ca:]
-        else:
-            ga, gb = g * b, g * a
-        return self.norm_ssd.backward(ga), self.norm_lipm.backward(gb)
+        return self.norm_ssd.backward(g[..., :ca]), self.norm_lipm.backward(g[..., ca:])
 
 
 class FeatureFusion(Layer):

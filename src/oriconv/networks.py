@@ -2,7 +2,11 @@
 orientation estimators used by the rotational-generalization experiments.
 Every network is built from rotation-equivariant convolutions; the
 non-equivariant control is the same network at `n_rotations=1`, whose single
-filter orientation pins every field vector to angle 0.
+filter orientation pins every field vector to angle 0. The detector's merged
+fields, which its heads read, turn exactly with a quarter-turned image only
+under the conditions of `netblocks`: 4 divides `n_rotations`, float64, inputs
+whose pools meet no exact ties, and `use_rpn=False`. The plain-conv heads and
+the RPN are not equivariant.
 
 A NetworkSpec is plain data (JSON-serializable) describing the backbone
 stages, pyramid attachments, head geometry and ablation switches. Building a
@@ -74,7 +78,6 @@ class NetworkSpec:
     use_lipm: bool = True
     use_ffm: bool = True
     use_rpn: bool = True
-    attention_mode: str = "concat"
     merge_channels: int = 8
     anchor_scales: tuple = ((12.0, 18.0), (24.0, 32.0))
     anchor_ratios: tuple = (0.5, 1.0, 2.0)
@@ -254,16 +257,13 @@ class Detector(Layer):
         cm = spec.merge_channels
         self.lipm_stages = [
             PyramidStage(
-                spec.n_rotations, max(cm // 2, 2), cm, t["filters"],
+                spec.n_rotations, max(cm // 2, 2), cm, t["filters"], spec.input_channels,
                 rng=rng, dtype=dtype, parametrization=spec.parametrization,
             )
             for t in self.taps
         ]
         self.attention = [
-            AttentionMerge(
-                spec.n_rotations, t["filters"], t["filters"], cm,
-                mode=spec.attention_mode, rng=rng, dtype=dtype,
-            )
+            AttentionMerge(spec.n_rotations, t["filters"], t["filters"], cm, rng=rng, dtype=dtype)
             for t in self.taps
         ]
         self.fusion = [

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from oriconv.cli import cli
+from oriconv.cli import _build_specs, _load_training_data, cli
 from oriconv.networks import DEFAULT_BACKBONE
 from oriconv.synthdata import load_dataset
 
@@ -132,6 +132,11 @@ CONFIG_CASES = {
     "negative_rpn_top_k": json.dumps({"train": {"task": "detection", "max_steps": 1},
                                       "network": {"rpn_top_k": -1}}),
     "negative_max_steps": json.dumps({"train": {"task": "detection", "max_steps": -3}}),
+    # not a spec key: the attention merge always concatenates
+    "attention_mode_product": json.dumps({"train": {"task": "detection"},
+                                          "network": {"attention_mode": "product"}}),
+    "attention_mode_concat": json.dumps({"train": {"task": "detection"},
+                                         "network": {"attention_mode": "concat"}}),
 }
 
 
@@ -193,6 +198,19 @@ def test_run_dir_without_valid_config_exits_2(config_text, detection_run, tmp_pa
     assert code == 2
 
 
+def test_run_dir_with_attention_mode_exits_2(detection_run, tmp_path, capfd):
+    # run directories written while the spec had an attention_mode key
+    data, run_dir = detection_run
+    old = tmp_path / "run"
+    shutil.copytree(run_dir, old)
+    cfg = json.loads((old / "config.json").read_text())
+    cfg["network"]["attention_mode"] = "concat"
+    write_json(old / "config.json", cfg)
+    code, err = run(capfd, "eval", "--run", old, "--data", data, "--out", tmp_path / "e")
+    assert code == 2
+    assert "attention_mode" in err
+
+
 @pytest.mark.parametrize("flag", ["--score-threshold", "--nms-iou"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5", "abc"])
 def test_eval_threshold_outside_unit_interval_exits_2(flag, value, detection_run, tmp_path, capfd):
@@ -229,6 +247,35 @@ def test_generated_scenes_take_the_network_input_size(tmp_path, capfd):
         "network": {"input_size": 32},
     })
     assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
+
+
+def test_multichannel_detection_trains(tmp_path, capfd):
+    # the pyramid branch reads the image's channels, as the backbone does
+    cfg = write_json(tmp_path / "cfg.json", {
+        "train": {"task": "detection", "max_steps": 1, "batch_size": 2},
+        "data": {"count": 2},
+        "network": {"input_channels": 3},
+    })
+    assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
+
+
+def first_generated_image(train_seed, data):
+    cfg = {"train": {"task": "detection", "seed": train_seed}, "network": {},
+           "data": {"count": 1, **data}}
+    tc, ns = _build_specs(cfg)
+    return _load_training_data(cfg, tc, ns)[0].image
+
+
+@pytest.mark.parametrize("data", [{}, {"min_objects": 1}], ids=["no_scene_key", "scene_key"])
+def test_generated_scenes_follow_the_train_seed(data):
+    a, b = (first_generated_image(seed, data) for seed in (1, 2))
+    assert not np.array_equal(a, b)
+
+
+def test_data_seed_wins_over_the_train_seed():
+    a, b = (first_generated_image(seed, {"seed": 3}) for seed in (1, 2))
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, first_generated_image(0, {"seed": 3}))
 
 
 def test_diverging_training_exits_3(tmp_path, capfd):
