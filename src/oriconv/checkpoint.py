@@ -105,19 +105,24 @@ def network_tensors(network, momenta: dict | None = None) -> dict:
 
 
 def restore_network(network, tensors: dict) -> dict:
-    """Load parameters and state back into a network; returns the momenta."""
-    params = network.params()
-    state = network.state()
-    momenta = {}
-    for name, arr in tensors.items():
-        kind, _, key = name.partition("/")
-        if kind == "param":
-            if key not in params:
-                raise ConfigError(f"checkpoint has unknown parameter {key!r}")
-            params[key][...] = arr.astype(params[key].dtype)
-        elif kind == "state":
-            state[key][...] = arr.astype(state[key].dtype)
-        elif kind == "momentum":
-            momenta[key] = arr.astype(np.float32)
+    """Load parameters and state back into a network; returns the momenta.
+    The `param/` and `state/` tensors must be exactly the network's, name for
+    name and shape for shape; any mismatch raises ConfigError before anything
+    is written."""
+    want = network_tensors(network)
+    got = {k: v for k, v in tensors.items() if k.startswith(("param/", "state/"))}
+    missing, unknown = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    if missing or unknown:
+        raise ConfigError(f"checkpoint does not fit the network: missing {missing}, "
+                          f"unknown {unknown}")
+    for name, arr in got.items():
+        if arr.shape != want[name].shape:
+            raise ConfigError(f"checkpoint tensor {name} has shape {arr.shape}, "
+                              f"the network wants {want[name].shape}")
+    for name, arr in got.items():
+        want[name][...] = arr.astype(want[name].dtype)
     network.apply_constraints()
-    return momenta
+    return {
+        k[len("momentum/"):]: v.astype(np.float32)
+        for k, v in tensors.items() if k.startswith("momentum/")
+    }

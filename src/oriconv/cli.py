@@ -4,9 +4,6 @@ Subcommands: gen-data, train, eval, verify, bench, dump-features. Config is a
 JSON file with "train", "network" and "data" sections; any matching CLI flag
 overrides the config value (flags win). Exit codes: 0 success, 2 bad usage or
 config, 3 numerical failure.
-
-The ORICONV_THREADS environment variable caps worker threads for data
-generation; training itself is single-threaded for determinism.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,13 +38,6 @@ from .trainer import (
     verify_equivariance,
     write_loss_log,
 )
-
-
-def worker_threads() -> int:
-    try:
-        return max(int(os.environ.get("ORICONV_THREADS", "1")), 1)
-    except ValueError:
-        return 1
 
 
 def load_config(path: str) -> dict:
@@ -118,10 +107,6 @@ def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=No
     scene = SceneSpec(**d)
     if kind == "patches":
         return generate_orientation_patches(scene, count, patch_size=patch)
-    n = worker_threads()
-    if n > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(lambda i: generate_scene(scene, i), range(count)))
     return [generate_scene(scene, i) for i in range(count)]
 
 

@@ -153,19 +153,14 @@ def iou_hbb(a: HBox, b: HBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _polygon_area(pts: np.ndarray) -> float:
-    if len(pts) < 3:
-        return 0.0
-    x = pts[:, 0]
-    y = pts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _signed_area(pts: np.ndarray) -> float:
+    """Shoelace area of a polygon, positive for counterclockwise corners."""
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _ensure_ccw(pts: np.ndarray) -> np.ndarray:
-    x = pts[:, 0]
-    y = pts[:, 1]
-    signed = 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    return pts if signed >= 0 else pts[::-1]
+    return pts if _signed_area(pts) >= 0 else pts[::-1]
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -201,7 +196,8 @@ def iou_obb(a: OBox, b: OBox) -> float:
     """Oriented IoU via convex polygon clipping; equals iou_hbb at theta=0."""
     ca = _ensure_ccw(a.corners())
     cb = _ensure_ccw(b.corners())
-    inter = _polygon_area(_clip_polygon(ca, cb))
+    clipped = _clip_polygon(ca, cb)
+    inter = abs(_signed_area(clipped)) if len(clipped) >= 3 else 0.0
     union = a.area + b.area - inter
     if union <= 0:
         return 0.0
@@ -461,28 +457,31 @@ def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0
     hbb_offsets [M,4], obb_offsets [M,5]. targets mirror the offset keys and
     add rpn_labels [N] (1/0/-1 ignore) and cls_labels [M] (0 = background,
     -1 ignore). Regression terms are 0 (not NaN) when there are no positives.
-    Returns (total, components, grads).
+    Without `rpn_labels` (a detector with no RPN) the proposal keys are not
+    read, `rpn_cls` and `rpn_reg` are reported as 0.0 and no proposal
+    gradients are returned. Returns (total, components, grads).
     """
     l1, l2, l3, l4, l5 = lambdas
-    comps = {}
+    comps = {"rpn_cls": 0.0, "rpn_reg": 0.0}
     grads = {}
 
-    rl = targets["rpn_labels"]
-    sampled = rl >= 0
-    n_cls = max(int(sampled.sum()), 1)
-    loss_b, grad_b = binary_ce_with_logits(
-        predictions["rpn_logits"], (rl == 1).astype(np.float64)
-    )
-    comps["rpn_cls"] = float(loss_b[sampled].sum()) / n_cls
-    gb = np.where(sampled, grad_b, 0.0) / n_cls
-    grads["rpn_logits"] = l1 * gb
+    if "rpn_labels" in targets:
+        rl = targets["rpn_labels"]
+        sampled = rl >= 0
+        n_cls = max(int(sampled.sum()), 1)
+        loss_b, grad_b = binary_ce_with_logits(
+            predictions["rpn_logits"], (rl == 1).astype(np.float64)
+        )
+        comps["rpn_cls"] = float(loss_b[sampled].sum()) / n_cls
+        gb = np.where(sampled, grad_b, 0.0) / n_cls
+        grads["rpn_logits"] = l1 * gb
 
-    pos = rl == 1
-    n_reg = max(int(pos.sum()), 1)
-    diff = predictions["rpn_offsets"] - targets["rpn_offsets"]
-    comps["rpn_reg"] = float(smooth_l1(diff[pos]).sum()) / n_reg
-    gr = np.where(pos[:, None], smooth_l1_grad(diff), 0.0) / n_reg
-    grads["rpn_offsets"] = l2 * gr
+        pos = rl == 1
+        n_reg = max(int(pos.sum()), 1)
+        diff = predictions["rpn_offsets"] - targets["rpn_offsets"]
+        comps["rpn_reg"] = float(smooth_l1(diff[pos]).sum()) / n_reg
+        gr = np.where(pos[:, None], smooth_l1_grad(diff), 0.0) / n_reg
+        grads["rpn_offsets"] = l2 * gr
 
     cl = targets["cls_labels"]
     csampled = cl >= 0

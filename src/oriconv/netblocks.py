@@ -21,7 +21,8 @@ the rotation count, the arithmetic is float64, the pools meet no exact ties
 with the image; flat patches of real scenes tie) and no region-of-interest
 gate is applied: the detector's RPN gate comes from a plain conv and does not
 turn with the image, so the detector's merged fields are exact only with
-`use_rpn=False`.
+`use_rpn=False`. Blocks take only the inputs the spec builds: an
+`AttentionMerge` built with `c_lipm=0` merges the backbone stack alone.
 
 A shape dry-run with symbolic extents validates every merge point at build
 time, so mismatched pyramids fail before any real data flows.
@@ -434,12 +435,16 @@ class AttentionMerge(Layer):
     orientation-pooled. Each step commutes with a quarter turn of the fields,
     so the merged stack is exact under the module docstring's conditions when
     no gate is given; a gate keeps it exact only if it turns with the image,
-    which the detector's RPN gate does not."""
+    which the detector's RPN gate does not.
+
+    `c_lipm=0` means no pyramid input: the block has no `norm_lipm`, gates
+    and reforms the normalized backbone stack alone, takes None for
+    `lipm_feat` and returns None as its gradient."""
 
     def __init__(self, n_rotations, c_ssd, c_lipm, c_out, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.norm_ssd = FieldNorm(c_ssd)
-        self.norm_lipm = FieldNorm(c_lipm)
+        self.norm_lipm = FieldNorm(c_lipm) if c_lipm else None
         c_mix = c_ssd + c_lipm
         mid = max(c_out, c_mix // 2)
         self.conv3 = RConvLayer(3, 2 * c_mix, mid, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype)
@@ -450,13 +455,15 @@ class AttentionMerge(Layer):
         """gates: optional [N, H, W, 1] per-image spatial attention maps
         (see `roi_gate`); None disables gating. The gate is a constant in the
         backward pass, matching its binary definition."""
-        if ssd_feat.shape[1:3] != lipm_feat.shape[1:3]:
+        if (lipm_feat is None) != (self.norm_lipm is None):
+            raise ShapeError("a pyramid input needs c_lipm > 0, and c_lipm > 0 needs one")
+        if lipm_feat is not None and ssd_feat.shape[1:3] != lipm_feat.shape[1:3]:
             raise ShapeError(
                 f"spatial mismatch {ssd_feat.shape} vs {lipm_feat.shape}"
             )
-        a = self.norm_ssd.forward(ssd_feat, training)
-        b = self.norm_lipm.forward(lipm_feat, training)
-        mix = np.concatenate([a, b], axis=3)
+        mix = a = self.norm_ssd.forward(ssd_feat, training)
+        if lipm_feat is not None:
+            mix = np.concatenate([a, self.norm_lipm.forward(lipm_feat, training)], axis=3)
         gated = mix if gates is None else mix * gates
         self._cache = (a.shape[3], gates)
         return self.conv1.forward(self.conv3.forward(gated, training), training)
@@ -466,7 +473,10 @@ class AttentionMerge(Layer):
         ca, gates = self._cache
         if gates is not None:
             g = g * gates
-        return self.norm_ssd.backward(g[..., :ca]), self.norm_lipm.backward(g[..., ca:])
+        g_ssd = self.norm_ssd.backward(g[..., :ca])
+        if self.norm_lipm is None:
+            return g_ssd, None
+        return g_ssd, self.norm_lipm.backward(g[..., ca:])
 
 
 class FeatureFusion(Layer):

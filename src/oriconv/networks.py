@@ -11,7 +11,9 @@ the RPN are not equivariant.
 A NetworkSpec is plain data (JSON-serializable) describing the backbone
 stages, pyramid attachments, head geometry and ablation switches. Building a
 network runs a symbolic shape dry-run first, so a mismatched merge fails at
-construction time with ConfigError rather than mid-training.
+construction time with ConfigError rather than mid-training. A block that a
+switch turns off (`use_lipm`, `use_ffm`, `use_rpn`) is not built, run,
+trained or saved: one detector graph per spec.
 
 The detector puts all prediction levels on one flat anchor axis: one [A, 4]
 anchor array, and `Detector._layout`, the one place that spells out the
@@ -75,6 +77,7 @@ class NetworkSpec:
     input_channels: int = 1
     backbone: tuple = DEFAULT_BACKBONE
     n_classes: int = 3
+    # ablation switches: off means not built (pyramid, fusion, proposals)
     use_lipm: bool = True
     use_ffm: bool = True
     use_rpn: bool = True
@@ -260,15 +263,16 @@ class Detector(Layer):
                 spec.n_rotations, max(cm // 2, 2), cm, t["filters"], spec.input_channels,
                 rng=rng, dtype=dtype, parametrization=spec.parametrization,
             )
-            for t in self.taps
+            for t in self.taps if spec.use_lipm
         ]
         self.attention = [
-            AttentionMerge(spec.n_rotations, t["filters"], t["filters"], cm, rng=rng, dtype=dtype)
+            AttentionMerge(spec.n_rotations, t["filters"], t["filters"] if spec.use_lipm else 0,
+                           cm, rng=rng, dtype=dtype)
             for t in self.taps
         ]
         self.fusion = [
             FeatureFusion(spec.n_rotations, cm, cm, cm, rng=rng, dtype=dtype)
-            for _ in range(n - 1)
+            for _ in range(n - 1) if spec.use_ffm
         ]
         k = spec.n_classes
         self.head_convs = [
@@ -288,7 +292,7 @@ class Detector(Layer):
         rpn_planes = 2 * self.taps[-1]["filters"]
         self.rpn_conv = PlainConv(
             3, rpn_planes, spec.anchors_per_cell(n - 1) * 5, rng=rng, dtype=dtype
-        )
+        ) if spec.use_rpn else None
 
     def children(self):
         groups = (
@@ -299,21 +303,22 @@ class Detector(Layer):
             ("head", self.head_convs),
         )
         out = {f"{name}{i}": l for name, layers in groups for i, l in enumerate(layers)}
-        out["rpn"] = self.rpn_conv
+        if self.rpn_conv is not None:
+            out["rpn"] = self.rpn_conv
         return out
 
     def _layout(self, head_raw=None, rpn_raw=None):
         """Put the per-level head outputs [B, H, W, a*(k+10)] and the RPN
         output [B, H, W, a*5] on their anchor axes.
 
-        Returns the [B, A, k+10] head array, the [B, R, 5] RPN array and views
-        of their columns keyed as `detect.composite_loss` keys them: class
-        logits (k+1), HBB offsets (4) and OBB offsets (5) of the head; logits
-        (1) and offsets (4) of the RPN. A part whose output is None is left
-        out (None, no views). Writing into a view writes its array.
+        Returns the [B, A, k+10] head array and views of the columns keyed
+        as `detect.composite_loss` keys them: class logits (k+1), HBB offsets
+        (4) and OBB offsets (5) of the head; logits (1) and offsets (4) of
+        the RPN. A part whose output is None is left out (None, no views).
+        Writing into a view writes the head array or the RPN output.
         """
         k = self.spec.n_classes
-        head = rpn = None
+        head = None
         cols = {}
         if head_raw is not None:
             head = np.concatenate([r.reshape(r.shape[0], -1, k + 10) for r in head_raw], axis=1)
@@ -324,14 +329,15 @@ class Detector(Layer):
             rpn = rpn_raw.reshape(rpn_raw.shape[0], -1, 5)
             cols["rpn_logits"] = rpn[..., 0]
             cols["rpn_offsets"] = rpn[..., 1:]
-        return head, rpn, cols
+        return head, cols
 
     # -- forward ----------------------------------------------------------
     def forward(self, images: Tensor, training: bool = True):
         """Run the feature pipeline on a batch [B, input_size, input_size,
         input_channels]; returns the per-level head raws and the proposal
-        raw. Other shapes raise `ShapeError`: the anchors are laid out for
-        the spec's input size."""
+        raw, None without an RPN. Other shapes raise `ShapeError`: the
+        anchors are laid out for the spec's input size. Without the pyramid
+        the merges and the RPN read the backbone taps alone."""
         spec = self.spec
         size, chans = spec.input_size, spec.input_channels
         if images.ndim != 4 or images.shape[1:] != (size, size, chans):
@@ -345,58 +351,45 @@ class Detector(Layer):
             x = seg.forward(x, training)
             taps_out.append(x)
 
+        lipm_out = [None] * n
         if spec.use_lipm:
             pyramid = build_image_pyramid(images, self.taps[-1]["level"] + 1)
             lipm_out = [
                 stage.forward(pyramid[t["level"]], training)
                 for stage, t in zip(self.lipm_stages, self.taps)
             ]
-        else:
-            lipm_out = [np.zeros_like(t) for t in taps_out]
 
-        rpn_feat = lipm_out[-1] if spec.use_lipm else taps_out[-1]
-        rpn_raw = self.rpn_conv.forward(rpn_feat, training)
-        rois_per_image = [[] for _ in range(images.shape[0])]
+        rpn_raw, gates = None, [None] * n
         if spec.use_rpn:
-            _, _, cols = self._layout(rpn_raw=rpn_raw)
-            for b in range(images.shape[0]):
-                rois_per_image[b] = detect.propose_rois(
-                    cols["rpn_logits"][b], cols["rpn_offsets"][b], self.rpn_anchors, n,
-                    top_k=spec.rpn_top_k,
-                )
+            rpn_feat = lipm_out[-1] if spec.use_lipm else taps_out[-1]
+            rpn_raw = self.rpn_conv.forward(rpn_feat, training)
+            _, cols = self._layout(rpn_raw=rpn_raw)
+            rois = [
+                detect.propose_rois(logits, offsets, self.rpn_anchors, n, top_k=spec.rpn_top_k)
+                for logits, offsets in zip(cols["rpn_logits"], cols["rpn_offsets"])
+            ]
+            gates = [
+                np.stack([
+                    roi_gate((t["size"],) * 2, [r for r in image_rois if r.level == i],
+                             t["stride"], dtype=self.dtype)
+                    for image_rois in rois
+                ])
+                for i, t in enumerate(self.taps)
+            ]
 
-        merged = []
-        for i, t in enumerate(self.taps):
-            gates = None
-            if spec.use_rpn:
-                gates = np.stack(
-                    [
-                        roi_gate(
-                            taps_out[i].shape[1:3],
-                            [r for r in rois_per_image[b] if r.level == i],
-                            t["stride"],
-                            dtype=self.dtype,
-                        )
-                        for b in range(images.shape[0])
-                    ]
-                )
-            merged.append(
-                self.attention[i].forward(taps_out[i], lipm_out[i], gates, training)
-            )
-
-        d = [merged[0]]
-        for k in range(1, n):
-            if spec.use_ffm:
-                d.append(self.fusion[k - 1].forward(d[k - 1], merged[k], training))
-            else:
-                d.append(merged[k])
-
-        head_raw = [self.head_convs[i].forward(d[i], training) for i in range(n)]
+        merged = [
+            merge.forward(x, y, g, training)
+            for merge, x, y, g in zip(self.attention, taps_out, lipm_out, gates)
+        ]
+        # coarse into fine; without fusion blocks each head reads its merged level
+        for k, fusion in enumerate(self.fusion, 1):
+            merged[k] = fusion.forward(merged[k - 1], merged[k], training)
+        head_raw = [conv.forward(x, training) for conv, x in zip(self.head_convs, merged)]
         return {"head_raw": head_raw, "rpn_raw": rpn_raw}
 
     def _backward(self, g_head, g_rpn_raw):
         """Reverse pass from the [B, A, k+10] head gradient on the anchor axis
-        and the proposal-raw gradient."""
+        and the proposal-raw gradient (None without an RPN)."""
         spec = self.spec
         n = len(self.taps)
         g_levels = np.split(g_head, np.cumsum(self.anchor_counts)[:-1], axis=1)
@@ -406,20 +399,17 @@ class Detector(Layer):
         ]
 
         # fusion chain, coarse to fine; g_d[k] becomes the gradient w.r.t. merged[k]
-        if spec.use_ffm:
-            for k in range(n - 1, 0, -1):
-                gp, g_d[k] = self.fusion[k - 1].backward(g_d[k])
-                g_d[k - 1] = g_d[k - 1] + gp
+        for k in range(len(self.fusion), 0, -1):
+            gp, g_d[k] = self.fusion[k - 1].backward(g_d[k])
+            g_d[k - 1] = g_d[k - 1] + gp
 
         g_taps, g_lipm = map(list, zip(*(a.backward(g) for a, g in zip(self.attention, g_d))))
 
-        g_rpn_in = self.rpn_conv.backward(g_rpn_raw)
-        if spec.use_lipm:
-            g_lipm[-1] = g_lipm[-1] + g_rpn_in
-            for stage, g in zip(self.lipm_stages, g_lipm):
-                stage.backward(g)
-        else:
-            g_taps[-1] = g_taps[-1] + g_rpn_in
+        if spec.use_rpn:
+            g_read = g_lipm if spec.use_lipm else g_taps  # the stacks the RPN read
+            g_read[-1] = g_read[-1] + self.rpn_conv.backward(g_rpn_raw)
+        for stage, g in zip(self.lipm_stages, g_lipm):
+            stage.backward(g)
 
         g = g_taps[-1]
         for k in range(n - 1, 0, -1):
@@ -432,14 +422,17 @@ class Detector(Layer):
 
         gt_per_image: list over images of (class_ids, [(HBox, OBox), ...]).
         Per image, the head anchors of every level are matched, hard-mined
-        and scored as one set. Gradients accumulate into the layers; returns
-        (mean loss, components).
+        and scored as one set, and the RPN anchors, if there is an RPN, as
+        another. Gradients accumulate into the layers; returns (mean loss,
+        components).
         """
         nb = images.shape[0]
         fwd = self.forward(images, training=True)
-        head, rpn, cols = self._layout(fwd["head_raw"], fwd["rpn_raw"])
+        rpn_raw = fwd["rpn_raw"]
+        head, cols = self._layout(fwd["head_raw"], rpn_raw)
         # the gradients, written per image through the same column views
-        g_head, g_rpn, g_cols = self._layout([np.zeros_like(head)], np.zeros_like(rpn))
+        g_rpn_raw = None if rpn_raw is None else np.zeros_like(rpn_raw)
+        g_head, g_cols = self._layout([np.zeros_like(head)], g_rpn_raw)
         total = 0.0
         comp_sum = {}
 
@@ -447,15 +440,15 @@ class Detector(Layer):
             classes, boxes = gt_per_image[b]
             gt_pairs = list(boxes)
             m = detect.match_anchors(self.anchors, gt_pairs, classes, stage="head")
-            rm = detect.match_anchors(self.rpn_anchors, gt_pairs, classes, stage="rpn")
             preds = {key: col[b] for key, col in cols.items()}
             tgts = {
-                "rpn_labels": rm.labels,
-                "rpn_offsets": rm.hbb_targets,
                 "cls_labels": self._mine_negatives(preds["cls_logits"], m.labels),
                 "hbb_offsets": m.hbb_targets,
                 "obb_offsets": m.obb_targets,
             }
+            if rpn_raw is not None:
+                rm = detect.match_anchors(self.rpn_anchors, gt_pairs, classes, stage="rpn")
+                tgts["rpn_labels"], tgts["rpn_offsets"] = rm.labels, rm.hbb_targets
             loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
             total += loss
             for key, v in comps.items():
@@ -464,7 +457,7 @@ class Detector(Layer):
             for key, g in g_cols.items():
                 g[b] = grads[key] / nb
 
-        self._backward(g_head, g_rpn.reshape(fwd["rpn_raw"].shape))
+        self._backward(g_head, g_rpn_raw)
         comps = {key: v / nb for key, v in comp_sum.items()}
         return total / nb, comps
 
@@ -508,7 +501,7 @@ class Detector(Layer):
         """
         k = self.spec.n_classes
         fwd = self.forward(image[None], training=False)
-        _, _, cols = self._layout(fwd["head_raw"])
+        _, cols = self._layout(fwd["head_raw"])
         hbb_off = cols["hbb_offsets"][0]
         obb_off = cols["obb_offsets"][0]
         probs = detect.softmax(cols["cls_logits"][0].astype(np.float64))

@@ -350,6 +350,8 @@ def write_image(path: str, img: np.ndarray) -> None:
 
 
 def read_image(path: str) -> np.ndarray:
+    """Read a binary PGM/PPM image, one byte per sample, as [H, W, C] float32
+    in [0, 1]; a malformed header or truncated pixel data raises ShapeError."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic not in (b"P5", b"P6"):
@@ -357,12 +359,18 @@ def read_image(path: str) -> np.ndarray:
         dims = fh.readline().split()
         while dims and dims[0].startswith(b"#"):
             dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
+        try:
+            w, h = (int(d) for d in dims)
+            maxval = int(fh.readline())
+        except ValueError:
+            raise ShapeError(f"{path}: unreadable image header") from None
+        if min(w, h) < 1 or not 1 <= maxval <= 255:
+            raise ShapeError(f"{path}: size {w}x{h} is empty or maxval {maxval} not in 1..255")
         c = 1 if magic == b"P5" else 3
         raw = np.frombuffer(fh.read(h * w * c), dtype=np.uint8)
-    img = raw.reshape(h, w, c).astype(np.float32) / maxval
-    return img
+    if raw.size != h * w * c:
+        raise ShapeError(f"{path} is truncated: {raw.size} of {h * w * c} pixel bytes")
+    return raw.reshape(h, w, c).astype(np.float32) / maxval
 
 
 def object_record(o: SceneObject) -> dict:

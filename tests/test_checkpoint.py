@@ -128,6 +128,30 @@ PINNED = {
 }
 
 
+# A switched-off block saves nothing: the default free detector's names less
+# those of the blocks each ablation spec does not build.
+_FREE_PARAMS, _ = PINNED["detector_free"]
+ABLATED = {
+    "use_lipm": (
+        [k for k in _FREE_PARAMS if not k.startswith("lipm")],
+        [k for k in DETECTOR_STATE if "norm_lipm" not in k],
+    ),
+    "use_ffm": (
+        [k for k in _FREE_PARAMS if not k.startswith("fusion")],
+        [k for k in DETECTOR_STATE if not k.startswith("fusion")],
+    ),
+    "use_rpn": ([k for k in _FREE_PARAMS if not k.startswith("rpn")], DETECTOR_STATE),
+}
+
+
+@pytest.mark.parametrize("switch", sorted(ABLATED))
+def test_ablated_detector_names_pinned(switch):
+    tensors = network_tensors(Detector(NetworkSpec(**{switch: False})))
+    params, state = ABLATED[switch]
+    assert sorted(k[len("param/"):] for k in tensors if k.startswith("param/")) == params
+    assert sorted(k[len("state/"):] for k in tensors if k.startswith("state/")) == state
+
+
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 def test_checkpoint_names_pinned(name):
     tensors = network_tensors(NETWORKS[name]())
@@ -155,6 +179,50 @@ def test_save_load_restore_save_byte_identical(name, tmp_path):
     restore_network(fresh, tensors)
     save_checkpoint(str(second), network_tensors(fresh), step=step, config={"name": name})
     assert first.read_bytes() == second.read_bytes()
+
+
+def _detector_tensors():
+    return {k: v.copy() for k, v in network_tensors(NETWORKS["detector_free"]()).items()}
+
+
+def _without(tensors, name):
+    return {k: v for k, v in tensors.items() if k != name}
+
+
+def _with(tensors, name, shape):
+    return {**tensors, name: np.ones(shape, np.float32)}
+
+
+# each a checkpoint that does not fit the default free detector
+MISFITS = {
+    "missing_param": lambda t: _without(t, "param/head0/w"),
+    "missing_state": lambda t: _without(t, "state/fusion0/norm_cur.running_var"),
+    "unknown_param": lambda t: _with(t, "param/lipm2/0.weights", 3),
+    "unknown_state": lambda t: _with(t, "state/attention0/norm_x.running_var", 8),
+    # the attention conv3 of a detector built without its pyramid input
+    "misshaped_param": lambda t: _with(t, "param/attention0/conv3.weights", (3, 3, 16, 8)),
+    "misshaped_state": lambda t: _with(t, "state/fusion0/norm_cur.running_var", 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_restore_takes_exactly_the_network_tensors(case):
+    tensors = MISFITS[case](_detector_tensors())
+    net = NETWORKS["detector_free"](seed=1)
+    before = {k: v.copy() for k, v in network_tensors(net).items()}
+    with pytest.raises(ConfigError, match="shape" if "misshaped" in case else "does not fit"):
+        restore_network(net, tensors)
+    # nothing was written
+    assert all(v.tobytes() == before[k].tobytes() for k, v in network_tensors(net).items())
+
+
+def test_restore_loads_every_tensor_and_returns_the_momenta():
+    tensors = _detector_tensors()
+    tensors["momentum/head0/b"] = np.full(tensors["param/head0/b"].shape, 0.5, np.float32)
+    net = NETWORKS["detector_free"](seed=1)
+    momenta = restore_network(net, tensors)
+    assert list(momenta) == ["head0/b"] and (momenta["head0/b"] == 0.5).all()
+    assert all(v.tobytes() == tensors[k].tobytes() for k, v in network_tensors(net).items())
 
 
 def test_same_seed_same_log_and_checkpoint(tmp_path):

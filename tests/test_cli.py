@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from oriconv.checkpoint import load_checkpoint, save_checkpoint
 from oriconv.cli import _build_specs, _load_training_data, cli
 from oriconv.networks import DEFAULT_BACKBONE
 from oriconv.synthdata import load_dataset
@@ -209,6 +210,55 @@ def test_run_dir_with_attention_mode_exits_2(detection_run, tmp_path, capfd):
     code, err = run(capfd, "eval", "--run", old, "--data", data, "--out", tmp_path / "e")
     assert code == 2
     assert "attention_mode" in err
+
+
+def test_run_dir_whose_checkpoint_does_not_fit_the_network_exits_2(detection_run, tmp_path, capfd):
+    # a use_lipm=False run written while that switch still built the pyramid
+    # stages and a 32-plane attention conv3: the default spec's tensors
+    # under a use_lipm=False config
+    data, run_dir = detection_run
+    old = tmp_path / "run"
+    shutil.copytree(run_dir, old)
+    cfg = json.loads((old / "config.json").read_text())
+    cfg["network"]["use_lipm"] = False
+    write_json(old / "config.json", cfg)
+    tensors, step, _ = load_checkpoint(str(old / "checkpoint.ckpt"))
+    save_checkpoint(str(old / "checkpoint.ckpt"), tensors, step, cfg)
+    image = sorted((data / "images").iterdir())[0]
+    for argv in (["eval", "--data", data], ["dump-features", "--image", image]):
+        code, err = run(capfd, *argv, "--run", old, "--out", tmp_path / "out")
+        assert code == 2
+        assert err.startswith("config error: checkpoint does not fit the network")
+        assert "param/lipm0/0.weights" in err
+    # without those tensors the attention conv3 is still misshaped
+    for name in [k for k in tensors if "lipm" in k]:
+        del tensors[name]
+    save_checkpoint(str(old / "checkpoint.ckpt"), tensors, step, cfg)
+    code, err = run(capfd, "eval", "--run", old, "--data", data, "--out", tmp_path / "out")
+    assert code == 2
+    assert "param/attention0/conv3.weights has shape (3, 3, 32, 8)" in err
+
+
+IMAGE_DEFECTS = {
+    "truncated": lambda b: b[:-10],
+    "maxval_0": lambda b: b.replace(b"\n255\n", b"\n0\n", 1),
+    "maxval_65535": lambda b: b.replace(b"\n255\n", b"\n65535\n", 1),
+    "bad_size": lambda b: b.replace(b"64 64", b"64 x", 1),
+    "one_dim": lambda b: b.replace(b"64 64", b"64", 1),
+    "empty_size": lambda b: b.replace(b"64 64", b"0 64", 1),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(IMAGE_DEFECTS))
+def test_dataset_with_a_broken_image_exits_2(defect, tmp_path, capfd):
+    data = tmp_path / "data"
+    assert run(capfd, "gen-data", "--out", data, "--count", "2")[0] == 0
+    image = sorted((data / "images").iterdir())[1]
+    image.write_bytes(IMAGE_DEFECTS[defect](image.read_bytes()))
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"task": "detection", "max_steps": 1}})
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run", "--data", data)
+    assert code == 2
+    assert err.startswith(f"error: {image}")
 
 
 @pytest.mark.parametrize("flag", ["--score-threshold", "--nms-iou"])

@@ -12,7 +12,9 @@ from oriconv.networks import Detector, NetworkSpec
 # ---------------------------------------------------------------------------
 # Oracle: the per-level `loss_and_grads` and `_backward` that the flat anchor
 # axis replaced, kept verbatim except that `self` is the network argument and
-# each level's anchors are cut from the flat array.
+# each level's anchors are cut from the flat array, and the RPN lines are
+# guarded on the network having an RPN: a detector built with use_rpn=False
+# has none, so it neither matches RPN anchors nor adds RPN loss terms.
 
 
 def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
@@ -23,7 +25,8 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
     level_anchors = np.split(net.anchors, np.cumsum(net.anchor_counts)[:-1])
 
     g_head_raw = [np.zeros_like(fwd["head_raw"][i]) for i in range(n)]
-    g_rpn_raw = np.zeros_like(fwd["rpn_raw"])
+    has_rpn = net.rpn_conv is not None
+    g_rpn_raw = np.zeros_like(fwd["rpn_raw"]) if has_rpn else None
     k = spec.n_classes
     total = 0.0
     comp_sum = {}
@@ -56,31 +59,30 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
 
         cls_labels = net._mine_negatives(cls_logits, cls_labels)
 
-        rm = detect.match_anchors(net.rpn_anchors, gt_pairs, classes, stage="rpn")
-        rpn_flat = fwd["rpn_raw"][b].reshape(-1, 5)
-
         preds = {
-            "rpn_logits": rpn_flat[:, 0],
-            "rpn_offsets": rpn_flat[:, 1:5],
             "cls_logits": cls_logits,
             "hbb_offsets": hbb_off,
             "obb_offsets": obb_off,
         }
         tgts = {
-            "rpn_labels": rm.labels,
-            "rpn_offsets": rm.hbb_targets,
             "cls_labels": cls_labels,
             "hbb_offsets": hbb_t,
             "obb_offsets": obb_t,
         }
+        if has_rpn:
+            rm = detect.match_anchors(net.rpn_anchors, gt_pairs, classes, stage="rpn")
+            rpn_flat = fwd["rpn_raw"][b].reshape(-1, 5)
+            preds.update(rpn_logits=rpn_flat[:, 0], rpn_offsets=rpn_flat[:, 1:5])
+            tgts.update(rpn_labels=rm.labels, rpn_offsets=rm.hbb_targets)
         loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
         total += loss
         for key, v in comps.items():
             comp_sum[key] = comp_sum.get(key, 0.0) + v
 
-        g_rpn_raw[b] += np.concatenate(
-            [grads["rpn_logits"][:, None], grads["rpn_offsets"]], axis=1
-        ).reshape(fwd["rpn_raw"][b].shape) / nb
+        if has_rpn:
+            g_rpn_raw[b] += np.concatenate(
+                [grads["rpn_logits"][:, None], grads["rpn_offsets"]], axis=1
+            ).reshape(fwd["rpn_raw"][b].shape) / nb
         g_full = np.concatenate(
             [grads["cls_logits"], grads["hbb_offsets"], grads["obb_offsets"]], axis=1
         )
@@ -120,13 +122,15 @@ def backward_oracle(net, g_head_raw, g_rpn_raw):
         g_taps[i] = ga
         g_lipm[i] = gb
 
-    g_rpn_in = net.rpn_conv.backward(g_rpn_raw)
+    if net.rpn_conv is not None:
+        g_rpn_in = net.rpn_conv.backward(g_rpn_raw)
+        if spec.use_lipm:
+            g_lipm[-1] = g_lipm[-1] + g_rpn_in
+        else:
+            g_taps[-1] = g_taps[-1] + g_rpn_in
     if spec.use_lipm:
-        g_lipm[-1] = g_lipm[-1] + g_rpn_in
         for i in range(n):
             net.lipm_stages[i].backward(g_lipm[i])
-    else:
-        g_taps[-1] = g_taps[-1] + g_rpn_in
 
     g = g_taps[-1]
     for k in range(n - 1, 0, -1):
@@ -154,6 +158,8 @@ ORACLE_SPECS = {
     "default": (dict(), np.float32, 2),
     "steerable": (dict(parametrization="steerable"), np.float32, 2),
     "no_rpn": (dict(use_rpn=False), np.float32, 2),
+    "no_lipm": (dict(use_lipm=False), np.float32, 2),
+    "no_ffm": (dict(use_ffm=False), np.float32, 2),
     "float64": (dict(), np.float64, 1),
 }
 
@@ -197,14 +203,22 @@ FD_SPEC = dict(
 )
 
 
-def test_detector_gradients_match_finite_differences():
-    """One entry with a nonzero gradient per parameter tensor, float64, RPN on.
+@pytest.mark.parametrize("switches", [
+    pytest.param({}, id="full"),
+    pytest.param(dict(use_lipm=False), id="no_lipm"),
+    pytest.param(dict(use_lipm=False, use_ffm=False, use_rpn=False), id="bare"),
+])
+def test_detector_gradients_match_finite_differences(switches):
+    """One entry with a nonzero gradient per parameter tensor, float64. A
+    switched-off block has no parameters, so every tensor left must get a
+    gradient.
 
     The tolerance is relative with an absolute floor: a gradient near 1e-6
     (the RPN weights here) is resolved by central differences at step 1e-6
     only to about 1e-10, the round-off of the loss over the step.
     """
-    net = Detector(NetworkSpec(**FD_SPEC), rng=np.random.default_rng(0), dtype=np.float64)
+    net = Detector(NetworkSpec(**FD_SPEC, **switches), rng=np.random.default_rng(0),
+                   dtype=np.float64)
     spec = synthdata.SceneSpec(seed=2, image_size=32, min_objects=2, max_objects=2,
                                min_size=8.0, max_size=14.0)
     scene = synthdata.generate_scene(spec, 0)
@@ -237,3 +251,37 @@ def test_detector_gradients_match_finite_differences():
         flat[i] = orig
         fd = (lp - lm) / (2 * step)
         assert abs(fd - gflat[i]) <= 1e-4 * abs(gflat[i]) + 1e-9, (name, fd, gflat[i])
+
+
+# ---------------------------------------------------------------------------
+# ablation switches: a switched-off block is not built, run, trained or saved
+
+
+# per switch: the name part of every tensor it removes (the pyramid's also
+# names the attention merges' `norm_lipm`) and the default spec's parameter
+# count without them
+ABLATIONS = {
+    "use_lipm": ("lipm", 33232),
+    "use_ffm": ("fusion", 35480),
+    "use_rpn": ("rpn", 32666),
+}
+
+
+@pytest.mark.parametrize("switch", sorted(ABLATIONS))
+def test_switched_off_block_is_not_built_and_the_rest_trains(switch):
+    part, n_params = ABLATIONS[switch]
+    images, gts = _batch(2, np.float32)
+    net = Detector(NetworkSpec(**{switch: False}), rng=np.random.default_rng(0))
+    names = list(net.params()) + list(net.state())
+    assert not [k for k in names if part in k]
+    assert sum(p.size for p in net.params().values()) == n_params
+    net.zero_grads()
+    _, comps = net.loss_and_grads(images, gts)
+    assert [k for k, g in net.grads().items() if not g.any()] == []
+    rpn_terms = [comps["rpn_cls"], comps["rpn_reg"]]
+    assert (rpn_terms == [0.0, 0.0]) == (switch == "use_rpn")
+
+
+def test_default_spec_parameter_count():
+    net = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+    assert sum(p.size for p in net.params().values()) == 37016

@@ -331,6 +331,28 @@ class TestAttentionMerge:
         )
         assert err < 1e-4
 
+    def test_without_pyramid_input_merges_the_backbone_stack_alone(self, rng):
+        am = AttentionMerge(4, 3, 0, 2, rng=rng, dtype=np.float64)
+        assert am.norm_lipm is None and "norm_lipm" not in am.children()
+        assert am.conv3.bank.weights.shape == (3, 3, 6, 2)
+        assert sorted(am.state()) == ["norm_ssd.running_var"]
+        ssd = rng.normal(size=(1, 6, 6, 6))
+        gates = np.where(rng.random((1, 6, 6, 1)) < 0.5, 1.0, 0.3)
+        out = am.forward(ssd, None, gates, training=True)
+        assert out.shape == (1, 6, 6, 4)
+        up = rng.normal(size=out.shape)
+        ga, gb = am.backward(up)
+        assert gb is None
+        err = finite_diff_check(
+            lambda p: np.sum(up * am.forward(p, None, gates, training=True)), ssd.copy(), ga,
+            step=1e-5,
+        )
+        assert err < 1e-4
+        with pytest.raises(ShapeError):
+            am.forward(ssd, ssd)
+        with pytest.raises(ShapeError):
+            AttentionMerge(4, 3, 3, 2, rng=rng).forward(ssd, None)
+
     def test_roi_gate_values(self):
         from oriconv.detect import HBox
         from oriconv.networks import Detector
