@@ -8,16 +8,19 @@ angle. It reads the responses as `tensor.conv2d` writes them, pixel planes
 [..., C*n, H, W], and keeps the winning rotations and the ReLU gate in that
 plane layout, [..., C, H, W]; from those two `orientation_pool_backward`
 gives its adjoint without the pre-pool responses, channel-last like every
-other gradient. Fields exist only as stacks: C fields are one [..., H, W, 2C]
-array with plane 2c holding the horizontal (p) and plane 2c+1 the vertical
-(q) component of field c, the interleaved layout the vector-field RConv
-consumes. Leading axes are a batch; every pooling op treats each image as it
+other gradient. The pool writes its (p, q) products plane-first, into
+contiguous [..., C, 2, H*W] planes, and moves them channel-last with one
+transposing copy; both directions read the (cos, sin) angle tables cast
+once per dtype and cached read-only. Fields exist only as stacks: C fields
+are one [..., H, W, 2C] array with plane 2c holding the horizontal (p) and
+plane 2c+1 the vertical (q) component of field c, the interleaved layout
+the vector-field RConv consumes. Leading axes are a batch; every pooling op treats each image as it
 would on its own.
 `split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
 are the magnitudes and angles.
 
 Both pools find their winners, argmax's first maximum, with one
-max-reduction and one rank pass (`_first_max`).
+max-reduction and one rank pass (`tensor.first_max`).
 
 Also here: vector-field max pooling and the magnitude-only batch
 normalization that rescales vectors by the standard deviation of their
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .rconv import angle_table
-from .tensor import Tensor, stable_sum
+from .tensor import Tensor, first_max, stable_sum
 
 
 def split_stack(stack: Tensor):
@@ -59,40 +62,12 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
 
 
 @functools.lru_cache(maxsize=64)
-def _countdown(n: int, ndim: int, axis: int) -> Tensor:
-    """Read-only n-1, n-2, ..., 0 along `axis` of an ndim-dimensional
-    broadcast shape, in the smallest unsigned dtype holding n-1: the score
-    `_first_max` gives a maximum at rank 0, 1, ..., n-1."""
-    shape = [1] * ndim
-    shape[axis] = n
-    countdown = np.arange(n - 1, -1, -1, dtype=np.min_scalar_type(n - 1)).reshape(shape)
-    countdown.flags.writeable = False
-    return countdown
-
-
-def _first_max(a: Tensor, axis: int):
-    """Max of `a` over `axis` and the winner, the smallest rank (index along
-    `axis`) holding it, both without that axis; the winners come in the
-    smallest unsigned dtype holding the largest rank.
-
-    A fixed number of calls, whatever the axis length: one max-reduction,
-    then the hits `np.equal(a, best)` as uint8, scaled in place by
-    `_countdown`, one max over `axis` and n-1 minus that. NaN counts as the
-    max, as in argmax: a NaN in `a` makes that max NaN and its winner the
-    first NaN's rank, never a rank no NaN holds (such as a ragged window's
-    padding)."""
-    best = a.max(axis=axis, keepdims=True)
-    countdown = _countdown(a.shape[axis], a.ndim, axis)
-    score = np.equal(a, best).view(np.uint8)
-    narrow = countdown.dtype == np.uint8
-    score = np.multiply(score, countdown, out=score if narrow else None)
-    winners = score.max(axis=axis)
-    np.subtract(countdown.dtype.type(a.shape[axis] - 1), winners, out=winners)
-    nan = np.isnan(best)
-    if nan.any():  # no rank equals a NaN max: take the first NaN
-        first = np.isnan(a).argmax(axis=axis, keepdims=True)
-        np.copyto(winners, first.squeeze(axis), where=nan.squeeze(axis), casting="unsafe")
-    return best.squeeze(axis), winners
+def _angle_tables(n: int, dtype) -> tuple:
+    """`rconv.angle_table(n)` cast to `dtype`: cached per (n, dtype), read-only."""
+    tables = tuple(t.astype(dtype) for t in angle_table(n))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def orientation_pool_stack(y: Tensor, n_rotations: int):
@@ -101,10 +76,11 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     [..., H, W, 2C].
 
     Per pixel and filter: r* = argmax over rotations (ties -> smallest r,
-    NaN wins as in argmax), taken by `_first_max` down the rotation axis of
+    NaN wins as in argmax), taken by `first_max` down the rotation axis of
     the [..., C, n, H*W] view, whose rows are contiguous pixels; magnitude =
-    ReLU of that activation, angle = 2*pi*r*/n. The C-ordered stack is
-    written once, channel-last. Returns
+    ReLU of that activation, angle = 2*pi*r*/n. The (p, q) products go to
+    contiguous [..., C, 2, H*W] planes, moved channel-last into the C-ordered
+    stack with one transposing copy. Returns
     (stack, winners, gate), the last two in plane layout [..., C, H, W]:
     winners of the smallest unsigned dtype holding n-1 (uint8 for n <= 256)
     and the boolean ReLU gate, True where the winning activation is
@@ -117,17 +93,17 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     *lead, cn, h, w = y.shape
     c = cn // n_rotations
     y4 = y.reshape(*lead, c, n_rotations, h * w)
-    rho, winners = _first_max(y4, -2)
+    rho, winners = first_max(y4, -2)
     # rho can differ from y[r*] only in the sign of a zero, which the ReLU drops
     gated = np.maximum(rho, 0)
-    cos_t, sin_t = angle_table(n_rotations)
-    stack = np.empty((*lead, h, w, 2 * c), dtype=y.dtype)
-    pixel_rows = stack.reshape(*lead, h * w, 2 * c)
+    # p and q planes first, each product written to a contiguous H*W run;
     # np.take, not a fancy index: twice as fast on small-integer indices
-    for comp, table in ((0, cos_t), (1, sin_t)):
-        out = pixel_rows[..., comp::2].swapaxes(-1, -2)  # [..., C, H*W] view
-        np.multiply(gated, table.astype(y.dtype).take(winners), out=out)
+    pq = np.empty((*lead, c, 2, h * w), dtype=y.dtype)
+    for comp, table in enumerate(_angle_tables(n_rotations, y.dtype)):
+        np.multiply(gated, table.take(winners), out=pq[..., comp, :])
+    stack = np.ascontiguousarray(pq.reshape(*lead, 2 * c, h * w).swapaxes(-1, -2))
     planes = (*lead, c, h, w)
+    stack = stack.reshape(*lead, h, w, 2 * c)
     return stack, winners.reshape(planes), (gated > 0).reshape(planes)
 
 
@@ -140,15 +116,11 @@ def orientation_pool_backward(
     direction. Returns the channel-last, filter-major [..., H, W, C*n]
     pre-pool gradient in the upstream's dtype, the upstream layout of
     `tensor.conv2d_backward`."""
-    dtype = upstream_stack.dtype
-    cos_t, sin_t = angle_table(n_rotations)
+    cos_t, sin_t = _angle_tables(n_rotations, upstream_stack.dtype)
     up_p, up_q = split_stack(upstream_stack)
     winners = np.ascontiguousarray(np.moveaxis(winners, -3, -1))
-    gval = np.moveaxis(gate, -3, -1) * (
-        cos_t.astype(dtype).take(winners) * up_p
-        + sin_t.astype(dtype).take(winners) * up_q
-    )
-    grad = np.zeros(winners.size * n_rotations, dtype=dtype)
+    gval = np.moveaxis(gate, -3, -1) * (cos_t.take(winners) * up_p + sin_t.take(winners) * up_q)
+    grad = np.zeros(winners.size * n_rotations, dtype=upstream_stack.dtype)
     grad[np.arange(0, grad.size, n_rotations) + winners.ravel()] = gval.ravel()
     return grad.reshape(winners.shape[:-1] + (-1,))
 
@@ -183,7 +155,7 @@ def vf_max_pool(stack: Tensor, w: int):
     entire (p, q) vector at the window position of largest magnitude
     (row-major first on ties), never a componentwise mix; ragged-edge padding
     never wins, and a window holding a NaN magnitude pools its first NaN
-    vector. `_first_max` over the w*w strided magnitude views, stacked on a
+    vector. `first_max` over the w*w strided magnitude views, stacked on a
     new leading axis, finds the winners. Returns (pooled_stack, winners
     [..., H/w, W/w, C]), the winners of the smallest unsigned dtype holding
     w*w-1."""
@@ -195,7 +167,7 @@ def vf_max_pool(stack: Tensor, w: int):
         pad = [(0, 0)] * len(lead) + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
         mag = np.pad(mag, pad, constant_values=-np.inf)
     views = [mag[..., a::w, b::w, :] for a in range(w) for b in range(w)]
-    _, winners = _first_max(np.stack(views), 0)
+    _, winners = first_max(np.stack(views), 0)
     index = _window_index(stack.shape, w, winners)
     flat = stack.ravel()
     pooled = np.empty(winners.shape[:-1] + (2 * c,), dtype=stack.dtype)

@@ -45,7 +45,7 @@ from .netblocks import (
     build_image_pyramid,
     roi_gate,
 )
-from .tensor import Tensor
+from .tensor import Tensor, first_max
 
 
 DEFAULT_BACKBONE = (
@@ -472,7 +472,7 @@ class Detector(Layer):
         p = detect.softmax(cls_logits.astype(np.float64))
         neg_loss = -np.log(p[:, 0] + 1e-12)
         neg_idx = np.flatnonzero(neg)
-        hard = neg_idx[np.argsort(-neg_loss[neg_idx], kind="stable")[:n_keep]]
+        hard = neg_idx[detect.top_order(neg_loss[neg_idx], n_keep)]
         out = np.full_like(cls_labels, -1)
         out[pos] = cls_labels[pos]
         out[hard] = 0
@@ -498,6 +498,14 @@ class Detector(Layer):
         stopping at `max_per_image` kept, and the kept rows are ordered by
         descending score, ties in class order (a stable argsort). Detections
         are built only for the best `max_per_image` of them.
+
+        The tail works on arrays: each anchor's class and score (argmax's
+        first maximum over the foreground probabilities) come from one
+        `tensor.first_max` across the k contiguous rows of a transposed copy;
+        only the best `4 * max_per_image` candidates are sorted
+        (`detect.top_order`) unless invalid rows call for more; and the kept
+        rows become boxes in one pass each (`detect.hboxes_from_rows`,
+        `detect.oboxes_from_rows`).
         """
         k = self.spec.n_classes
         fwd = self.forward(image[None], training=False)
@@ -505,14 +513,16 @@ class Detector(Layer):
         hbb_off = cols["hbb_offsets"][0]
         obb_off = cols["obb_offsets"][0]
         probs = detect.softmax(cols["cls_logits"][0].astype(np.float64))
-        cls = np.argmax(probs[:, 1:], axis=1) + 1
-        score = probs[np.arange(len(probs)), cls]
+        score, cls = first_max(np.ascontiguousarray(probs[:, 1:].T), 0)
         sel = np.flatnonzero(score >= score_threshold)
-        order = sel[np.argsort(-score[sel], kind="stable")]
         cap = 4 * max_per_image
+        # the best cap first; the rest are sorted only if invalid rows need them
+        order = sel[detect.top_order(score[sel], cap)]
         found = []  # (anchor index, HBB row, OBB row) of valid candidates
         n_found = start = 0
-        while n_found < cap and start < len(order):
+        while n_found < cap and start < len(sel):
+            if start == len(order):
+                order = sel[np.argsort(-score[sel], kind="stable")]
             idx = order[start : start + cap - n_found]
             start += len(idx)
             hb, hb_ok = detect.decode_hbb_array(self.anchors[idx], hbb_off[idx])
@@ -523,7 +533,7 @@ class Detector(Layer):
         if not found:
             return []
         idx, hb, ob = (np.concatenate(parts) for parts in zip(*found))
-        cand_cls, cand_score = cls[idx], score[idx]
+        cand_cls, cand_score = cls[idx].astype(np.int64) + 1, score[idx]
         kept = []
         for c in range(1, k + 1):
             rows = np.flatnonzero(cand_cls == c)
@@ -532,11 +542,12 @@ class Detector(Layer):
         kept = np.concatenate(kept)
         kept = kept[np.argsort(-cand_score[kept], kind="stable")][:max_per_image]
         return [
-            detect.Detection(
-                int(cand_cls[j]), float(cand_score[j]), hbox=detect.HBox(*hb[j]),
-                obox=detect.obox_from_row(ob[j], obb_off.dtype),
+            detect.Detection(c, s, hbox=hbox, obox=obox)
+            for c, s, hbox, obox in zip(
+                cand_cls[kept].tolist(), cand_score[kept].tolist(),
+                detect.hboxes_from_rows(hb[kept]),
+                detect.oboxes_from_rows(ob[kept], obb_off.dtype),
             )
-            for j in kept
         ]
 
 

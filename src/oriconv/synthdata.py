@@ -416,12 +416,37 @@ def write_dataset(out_dir: str, spec: SceneSpec, count: int) -> None:
 
 
 def load_dataset(root: str):
-    """Read a written dataset back as a list of Samples."""
+    """Read a written dataset back as a list of Samples.
+
+    A missing or unreadable `labels.jsonl` or image, a line that is not a
+    JSON object with a `file` string and `objects`, and a malformed object
+    record raise ConfigError naming the file and line; a malformed image
+    raises ShapeError (`read_image`)."""
+    labels = os.path.join(root, "labels.jsonl")
+    try:
+        with open(labels, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read dataset labels {labels}: {e}") from None
     samples = []
-    with open(os.path.join(root, "labels.jsonl")) as fh:
-        for line in fh:
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        where = f"{labels} line {n}"
+        try:
             rec = json.loads(line)
-            img = read_image(os.path.join(root, rec["file"]))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{where} is not valid JSON: {e}") from None
+        if not (isinstance(rec, dict) and isinstance(rec.get("file"), str) and "objects" in rec):
+            raise ConfigError(f"{where} must be an object with a 'file' string and 'objects'")
+        image = os.path.join(root, rec["file"])
+        try:
+            img = read_image(image)
+        except OSError as e:
+            raise ConfigError(f"{where}: cannot read image {image}: {e.strerror or e}") from None
+        try:
             objs = [object_from_record(r) for r in rec["objects"]]
-            samples.append(Sample(img, objs, rec.get("placement_failed", False)))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{where}: malformed object record ({e!r})") from None
+        samples.append(Sample(img, objs, rec.get("placement_failed", False)))
     return samples

@@ -1,11 +1,16 @@
-"""Dense-array primitives: 2D convolution, grid rotation, and gradient checking.
+"""Dense-array primitives: 2D convolution, grid rotation, the first-max
+reduction, and gradient checking.
 
 Values are plain numpy arrays in channel-last layout ([..., H, W, C] images
 with any leading batch axes, [m, m, Cin, Cout] filters). The convolution
 (`conv2d` and its adjoints) is the only one the package needs: same padding
-(m // 2), stride 1, batched, one GEMM per image. Its one exception to the
-channel-last layout is `conv2d`'s output, which comes as pixel planes
-[..., Cout, H, W], the layout the orientation pool reads. float32 is the
+(m // 2), stride 1, batched, one GEMM per image. All three read one column
+layout, K-major [..., m*m*Cin, H*W] (`_im2col`: one row per filter tap and
+input channel, each a contiguous run over the output pixels). Its one
+exception to the channel-last layout is `conv2d`'s output, which comes as
+pixel planes [..., Cout, H, W], the layout the orientation pool reads. On
+every layer shape the networks run, each GEMM gives the bytes of its
+channel-last counterpart (tests/test_batch_equivalence.py). float32 is the
 working precision; float64 is the verification precision. In float64 every
 reduction in `conv2d`, `stable_sum` and friends is carried out in a
 value-sorted order, which makes the result invariant under permutations of
@@ -16,6 +21,9 @@ ones. A conv output that overflows raises `NumericalError` (no numpy warning).
 `rotate_grid` and `rotate_grid_adjoint` are the package's only rotation
 resampler (RConv expansion calls them per base angle); the bilinear taps of
 each (m, angle) are computed once and kept, read-only, in a bounded cache.
+
+`first_max` is argmax's first maximum and the maximum itself in a fixed
+number of calls; both field pools and the detector's class choice use it.
 
 Angle convention (used package-wide): angles are in radians and rotate content
 counterclockwise as displayed, i.e. with row 0 at the top a quarter turn moves
@@ -55,6 +63,43 @@ def stable_sum(a: Tensor, axis: int) -> Tensor:
     return a.sum(axis=axis)
 
 
+@functools.lru_cache(maxsize=64)
+def _countdown(n: int, ndim: int, axis: int) -> Tensor:
+    """Read-only n-1, n-2, ..., 0 along `axis` of an ndim-dimensional
+    broadcast shape, in the smallest unsigned dtype holding n-1: the score
+    `first_max` gives a maximum at rank 0, 1, ..., n-1."""
+    shape = [1] * ndim
+    shape[axis] = n
+    countdown = np.arange(n - 1, -1, -1, dtype=np.min_scalar_type(n - 1)).reshape(shape)
+    countdown.flags.writeable = False
+    return countdown
+
+
+def first_max(a: Tensor, axis: int):
+    """Max of `a` over `axis` and the winner, the smallest rank (index along
+    `axis`) holding it, both without that axis; the winners come in the
+    smallest unsigned dtype holding the largest rank.
+
+    A fixed number of calls, whatever the axis length: one max-reduction,
+    then the hits `np.equal(a, best)` as uint8, scaled in place by
+    `_countdown`, one max over `axis` and n-1 minus that. NaN counts as the
+    max, as in argmax: a NaN in `a` makes that max NaN and its winner the
+    first NaN's rank, never a rank no NaN holds (such as a ragged window's
+    padding)."""
+    best = a.max(axis=axis, keepdims=True)
+    countdown = _countdown(a.shape[axis], a.ndim, axis)
+    score = np.equal(a, best).view(np.uint8)
+    narrow = countdown.dtype == np.uint8
+    score = np.multiply(score, countdown, out=score if narrow else None)
+    winners = score.max(axis=axis)
+    np.subtract(countdown.dtype.type(a.shape[axis] - 1), winners, out=winners)
+    nan = np.isnan(best)
+    if nan.any():  # no rank equals a NaN max: take the first NaN
+        first = np.isnan(a).argmax(axis=axis, keepdims=True)
+        np.copyto(winners, first.squeeze(axis), where=nan.squeeze(axis), casting="unsafe")
+    return best.squeeze(axis), winners
+
+
 def _conv_geometry(x: Tensor, f: Tensor, upstream: Tensor | None = None):
     if x.ndim < 3:
         raise ShapeError(f"conv2d input must be [..., H, W, Cin], got shape {x.shape}")
@@ -79,22 +124,25 @@ def _conv_geometry(x: Tensor, f: Tensor, upstream: Tensor | None = None):
 
 
 def _im2col(x: Tensor, m: int) -> Tensor:
-    """Same-padded sliding windows of [..., H, W, Cin] as [..., H*W, m*m*Cin]
-    rows ordered (ky, kx, cin), row-major. A 1x1 filter's columns are the
-    input itself (a view of a C-ordered x); larger filters take their
-    windows from the zero-padded input with one strided copy."""
+    """Same-padded sliding windows of [..., H, W, Cin] as K-major columns
+    [..., m*m*Cin, H*W]: row (ky*m + kx)*Cin + cin holds that filter tap's
+    input over every output pixel, one contiguous H*W run. A 1x1 filter's
+    columns are the input itself (a transposed view of a C-ordered x);
+    larger filters take their windows from the zero-padded input with one
+    strided copy."""
     *lead, h, w, cin = x.shape
     if m == 1:
-        return x.reshape(*lead, h * w, cin)
+        return x.reshape(*lead, h * w, cin).swapaxes(-1, -2)
     p = m // 2
     padded = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=x.dtype)
     padded[..., p : p + h, p : p + w, :] = x
     *lead_strides, sh, sw, sc = padded.strides
-    win = np.lib.stride_tricks.as_strided(
-        padded, (*lead, h, w, m, m, cin), (*lead_strides, sh, sw, sh, sw, sc),
-        writeable=False,
+    # the window view, built directly: `as_strided` takes longer than the
+    # copy on the smallest layers
+    win = np.ndarray(
+        (*lead, m, m, cin, h, w), x.dtype, padded, 0, (*lead_strides, sh, sw, sc, sh, sw)
     )
-    return win.reshape(*lead, h * w, m * m * cin)
+    return win.reshape(*lead, m * m * cin, h * w)
 
 
 def conv2d(x: Tensor, f: Tensor) -> Tensor:
@@ -102,19 +150,20 @@ def conv2d(x: Tensor, f: Tensor) -> Tensor:
     [..., H, W, Cin] with [m, m, Cin, Cout]; returns C-ordered pixel planes
     [..., Cout, H, W], each output channel one contiguous H*W plane.
 
-    Each image is one GEMM of its own, f2^T @ cols^T with f2 the filter as
+    Each image is one GEMM of its own, f2^T @ cols with f2 the filter as
     [m*m*Cin, Cout] rows (filter-major columns, as stored) and cols the
-    image's [H*W, m*m*Cin] windows, so its bytes do not depend on the batch
-    it came in. Every output is the dot product cols @ f2 would compute,
-    and OpenBLAS accumulates it in the same order whichever operand comes
-    first, so the planes hold the bytes of the channel-last product
-    transposed; tests/test_batch_equivalence.py pins that for every layer
-    shape the networks run. In float64 the per-pixel accumulation is
+    image's K-major [m*m*Cin, H*W] columns (`_im2col`), so its bytes do not
+    depend on the batch it came in. Every output is the dot product the
+    channel-last cols^T @ f2 would compute, and OpenBLAS accumulates it in
+    the same order whichever operand comes first or is transposed, so the
+    planes hold the bytes of the channel-last product transposed;
+    tests/test_batch_equivalence.py pins that for every layer shape the
+    networks run. In float64 the per-pixel accumulation is
     permutation-invariant (see module docstring) and its result is written
     in the same layout.
 
-    The adjoints (`conv2d_backward`, `conv2d_filter_grad`) take the upstream
-    gradient channel-last, [..., H, W, Cout].
+    The adjoints (`conv2d_backward`, `conv2d_filter_grad`) read the same
+    columns and take the upstream gradient channel-last, [..., H, W, Cout].
     """
     m, cin, cout = _conv_geometry(x, f)
     *lead, h, w, _ = x.shape
@@ -123,7 +172,7 @@ def conv2d(x: Tensor, f: Tensor) -> Tensor:
     # an overflow is reported by check_finite below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         if x.dtype == np.float64 or f.dtype == np.float64:
-            rows = cols.reshape(-1, cols.shape[-1]).astype(np.float64, copy=False)
+            rows = cols.swapaxes(-1, -2).reshape(-1, cols.shape[-2]).astype(np.float64, copy=False)
             w2 = w2.astype(np.float64, copy=False)
             out = np.empty((rows.shape[0], cout), dtype=np.float64)
             for lo in range(0, rows.shape[0], _SORT_CHUNK):
@@ -132,7 +181,7 @@ def conv2d(x: Tensor, f: Tensor) -> Tensor:
                 out[lo:hi] = stable_sum(prod, axis=1)
             out = np.ascontiguousarray(out.reshape(*lead, h * w, cout).swapaxes(-1, -2))
         else:
-            out = np.matmul(w2.T, cols.swapaxes(-1, -2))
+            out = np.matmul(w2.T, cols)
     y = out.reshape(*lead, cout, h, w)
     return check_finite(y, "conv2d output")
 
@@ -141,11 +190,19 @@ def conv2d_filter_grad(x: Tensor, f: Tensor, upstream: Tensor) -> Tensor:
     """Filter half of `conv2d_backward`: the gradient with respect to f of
     the sum of upstream [..., H, W, Cout] times the conv output, per image
     ([..., m, m, Cin, Cout]), for callers that need no input gradient (a
-    layer fed by the network input)."""
+    layer fed by the network input).
+
+    One GEMM per image, cols @ up over `conv2d`'s K-major columns. With
+    OpenBLAS 0.3.31 (Haswell kernels) it has the bytes of the channel-last
+    cols^T @ up on every layer of the default networks, whatever the thread
+    count, but not on narrow outputs (Cout in {2, 3, 4, 6, 8, 24} in
+    float32, {2, 3, 4, 12} in float64), such as an n_rotations=1 network's
+    layers, where the two round differently. (up^T @ cols^T)^T keeps those
+    bytes too, but its float64 result depends on the BLAS thread count."""
     m, cin, cout = _conv_geometry(x, f, upstream)
     cols = _im2col(x, m)
-    up = upstream.reshape(cols.shape[:-1] + (cout,))
-    return np.matmul(cols.swapaxes(-1, -2), up).reshape(x.shape[:-3] + f.shape)
+    up = upstream.reshape(x.shape[:-3] + (cols.shape[-1], cout))
+    return np.matmul(cols, up).reshape(x.shape[:-3] + f.shape)
 
 
 def conv2d_backward(x: Tensor, f: Tensor, upstream: Tensor):
@@ -155,22 +212,24 @@ def conv2d_backward(x: Tensor, f: Tensor, upstream: Tensor):
     Returns (grad_input [..., H, W, Cin], grad_filter [..., m, m, Cin, Cout]),
     the filter gradient per image. Each half is one GEMM per image, as in
     `conv2d`: the batch is never concatenated into a GEMM's rows, which would
-    change the input gradient's bytes (1x1 filters at 8x8x16 show it).
+    change the input gradient's bytes (1x1 filters at 8x8x16 show it). The
+    input half, f2 @ up^T, gives K-major window gradients [m*m*Cin, H*W]
+    (the bytes of the channel-last up @ f2^T, transposed); they are added
+    tap by tap, in (ky, kx) order, onto planar padded input planes
+    [..., Cin, H + 2p, W + 2p], which are moved channel-last once.
     """
     grad_filter = conv2d_filter_grad(x, f, upstream)
     m, _, cin, cout = f.shape
     *lead, h, w, _ = x.shape
     up = upstream.reshape(*lead, h * w, cout)
-
-    # Scatter the per-window gradients back onto the padded input.
-    gcols = np.matmul(up, f.reshape(m * m * cin, cout).T)
-    gcols = gcols.reshape(*lead, h, w, m, m, cin)
+    gcols = np.matmul(f.reshape(m * m * cin, cout), up.swapaxes(-1, -2))
+    gcols = gcols.reshape(*lead, m, m, cin, h, w)
     p = m // 2
-    gx_pad = np.zeros((*lead, h + 2 * p, w + 2 * p, cin), dtype=gcols.dtype)
+    gx_pad = np.zeros((*lead, cin, h + 2 * p, w + 2 * p), dtype=gcols.dtype)
     for ky in range(m):
         for kx in range(m):
-            gx_pad[..., ky : ky + h, kx : kx + w, :] += gcols[..., ky, kx, :]
-    gx = gx_pad[..., p : p + h, p : p + w, :]
+            gx_pad[..., ky : ky + h, kx : kx + w] += gcols[..., ky, kx, :, :, :]
+    gx = np.moveaxis(gx_pad[..., p : p + h, p : p + w], -3, -1)
     return np.ascontiguousarray(gx), grad_filter
 
 

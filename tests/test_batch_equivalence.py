@@ -142,3 +142,40 @@ def test_vf_max_pool_batch_matches_one_image_at_a_time(s_shape, window, dtype):
         assert winners.tobytes() == stacked([p[1] for p in pooled], n)
         grad = vf_max_pool_backward(s[:n].shape, window, winners, up[:n])
         assert grad.tobytes() == stacked(grads, n)
+
+
+def channel_last_columns(x, m):
+    """[B, H*W, m*m*Cin] windows of [B, H, W, Cin], rows in (ky, kx, cin)
+    order: the column layout the adjoints read before the K-major one."""
+    b, h, w, cin = x.shape
+    p = m // 2
+    padded = np.pad(x, [(0, 0), (p, p), (p, p), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(padded, (m, m), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(b, h * w, m * m * cin)
+
+
+@pytest.mark.parametrize("x_shape, f_shape", CONV_SHAPES, ids=str)
+def test_conv_adjoints_are_the_channel_last_gemms(x_shape, f_shape):
+    # the adjoints read K-major columns; their GEMMs must give the bytes of
+    # the channel-last ones: cols^T @ up for the filter, and the window
+    # gradients up @ f2^T, added tap by tap onto the padded input
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(2,) + x_shape).astype(np.float32)
+    f = rng.normal(size=f_shape).astype(np.float32)
+    up = rng.normal(size=(2,) + x_shape[:2] + f_shape[3:]).astype(np.float32)
+    m, _, cin, cout = f_shape
+    h, w, _ = x_shape
+    p = m // 2
+    f2 = f.reshape(m * m * cin, cout)
+    for xi, ci, ui in zip(x, channel_last_columns(x, m), up):
+        u2 = ui.reshape(h * w, cout)
+        gx, gf = conv2d_backward(xi, f, ui)
+        assert gf.tobytes() == np.matmul(ci.T, u2).tobytes()
+        gcols = np.matmul(u2, f2.T)
+        assert np.matmul(f2, u2.T).tobytes() == np.ascontiguousarray(gcols.T).tobytes()
+        gcols = gcols.reshape(h, w, m, m, cin)
+        gx_pad = np.zeros((h + 2 * p, w + 2 * p, cin), dtype=np.float32)
+        for ky in range(m):
+            for kx in range(m):
+                gx_pad[ky : ky + h, kx : kx + w] += gcols[:, :, ky, kx]
+        assert gx.tobytes() == gx_pad[p : p + h, p : p + w].tobytes()

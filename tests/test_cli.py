@@ -261,6 +261,47 @@ def test_dataset_with_a_broken_image_exits_2(defect, tmp_path, capfd):
     assert err.startswith(f"error: {image}")
 
 
+def _drop_labels(data):
+    (data / "labels.jsonl").unlink()
+
+
+def _first_label(edit):
+    def apply(data):
+        labels = data / "labels.jsonl"
+        first, *rest = labels.read_text().splitlines()
+        labels.write_text("\n".join([edit(json.loads(first)), *rest]) + "\n")
+    return apply
+
+
+LABEL_DEFECTS = {
+    "no_labels_file": _drop_labels,
+    "missing_image": _first_label(lambda r: json.dumps({**r, "file": "images/gone.pgm"})),
+    "malformed_json": _first_label(lambda r: json.dumps(r)[:-5]),
+    "no_file_key": _first_label(lambda r: json.dumps({"objects": r["objects"]})),
+    "no_objects_key": _first_label(lambda r: json.dumps({"file": r["file"]})),
+    "not_an_object": _first_label(lambda r: json.dumps([r["file"]])),
+    "numeric_file": _first_label(lambda r: json.dumps({**r, "file": 7})),
+    "not_utf8": lambda data: (data / "labels.jsonl").write_bytes(b"\xff\xfe{}\n"),
+    "object_without_box": _first_label(lambda r: json.dumps({**r, "objects": [{"class": 1}]})),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("defect", sorted(LABEL_DEFECTS))
+def test_dataset_with_broken_labels_exits_2(command, defect, detection_run, tmp_path, capfd):
+    data = tmp_path / "data"
+    shutil.copytree(detection_run[0], data)
+    LABEL_DEFECTS[defect](data)
+    if command == "train":
+        cfg = write_json(tmp_path / "cfg.json", {"train": {"task": "detection", "max_steps": 1}})
+        argv = ["train", "--config", cfg, "--out", tmp_path / "run", "--data", data]
+    else:
+        argv = ["eval", "--run", detection_run[1], "--data", data, "--out", tmp_path / "e"]
+    code, err = run(capfd, *argv)
+    assert code == 2
+    assert err.startswith("config error: ") and str(data / "labels.jsonl") in err
+
+
 @pytest.mark.parametrize("flag", ["--score-threshold", "--nms-iou"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5", "abc"])
 def test_eval_threshold_outside_unit_interval_exits_2(flag, value, detection_run, tmp_path, capfd):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oriconv import synthdata
+from oriconv import detect, synthdata
 from oriconv.detect import (
     Detection,
     HBox,
@@ -25,11 +25,13 @@ from oriconv.detect import (
     iou_obb,
     match_anchors,
     nms_indices,
-    obox_from_row,
+    oboxes_from_rows,
     propose_rois,
     sigmoid,
     smooth_l1,
     softmax,
+    softmax_ce,
+    top_order,
 )
 from oriconv.errors import NumericalError, ShapeError
 from oriconv.networks import Detector, NetworkSpec
@@ -370,7 +372,7 @@ class TestEncoding:
                      rng.uniform(2, 6), rng.uniform(0, 90))
             t = encode_boxes(anchor[None], centre_size(g)[None])[0]
             o = np.append(t, g.theta / 90.0)
-            back = obox_from_row(decode_obb_array(anchor[None], o[None])[0][0], o.dtype)
+            back = oboxes_from_rows(decode_obb_array(anchor[None], o[None])[0], o.dtype)[0]
             assert np.abs(back.as_array() - g.as_array()).max() < 1e-6
 
     def test_identical_anchor_zero_offsets(self):
@@ -520,6 +522,57 @@ class TestCompositeLoss:
         assert total >= 0
 
 
+def _logit_rows(k1, dtype):
+    """[257, k1] logits with exact ties for the row max, signed zeros
+    among them, and rows far below zero."""
+    rng = np.random.default_rng(k1)
+    z = rng.normal(size=(257, k1)) * 4
+    z[::7] = np.round(z[::7])
+    z[5] = 0.0
+    z[5, ::2] = -0.0
+    z[9] = -700.0 + z[9]
+    return z.astype(dtype)
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("k1", [2, 4, 8, 13])
+    def test_softmax_bytes_are_those_of_the_trailing_axis_max(self, k1, dtype):
+        z = _logit_rows(k1, dtype)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert softmax(z).tobytes() == want.tobytes()
+        assert softmax(z[0]).tobytes() == want[0].tobytes()
+        assert softmax(z.reshape(-1, 1, k1)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k1", [2, 4, 8, 13])
+    def test_softmax_ce_bytes_are_those_of_the_trailing_axis_max(self, k1):
+        z = _logit_rows(k1, np.float64)
+        labels = np.arange(len(z)) % k1
+        zmax = z.max(axis=1, keepdims=True)
+        want = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1)) - z[np.arange(len(z)), labels]
+        loss, grad = softmax_ce(z, labels)
+        assert loss.tobytes() == want.tobytes()
+        e = np.exp(z - zmax)
+        want_grad = e / e.sum(axis=-1, keepdims=True)
+        want_grad[np.arange(len(z)), labels] -= 1.0
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize(
+        "n, k", [(0, 3), (5, 0), (5, 5), (5, 9), (300, 1), (300, 40), (300, 299)]
+    )
+    def test_top_order_is_the_head_of_the_stable_argsort(self, n, k, dtype):
+        rng = np.random.default_rng(n + k)
+        scores = np.round(rng.normal(size=n) * 3).astype(dtype)  # many ties
+        scores[::11] = 0.0
+        scores[1::11] = -0.0
+        scores[2::13] = np.nan
+        got = top_order(scores, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.argsort(-scores, kind="stable")[:k].tolist()
+
+
 def nms_rows(detections):
     """The float64 [N,4] boxes and [N] scores `nms_indices` takes, from the
     hboxes and scores of Detections."""
@@ -530,6 +583,18 @@ def nms_rows(detections):
 class TestNms:
     def test_single_detection(self):
         assert nms_indices(np.array([[0.0, 0.0, 5.0, 5.0]]), np.array([0.5]), 0.5).tolist() == [0]
+
+    @pytest.mark.parametrize("limit, rows", [(3, [6]), (None, [40]), (25, [40])])
+    def test_iou_rows_only_for_the_prefix_it_reaches(self, monkeypatch, limit, rows):
+        # disjoint boxes keep every row they visit; with every second row a
+        # duplicate, a limit of 3 is reached at row 5 of 40
+        boxes = np.array([[10.0 * (i // 2), 0, 10.0 * (i // 2) + 5, 5] for i in range(40)])
+        seen = []
+        real = detect._iou_matrix
+        monkeypatch.setattr(detect, "_iou_matrix", lambda a, b: seen.append(len(a)) or real(a, b))
+        keep = nms_indices(boxes, np.linspace(1, 0, 40), 0.5, limit=limit)
+        assert keep.tolist() == list(range(0, 40, 2))[:limit]
+        assert seen == rows
 
     def test_identical_boxes_keep_best(self):
         boxes = np.array([[0.0, 0.0, 10.0, 10.0]] * 2)
@@ -712,7 +777,7 @@ class TestVectorisedPostprocess:
             assert _outcome(lambda: HBox(*hb[j])) == want
             want = _outcome(lambda: decode_obb_oracle(anchor, t))
             assert ob_ok[j] == (want is not None)
-            assert _outcome(lambda: obox_from_row(ob[j], offsets.dtype)) == want
+            assert _outcome(lambda: oboxes_from_rows(ob[j : j + 1], offsets.dtype)[0]) == want
 
     @given(st.data())
     def test_nms_matches_greedy_oracle(self, data):

@@ -141,7 +141,7 @@ def expand_backward_oracle(bank, grad):
     return total * mask
 
 
-class TestRotationPlan:
+class TestExpansionOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", [SCALAR, VECTOR])
     @pytest.mark.parametrize("n", [1, 4, 6, 8, 17])

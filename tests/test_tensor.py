@@ -75,20 +75,28 @@ class TestConv2d:
             conv2d(rng.normal(size=(5, 5, 1)), rng.normal(size=(2, 2, 1, 1)))
 
     def test_1x1_columns_are_the_input(self, rng):
+        # K-major: row cin is input channel cin over every pixel, a view of x
         x = rng.normal(size=(2, 4, 5, 3)).astype(np.float32)
         cols = _im2col(x, 1)
-        assert cols.shape == (2, 20, 3) and np.shares_memory(cols, x)
-        assert cols.tobytes() == x.tobytes()
+        assert cols.shape == (2, 3, 20) and np.shares_memory(cols, x)
+        assert cols.swapaxes(-1, -2).tobytes() == x.tobytes()
 
     def test_columns_are_windows_in_ky_kx_cin_order(self, rng):
+        # K-major: row (ky*m + kx)*Cin + cin is one contiguous H*W run, and
+        # column i*W + j is pixel (i, j)'s window in (ky, kx, cin) order
         x = rng.normal(size=(2, 4, 5, 3))
         cols = _im2col(x, 3)
         padded = np.pad(x, [(0, 0), (1, 1), (1, 1), (0, 0)])
-        assert cols.shape == (2, 20, 27) and cols.flags.c_contiguous
+        assert cols.shape == (2, 27, 20) and cols.flags.c_contiguous
         for i in range(4):
             for j in range(5):
                 window = padded[:, i : i + 3, j : j + 3, :].reshape(2, 27)
-                assert np.array_equal(cols[:, i * 5 + j], window)
+                assert np.array_equal(cols[..., i * 5 + j], window)
+        for ky in range(3):
+            for kx in range(3):
+                for c in range(3):
+                    tap = padded[:, ky : ky + 4, kx : kx + 5, c].reshape(2, 20)
+                    assert np.array_equal(cols[:, (ky * 3 + kx) * 3 + c], tap)
 
 
 class TestConv2dNonFiniteGuard:

@@ -1,0 +1,94 @@
+"""SHA-256 digests of what the benchmark workloads compute, for checking that
+a change keeps every output byte-identical.
+
+    python3 tools/output_digest.py [--steps 4] [--images 16]
+
+Prints two lines, `train_detect <sha256>` and `detect <sha256>`:
+
+- train_detect: `--steps` training steps of `perfbench/workloads.py`'s
+  `TrainDetect` at seeds 0 and 5 (its warm-up step is the first), hashing
+  each step's loss and, after the last step, every parameter, gradient and
+  state array of the network by name, dtype, shape and bytes;
+- detect: `Detect.op` on the first `--images` pool images at seeds 3 and
+  7919, hashing each detection's class, `repr(score)`, the bytes of both
+  boxes' `as_array()` and the types of every box field.
+
+The workloads are imported read-only and run with one BLAS thread unless
+OPENBLAS_NUM_THREADS says otherwise, as the benchmark runs them. Compare the
+lines printed at two commits: equal digests mean equal outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as perfbench/run.py runs them
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+
+TRAIN_SEEDS = (0, 5)
+DETECT_SEEDS = (3, 7919)
+
+
+def _add_arrays(h, arrays: dict) -> None:
+    for name in sorted(arrays):
+        a = np.ascontiguousarray(arrays[name])
+        h.update(f"{name} {a.dtype} {a.shape}".encode())
+        h.update(a.tobytes())
+
+
+def train_detect_digest(steps: int) -> str:
+    h = hashlib.sha256()
+    for seed in TRAIN_SEEDS:
+        w = workloads.TrainDetect(seed)  # runs step 0 as its warm-up
+        for i in range(1, steps):
+            w.op(i)
+        h.update(repr(w.losses).encode())
+        _add_arrays(h, w.net.params())
+        _add_arrays(h, w.net.grads())
+        _add_arrays(h, w.net.state())
+    return h.hexdigest()
+
+
+def _box_fields(box) -> str:
+    return repr([(k, type(v).__name__) for k, v in vars(box).items()])
+
+
+def detect_digest(images: int) -> str:
+    h = hashlib.sha256()
+    for seed in DETECT_SEEDS:
+        w = workloads.Detect(seed)
+        for i in range(images):
+            _, dets = w.op(i)
+            h.update(f"image {i}: {len(dets)}".encode())
+            for d in dets:
+                h.update(f"{d.class_id} {d.score!r}".encode())
+                for box in (d.hbox, d.obox):
+                    h.update(box.as_array().tobytes())
+                    h.update(_box_fields(box).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--steps", type=int, default=4, help="training steps per seed (>= 1)")
+    p.add_argument("--images", type=int, default=workloads.Detect.pool_images,
+                   help="detect_image calls per seed")
+    args = p.parse_args(argv)
+    if args.steps < 1 or args.images < 0:
+        p.error("--steps must be >= 1 and --images >= 0")
+    print("train_detect", train_detect_digest(args.steps))
+    print("detect", detect_digest(args.images))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
