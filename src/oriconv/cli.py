@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen-data, train, eval, verify, bench, dump-features. Config is a
-JSON file with "train", "network" and "data" sections; any matching CLI flag
-overrides the config value (flags win). Exit codes: 0 success, 2 bad usage or
-config, 3 numerical failure.
+JSON file with three sections. "network" (a `NetworkSpec`) alone says what is
+trained: the task (detection by default), rotation count and input shape.
+"train" (a `TrainConfig`) says how. "data" holds `count` and the `SceneSpec`
+keys of the generated images, which take the network's input shape. Any
+matching CLI flag overrides the config value (flags win). Exit codes: 0
+success, 2 bad usage or config, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object: {path}")
-    cfg.setdefault("train", {})
-    cfg.setdefault("network", {})
-    cfg.setdefault("data", {})
+    for section in ("train", "network", "data"):
+        if not isinstance(cfg.setdefault(section, {}), dict):
+            raise ConfigError(f"config section {section!r} must be a JSON object")
     return cfg
 
 
@@ -61,52 +64,34 @@ def _apply_overrides(cfg: dict, args) -> dict:
         "seed": ("train", "seed"),
         "steps": ("train", "max_steps"),
         "batch_size": ("train", "batch_size"),
-        "rotations": ("train", "n_rotations"),
+        "rotations": ("network", "n_rotations"),
     }
     for flag, (section, key) in over.items():
         v = getattr(args, flag, None)
         if v is not None:
             cfg[section][key] = v
-    if getattr(args, "rotations", None) is not None:
-        cfg["network"]["n_rotations"] = args.rotations
     return cfg
 
 
 def _build_specs(cfg: dict):
-    tc = TrainConfig.from_dict(cfg["train"]) if cfg["train"] else TrainConfig()
-    nd = dict(cfg["network"])
-    nd.setdefault("task", tc.task)
-    nd.setdefault("n_rotations", tc.n_rotations)
-    ns = NetworkSpec.from_dict(nd)
-    for key in ("task", "n_rotations"):
-        got, want = getattr(ns, key), getattr(tc, key)
-        if got != want:
-            raise ConfigError(f"network.{key} {got!r} differs from train.{key} {want!r}")
-    return tc, ns
+    return TrainConfig.from_dict(cfg["train"]), NetworkSpec.from_dict(cfg["network"])
 
 
 def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=None):
+    """The dataset at `data_dir` (detection only), or `data.count` generated images."""
     if data_dir:
+        if ns.task != "detection":
+            raise ConfigError("--data needs a detection network")
         return load_dataset(data_dir)
-    d = dict(cfg.get("data", {}))
+    d = dict(cfg["data"])
     count = d.pop("count", 256)
-    kind = d.pop("kind", "patches" if tc.task == "orientation" else "scenes")
-    patch = d.pop("patch_size", ns.input_size)
-    for key, value in (("count", count), ("patch_size", patch)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"data.{key} must be int, got {value!r}")
-    if kind not in ("patches", "scenes"):
-        raise ConfigError(f"data.kind must be 'patches' or 'scenes', got {kind!r}")
-    check_section("data", d, SceneSpec)
-    # the images take the run's seed and the network's input shape unless
-    # the config sets them
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ConfigError(f"data.count must be int, got {count!r}")
+    check_section("data", d, SceneSpec, owned_elsewhere=("image_size", "channels"))
     d.setdefault("seed", tc.seed)
-    d.setdefault("channels", ns.input_channels)
-    if kind == "scenes":
-        d.setdefault("image_size", ns.input_size)
-    scene = SceneSpec(**d)
-    if kind == "patches":
-        return generate_orientation_patches(scene, count, patch_size=patch)
+    scene = SceneSpec(**d, image_size=ns.input_size, channels=ns.input_channels)
+    if ns.task == "orientation":
+        return generate_orientation_patches(scene, count, patch_size=ns.input_size)
     return [generate_scene(scene, i) for i in range(count)]
 
 
@@ -123,13 +108,13 @@ def _restore_run(run_dir: str):
     if not os.path.exists(ck_path):
         raise ConfigError(f"no checkpoint at {ck_path}")
     tc, ns = _build_specs(load_config(cfg_path))
-    tensors, step, h = ckpt.load_checkpoint(ck_path)
+    tensors, _, h = ckpt.load_checkpoint(ck_path)
     expect = ckpt.config_hash({"train": tc.to_dict(), "network": ns.to_dict()})
     if h != expect:
         raise ConfigError("checkpoint/config hash mismatch; run directory is stale")
-    net = build_network(ns, tc)
+    net = build_network(ns, tc.seed)
     ckpt.restore_network(net, tensors)
-    return net, tc, ns, step
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +140,7 @@ def cmd_train(args) -> int:
     cfg = _apply_overrides(cfg, args)
     tc, ns = _build_specs(cfg)
     data = _load_training_data(cfg, tc, ns, args.data)
-    net = build_network(ns, tc)
+    net = build_network(ns, tc.seed)
     result = train(tc, data, net)
     os.makedirs(args.out, exist_ok=True)
     ck_path, cfg_path, log_path = _run_dir_paths(args.out)
@@ -169,8 +154,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net, tc, ns, step = _restore_run(args.run)
-    if ns.task != "detection":
+    net = _restore_run(args.run)
+    if net.spec.task != "detection":
         raise ConfigError("eval requires a detection run directory")
     data = load_dataset(args.data)
     t0 = time.perf_counter()
@@ -194,11 +179,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    angles = [float(a) for a in args.angles.split(",")]
     ns = NetworkSpec(task="orientation", n_rotations=args.rotations)
     rows, sweep = verify_equivariance(
-        ns, angles, args.out,
-        rotation_counts=tuple(int(x) for x in args.sweep.split(",")),
+        ns, args.angles, args.out, rotation_counts=args.sweep,
         image_size=args.image_size, seed=args.seed or 0,
     )
     exact = all(r[2] for r in rows) if args.rotations % 4 == 0 else None
@@ -211,7 +194,7 @@ def cmd_bench(args) -> int:
     scene = SceneSpec(seed=args.seed or 0, image_size=args.size)
     images = [generate_scene(scene, i).image for i in range(args.count)]
     rows = []
-    for n_rot in (int(x) for x in args.sweep.split(",")):
+    for n_rot in args.sweep:
         ns = NetworkSpec(
             task="orientation", n_rotations=n_rot, input_size=args.size,
             backbone=(
@@ -219,7 +202,7 @@ def cmd_bench(args) -> int:
                 {"size": 3, "filters": 4, "pool": 2},
             ), head_window=4,
         )
-        net = build_network(ns, TrainConfig(n_rotations=n_rot, seed=0))
+        net = build_network(ns, 0)
         ips = metrics.throughput(lambda im: net.forward(im[None], training=False), images, warmup=1)
         rows.append((n_rot, ips))
         print(f"rotations={n_rot}: {ips:.2f} images/s")
@@ -232,10 +215,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_features(args) -> int:
-    net, tc, ns, _ = _restore_run(args.run)
+    net = _restore_run(args.run)
     img = read_image(args.image)
     os.makedirs(args.out, exist_ok=True)
-    if ns.task == "detection":
+    if net.spec.task == "detection":
         stacks = []
         x = img[None]
         for i, seg in enumerate(net.segments):
@@ -278,6 +261,24 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _comma_list(cast, valid, what: str):
+    """argparse type of a comma list of `what`: `cast` items that pass `valid`."""
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(cast(x) for x in text.split(","))
+            ok = all(valid(v) for v in values)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be a comma list of {what}, got {text!r}")
+        return values
+    return parse
+
+
+_finite_numbers = _comma_list(float, np.isfinite, "finite numbers")
+_counts = _comma_list(int, lambda v: v >= 1, "whole numbers >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oriconv",
@@ -300,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train from a JSON config")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--data", help="pre-generated dataset directory (detection)")
+    t.add_argument("--data", help="pre-generated dataset directory (detection only)")
     t.add_argument("--seed", type=int)
     t.add_argument("--steps", type=int)
     t.add_argument("--batch-size", type=int)
-    t.add_argument("--rotations", "--lambda", dest="rotations", type=int)
+    t.add_argument("--rotations", type=int)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a trained detection run")
@@ -326,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     v = sub.add_parser("verify", help="equivariance verification report")
-    v.add_argument("--rotations", "--lambda", dest="rotations", type=int, default=8)
-    v.add_argument("--angles", default="0,90,180,270")
-    v.add_argument("--sweep", default="1,2,4,8,17,24")
+    v.add_argument("--rotations", type=int, default=8)
+    v.add_argument("--angles", type=_finite_numbers, default="0,90,180,270")
+    v.add_argument("--sweep", type=_counts, default="1,2,4,8,17,24")
     v.add_argument("--image-size", type=int, default=64)
     v.add_argument("--seed", type=int)
     v.add_argument("--out", required=True)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.add_argument("--count", type=int, default=8)
     b.add_argument("--size", type=int, default=64)
-    b.add_argument("--sweep", default="1,2,4,8")
+    b.add_argument("--sweep", type=_counts, default="1,2,4,8")
     b.add_argument("--seed", type=int)
     b.set_defaults(fn=cmd_bench)
 

@@ -24,12 +24,13 @@ class StateError(OriconvError, RuntimeError):
     with no training forward pass before it."""
 
 
-def check_section(section: str, d: dict, spec_cls) -> None:
+def check_section(section: str, d: dict, spec_cls, owned_elsewhere=()) -> None:
     """Raise ConfigError naming each key of config section `section` that is
-    not a field of the dataclass `spec_cls`, or the first value whose JSON
-    type does not match its field's default (an int passes for a float, a
-    list for a tuple, and a bool only for a bool)."""
-    defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
+    not a field of the dataclass `spec_cls`, or is one of `owned_elsewhere`,
+    or the first value whose JSON type does not match its field's default (an
+    int passes for a float, a list for a tuple, and a bool only for a bool)."""
+    defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)
+                if f.name not in owned_elsewhere}
     unknown = sorted(str(k) for k in d if k not in defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r} config: {', '.join(unknown)}")

@@ -135,6 +135,13 @@ class NetworkSpec:
             d["anchor_ratios"] = tuple(d["anchor_ratios"])
         return cls(**d)
 
+    def check_input(self, images, network: str) -> None:
+        """Raise ShapeError unless `images` is [B, size, size, channels]."""
+        size, chans = self.input_size, self.input_channels
+        if images.ndim != 4 or images.shape[1:] != (size, size, chans):
+            raise ShapeError(f"{network} input must be [B, {size}, {size}, {chans}], "
+                             f"got {images.shape}")
+
     def anchors_per_cell(self, level: int) -> int:
         return len(self.anchor_scales[level]) * len(self.anchor_ratios)
 
@@ -339,10 +346,7 @@ class Detector(Layer):
         anchors are laid out for the spec's input size. Without the pyramid
         the merges and the RPN read the backbone taps alone."""
         spec = self.spec
-        size, chans = spec.input_size, spec.input_channels
-        if images.ndim != 4 or images.shape[1:] != (size, size, chans):
-            raise ShapeError(f"detector input must be [B, {size}, {size}, {chans}], "
-                             f"got {images.shape}")
+        spec.check_input(images, "detector")
         n = len(self.taps)
 
         taps_out = []
@@ -583,6 +587,7 @@ class OrientationEstimator(Layer):
         self._cache = None
 
     def forward(self, images: Tensor, training: bool = True):
+        self.spec.check_input(images, "orientation estimator")
         fields = self.trunk.forward(images, training)
         vecs, cache = center_field_average(fields, self.spec.head_window)
         self._cache = cache

@@ -11,11 +11,10 @@ initialization and reduction order are all fixed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -30,13 +29,15 @@ from .networks import (
     angle_targets,
     orientation_loss_and_grad,
 )
-from .synthdata import SceneSpec, augment, generate_orientation_patches, generate_scene
+from .synthdata import SceneSpec, augment, generate_scene
 from .tensor import Tensor, rotate_grid
 
 
 @dataclass
 class TrainConfig:
-    task: str = "orientation"  # orientation | detection
+    """How to train. What is trained, its task, rotation count and input
+    shape, is the network's `NetworkSpec` alone."""
+
     learning_rate: float = 2e-2
     lr_second: float = 1e-3
     lr_third: float = 1e-4
@@ -44,15 +45,12 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     batch_size: int = 8
-    n_rotations: int = 8
     seed: int = 0
     max_steps: int = 500
     lambdas: tuple = (1.0, 1.0, 1.0, 1.0, 1.0)
     hflip_augment: bool = False  # detection-task augmentation only
 
     def __post_init__(self):
-        if self.task not in ("orientation", "detection"):
-            raise ConfigError(f"task must be 'orientation' or 'detection', got {self.task!r}")
         if len(self.lambdas) != 5 or len(self.phase_fractions) != 3:
             raise ConfigError(
                 f"need 5 lambdas and 3 phase fractions, got {len(self.lambdas)} "
@@ -121,8 +119,8 @@ class SGD:
         self.network.apply_constraints()
 
 
-def build_network(net_spec: NetworkSpec, config: TrainConfig):
-    rng = np.random.default_rng(config.seed)
+def build_network(net_spec: NetworkSpec, seed: int):
+    rng = np.random.default_rng(seed)
     if net_spec.task == "detection":
         return Detector(net_spec, rng=rng)
     return OrientationEstimator(net_spec, rng=rng)
@@ -137,13 +135,12 @@ class TrainResult:
 
 
 def train(config: TrainConfig, dataset, network) -> TrainResult:
-    """Run the SGD loop over a frozen in-memory dataset.
-
-    dataset: list of (image, alpha) pairs for the orientation task, or list
-    of synthdata.Sample for detection. A non-finite loss aborts with the
-    offending step in the message. Returns the trained network, optimizer
-    momenta and the per-step loss log.
-    """
+    """Run the SGD loop over a frozen in-memory dataset; the network's spec
+    sets the task. dataset: list of (image, alpha) pairs for an orientation
+    estimator, or list of synthdata.Sample for a detector, at the spec's
+    input shape. A non-finite loss aborts with the offending step in the
+    message. Returns the trained network, optimizer momenta and the per-step
+    loss log."""
     if config.max_steps > 0 and not dataset:
         raise ConfigError("dataset is empty")
     opt = SGD(network, config.momentum, config.weight_decay)
@@ -152,10 +149,8 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
     # order alone
     flip_rng = np.random.default_rng(config.seed ^ 0xF11B)
     rows = []
-    if config.task == "orientation":
-        header = ("step", "lr", "loss")
-    else:
-        header = ("step", "lr", "loss", "rpn_cls", "rpn_reg", "head_cls", "head_hbb", "head_obb")
+    orientation = network.spec.task == "orientation"
+    components = () if orientation else ("rpn_cls", "rpn_reg", "head_cls", "head_hbb", "head_obb")
 
     n = len(dataset)
     perm = []
@@ -166,7 +161,7 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
         lr = config.lr_at(step)
         network.zero_grads()
 
-        if config.task == "orientation":
+        if orientation:
             imgs = np.stack([dataset[i][0] for i in idx])
             alphas = np.array([dataset[i][1] for i in idx])
             pred, _ = network.forward(imgs, training=True)
@@ -187,10 +182,7 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
                 for s in batch
             ]
             loss, comps = network.loss_and_grads(imgs, gts, config.lambdas)
-            rows.append(
-                (step, lr, loss, comps["rpn_cls"], comps["rpn_reg"],
-                 comps["head_cls"], comps["head_hbb"], comps["head_obb"])
-            )
+            rows.append((step, lr, loss, *(comps[k] for k in components)))
 
         if not math.isfinite(rows[-1][2]):
             raise NumericalError(
@@ -198,7 +190,7 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
             )
         opt.step(lr)
 
-    return TrainResult(network, opt.velocity, rows, header)
+    return TrainResult(network, opt.velocity, rows, ("step", "lr", "loss") + components)
 
 
 def write_loss_log(path: str, result: TrainResult) -> None:

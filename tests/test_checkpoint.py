@@ -230,11 +230,11 @@ def test_same_seed_same_log_and_checkpoint(tmp_path):
         task="orientation", n_rotations=4, input_size=32, head_window=2,
         backbone=({"size": 5, "filters": 3, "pool": 2}, {"size": 3, "filters": 4, "pool": 2}),
     )
-    config = TrainConfig(task="orientation", n_rotations=4, batch_size=4, max_steps=2, seed=5)
+    config = TrainConfig(batch_size=4, max_steps=2, seed=5)
     data = generate_orientation_patches(SceneSpec(seed=5), 8, 32)
     runs = []
     for i in range(2):
-        result = train(config, data, build_network(spec, config))
+        result = train(config, data, build_network(spec, config.seed))
         path = tmp_path / f"run{i}.ckpt"
         save_training_checkpoint(str(path), result, config, spec)
         runs.append((result.log_rows, path.read_bytes()))
@@ -243,14 +243,21 @@ def test_same_seed_same_log_and_checkpoint(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_default_config_trains_a_default_detector():
+    # the network's spec sets the task: the default TrainConfig names none
+    data = [generate_scene(SceneSpec(seed=0), i) for i in range(2)]
+    result = train(TrainConfig(max_steps=1, batch_size=2), data, Detector(NetworkSpec()))
+    assert result.log_header[3:] == ("rpn_cls", "rpn_reg", "head_cls", "head_hbb", "head_obb")
+    assert len(result.log_rows) == 1 and math.isfinite(result.log_rows[0][2])
+
+
 def test_hflip_augment_is_seeded_and_changes_the_batches():
     spec = NetworkSpec(n_rotations=4)
     data = [generate_scene(SceneSpec(seed=0), i) for i in range(4)]
     logs = {}
     for flip in (True, True, False):
-        config = TrainConfig(task="detection", n_rotations=4, batch_size=2, max_steps=2,
-                             hflip_augment=flip)
-        rows = train(config, data, build_network(spec, config)).log_rows
+        config = TrainConfig(batch_size=2, max_steps=2, hflip_augment=flip)
+        rows = train(config, data, build_network(spec, config.seed)).log_rows
         assert all(math.isfinite(row[2]) for row in rows)
         assert logs.setdefault(flip, rows) == rows
     assert [row[2] for row in logs[True]] != [row[2] for row in logs[False]]
@@ -264,9 +271,8 @@ def test_hflip_augment_only_flips_the_batches_it_would_draw(monkeypatch):
     data = [generate_scene(SceneSpec(seed=0), i) for i in range(4)]
     seen = {}
     for flip in (False, True):
-        config = TrainConfig(task="detection", n_rotations=4, batch_size=2, max_steps=6,
-                             hflip_augment=flip)
-        net = build_network(spec, config)
+        config = TrainConfig(batch_size=2, max_steps=6, hflip_augment=flip)
+        net = build_network(spec, config.seed)
         batches = seen.setdefault(flip, [])
 
         def record(images, gts, lambdas, batches=batches):

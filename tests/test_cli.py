@@ -43,7 +43,8 @@ def detection_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("detection")
     data, run_dir = root / "data", root / "run"
     assert cli(["gen-data", "--out", str(data), "--count", "4", "--seed", "0"]) == 0
-    cfg = write_json(root / "cfg.json", {"train": {"task": "detection", "batch_size": 2}})
+    cfg = write_json(root / "cfg.json", {"network": {"task": "detection"},
+                                         "train": {"batch_size": 2}})
     argv = ["train", "--config", cfg, "--out", run_dir, "--data", data, "--steps", "2"]
     assert cli([str(a) for a in argv]) == 0
     return data, run_dir
@@ -53,7 +54,7 @@ def detection_run(tmp_path_factory):
 def orientation_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("orientation")
     cfg = write_json(root / "cfg.json", {
-        "train": {"task": "orientation", "batch_size": 2}, "data": {"count": 4},
+        "network": {"task": "orientation"}, "train": {"batch_size": 2}, "data": {"count": 4},
     })
     assert cli(["train", "--config", str(cfg), "--out", str(root / "run"), "--steps", "1"]) == 0
     return root / "run"
@@ -81,14 +82,15 @@ def test_eval_writes_pr_curves_that_integrate_to_ap(detection_run, tmp_path, cap
 CONFIG_CASES = {
     "invalid_json": "{not json",
     "not_an_object": "[1, 2]",
+    "numeric_train_section": json.dumps({"train": 5}),
+    "list_data_section": json.dumps({"data": [1]}),
     "unknown_train_key": json.dumps({"train": {"learning_rat": 0.1}}),
     "unknown_network_key": json.dumps({"network": {"n_rotation": 4}}),
     "empty_backbone": json.dumps({"network": {"task": "orientation", "backbone": []}}),
-    "zero_rotations": json.dumps({"train": {"n_rotations": 0}}),
-    "unknown_data_key": json.dumps({"train": {"task": "detection"}, "data": {"bogus": 1}}),
-    "string_rotations": json.dumps({"train": {"n_rotations": "8"}}),
-    "string_data_count": json.dumps({"train": {"task": "detection"}, "data": {"count": "abc"}}),
-    "numeric_data_kind": json.dumps({"train": {"task": "detection"}, "data": {"kind": 5}}),
+    "zero_rotations": json.dumps({"network": {"n_rotations": 0}}),
+    "unknown_data_key": json.dumps({"network": {"task": "detection"}, "data": {"bogus": 1}}),
+    "string_rotations": json.dumps({"network": {"n_rotations": "8"}}),
+    "string_data_count": json.dumps({"network": {"task": "detection"}, "data": {"count": "abc"}}),
     "string_stage_size": json.dumps({"network": {"backbone": [
         {**DEFAULT_BACKBONE[0], "size": "5"}, *DEFAULT_BACKBONE[1:]]}}),
     "zero_stage_filters": json.dumps({"network": {"backbone": [
@@ -101,43 +103,48 @@ CONFIG_CASES = {
         {**DEFAULT_BACKBONE[0], "pool": 0}, *DEFAULT_BACKBONE[1:]]}}),
     "unknown_stage_key": json.dumps({"network": {"backbone": [
         {**DEFAULT_BACKBONE[0], "bogus": 1}, *DEFAULT_BACKBONE[1:]]}}),
-    "string_anchor_ratio": json.dumps({"train": {"task": "detection"},
-                                       "network": {"anchor_ratios": ["1"]}}),
-    "string_anchor_scale": json.dumps({"train": {"task": "detection"},
-                                       "network": {"anchor_scales": [["12", 18.0], [24.0, 32.0]]}}),
-    "flat_anchor_scales": json.dumps({"train": {"task": "detection"},
-                                      "network": {"anchor_scales": [12.0, 24.0]}}),
-    "zero_anchor_ratio": json.dumps({"train": {"task": "detection"},
-                                     "network": {"anchor_ratios": [0.0, 1.0]}}),
-    "empty_anchor_ratios": json.dumps({"train": {"task": "detection"},
-                                       "network": {"anchor_ratios": []}}),
-    "two_lambdas": json.dumps({"train": {"task": "detection", "lambdas": [1.0, 1.0]}}),
-    "two_phase_fractions": json.dumps({"train": {"task": "detection",
-                                                 "phase_fractions": [0.5, 0.5]}}),
-    "zero_classes": json.dumps({"train": {"task": "detection"}, "network": {"n_classes": 0}}),
-    "zero_merge_channels": json.dumps({"train": {"task": "detection"},
-                                       "network": {"merge_channels": 0}}),
-    "unknown_task": json.dumps({"train": {"task": "segmentation"}}),
-    "mismatched_tasks": json.dumps({"train": {"task": "detection"},
-                                    "network": {"task": "orientation"}}),
-    "mismatched_rotations": json.dumps({"train": {"n_rotations": 4},
-                                        "network": {"n_rotations": 8}}),
-    "unknown_parametrization": json.dumps({"train": {"task": "detection"},
-                                           "network": {"parametrization": "bogus"}}),
-    "zero_batch_size": json.dumps({"train": {"task": "detection", "batch_size": 0}}),
-    "zero_input_size": json.dumps({"train": {"task": "detection"}, "network": {"input_size": 0}}),
-    "zero_input_channels": json.dumps({"train": {"task": "detection"},
-                                       "network": {"input_channels": 0}}),
-    "zero_head_window": json.dumps({"train": {"task": "orientation", "max_steps": 1},
-                                    "network": {"head_window": 0}}),
-    "negative_rpn_top_k": json.dumps({"train": {"task": "detection", "max_steps": 1},
-                                      "network": {"rpn_top_k": -1}}),
-    "negative_max_steps": json.dumps({"train": {"task": "detection", "max_steps": -3}}),
+    "string_anchor_ratio": json.dumps({"network": {"task": "detection",
+                                                   "anchor_ratios": ["1"]}}),
+    "string_anchor_scale": json.dumps({"network": {
+        "task": "detection", "anchor_scales": [["12", 18.0], [24.0, 32.0]]}}),
+    "flat_anchor_scales": json.dumps({"network": {"task": "detection",
+                                                  "anchor_scales": [12.0, 24.0]}}),
+    "zero_anchor_ratio": json.dumps({"network": {"task": "detection",
+                                                 "anchor_ratios": [0.0, 1.0]}}),
+    "empty_anchor_ratios": json.dumps({"network": {"task": "detection", "anchor_ratios": []}}),
+    "two_lambdas": json.dumps({"network": {"task": "detection"},
+                               "train": {"lambdas": [1.0, 1.0]}}),
+    "two_phase_fractions": json.dumps({"network": {"task": "detection"},
+                                       "train": {"phase_fractions": [0.5, 0.5]}}),
+    "zero_classes": json.dumps({"network": {"task": "detection", "n_classes": 0}}),
+    "zero_merge_channels": json.dumps({"network": {"task": "detection", "merge_channels": 0}}),
+    "unknown_task": json.dumps({"network": {"task": "segmentation"}}),
+    "unknown_parametrization": json.dumps({"network": {"task": "detection",
+                                                       "parametrization": "bogus"}}),
+    "zero_batch_size": json.dumps({"network": {"task": "detection"}, "train": {"batch_size": 0}}),
+    "zero_input_size": json.dumps({"network": {"task": "detection", "input_size": 0}}),
+    "zero_input_channels": json.dumps({"network": {"task": "detection", "input_channels": 0}}),
+    "zero_head_window": json.dumps({"network": {"task": "orientation", "head_window": 0},
+                                    "train": {"max_steps": 1}}),
+    "negative_rpn_top_k": json.dumps({"network": {"task": "detection", "rpn_top_k": -1},
+                                      "train": {"max_steps": 1}}),
+    "negative_max_steps": json.dumps({"network": {"task": "detection"},
+                                      "train": {"max_steps": -3}}),
     # not a spec key: the attention merge always concatenates
-    "attention_mode_product": json.dumps({"train": {"task": "detection"},
-                                          "network": {"attention_mode": "product"}}),
-    "attention_mode_concat": json.dumps({"train": {"task": "detection"},
-                                         "network": {"attention_mode": "concat"}}),
+    "attention_mode_product": json.dumps({"network": {"task": "detection",
+                                                      "attention_mode": "product"}}),
+    "attention_mode_concat": json.dumps({"network": {"task": "detection",
+                                                     "attention_mode": "concat"}}),
+    # not train or data keys: the network spec alone sets the task, the
+    # rotation count and the input shape, and the images follow it
+    "train_task": json.dumps({"train": {"task": "detection"}}),
+    "train_n_rotations": json.dumps({"train": {"n_rotations": 8}}),
+    "data_kind": json.dumps({"network": {"task": "orientation"}, "data": {"kind": "scenes"}}),
+    "data_patch_size": json.dumps({"network": {"task": "orientation"},
+                                   "data": {"patch_size": 48}}),
+    "data_image_size": json.dumps({"network": {"task": "orientation"},
+                                   "data": {"image_size": 128}}),
+    "data_channels": json.dumps({"data": {"channels": 3}}),
 }
 
 
@@ -156,11 +163,28 @@ def test_unknown_key_is_named(tmp_path, capfd):
     assert "n_rotation" in err
 
 
+@pytest.mark.parametrize("case", ["train_task", "train_n_rotations", "data_kind",
+                                  "data_patch_size", "data_image_size", "data_channels"])
+def test_removed_key_is_named(case, tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(CONFIG_CASES[case])
+    _, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    section, key = case.split("_", 1)
+    assert err == f"config error: unknown key(s) in {section!r} config: {key}\n"
+
+
 def test_usage_errors_exit_2(tmp_path, capfd):
     assert run(capfd, "frobnicate")[0] == 2
     assert run(capfd, "train", "--config", tmp_path / "missing.json", "--out", tmp_path)[0] == 2
     assert run(capfd, "verify", "--rotations", "0", "--out", tmp_path / "v")[0] == 2
     assert run(capfd, "bench", "--sweep", "0", "--count", "1", "--out", tmp_path / "b")[0] == 2
+    # list flags are parsed before any work starts
+    for argv in (["verify", "--angles", "x"], ["verify", "--angles", "nan"],
+                 ["verify", "--angles", "0,inf"], ["verify", "--sweep", "4,x"],
+                 ["bench", "--sweep", "x"], ["bench", "--sweep", ""]):
+        code, err = run(capfd, *argv, "--out", tmp_path / "v")
+        assert code == 2 and "must be a comma list" in err
+    assert not (tmp_path / "v").exists()
 
 
 def read_csv(path):
@@ -199,17 +223,20 @@ def test_run_dir_without_valid_config_exits_2(config_text, detection_run, tmp_pa
     assert code == 2
 
 
-def test_run_dir_with_attention_mode_exits_2(detection_run, tmp_path, capfd):
-    # run directories written while the spec had an attention_mode key
+@pytest.mark.parametrize("section,key,value", [
+    ("network", "attention_mode", "concat"),  # while the spec had that switch
+    ("train", "task", "detection"),  # while the train section repeated the task
+])
+def test_run_dir_with_a_removed_key_exits_2(section, key, value, detection_run, tmp_path, capfd):
     data, run_dir = detection_run
     old = tmp_path / "run"
     shutil.copytree(run_dir, old)
     cfg = json.loads((old / "config.json").read_text())
-    cfg["network"]["attention_mode"] = "concat"
+    cfg[section][key] = value
     write_json(old / "config.json", cfg)
     code, err = run(capfd, "eval", "--run", old, "--data", data, "--out", tmp_path / "e")
     assert code == 2
-    assert "attention_mode" in err
+    assert err == f"config error: unknown key(s) in {section!r} config: {key}\n"
 
 
 def test_run_dir_whose_checkpoint_does_not_fit_the_network_exits_2(detection_run, tmp_path, capfd):
@@ -255,7 +282,8 @@ def test_dataset_with_a_broken_image_exits_2(defect, tmp_path, capfd):
     assert run(capfd, "gen-data", "--out", data, "--count", "2")[0] == 0
     image = sorted((data / "images").iterdir())[1]
     image.write_bytes(IMAGE_DEFECTS[defect](image.read_bytes()))
-    cfg = write_json(tmp_path / "cfg.json", {"train": {"task": "detection", "max_steps": 1}})
+    cfg = write_json(tmp_path / "cfg.json", {"network": {"task": "detection"},
+                                             "train": {"max_steps": 1}})
     code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run", "--data", data)
     assert code == 2
     assert err.startswith(f"error: {image}")
@@ -293,7 +321,8 @@ def test_dataset_with_broken_labels_exits_2(command, defect, detection_run, tmp_
     shutil.copytree(detection_run[0], data)
     LABEL_DEFECTS[defect](data)
     if command == "train":
-        cfg = write_json(tmp_path / "cfg.json", {"train": {"task": "detection", "max_steps": 1}})
+        cfg = write_json(tmp_path / "cfg.json", {"network": {"task": "detection"},
+                                                 "train": {"max_steps": 1}})
         argv = ["train", "--config", cfg, "--out", tmp_path / "run", "--data", data]
     else:
         argv = ["eval", "--run", detection_run[1], "--data", data, "--out", tmp_path / "e"]
@@ -321,37 +350,64 @@ def test_eval_of_orientation_run_exits_2(orientation_run, detection_run, tmp_pat
     assert "detection" in err
 
 
-def test_scenes_of_another_size_than_the_network_exit_2(tmp_path, capfd):
-    cfg = write_json(tmp_path / "cfg.json", {
-        "train": {"task": "detection", "max_steps": 1},
-        "data": {"count": 4, "image_size": 32},
-    })
-    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
-    assert code == 2
-    assert err.startswith("error: detector input must be [B, 64, 64, 1]")
-
-
 def test_generated_scenes_take_the_network_input_size(tmp_path, capfd):
     cfg = write_json(tmp_path / "cfg.json", {
-        "train": {"task": "detection", "max_steps": 1, "batch_size": 2},
+        "train": {"max_steps": 1, "batch_size": 2},
         "data": {"count": 2},
-        "network": {"input_size": 32},
+        "network": {"task": "detection", "input_size": 32},
     })
     assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
+
+
+@pytest.mark.parametrize("task", ["detection", "orientation"])
+def test_generated_images_take_the_network_input_shape(task):
+    cfg = {"train": {}, "network": {"task": task, "input_size": 48, "input_channels": 3},
+           "data": {"count": 2}}
+    tc, ns = _build_specs(cfg)
+    images = [s.image if task == "detection" else s[0] for s in _load_training_data(cfg, tc, ns)]
+    assert [im.shape for im in images] == [(48, 48, 3)] * 2
+
+
+def test_default_task_is_detection(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"max_steps": 1, "batch_size": 2},
+                                             "data": {"count": 2}})
+    assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert saved["network"]["task"] == "detection"
+
+
+def test_dataset_directory_for_an_orientation_network_exits_2(detection_run, tmp_path, capfd):
+    # orientation patches are generated; a dataset directory holds scenes
+    data, _ = detection_run
+    cfg = write_json(tmp_path / "cfg.json", {"network": {"task": "orientation"},
+                                             "train": {"max_steps": 1}})
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run", "--data", data)
+    assert code == 2
+    assert err.startswith("config error: --data needs a detection network")
+
+
+def test_rotations_flag_sets_the_network(tmp_path, capfd):
+    cfg = write_json(tmp_path / "cfg.json", {"network": {"task": "orientation"},
+                                             "train": {"batch_size": 2}, "data": {"count": 2}})
+    argv = ["train", "--config", cfg, "--out", tmp_path / "run", "--steps", "1"]
+    assert run(capfd, *argv, "--rotations", "4")[0] == 0
+    saved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert saved["network"]["n_rotations"] == 4 and "n_rotations" not in saved["train"]
+    assert run(capfd, *argv, "--lambda", "4")[0] == 2
 
 
 def test_multichannel_detection_trains(tmp_path, capfd):
     # the pyramid branch reads the image's channels, as the backbone does
     cfg = write_json(tmp_path / "cfg.json", {
-        "train": {"task": "detection", "max_steps": 1, "batch_size": 2},
+        "train": {"max_steps": 1, "batch_size": 2},
         "data": {"count": 2},
-        "network": {"input_channels": 3},
+        "network": {"task": "detection", "input_channels": 3},
     })
     assert run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")[0] == 0
 
 
 def first_generated_image(train_seed, data):
-    cfg = {"train": {"task": "detection", "seed": train_seed}, "network": {},
+    cfg = {"train": {"seed": train_seed}, "network": {"task": "detection"},
            "data": {"count": 1, **data}}
     tc, ns = _build_specs(cfg)
     return _load_training_data(cfg, tc, ns)[0].image
@@ -371,7 +427,8 @@ def test_data_seed_wins_over_the_train_seed():
 
 def test_diverging_training_exits_3(tmp_path, capfd):
     cfg = write_json(tmp_path / "cfg.json", {
-        "train": {"task": "orientation", "batch_size": 2, "learning_rate": 1e30},
+        "network": {"task": "orientation"},
+        "train": {"batch_size": 2, "learning_rate": 1e30},
         "data": {"count": 8},
     })
     with np.errstate(all="ignore"):

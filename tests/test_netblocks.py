@@ -638,6 +638,17 @@ class TestNetworkSpecValidation:
         back = NetworkSpec.from_dict(spec.to_dict())
         assert back == spec
 
+    @pytest.mark.parametrize("network", [Detector, OrientationEstimator])
+    @pytest.mark.parametrize("shape", [(2, 48, 48, 1), (2, 32, 32, 3), (32, 32, 1)],
+                             ids=["size", "channels", "rank"])
+    def test_forward_takes_only_the_spec_input_shape(self, network, shape):
+        spec = NetworkSpec(task="detection" if network is Detector else "orientation",
+                           input_size=32, anchor_scales=((8.0, 12.0), (16.0, 24.0)))
+        net = network(spec, rng=np.random.default_rng(0))
+        net.forward(np.zeros((2, 32, 32, 1), dtype=np.float32), training=False)
+        with pytest.raises(ShapeError, match=r"input must be \[B, 32, 32, 1\]"):
+            net.forward(np.zeros(shape, dtype=np.float32), training=False)
+
 
 class TestEndToEndCovariance:
     def test_estimator_trunk_quarter_turn_exact(self, rng):
