@@ -4,9 +4,11 @@ Subcommands: gen-data, train, eval, verify, bench, dump-features. Config is a
 JSON file with three sections. "network" (a `NetworkSpec`) alone says what is
 trained: the task (detection by default), rotation count and input shape.
 "train" (a `TrainConfig`) says how. "data" holds `count` and the `SceneSpec`
-keys of the generated images, which take the network's input shape. Any
-matching CLI flag overrides the config value (flags win). Exit codes: 0
-success, 2 bad usage or config, 3 numerical failure.
+keys of the generated images, which take the network's input shape; an
+orientation network takes none of the keys that only detection scenes use.
+Any other top-level key, and a file that is not UTF-8 JSON, is a config
+error. Any matching CLI flag overrides the config value (flags win). Exit
+codes: 0 success, 2 bad usage or config, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,17 +45,28 @@ from .trainer import (
 )
 
 
+SECTIONS = ("train", "network", "data")
+
+# SceneSpec keys that only shape detection scenes; orientation patches ignore them
+SCENE_ONLY_KEYS = ("min_objects", "max_objects", "classes", "min_size", "max_size", "overlap_iou")
+
+
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {path}: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object: {path}")
-    for section in ("train", "network", "data"):
+    unknown = sorted(str(k) for k in cfg if k not in SECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+    for section in SECTIONS:
         if not isinstance(cfg.setdefault(section, {}), dict):
             raise ConfigError(f"config section {section!r} must be a JSON object")
     return cfg
@@ -78,10 +91,20 @@ def _build_specs(cfg: dict):
 
 
 def _load_training_data(cfg: dict, tc: TrainConfig, ns: NetworkSpec, data_dir=None):
-    """The dataset at `data_dir` (detection only), or `data.count` generated images."""
-    if data_dir:
-        if ns.task != "detection":
+    """The dataset at `data_dir` (detection only), or `data.count` generated
+    images. An orientation network refuses what only detection scenes use:
+    `--data`, `train.hflip_augment` and the scene-only `data` keys."""
+    if ns.task == "orientation":
+        if data_dir:
             raise ConfigError("--data needs a detection network")
+        if tc.hflip_augment:
+            raise ConfigError("train.hflip_augment needs a detection network")
+        scene_only = [k for k in SCENE_ONLY_KEYS if k in cfg["data"]]
+        if scene_only:
+            raise ConfigError(
+                f"data key(s) {', '.join(scene_only)} need a detection network"
+            )
+    if data_dir:
         return load_dataset(data_dir)
     d = dict(cfg["data"])
     count = d.pop("count", 256)

@@ -61,15 +61,6 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _angle_tables(n: int, dtype) -> tuple:
-    """`rconv.angle_table(n)` cast to `dtype`: cached per (n, dtype), read-only."""
-    tables = tuple(t.astype(dtype) for t in angle_table(n))
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 def orientation_pool_stack(y: Tensor, n_rotations: int):
     """Pool the rotation planes of [..., C*n, H, W] (`tensor.conv2d`'s
     output; plane c*n + r is filter c at rotation r) into a field stack
@@ -99,7 +90,7 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
     # p and q planes first, each product written to a contiguous H*W run;
     # np.take, not a fancy index: twice as fast on small-integer indices
     pq = np.empty((*lead, c, 2, h * w), dtype=y.dtype)
-    for comp, table in enumerate(_angle_tables(n_rotations, y.dtype)):
+    for comp, table in enumerate(angle_table(n_rotations, y.dtype)):
         np.multiply(gated, table.take(winners), out=pq[..., comp, :])
     stack = np.ascontiguousarray(pq.reshape(*lead, 2 * c, h * w).swapaxes(-1, -2))
     planes = (*lead, c, h, w)
@@ -116,7 +107,7 @@ def orientation_pool_backward(
     direction. Returns the channel-last, filter-major [..., H, W, C*n]
     pre-pool gradient in the upstream's dtype, the upstream layout of
     `tensor.conv2d_backward`."""
-    cos_t, sin_t = _angle_tables(n_rotations, upstream_stack.dtype)
+    cos_t, sin_t = angle_table(n_rotations, upstream_stack.dtype)
     up_p, up_q = split_stack(upstream_stack)
     winners = np.ascontiguousarray(np.moveaxis(winners, -3, -1))
     gval = np.moveaxis(gate, -3, -1) * (cos_t.take(winners) * up_p + sin_t.take(winners) * up_q)

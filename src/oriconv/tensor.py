@@ -19,8 +19,10 @@ elsewhere in the package into bit-exact equalities instead of up-to-rounding
 ones. A conv output that overflows raises `NumericalError` (no numpy warning).
 
 `rotate_grid` and `rotate_grid_adjoint` are the package's only rotation
-resampler (RConv expansion calls them per base angle); the bilinear taps of
-each (m, angle) are computed once and kept, read-only, in a bounded cache.
+resampler (RConv expansion calls them once per base angle other than 0);
+the bilinear taps of each (m, angle) are computed once and kept, read-only,
+as one stacked [4, m*m] table in a bounded cache, so either direction is a
+fixed number of array calls: one gather or one scatter over all four taps.
 
 `first_max` is argmax's first maximum and the maximum itself in a fixed
 number of calls; both field pools and the detector's class choice use it.
@@ -246,10 +248,10 @@ def _rotation_taps(m: int, angle: float):
     """Bilinear taps for sampling a rotated m-by-m grid; cached per
     (m, angle) and read-only.
 
-    Returns (indices, weights), two tuples of four arrays each, one per tap:
-    indices[t] holds flat indices into the source grid (clipped), and
-    weights[t] already includes the in-bounds mask, so out-of-support taps
-    have weight zero.
+    Returns (indices, weights), each a [4, m*m] array with one row per tap
+    (top-left, top-right, bottom-left, bottom-right): indices[t] holds flat
+    indices into the source grid (clipped), and weights[t] (float64) already
+    includes the in-bounds mask, so out-of-support taps have weight zero.
     """
     c = 0.5 * (m - 1)
     rows, cols = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -266,21 +268,20 @@ def _rotation_taps(m: int, angle: float):
     dr = src_row - r0
     dc = src_col - c0
 
-    weights = []
-    indices = []
-    for (ro, co, wgt) in (
+    indices = np.empty((4, m * m), dtype=np.int64)
+    weights = np.empty((4, m * m), dtype=np.float64)
+    for t, (ro, co, wgt) in enumerate((
         (r0, c0, (1 - dr) * (1 - dc)),
         (r0, c0 + 1, (1 - dr) * dc),
         (r0 + 1, c0, dr * (1 - dc)),
         (r0 + 1, c0 + 1, dr * dc),
-    ):
+    )):
         valid = (ro >= 0) & (ro < m) & (co >= 0) & (co < m)
-        flat = np.clip(ro, 0, m - 1) * m + np.clip(co, 0, m - 1)
-        indices.append(flat.ravel())
-        weights.append((wgt * valid).ravel())
-    for a in indices + weights:
-        a.flags.writeable = False
-    return tuple(indices), tuple(weights)
+        indices[t] = (np.clip(ro, 0, m - 1) * m + np.clip(co, 0, m - 1)).ravel()
+        weights[t] = (wgt * valid).ravel()
+    indices.flags.writeable = False
+    weights.flags.writeable = False
+    return indices, weights
 
 
 def rotate_grid(src: Tensor, angle: float) -> Tensor:
@@ -289,7 +290,8 @@ def rotate_grid(src: Tensor, angle: float) -> Tensor:
 
     The angle is taken modulo 2*pi first, so -pi/4 and 7*pi/4 sample the same
     taps. Exact multiples of 90 degrees take a pure index-permutation path
-    (``np.rot90``) and are bit-exact.
+    (``np.rot90``) and are bit-exact. Other angles gather all four taps at
+    once and add the weighted terms onto zeros in tap order.
     """
     if src.ndim < 2 or src.shape[0] != src.shape[1]:
         raise ShapeError(f"rotate_grid needs a square leading grid, got {src.shape}")
@@ -302,9 +304,11 @@ def rotate_grid(src: Tensor, angle: float) -> Tensor:
     trailing = src.shape[2:]
     flat = src.reshape(m * m, -1)
     indices, weights = _rotation_taps(m, angle)
+    terms = flat[indices]  # [4, m*m, cols]
+    terms *= weights.astype(flat.dtype, copy=False)[:, :, None]
     out = np.zeros_like(flat)
-    for idx, wgt in zip(indices, weights):
-        out += flat[idx] * wgt[:, None].astype(flat.dtype)
+    for term in terms:
+        out += term
     return out.reshape((m, m) + trailing)
 
 
@@ -313,7 +317,9 @@ def rotate_grid_adjoint(grad: Tensor, angle: float) -> Tensor:
 
     For quarter-turn angles this coincides with rotation by -angle; for other
     angles it is the scatter (gather-transpose) of the bilinear taps, which is
-    the map a gradient check against `rotate_grid` requires.
+    the map a gradient check against `rotate_grid` requires: one 1-D
+    `np.add.at` (numpy's fast path) over a tap-major destination, so each
+    element gets its terms in tap, then output-pixel order.
     """
     if grad.ndim < 2 or grad.shape[0] != grad.shape[1]:
         raise ShapeError(f"rotate_grid_adjoint needs a square grid, got {grad.shape}")
@@ -327,13 +333,10 @@ def rotate_grid_adjoint(grad: Tensor, angle: float) -> Tensor:
     flat = grad.reshape(m * m, -1)
     cols = flat.shape[1]
     indices, weights = _rotation_taps(m, angle)
-    # one flat scatter per tap: numpy's fast 1-D `add.at` path, each element
-    # still getting its terms in tap, then output-pixel order
+    dest = indices[:, :, None] * cols + np.arange(cols)  # [4, m*m, cols]
+    terms = flat * weights.astype(flat.dtype, copy=False)[:, :, None]
     out = np.zeros(m * m * cols, dtype=flat.dtype)
-    lanes = np.arange(cols)
-    for idx, wgt in zip(indices, weights):
-        dest = (idx[:, None] * cols + lanes).ravel()
-        np.add.at(out, dest, (flat * wgt[:, None].astype(flat.dtype)).ravel())
+    np.add.at(out, dest.ravel(), terms.ravel())
     return out.reshape((m, m) + trailing)
 
 

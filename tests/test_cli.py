@@ -145,6 +145,7 @@ CONFIG_CASES = {
     "data_image_size": json.dumps({"network": {"task": "orientation"},
                                    "data": {"image_size": 128}}),
     "data_channels": json.dumps({"data": {"channels": 3}}),
+    "unknown_section": json.dumps({"trian": {"max_steps": 1}}),
 }
 
 
@@ -171,6 +172,46 @@ def test_removed_key_is_named(case, tmp_path, capfd):
     _, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
     section, key = case.split("_", 1)
     assert err == f"config error: unknown key(s) in {section!r} config: {key}\n"
+
+
+def test_unknown_section_is_named(tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(CONFIG_CASES["unknown_section"])
+    _, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert err == "config error: unknown config section(s): trian\n"
+
+
+def test_non_utf8_config_exits_2(tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert err.startswith("config error: config is not UTF-8 text:")
+    assert not (tmp_path / "run").exists()
+
+
+DETECTION_ONLY = {
+    "hflip_augment": {"train": {"hflip_augment": True}},
+    "min_objects": {"data": {"min_objects": 3}},
+    "max_objects": {"data": {"max_objects": 3}},
+    "classes": {"data": {"classes": ["arrow"]}},
+    "min_size": {"data": {"min_size": 10.0}},
+    "max_size": {"data": {"max_size": 20.0}},
+    "overlap_iou": {"data": {"overlap_iou": 0.1}},
+}
+
+
+@pytest.mark.parametrize("key", sorted(DETECTION_ONLY))
+def test_orientation_run_refuses_detection_only_keys(key, tmp_path, capfd):
+    # generated orientation patches read none of these, so a silent default
+    # would train something else than the config says
+    cfg = write_json(tmp_path / "cfg.json", {
+        "network": {"task": "orientation"}, "train": {"max_steps": 1},
+        **DETECTION_ONLY[key]})
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert err.startswith("config error:") and key in err and "detection network" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_usage_errors_exit_2(tmp_path, capfd):

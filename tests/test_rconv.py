@@ -144,31 +144,49 @@ def expand_backward_oracle(bank, grad):
 class TestExpansionOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", [SCALAR, VECTOR])
-    @pytest.mark.parametrize("n", [1, 4, 6, 8, 17])
+    @pytest.mark.parametrize("n", [1, 4, 6, 8, 12, 16, 17])
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_bit_identical_to_rotate_grid(self, rng, dtype, kind, n, m):
         w = rng.normal(size=(m, m, 4, 3)).astype(dtype)
         bank = CanonicalFilterBank(w, n, input_kind=kind)
         got = expand_rotations(bank)
         assert got.dtype == dtype
-        assert np.array_equal(got, expand_oracle(bank))
+        # bytes, not values: the masked corners' zeros keep their signs
+        assert got.tobytes() == expand_oracle(bank).tobytes()
         # the adjoint keeps the scatter order too: a reordered sum differs at
         # the ulp level, which a few training steps amplify into loss changes
         # of several percent
         g = rng.normal(size=got.shape).astype(dtype)
         back = expand_rotations_backward(bank, g)
         assert back.dtype == dtype
-        assert np.array_equal(back, expand_backward_oracle(bank, g))
+        assert back.tobytes() == expand_backward_oracle(bank, g).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [SCALAR, VECTOR])
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_negative_zero_corners(self, rng, dtype, kind, n):
+        # masked corners holding -0.0, and -0.0 in the gradient, keep the
+        # oracles' signs of zero through every mask and sum
+        w = rng.normal(size=(5, 5, 4, 3)).astype(dtype)
+        bank = CanonicalFilterBank(w, n, input_kind=kind)
+        bank.weights[circular_mask(5) == 0.0] = -0.0
+        got = expand_rotations(bank)
+        assert got.tobytes() == expand_oracle(bank).tobytes()
+        g = rng.normal(size=(2,) + got.shape).astype(dtype)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        back = expand_rotations_backward(bank, g)
+        want = np.stack([expand_backward_oracle(bank, gi) for gi in g])
+        assert back.tobytes() == want.tobytes()
 
     def test_taps_cached_and_read_only(self):
         idx, wgt = _rotation_taps(5, 2 * math.pi / 8)
         again = _rotation_taps(5, 2 * math.pi / 8)
         assert again[0] is idx and again[1] is wgt
-        assert len(idx) == len(wgt) == 4
-        for a in idx + wgt:
-            assert a.shape == (25,)
+        # one stacked table: a row of indices and of weights per tap
+        for a in (idx, wgt):
+            assert a.shape == (4, 25)
             with pytest.raises(ValueError):
-                a.flat[0] = 0
+                a[0, 0] = 0
 
     def test_batched_backward_matches_per_slice(self, rng):
         for kind, n in ((SCALAR, 6), (VECTOR, 8)):

@@ -8,7 +8,9 @@ from oriconv.errors import NumericalError, ShapeError
 from oriconv.fieldops import orientation_pool_stack
 from oriconv.netblocks import RConvLayer
 from oriconv.tensor import (
+    TWO_PI,
     _im2col,
+    _rotation_taps,
     conv2d,
     conv2d_backward,
     conv2d_filter_grad,
@@ -233,6 +235,71 @@ class TestRotateGrid:
             lhs = float(np.sum(rotate_grid(a, angle) * b))
             rhs = float(np.sum(a * rotate_grid_adjoint(b, angle)))
             assert abs(lhs - rhs) < 1e-10
+
+
+def rotate_grid_oracle(src, angle):
+    """The per-tap resampling loop: each tap's gather times its weight, added
+    onto zeros in tap order."""
+    m = src.shape[0]
+    flat = src.reshape(m * m, -1)
+    indices, weights = _rotation_taps(m, float(angle) % TWO_PI)
+    out = np.zeros_like(flat)
+    for t in range(4):
+        out += flat[indices[t]] * weights[t][:, None].astype(flat.dtype)
+    return out.reshape(src.shape)
+
+
+def rotate_grid_adjoint_oracle(grad, angle):
+    """The per-tap scatter: one flat `np.add.at` per tap, in tap order, so
+    each element gets its terms in tap, then output-pixel order."""
+    m = grad.shape[0]
+    flat = grad.reshape(m * m, -1)
+    cols = flat.shape[1]
+    indices, weights = _rotation_taps(m, float(angle) % TWO_PI)
+    out = np.zeros(m * m * cols, dtype=flat.dtype)
+    lanes = np.arange(cols)
+    for t in range(4):
+        dest = (indices[t][:, None] * cols + lanes).ravel()
+        np.add.at(out, dest, (flat * weights[t][:, None].astype(flat.dtype)).ravel())
+    return out.reshape(grad.shape)
+
+
+def signed_zero_grid(rng, shape, dtype):
+    """Normal draws with about a third of the entries set to -0.0 or +0.0,
+    so sums of zero terms show the sign their order gives them."""
+    a = rng.normal(size=shape).astype(dtype)
+    pick = rng.integers(0, 6, size=shape)
+    a[pick == 0] = -0.0
+    a[pick == 1] = 0.0
+    return a
+
+
+class TestRotateGridOracle:
+    """`rotate_grid` and its adjoint give the per-tap loops' bytes: a
+    reordered sum differs in the last bit, or in the sign of a zero."""
+
+    ANGLES = (0.3, math.pi / 4, TWO_PI / 12, TWO_PI * 5 / 6, 2.0, 4.0, -0.7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 4)])
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_bit_identical_to_per_tap_loops(self, rng, m, trailing, dtype):
+        for angle in self.ANGLES:
+            for a in (signed_zero_grid(rng, (m, m) + trailing, dtype),
+                      np.full((m, m) + trailing, -0.0, dtype=dtype)):
+                got = rotate_grid(a, angle)
+                assert got.dtype == dtype and got.shape == a.shape
+                assert got.tobytes() == rotate_grid_oracle(a, angle).tobytes()
+                back = rotate_grid_adjoint(a, angle)
+                assert back.dtype == dtype and back.shape == a.shape
+                assert back.tobytes() == rotate_grid_adjoint_oracle(a, angle).tobytes()
+
+    def test_all_negative_zero_input_gives_positive_zeros(self):
+        # the sums start from +0.0, so four -0.0 terms add up to +0.0
+        a = np.full((5, 5, 2), -0.0)
+        for fn in (rotate_grid, rotate_grid_adjoint):
+            out = fn(a, 0.3)
+            assert not np.signbit(out).any()
 
 
 class TestFiniteDiffCheck:

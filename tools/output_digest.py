@@ -3,12 +3,17 @@ a change keeps every output byte-identical.
 
     python3 tools/output_digest.py [--steps 4] [--images 16]
 
-Prints two lines, `train_detect <sha256>` and `detect <sha256>`:
+Prints three lines, `train_detect <sha256>`, `train_variants <sha256>` and
+`detect <sha256>`:
 
 - train_detect: `--steps` training steps of `perfbench/workloads.py`'s
   `TrainDetect` at seeds 0 and 5 (its warm-up step is the first), hashing
   each step's loss and, after the last step, every parameter, gradient and
   state array of the network by name, dtype, shape and bytes;
+- train_variants: the same for `--steps` steps on `TrainDetect`'s seed-0
+  scenes of two detectors the workloads do not run, whose filter expansion
+  takes the paths the default n=8 one skips: free filters at n=6 (every
+  angle resampled, no quarter-turn fold) and steerable filters at n=12;
 - detect: `Detect.op` on the first `--images` pool images at seeds 3 and
   7919, hashing each detection's class, `repr(score)`, the bytes of both
   boxes' `as_array()` and the types of every box field.
@@ -33,6 +38,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as perfbench/run.py runs t
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
+from oriconv import networks, trainer  # noqa: E402
 
 TRAIN_SEEDS = (0, 5)
 DETECT_SEEDS = (3, 7919)
@@ -45,16 +51,41 @@ def _add_arrays(h, arrays: dict) -> None:
         h.update(a.tobytes())
 
 
+def _add_training(h, w) -> None:
+    """A training workload's step losses and its network's arrays."""
+    h.update(repr(w.losses).encode())
+    _add_arrays(h, w.net.params())
+    _add_arrays(h, w.net.grads())
+    _add_arrays(h, w.net.state())
+
+
 def train_detect_digest(steps: int) -> str:
     h = hashlib.sha256()
     for seed in TRAIN_SEEDS:
         w = workloads.TrainDetect(seed)  # runs step 0 as its warm-up
         for i in range(1, steps):
             w.op(i)
-        h.update(repr(w.losses).encode())
-        _add_arrays(h, w.net.params())
-        _add_arrays(h, w.net.grads())
-        _add_arrays(h, w.net.state())
+        _add_training(h, w)
+    return h.hexdigest()
+
+
+VARIANT_SPECS = (
+    networks.NetworkSpec(n_rotations=6),
+    networks.NetworkSpec(n_rotations=12, parametrization="steerable"),
+)
+
+
+def train_variants_digest(steps: int) -> str:
+    h = hashlib.sha256()
+    w = workloads.TrainDetect(TRAIN_SEEDS[0])  # for its scenes
+    for spec in VARIANT_SPECS:
+        # the workloads' initialisation: the same weights on every run
+        w.net = networks.Detector(spec, rng=np.random.default_rng(0))
+        w.opt = trainer.SGD(w.net)
+        w.losses = []
+        for i in range(steps):
+            w.op(i)
+        _add_training(h, w)
     return h.hexdigest()
 
 
@@ -86,6 +117,7 @@ def main(argv=None) -> int:
     if args.steps < 1 or args.images < 0:
         p.error("--steps must be >= 1 and --images >= 0")
     print("train_detect", train_detect_digest(args.steps))
+    print("train_variants", train_variants_digest(args.steps))
     print("detect", detect_digest(args.images))
     return 0
 
