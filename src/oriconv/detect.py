@@ -30,9 +30,16 @@ them at once: `hboxes_from_rows` from `decode_hbb_array` rows and
 axis-aligned; oriented IoU (`iou_obb`) serves the metrics.
 
 Anchors are plain [N, 4] arrays. `anchor_boxes` tiles one feature level; a
-detector concatenates its levels into one flat anchor axis, so
-`match_anchors`, the losses and the decoders see every level as one set of
-rows, and `propose_rois` takes the rows of the level its RPN reads.
+detector concatenates its levels into one flat anchor axis, so the matcher,
+the losses and the decoders see every level as one set of rows, and
+`propose_rois` takes the rows of the level its RPN reads.
+
+Training targets and the loss take a whole batch at once. `GroundTruth`
+puts every image's boxes on one flat axis, `match_batch` matches them all
+against one anchor set, and `composite_loss_batch` scores [B, ...] arrays,
+each image from its own counts and sums, returning each gradient as the
+rows its term reads (`RowGrad`). `match_anchors` and `composite_loss` are
+these at a batch of one.
 """
 
 from __future__ import annotations
@@ -228,19 +235,26 @@ def anchor_boxes(feature_hw, stride, scales, ratios) -> np.ndarray:
 
 
 def _iou_matrix(anchors: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """Vectorized axis-aligned IoU between [N,4] anchors and [G,4] boxes."""
-    if len(gt) == 0:
-        return np.zeros((anchors.shape[0], 0))
-    ix = np.minimum(anchors[:, None, 2], gt[None, :, 2]) - np.maximum(
-        anchors[:, None, 0], gt[None, :, 0]
-    )
-    iy = np.minimum(anchors[:, None, 3], gt[None, :, 3]) - np.maximum(
-        anchors[:, None, 1], gt[None, :, 1]
-    )
-    inter = np.clip(ix, 0, None) * np.clip(iy, 0, None)
-    area_a = (anchors[:, 2] - anchors[:, 0]) * (anchors[:, 3] - anchors[:, 1])
-    area_g = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    return inter / (area_a[:, None] + area_g[None, :] - inter)
+    """Axis-aligned IoU between [N,4] anchors and [G,4] boxes, [N, G]; each
+    entry equals `iou_hbb` of its pair, +0.0 where the boxes do not overlap.
+
+    Each coordinate is read once as a contiguous row, and the [N, G] work is
+    twelve ufunc passes into three buffers, none through a Python-level
+    wrapper. The formula is symmetric to the last bit, so
+    `_iou_matrix(gt, anchors)` is the transpose; numpy runs the passes
+    fastest with the longer axis last."""
+    a0, a1, a2, a3 = np.ascontiguousarray(anchors.T)[:, :, None]
+    g0, g1, g2, g3 = np.ascontiguousarray(gt.T)[:, None, :]
+    ix = np.minimum(a2, g2)
+    t = np.maximum(a0, g0)
+    ix -= t
+    iy = np.minimum(a3, g3)
+    iy -= np.maximum(a1, g1, out=t)
+    inter = np.maximum(ix, 0.0, out=ix)
+    inter *= np.maximum(iy, 0.0, out=iy)
+    union = np.add((a2 - a0) * (a3 - a1), (g2 - g0) * (g3 - g1), out=t)
+    union -= inter
+    return np.divide(inter, union, out=inter)
 
 
 def _anchor_geometry(anchors: np.ndarray):
@@ -278,8 +292,12 @@ def encode_boxes(anchors: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     against [N,4] anchors; the logarithm is scalar `math.log`, like
     `_scaled_exp`'s exponential."""
     wa, ha, xa, ya = _anchor_geometry(anchors)
-    logs = [[math.log(v) for v in r.tolist()] for r in (boxes[:, 2] / wa, boxes[:, 3] / ha)]
-    return np.stack(((boxes[:, 0] - xa) / wa, (boxes[:, 1] - ya) / ha, *np.array(logs)), axis=1)
+    out = np.empty((len(boxes), 4))
+    out[:, 0] = (boxes[:, 0] - xa) / wa
+    out[:, 1] = (boxes[:, 1] - ya) / ha
+    ratios = np.concatenate((boxes[:, 2] / wa, boxes[:, 3] / ha)).tolist()
+    out[:, 2:] = np.array(list(map(math.log, ratios))).reshape(2, -1).T
+    return out
 
 
 def decode_hbb_array(anchors: np.ndarray, t: np.ndarray):
@@ -326,10 +344,12 @@ def oboxes_from_rows(rows: np.ndarray, offset_dtype) -> list:
 
 @dataclass
 class MatchResult:
-    labels: np.ndarray  # rpn: 1 pos / 0 neg / -1 ignore; head: class id, 0 = bg, -1 ignore
+    """Per-anchor targets; `match_batch` puts an image axis in front."""
+
+    labels: np.ndarray  # [N] rpn: 1 pos / 0 neg / -1 ignore; head: class id, 0 = bg, -1 ignore
     hbb_targets: np.ndarray  # [N, 4]
     obb_targets: np.ndarray  # [N, 5]
-    matched_gt: np.ndarray  # [N] index into gt list, -1 if none
+    matched_gt: np.ndarray  # [N] index into the image's gt list, -1 if none
 
 
 RPN_POS_IOU = 0.7
@@ -337,66 +357,144 @@ RPN_NEG_IOU = 0.3
 HEAD_POS_IOU = 0.5
 
 
+@dataclass
+class GroundTruth:
+    """The boxes of B images on one flat axis of M rows, image by image.
+
+    Box j is slot `slot[j]` of image `img[j]`; image b's boxes start at row
+    `first[b]` and number `counts[b]`. `corners` are the HBox corners,
+    `hbb_rows` its centre-size rows (xc, yc, w, h) and `obb_rows` the OBox's
+    (xc, yc, w, h, theta / 90); an HBox-only object's OBB row is its HBB row
+    at angle 0.
+    """
+
+    counts: list
+    img: np.ndarray  # [M]
+    slot: np.ndarray  # [M]
+    first: np.ndarray  # [B]
+    classes: np.ndarray  # [M] int64
+    corners: np.ndarray  # [M, 4]
+    hbb_rows: np.ndarray  # [M, 4]
+    obb_rows: np.ndarray  # [M, 5]
+
+    @classmethod
+    def from_images(cls, gt_per_image, n_classes=None) -> "GroundTruth":
+        """From a list over images of (class ids or None, boxes); boxes may
+        be HBox or (HBox, OBox) pairs, and None means class 1 for every box.
+        ShapeError, naming the image, when a class list and its box list
+        differ in length or, given `n_classes`, a class id is outside
+        1..n_classes (0 is the background)."""
+        classes = []
+        for b, (ids, boxes) in enumerate(gt_per_image):
+            ids = [1] * len(boxes) if ids is None else list(ids)
+            if len(ids) != len(boxes):
+                raise ShapeError(
+                    f"image {b} of the batch: {len(ids)} class ids for {len(boxes)} boxes"
+                )
+            if n_classes is not None:
+                bad = [c for c in ids if not 1 <= c <= n_classes]
+                if bad:
+                    raise ShapeError(
+                        f"image {b} of the batch: class id {bad[0]} is outside 1..{n_classes}"
+                        " (n_classes)"
+                    )
+            classes += ids
+        counts = [len(boxes) for _, boxes in gt_per_image]
+        flat = [g for _, boxes in gt_per_image for g in boxes]
+        hb = [g[0] if isinstance(g, tuple) else g for g in flat]
+        ob = [g[1] if isinstance(g, tuple) else None for g in flat]
+        hbb_rows = np.array([(*b.center, b.width, b.height) for b in hb]).reshape(-1, 4)
+        obb_rows = np.array([
+            (*r, 0.0) if o is None else (o.xc, o.yc, o.w, o.h, o.theta / 90.0)
+            for r, o in zip(hbb_rows, ob)
+        ]).reshape(-1, 5)
+        corners = np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b in hb], dtype=np.float64)
+        img = np.arange(len(counts)).repeat(counts)
+        first = np.cumsum(counts) - counts
+        return cls(
+            counts, img, np.arange(len(flat)) - first[img], first,
+            np.array(classes, dtype=np.int64), corners.reshape(-1, 4), hbb_rows, obb_rows,
+        )
+
+
 def match_anchors(anchors: np.ndarray, gt_boxes, gt_classes=None, stage="rpn") -> MatchResult:
-    """Assign labels and regression targets to [N,4] anchor boxes.
+    """Assign labels and regression targets to [N,4] anchor boxes for one
+    image: `match_batch` of a batch of one."""
+    m = match_batch(anchors, GroundTruth.from_images([(gt_classes, gt_boxes)]), stage)
+    return MatchResult(m.labels[0], m.hbb_targets[0], m.obb_targets[0], m.matched_gt[0])
+
+
+def match_batch(anchors: np.ndarray, gt: GroundTruth, stage="rpn") -> MatchResult:
+    """Assign labels and regression targets to [N,4] anchor boxes in each of
+    the B images of `gt`; the result's arrays are [B, N], [B, N, 4] and
+    [B, N, 5].
 
     RPN stage: IoU >= 0.7 positive, <= 0.3 negative, in between ignored; the
     best anchor of each ground-truth box is forced positive so no object goes
-    unsupervised (the usual two-stage-detector convention). Head stage:
+    unsupervised (the usual two-stage-detector convention), and where boxes
+    of one image share that anchor the last of them takes it. Head stage:
     IoU >= 0.5 takes the matched class, everything else is background.
-    gt_boxes entries may be HBox or (HBox, OBox) pairs.
 
-    Each ground truth becomes one centre-size row per target kind, and every
-    positive is encoded with one `encode_boxes` call per kind: HBB targets
-    from the HBox, OBB targets from the OBox plus theta / 90 as the fifth
-    offset. An HBox-only object's OBB target is its HBB target at angle 0.
+    One `_iou_matrix` scores every box of the batch against every anchor,
+    and the scores fill a padded [B, G, N] array (G the largest box count)
+    whose padding scores -1, below any IoU: it never wins an anchor, and an
+    image without boxes gets the labels of an anchor that overlaps nothing.
+    Every positive of the batch is encoded in one `encode_boxes` call: HBB
+    targets from the HBB rows, OBB targets from the OBB rows plus theta / 90
+    as the fifth offset.
     """
     n = anchors.shape[0]
-    labels = np.full(n, -1 if stage == "rpn" else 0, dtype=np.int64)
-    hbb_t = np.zeros((n, 4))
-    obb_t = np.zeros((n, 5))
-    matched = np.full(n, -1, dtype=np.int64)
-    hb = [g[0] if isinstance(g, tuple) else g for g in gt_boxes]
-    ob = [g[1] if isinstance(g, tuple) else None for g in gt_boxes]
-    if not hb:
+    nb = len(gt.counts)
+    labels = np.full((nb, n), -1 if stage == "rpn" else 0, dtype=np.int64)
+    hbb_t = np.zeros((nb, n, 4))
+    obb_t = np.zeros((nb, n, 5))
+    matched = np.full((nb, n), -1, dtype=np.int64)
+    if not len(gt.img):
         if stage == "rpn":
             labels[:] = 0
         return MatchResult(labels, hbb_t, obb_t, matched)
 
-    hbb_rows = np.array([(*b.center, b.width, b.height) for b in hb])
-    obb_rows = np.array([
-        (*r, 0.0) if o is None else (o.xc, o.yc, o.w, o.h, o.theta / 90.0)
-        for r, o in zip(hbb_rows, ob)
-    ])
-    gt_arr = np.stack([b.as_array() for b in hb])
-    iou = _iou_matrix(anchors, gt_arr)
-    best_gt = np.argmax(iou, axis=1)
-    best_iou = iou[np.arange(n), best_gt]
+    iou_flat = _iou_matrix(gt.corners, anchors)  # [M, N]
+    iou = np.full((nb, max(gt.counts), n), -1.0)
+    iou[gt.img, gt.slot] = iou_flat
+    # each anchor's first best slot, as argmax over the slot axis picks it,
+    # taken one slot at a time along the anchor rows
+    best_iou = iou[:, 0].copy()
+    best_gt = np.zeros((nb, n), dtype=np.int64)
+    for g in range(1, iou.shape[1]):
+        best_gt[iou[:, g] > best_iou] = g
+        np.maximum(best_iou, iou[:, g], out=best_iou)
 
     if stage == "rpn":
         labels[best_iou <= RPN_NEG_IOU] = 0
         labels[best_iou >= RPN_POS_IOU] = 1
-        # force the best anchor per ground truth positive
-        for g in range(len(hb)):
-            a = int(np.argmax(iou[:, g]))
-            if iou[a, g] > 0:
-                labels[a] = 1
-                best_gt[a] = g
+        # force the best anchor per ground truth positive; of the boxes that
+        # share one, the highest slot wins, as in a loop over the boxes
+        a = iou_flat.argmax(axis=1)
+        hit = iou_flat[np.arange(len(a)), a] > 0
+        forced = np.full((nb, n), -1, dtype=np.int64)
+        np.maximum.at(forced, (gt.img[hit], a[hit]), gt.slot[hit])
+        won = forced >= 0
+        labels[won] = 1
+        best_gt[won] = forced[won]
         pos = labels == 1
     else:
         pos = best_iou >= HEAD_POS_IOU
-        classes = (
-            np.asarray(gt_classes, dtype=np.int64)
-            if gt_classes is not None
-            else np.ones(len(hb), dtype=np.int64)
-        )
-        labels[pos] = classes[best_gt[pos]]
 
-    g = best_gt[pos]
-    matched[pos] = g
-    hbb_t[pos] = encode_boxes(anchors[pos], hbb_rows[g])
-    obb_t[pos, :4] = encode_boxes(anchors[pos], obb_rows[g, :4])
-    obb_t[pos, 4] = obb_rows[g, 4]
+    at = b_idx, a_idx = pos.nonzero()
+    g = best_gt[at]
+    matched[at] = g
+    g += gt.first[b_idx]  # into the flat box axis
+    if stage != "rpn":
+        labels[at] = gt.classes[g]
+    # both kinds in one call, the HBB rows first
+    t = encode_boxes(
+        anchors[np.concatenate((a_idx, a_idx))],
+        np.concatenate((gt.hbb_rows[g], gt.obb_rows[g, :4])),
+    )
+    hbb_t[at] = t[: len(g)]
+    obb_t[at + (slice(None, 4),)] = t[len(g) :]
+    obb_t[at + (4,)] = gt.obb_rows[g, 4]
     return MatchResult(labels, hbb_t, obb_t, matched)
 
 
@@ -410,7 +508,8 @@ def smooth_l1(x: np.ndarray) -> np.ndarray:
 
 
 def smooth_l1_grad(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, -1.0, 1.0)
+    """x clipped to [-1, 1]; the bytes of `np.clip`, without its wrappers."""
+    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -429,34 +528,73 @@ def binary_ce_with_logits(logits: np.ndarray, targets: np.ndarray):
     return loss, grad
 
 
-def _row_max(z: np.ndarray) -> np.ndarray:
-    """`z.max(axis=-1, keepdims=True)`, taken across the contiguous rows of a
-    transposed copy: numpy reduces a short trailing axis one row at a time,
-    about ten times slower over [1920, 4]. Max is order-free, so the values
-    are the same; only the sign of a zero max can differ, and neither
-    `softmax` nor `softmax_ce` passes that sign on."""
-    return np.ascontiguousarray(np.moveaxis(z, -1, 0)).max(axis=0)[..., None]
+def _softmax_rows(z: np.ndarray, dtype=None):
+    """exp(z - max) and its sums over the last axis of z [..., K], in
+    `dtype` (default z's): (zmax [...], e [K, ...], s [...]).
+
+    The values are the bytes of the trailing-axis forms `z.max(axis=-1)`,
+    `np.exp(z - zmax)` and `e.sum(axis=-1)`, but each is taken across the
+    contiguous rows of one transposed copy: numpy reduces and broadcasts a
+    short trailing axis one row at a time, about ten times slower over
+    [1920, 4]. Max is order-free; only the sign of a zero max can differ,
+    and nothing below passes that sign on. numpy sums a row shorter than 8
+    left to right (its pairwise sum starts blocking at 8), so those sums
+    are the same column adds; wider rows take numpy's own row reduction.
+    """
+    e = z.transpose(z.ndim - 1, *range(z.ndim - 1)).astype(dtype or z.dtype, order="C")
+    zmax = e.max(axis=0)
+    np.exp(np.subtract(e, zmax, out=e), out=e)
+    if len(e) < 8:
+        s = e[0].copy()
+        for row in e[1:]:
+            s += row
+    else:
+        s = np.ascontiguousarray(_class_last(e)).sum(axis=-1)
+    return zmax, e, s
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - _row_max(z))
-    return e / e.sum(axis=-1, keepdims=True)
+def _class_last(e: np.ndarray) -> np.ndarray:
+    """The [..., K] view of class-major [K, ...] memory."""
+    return e.transpose(*range(1, e.ndim), 0)
+
+
+def softmax(z: np.ndarray, dtype=None) -> np.ndarray:
+    """Softmax over the last axis of z, computed in `dtype` (default z's);
+    the result is a view of class-major memory."""
+    _, e, s = _softmax_rows(z, dtype)
+    e /= s
+    return _class_last(e)
+
+
+def background_nll(logits: np.ndarray) -> np.ndarray:
+    """-log(p0 + 1e-12) in float64 over logits [..., K], p the softmax over
+    the last axis and class 0 the background: the score hard-negative
+    mining ranks by. The bytes of `-np.log(softmax(logits, np.float64)[...,
+    0] + 1e-12)`, dividing only the background column."""
+    _, e, s = _softmax_rows(logits, np.float64)
+    p0 = np.divide(e[0], s, out=s)
+    p0 += 1e-12
+    return np.negative(np.log(p0, out=p0), out=p0)
 
 
 def softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    """Rowwise cross-entropy with integer labels; returns (loss[N], grad[N,K]).
-    Computed as logsumexp(z) - z[label], which is non-negative by construction."""
-    n = logits.shape[0]
-    zmax = _row_max(logits)
-    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-    loss = lse - logits[np.arange(n), labels]
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad
+    """Cross-entropy over the last axis of logits [..., K] with integer
+    labels [...]; returns (loss [...], grad [..., K]). Computed as
+    logsumexp(z) - z[label], which is non-negative by construction;
+    exp(z - max) and its row sums serve both the log-sum-exp and the softmax
+    in the gradient, which is a view of class-major memory."""
+    zmax, e, s = _softmax_rows(logits)
+    lse = zmax + np.log(s)
+    rows = np.arange(labels.size)
+    picked = logits.reshape(-1, logits.shape[-1])[rows, labels.reshape(-1)]
+    loss = lse - picked.reshape(labels.shape)
+    e /= s
+    e.reshape(len(e), -1)[labels.reshape(-1), rows] -= 1.0
+    return loss, _class_last(e)
 
 
 def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0, 1.0)):
-    """Two-stage detection loss: proposal term plus head term.
+    """Two-stage detection loss of one image: proposal term plus head term.
 
     total = l1/N_cls * sum BCE(p, p*)        over sampled proposal anchors
           + l2/N_reg * sum p* smoothL1(t-t*) over positive proposal anchors
@@ -470,56 +608,109 @@ def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0
     -1 ignore). Regression terms are 0 (not NaN) when there are no positives.
     Without `rpn_labels` (a detector with no RPN) the proposal keys are not
     read, `rpn_cls` and `rpn_reg` are reported as 0.0 and no proposal
-    gradients are returned. Returns (total, components, grads).
+    gradients are returned. Returns (total, components, grads):
+    `composite_loss_batch` of a batch of one.
+    """
+    totals, comps, grads = composite_loss_batch(
+        {key: v[None] for key, v in predictions.items()},
+        {key: v[None] for key, v in targets.items()},
+        lambdas,
+    )
+    return (
+        totals[0],
+        {key: v[0] for key, v in comps.items()},
+        {key: g.dense()[0] for key, g in grads.items()},
+    )
+
+
+@dataclass
+class RowGrad:
+    """A [B, N, ...] loss gradient kept as the rows a term reads: `rows`
+    where `mask` [B, N] is True, in image order, and `fill` in every other
+    row, the lambda times zero that a masked-out row scales to."""
+
+    mask: np.ndarray
+    rows: np.ndarray
+    fill: np.generic
+
+    def dense(self) -> np.ndarray:
+        out = np.full(self.mask.shape + self.rows.shape[1:], self.fill, dtype=self.rows.dtype)
+        out[self.mask] = self.rows
+        return out
+
+    def write_scaled(self, out: np.ndarray, scale) -> None:
+        """`out[...] = self.dense() / scale` for an `out` that holds zeros,
+        writing only the rows unless the fill scales to other than +0.0."""
+        fill = self.fill / scale
+        if fill != 0 or np.signbit(fill):
+            out[...] = fill
+        out[self.mask] = self.rows / scale
+
+
+def composite_loss_batch(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0, 1.0)):
+    """`composite_loss` of B images at once: every array gains a leading
+    image axis ([B, N], [B, M, K+1], ...).
+
+    Each term runs once over the batch, on the rows its sum reads: the
+    sampled anchors for the BCE and the CE, the positives for each smooth
+    L1. The counts and the sums of selected rows stay each image's own, so
+    every image gets the bytes `composite_loss` would give it alone.
+    Returns (totals, components, grads): a list of B totals, each term's
+    list of B values, and a `RowGrad` per prediction key.
     """
     l1, l2, l3, l4, l5 = lambdas
-    comps = {"rpn_cls": 0.0, "rpn_reg": 0.0}
+    nb = len(targets["cls_labels"])
+    comps = {"rpn_cls": [0.0] * nb, "rpn_reg": [0.0] * nb}
     grads = {}
 
     if "rpn_labels" in targets:
         rl = targets["rpn_labels"]
         sampled = rl >= 0
-        n_cls = max(int(sampled.sum()), 1)
         loss_b, grad_b = binary_ce_with_logits(
-            predictions["rpn_logits"], (rl == 1).astype(np.float64)
+            predictions["rpn_logits"][sampled], (rl[sampled] == 1).astype(np.float64)
         )
-        comps["rpn_cls"] = float(loss_b[sampled].sum()) / n_cls
-        gb = np.where(sampled, grad_b, 0.0) / n_cls
-        grads["rpn_logits"] = l1 * gb
+        comps["rpn_cls"], div = _image_means(sampled, grad_b, loss_b)
+        grads["rpn_logits"] = RowGrad(sampled, l1 * (grad_b / div), l1 * grad_b.dtype.type(0.0))
 
         pos = rl == 1
-        n_reg = max(int(pos.sum()), 1)
-        diff = predictions["rpn_offsets"] - targets["rpn_offsets"]
-        comps["rpn_reg"] = float(smooth_l1(diff[pos]).sum()) / n_reg
-        gr = np.where(pos[:, None], smooth_l1_grad(diff), 0.0) / n_reg
-        grads["rpn_offsets"] = l2 * gr
+        d = predictions["rpn_offsets"][pos] - targets["rpn_offsets"][pos]
+        g = smooth_l1_grad(d)
+        comps["rpn_reg"], div = _image_means(pos, g, smooth_l1(d))
+        grads["rpn_offsets"] = RowGrad(pos, l2 * (g / div), l2 * g.dtype.type(0.0))
 
     cl = targets["cls_labels"]
     csampled = cl >= 0
-    m_cls = max(int(csampled.sum()), 1)
-    loss_c, grad_c = softmax_ce(predictions["cls_logits"], np.maximum(cl, 0))
-    comps["head_cls"] = float(loss_c[csampled].sum()) / m_cls
-    gc = np.where(csampled[:, None], grad_c, 0.0) / m_cls
-    grads["cls_logits"] = l3 * gc
+    loss_c, grad_c = softmax_ce(predictions["cls_logits"][csampled], cl[csampled])
+    comps["head_cls"], div = _image_means(csampled, grad_c, loss_c)
+    grads["cls_logits"] = RowGrad(csampled, l3 * (grad_c / div), l3 * grad_c.dtype.type(0.0))
 
     cpos = cl >= 1
-    m_reg = max(int(cpos.sum()), 1)
-    dh = predictions["hbb_offsets"] - targets["hbb_offsets"]
-    comps["head_hbb"] = float(smooth_l1(dh[cpos]).sum()) / m_reg
-    grads["hbb_offsets"] = l4 * np.where(cpos[:, None], smooth_l1_grad(dh), 0.0) / m_reg
+    for key, term, lam in (("hbb_offsets", "head_hbb", l4), ("obb_offsets", "head_obb", l5)):
+        d = predictions[key][cpos] - targets[key][cpos]
+        g = lam * smooth_l1_grad(d)
+        comps[term], div = _image_means(cpos, g, smooth_l1(d))
+        grads[key] = RowGrad(cpos, g / div, lam * d.dtype.type(0.0))
 
-    do = predictions["obb_offsets"] - targets["obb_offsets"]
-    comps["head_obb"] = float(smooth_l1(do[cpos]).sum()) / m_reg
-    grads["obb_offsets"] = l5 * np.where(cpos[:, None], smooth_l1_grad(do), 0.0) / m_reg
+    # comps holds rpn_cls, rpn_reg, head_cls, head_hbb, head_obb in that order
+    totals = [l1 * a + l2 * b + l3 * c + l4 * d + l5 * e for a, b, c, d, e in zip(*comps.values())]
+    return totals, comps, grads
 
-    total = (
-        l1 * comps["rpn_cls"]
-        + l2 * comps["rpn_reg"]
-        + l3 * comps["head_cls"]
-        + l4 * comps["head_hbb"]
-        + l5 * comps["head_obb"]
-    )
-    return total, comps, grads
+
+def _image_means(mask: np.ndarray, grad_rows: np.ndarray, loss_rows: np.ndarray):
+    """For a term whose rows are those `mask` [B, N] selects (image order):
+    each image's `float(sum of its loss rows) / count`, the count floored
+    at 1, and each gradient row's count shaped to divide `grad_rows`.
+
+    The counts take the gradient's dtype, as a Python int divisor does; an
+    int64 array would widen a float32 gradient to float64."""
+    counts = mask.sum(axis=1).tolist()
+    divisors = [max(c, 1) for c in counts]
+    means, lo = [], 0
+    for count, divisor in zip(counts, divisors):
+        means.append(float(loss_rows[lo : lo + count].sum()) / divisor)
+        lo += count
+    per_row = np.array(divisors, dtype=grad_rows.dtype).repeat(counts)
+    return means, per_row.reshape(-1, *(1,) * (grad_rows.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +726,13 @@ def top_order(scores: np.ndarray, k: int) -> np.ndarray:
     above it, which are a prefix of the full order."""
     neg = -scores
     if 0 < k < len(neg):
-        kth = np.partition(neg, k - 1)[k - 1]
+        part = neg.copy()
+        part.partition(k - 1)
+        kth = part[k - 1]
         if not np.isnan(kth):  # else fewer than k scores are not NaN
-            head = np.flatnonzero(neg <= kth)
-            return head[np.argsort(neg[head], kind="stable")][:k]
-    return np.argsort(neg, kind="stable")[:k]
+            head = (neg <= kth).nonzero()[0]
+            return head[neg[head].argsort(kind="stable")][:k]
+    return neg.argsort(kind="stable")[:k]
 
 
 def nms_indices(boxes, scores, iou_threshold: float, limit: int = None):

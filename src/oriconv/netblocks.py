@@ -326,8 +326,12 @@ class Sequential(Layer):
 
 def init_canonical_weights(size, in_planes, n_filters, n_rotations, rng):
     """Zero-mean init with the fan-in variance shrunk by the rotation count:
-    each canonical filter feeds n_rotations output channels, so its variance
-    carries an extra 1/n factor to keep activation scale flat in n."""
+    each canonical filter feeds n_rotations output channels, and its
+    variance carries an extra 1/n factor. That factor does not keep
+    activation scale flat in n: it shrinks the standard deviation by
+    n^-1/2, and the default detector's first-layer field RMS falls about
+    that fast (0.417 / 0.218 / 0.156 / 0.110 at n = 1 / 4 / 8 / 16, init
+    seed 0)."""
     fan_in = size * size * in_planes
     std = math.sqrt(1.0 / (fan_in * n_rotations))
     return rng.normal(0.0, std, size=(size, size, in_planes, n_filters))

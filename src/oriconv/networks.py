@@ -18,7 +18,9 @@ trained or saved: one detector graph per spec.
 The detector puts all prediction levels on one flat anchor axis: one [A, 4]
 anchor array, and `Detector._layout`, the one place that spells out the
 head's class-logit | HBB | OBB columns and the RPN's logit | offset columns.
-Matching, mining, the loss and decoding run once per image over all levels.
+Training matches, mines and scores every image of a batch in one pass over
+all levels (`detect.match_batch`, `detect.composite_loss_batch`), each image
+summed over its own rows; decoding runs once per image.
 """
 
 from __future__ import annotations
@@ -424,62 +426,64 @@ class Detector(Layer):
     def loss_and_grads(self, images: Tensor, gt_per_image, lambdas=(1.0,) * 5):
         """Forward + composite loss + full backward for one batch.
 
-        gt_per_image: list over images of (class_ids, [(HBox, OBox), ...]).
-        Per image, the head anchors of every level are matched, hard-mined
-        and scored as one set, and the RPN anchors, if there is an RPN, as
-        another. Gradients accumulate into the layers; returns (mean loss,
-        components).
+        gt_per_image: list over images of (class_ids, [(HBox, OBox), ...]),
+        one entry per image and class ids in 1..n_classes; other ground
+        truth raises ShapeError before the forward runs.
+
+        The whole batch is scored in one pass. The head anchors of every
+        level are matched as one set, and the RPN anchors, if there is an
+        RPN, as another: one `detect.match_batch` call each over every
+        image. Hard negatives are mined from one softmax over the batch, and
+        one `detect.composite_loss_batch` call scores every image, each from
+        its own counts and sums. Gradients accumulate into the layers;
+        returns (mean loss, components), the means over images of what
+        `detect.composite_loss` gives each image alone.
         """
         nb = images.shape[0]
+        if len(gt_per_image) != nb:
+            raise ShapeError(f"ground truth for {len(gt_per_image)} images in a batch of {nb}")
+        gt = detect.GroundTruth.from_images(gt_per_image, self.spec.n_classes)
         fwd = self.forward(images, training=True)
         rpn_raw = fwd["rpn_raw"]
-        head, cols = self._layout(fwd["head_raw"], rpn_raw)
-        # the gradients, written per image through the same column views
+        head, preds = self._layout(fwd["head_raw"], rpn_raw)
+        m = detect.match_batch(self.anchors, gt, stage="head")
+        tgts = {
+            "cls_labels": self._mine_negatives(preds["cls_logits"], m.labels),
+            "hbb_offsets": m.hbb_targets,
+            "obb_offsets": m.obb_targets,
+        }
+        if rpn_raw is not None:
+            rm = detect.match_batch(self.rpn_anchors, gt, stage="rpn")
+            tgts["rpn_labels"], tgts["rpn_offsets"] = rm.labels, rm.hbb_targets
+        losses, comps, grads = detect.composite_loss_batch(preds, tgts, lambdas)
+
+        # the gradients, written through the same column views
         g_rpn_raw = None if rpn_raw is None else np.zeros_like(rpn_raw)
         g_head, g_cols = self._layout([np.zeros_like(head)], g_rpn_raw)
-        total = 0.0
-        comp_sum = {}
-
-        for b in range(nb):
-            classes, boxes = gt_per_image[b]
-            gt_pairs = list(boxes)
-            m = detect.match_anchors(self.anchors, gt_pairs, classes, stage="head")
-            preds = {key: col[b] for key, col in cols.items()}
-            tgts = {
-                "cls_labels": self._mine_negatives(preds["cls_logits"], m.labels),
-                "hbb_offsets": m.hbb_targets,
-                "obb_offsets": m.obb_targets,
-            }
-            if rpn_raw is not None:
-                rm = detect.match_anchors(self.rpn_anchors, gt_pairs, classes, stage="rpn")
-                tgts["rpn_labels"], tgts["rpn_offsets"] = rm.labels, rm.hbb_targets
-            loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
-            total += loss
-            for key, v in comps.items():
-                comp_sum[key] = comp_sum.get(key, 0.0) + v
-
-            for key, g in g_cols.items():
-                g[b] = grads[key] / nb
-
+        for key, g in g_cols.items():
+            grads[key].write_scaled(g, nb)
         self._backward(g_head, g_rpn_raw)
-        comps = {key: v / nb for key, v in comp_sum.items()}
-        return total / nb, comps
+        return _sum_in_order(losses) / nb, {
+            key: _sum_in_order(v) / nb for key, v in comps.items()
+        }
 
     def _mine_negatives(self, cls_logits, cls_labels):
-        """Keep all positives and the hardest negatives at a fixed ratio; the
-        rest are ignored in the classification sum (deterministic order)."""
+        """Per image of [B, A, k+1] logits and [B, A] labels, keep all
+        positives and the hardest negatives at a fixed ratio; the rest are
+        ignored in the classification sum (deterministic order). One float64
+        softmax scores the batch; each image ranks its own negatives."""
         pos = cls_labels >= 1
         neg = cls_labels == 0
-        n_keep = max(self.HARD_NEGATIVE_RATIO * int(pos.sum()), 8)
-        if int(neg.sum()) <= n_keep:
+        n_keep = np.maximum(self.HARD_NEGATIVE_RATIO * pos.sum(axis=1), 8)
+        mined = (neg.sum(axis=1) > n_keep).nonzero()[0]
+        if not len(mined):
             return cls_labels
-        p = detect.softmax(cls_logits.astype(np.float64))
-        neg_loss = -np.log(p[:, 0] + 1e-12)
-        neg_idx = np.flatnonzero(neg)
-        hard = neg_idx[detect.top_order(neg_loss[neg_idx], n_keep)]
-        out = np.full_like(cls_labels, -1)
-        out[pos] = cls_labels[pos]
-        out[hard] = 0
+        neg_loss = detect.background_nll(cls_logits)
+        out = cls_labels.copy()
+        out[mined] = np.where(pos[mined], cls_labels[mined], -1)
+        for b in mined.tolist():
+            neg_idx = neg[b].nonzero()[0]
+            out[b, neg_idx[detect.top_order(neg_loss[b, neg_idx], int(n_keep[b]))]] = 0
         return out
 
     # -- inference ----------------------------------------------------------
@@ -516,7 +520,7 @@ class Detector(Layer):
         _, cols = self._layout(fwd["head_raw"])
         hbb_off = cols["hbb_offsets"][0]
         obb_off = cols["obb_offsets"][0]
-        probs = detect.softmax(cols["cls_logits"][0].astype(np.float64))
+        probs = detect.softmax(cols["cls_logits"][0], np.float64)
         score, cls = first_max(np.ascontiguousarray(probs[:, 1:].T), 0)
         sel = np.flatnonzero(score >= score_threshold)
         cap = 4 * max_per_image
@@ -553,6 +557,15 @@ class Detector(Layer):
                 detect.oboxes_from_rows(ob[kept], obb_off.dtype),
             )
         ]
+
+
+def _sum_in_order(values) -> float:
+    """0.0 + values[0] + values[1] + ..., left to right: `sum` of floats
+    rounds differently from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,8 @@ def object_record(o: SceneObject) -> dict:
 
 
 def object_from_record(rec: dict) -> SceneObject:
+    if rec["class"] not in CLASS_IDS:
+        raise ValueError(f"unknown class {rec['class']!r}, not one of {', '.join(CLASS_NAMES)}")
     hb = HBox(*rec["hbb"])
     ob = OBox(*rec["obb"])
     alpha = float(rec["alpha"])

@@ -352,6 +352,8 @@ LABEL_DEFECTS = {
     "numeric_file": _first_label(lambda r: json.dumps({**r, "file": 7})),
     "not_utf8": lambda data: (data / "labels.jsonl").write_bytes(b"\xff\xfe{}\n"),
     "object_without_box": _first_label(lambda r: json.dumps({**r, "objects": [{"class": 1}]})),
+    "unknown_class": _first_label(lambda r: json.dumps(
+        {**r, "objects": [{**r["objects"][0], "class": "bogus"}]})),
 }
 
 
@@ -464,6 +466,20 @@ def test_data_seed_wins_over_the_train_seed():
     a, b = (first_generated_image(seed, {"seed": 3}) for seed in (1, 2))
     assert np.array_equal(a, b)
     assert np.array_equal(a, first_generated_image(0, {"seed": 3}))
+
+
+@pytest.mark.parametrize("n_classes", [1, 2])
+def test_scene_classes_beyond_n_classes_exit_2(n_classes, tmp_path, capfd):
+    # generated scenes carry class ids 1..3
+    cfg = write_json(tmp_path / "cfg.json", {
+        "network": {"n_classes": n_classes},
+        "train": {"max_steps": 2, "batch_size": 2},
+        "data": {"count": 4},
+    })
+    code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    assert code == 2
+    assert err.startswith("error: image ")
+    assert f"is outside 1..{n_classes} (n_classes)" in err
 
 
 def test_diverging_training_exits_3(tmp_path, capfd):

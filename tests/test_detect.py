@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oriconv import detect, synthdata
 from oriconv.detect import (
     Detection,
+    GroundTruth,
     HBox,
     HEAD_POS_IOU,
     MatchResult,
@@ -17,18 +18,22 @@ from oriconv.detect import (
     _iou_matrix,
     anchor_boxes,
     assign_pyramid_level,
+    binary_ce_with_logits,
     composite_loss,
+    composite_loss_batch,
     decode_hbb_array,
     decode_obb_array,
     encode_boxes,
     iou_hbb,
     iou_obb,
     match_anchors,
+    match_batch,
     nms_indices,
     oboxes_from_rows,
     propose_rois,
     sigmoid,
     smooth_l1,
+    smooth_l1_grad,
     softmax,
     softmax_ce,
     top_order,
@@ -903,3 +908,233 @@ class TestDetectImageOracle:
                                        max_per_image=max_per_image)
             assert [detection_key(d) for d in got] == [detection_key(d) for d in want]
             assert len(got) == max_per_image
+
+
+# ---------------------------------------------------------------------------
+# the batched targets and loss against the per-image oracles
+
+
+def softmax_ce_oracle(logits, labels):
+    """The trailing-axis cross-entropy `softmax_ce` replaced."""
+    n = logits.shape[0]
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    loss = lse - logits[np.arange(n), labels]
+    e = np.exp(logits - zmax)
+    grad = e / e.sum(axis=-1, keepdims=True)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad
+
+
+def composite_loss_oracle(predictions, targets, lambdas=(1.0, 1.0, 1.0, 1.0, 1.0)):
+    """The per-image, dense `composite_loss` that `composite_loss_batch`
+    replaced, verbatim but for `softmax_ce_oracle`."""
+    l1, l2, l3, l4, l5 = lambdas
+    comps = {"rpn_cls": 0.0, "rpn_reg": 0.0}
+    grads = {}
+
+    if "rpn_labels" in targets:
+        rl = targets["rpn_labels"]
+        sampled = rl >= 0
+        n_cls = max(int(sampled.sum()), 1)
+        loss_b, grad_b = binary_ce_with_logits(
+            predictions["rpn_logits"], (rl == 1).astype(np.float64)
+        )
+        comps["rpn_cls"] = float(loss_b[sampled].sum()) / n_cls
+        gb = np.where(sampled, grad_b, 0.0) / n_cls
+        grads["rpn_logits"] = l1 * gb
+
+        pos = rl == 1
+        n_reg = max(int(pos.sum()), 1)
+        diff = predictions["rpn_offsets"] - targets["rpn_offsets"]
+        comps["rpn_reg"] = float(smooth_l1(diff[pos]).sum()) / n_reg
+        gr = np.where(pos[:, None], smooth_l1_grad(diff), 0.0) / n_reg
+        grads["rpn_offsets"] = l2 * gr
+
+    cl = targets["cls_labels"]
+    csampled = cl >= 0
+    m_cls = max(int(csampled.sum()), 1)
+    loss_c, grad_c = softmax_ce_oracle(predictions["cls_logits"], np.maximum(cl, 0))
+    comps["head_cls"] = float(loss_c[csampled].sum()) / m_cls
+    gc = np.where(csampled[:, None], grad_c, 0.0) / m_cls
+    grads["cls_logits"] = l3 * gc
+
+    cpos = cl >= 1
+    m_reg = max(int(cpos.sum()), 1)
+    dh = predictions["hbb_offsets"] - targets["hbb_offsets"]
+    comps["head_hbb"] = float(smooth_l1(dh[cpos]).sum()) / m_reg
+    grads["hbb_offsets"] = l4 * np.where(cpos[:, None], smooth_l1_grad(dh), 0.0) / m_reg
+
+    do = predictions["obb_offsets"] - targets["obb_offsets"]
+    comps["head_obb"] = float(smooth_l1(do[cpos]).sum()) / m_reg
+    grads["obb_offsets"] = l5 * np.where(cpos[:, None], smooth_l1_grad(do), 0.0) / m_reg
+
+    total = (
+        l1 * comps["rpn_cls"]
+        + l2 * comps["rpn_reg"]
+        + l3 * comps["head_cls"]
+        + l4 * comps["head_hbb"]
+        + l5 * comps["head_obb"]
+    )
+    return total, comps, grads
+
+
+def _loss_batch(nb, dtype):
+    """Predictions in `dtype` and float64 targets for nb >= 3 images; image 0
+    samples no proposal anchor and image 1 has no head positive."""
+    rng = np.random.default_rng(nb)
+    n, m, k1 = 9, 13, 4
+    preds = {
+        "rpn_logits": rng.normal(size=(nb, n)) * 3,
+        "rpn_offsets": rng.normal(size=(nb, n, 4)) * 2,
+        "cls_logits": rng.normal(size=(nb, m, k1)) * 3,
+        "hbb_offsets": rng.normal(size=(nb, m, 4)) * 2,
+        "obb_offsets": rng.normal(size=(nb, m, 5)) * 2,
+    }
+    preds = {key: v.astype(dtype) for key, v in preds.items()}
+    tgts = {
+        "rpn_labels": rng.integers(-1, 2, size=(nb, n)),
+        "rpn_offsets": rng.normal(size=(nb, n, 4)),
+        "cls_labels": rng.integers(-1, k1, size=(nb, m)),
+        "hbb_offsets": rng.normal(size=(nb, m, 4)),
+        "obb_offsets": rng.normal(size=(nb, m, 5)),
+    }
+    tgts["rpn_labels"][0] = -1
+    tgts["cls_labels"][1] = np.minimum(tgts["cls_labels"][1], 0)
+    return preds, tgts
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("lambdas", [
+        (1.0, 1.0, 1.0, 1.0, 1.0), (0.5, 2.0, 0.0, 1.5, 3.0), (-1.0, -0.0, -0.5, 2.0, -2.0),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    def test_composite_loss_batch_matches_per_image_oracle(self, lambdas, dtype):
+        nb = 4
+        preds, tgts = _loss_batch(nb, dtype)
+        totals, comps, grads = composite_loss_batch(preds, tgts, lambdas)
+        for b in range(nb):
+            want_total, want_comps, want_grads = composite_loss_oracle(
+                {key: v[b] for key, v in preds.items()},
+                {key: v[b] for key, v in tgts.items()},
+                lambdas,
+            )
+            assert repr(totals[b]) == repr(want_total)
+            assert {key: repr(v[b]) for key, v in comps.items()} == {
+                key: repr(v) for key, v in want_comps.items()
+            }
+            assert sorted(grads) == sorted(want_grads)
+            for key, g in grads.items():
+                dense = g.dense()
+                assert dense.dtype == want_grads[key].dtype, key
+                assert dense[b].tobytes() == want_grads[key].tobytes(), (b, key)
+
+    @pytest.mark.parametrize("lambdas", [(1.0,) * 5, (-1.0, -0.0, 1.0, 1.0, 1.0)])
+    def test_write_scaled_is_the_dense_gradient_over_the_scale(self, lambdas):
+        preds, tgts = _loss_batch(3, np.float32)
+        _, _, grads = composite_loss_batch(preds, tgts, lambdas)
+        for key, g in grads.items():
+            want = np.zeros(g.mask.shape + g.rows.shape[1:], dtype=np.float32)
+            want[...] = g.dense() / 3
+            got = np.zeros_like(want)
+            g.write_scaled(got, 3)
+            assert got.tobytes() == want.tobytes(), key
+
+    def test_single_image_loss_is_the_batch_of_one(self):
+        preds, tgts = _loss_batch(3, np.float32)
+        total, comps, grads = composite_loss(
+            {key: v[2] for key, v in preds.items()}, {key: v[2] for key, v in tgts.items()}
+        )
+        totals, batch_comps, batch_grads = composite_loss_batch(
+            {key: v[2:] for key, v in preds.items()}, {key: v[2:] for key, v in tgts.items()}
+        )
+        assert repr(total) == repr(totals[0])
+        assert comps == {key: v[0] for key, v in batch_comps.items()}
+        for key, g in grads.items():
+            assert g.tobytes() == batch_grads[key].dense()[0].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("k1", [1, 3, 7, 8, 9])
+    def test_softmax_rows_are_the_trailing_axis_bytes(self, k1, dtype):
+        z = _logit_rows(k1, dtype)
+        kept = z.copy()
+        zmax, e, s = detect._softmax_rows(z)
+        want_e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert np.moveaxis(e, 0, -1).tobytes() == want_e.tobytes()
+        assert s.tobytes() == want_e.sum(axis=-1).tobytes()
+        assert softmax(z).tobytes() == (want_e / want_e.sum(axis=-1, keepdims=True)).tobytes()
+        # a row that is already contiguous in class-major order is not written
+        softmax(z[0])
+        softmax(z[:1])
+        assert z.tobytes() == kept.tobytes()
+        labels = np.arange(len(z)) % k1
+        loss, grad = softmax_ce(z, labels)
+        want_loss, want_grad = softmax_ce_oracle(z, labels)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def _shared_rpn_anchor_boxes(anchors):
+    """Two boxes whose best anchor is the same one: an anchor's own box and
+    a copy shifted by a pixel."""
+    a = anchors[len(anchors) // 2 + 4]
+    boxes = [HBox(*a), HBox(a[0] + 1, a[1], a[2] + 1, a[3])]
+    best = _iou_matrix(anchors, np.stack([b.as_array() for b in boxes])).argmax(axis=0)
+    assert best[0] == best[1]
+    return boxes
+
+
+class TestBatchedMatching:
+    @pytest.mark.parametrize("stage", ["head", "rpn"])
+    @pytest.mark.parametrize("mode", ["pairs", "hboxes", "mixed"])
+    def test_match_batch_matches_per_image_oracle(self, stage, mode):
+        anchors = np.concatenate(MATCH_LEVELS) if stage == "head" else MATCH_LEVELS[-1]
+        spec = synthdata.SceneSpec(seed=3, image_size=64, min_objects=1, max_objects=4)
+        scenes = [synthdata.generate_scene(spec, i) for i in range(5)]
+        gts = [([o.class_id for o in s.objects], _ground_truth(s, mode)) for s in scenes]
+        gts.insert(1, ([], []))  # an image without boxes, not the last
+        gts.append(([1, 2], _shared_rpn_anchor_boxes(MATCH_LEVELS[-1])))
+        got = match_batch(anchors, GroundTruth.from_images(gts), stage)
+        for b, (classes, boxes) in enumerate(gts):
+            want = match_anchors_oracle(anchors, boxes, classes, stage=stage)
+            for name in ("labels", "hbb_targets", "obb_targets", "matched_gt"):
+                a, w = getattr(got, name)[b], getattr(want, name)
+                assert a.dtype == w.dtype and a.shape == w.shape, name
+                assert a.tobytes() == w.tobytes(), (b, name)
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_iou_of_boxes_touching_at_minus_zero_is_positive_zero(self, n):
+        # min(-0.0, 1.0) - max(-1.0, 0.0) is -0.0: no overlap, +0.0 as iou_hbb
+        a, b = HBox(-1.0, 0.0, -0.0, 1.0), HBox(0.0, 0.0, 1.0, 1.0)
+        rows_a, rows_b = np.stack([a.as_array()] * n), np.stack([b.as_array()] * n)
+        want = np.full((n, n), iou_hbb(a, b))
+        assert _iou_matrix(rows_a, rows_b).tobytes() == want.tobytes()
+        assert _iou_matrix(rows_b, rows_a).tobytes() == want.tobytes()
+
+    def test_last_box_takes_a_shared_rpn_anchor(self):
+        anchors = MATCH_LEVELS[-1]
+        boxes = _shared_rpn_anchor_boxes(anchors)
+        m = match_anchors(anchors, boxes, stage="rpn")
+        best = int(_iou_matrix(anchors, boxes[0].as_array()[None]).argmax())
+        assert m.labels[best] == 1 and m.matched_gt[best] == 1
+
+    @pytest.mark.parametrize("stage", ["head", "rpn"])
+    def test_a_batch_without_boxes_gets_the_empty_image_labels(self, stage):
+        anchors = MATCH_LEVELS[-1]
+        m = match_batch(anchors, GroundTruth.from_images([([], []), (None, [])]), stage)
+        want = match_anchors_oracle(anchors, [], stage=stage)
+        assert m.labels.shape == (2, len(anchors))
+        for b in range(2):
+            assert m.labels[b].tobytes() == want.labels.tobytes()
+            assert m.hbb_targets[b].tobytes() == want.hbb_targets.tobytes()
+
+    @pytest.mark.parametrize("gts, message", [
+        ([([1, 2], [HBox(0, 0, 4, 4)])], "image 0 of the batch: 2 class ids for 1 boxes"),
+        ([([], []), ([1], [])], "image 1 of the batch: 1 class ids for 0 boxes"),
+        ([([2], [HBox(0, 0, 4, 4)]), ([0], [HBox(0, 0, 4, 4)])],
+         r"image 1 of the batch: class id 0 is outside 1\.\.3"),
+        ([([4, 1], [HBox(0, 0, 4, 4)] * 2)], r"image 0 of the batch: class id 4 is outside 1\.\.3"),
+    ])
+    def test_ground_truth_rejects_what_the_loss_cannot_read(self, gts, message):
+        with pytest.raises(ShapeError, match=message):
+            GroundTruth.from_images(gts, n_classes=3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oriconv import detect, synthdata
+from oriconv.errors import ShapeError
 from oriconv.networks import Detector, NetworkSpec
 
 
@@ -57,7 +58,7 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
         hbb_t = np.concatenate(hbb_t)
         obb_t = np.concatenate(obb_t)
 
-        cls_labels = net._mine_negatives(cls_logits, cls_labels)
+        cls_labels = net._mine_negatives(cls_logits[None], cls_labels[None])[0]
 
         preds = {
             "cls_logits": cls_logits,
@@ -183,6 +184,64 @@ def test_loss_and_grads_match_per_level_oracle(case):
     for name in want:
         assert got[name].dtype == want[name].dtype, name
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _b4_batch(net):
+    """Four float32 images and their ground truth: 1, 0, 3 and 2 objects,
+    so the batch pads to three boxes per image and its box-free image is
+    not the last; the last image's two boxes share their best RPN anchor."""
+    spec = synthdata.SceneSpec(seed=5, image_size=64, min_objects=1, max_objects=3)
+    scenes = [synthdata.generate_scene(spec, i) for i in range(40)]
+    by_count = {len(s.objects): s for s in reversed(scenes)}
+    picked = [by_count[1], scenes[0], by_count[3], by_count[2]]
+    gts = [
+        ([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
+        for s in picked
+    ]
+    gts[1] = ([], [])
+    a = net.rpn_anchors[len(net.rpn_anchors) // 2 + 4]
+    hbs = [detect.HBox(*a), detect.HBox(a[0] + 1, a[1], a[2] + 1, a[3])]
+    best = detect._iou_matrix(net.rpn_anchors, np.stack([h.as_array() for h in hbs]))
+    assert best.argmax(axis=0).tolist() == [best[:, 0].argmax()] * 2
+    gts[3] = ([1, 2], [(h, detect.OBox(*h.center, h.width, h.height, 20.0)) for h in hbs])
+    return np.stack([s.image for s in picked]).astype(np.float32), gts
+
+
+def test_batch_of_four_matches_per_image_oracle():
+    got_net, want_net = (
+        Detector(NetworkSpec(), rng=np.random.default_rng(0), dtype=np.float32)
+        for _ in range(2)
+    )
+    images, gts = _b4_batch(got_net)
+    got_loss, got_comps = got_net.loss_and_grads(images, gts)
+    want_loss, want_comps = loss_and_grads_oracle(want_net, images, gts)
+    assert repr(got_loss) == repr(want_loss)
+    assert {k: repr(v) for k, v in got_comps.items()} == {
+        k: repr(v) for k, v in want_comps.items()
+    }
+    got, want = got_net.grads(), want_net.grads()
+    assert sorted(got) == sorted(want)
+    # the head and RPN gradients are written from float64 terms
+    assert {"head0/w", "head1/w", "rpn/w"} <= set(got)
+    for name in want:
+        assert got[name].dtype == np.float32, name
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("gts, message", [
+    ([([1], [0])], "ground truth for 1 images in a batch of 2"),
+    ([([1], [0]), ([0], [0])], r"image 1 of the batch: class id 0 is outside 1\.\.3"),
+    ([([4], [0]), ([1], [0])], r"image 0 of the batch: class id 4 is outside 1\.\.3"),
+    ([([1], [0, 0]), ([1], [0])], "image 0 of the batch: 1 class ids for 2 boxes"),
+])
+def test_ground_truth_the_loss_cannot_read_raises_before_the_forward(gts, message):
+    net = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+    images, real = _batch(2, np.float32)
+    box = real[0][1][0]
+    gts = [(classes, [box for _ in boxes]) for classes, boxes in gts]
+    with pytest.raises(ShapeError, match=message):
+        net.loss_and_grads(images, gts)
+    assert all(not g.any() for g in net.grads().values())
 
 
 # ---------------------------------------------------------------------------
