@@ -6,7 +6,9 @@ basis (`steerbasis`) whose composed filters `rconv` resamples like free ones,
 and the detector blocks built on them (`netblocks`, `networks`).
 Verification primitives (finite-difference gradient checks, exact
 quarter-turn covariance) live in `tensor` and `trainer`; evaluation in
-`metrics`; deterministic synthetic data in `synthdata`.
+`metrics`; deterministic synthetic data in `synthdata`. The package reads
+no clock, so every file it writes is a function of its inputs; timing is the
+`perfbench/` harness's job.
 """
 
 from .errors import ConfigError, NumericalError, OriconvError, ShapeError
@@ -33,17 +35,11 @@ from .detect import (
     HBox,
     OBox,
     anchor_boxes,
-    composite_loss,
     iou_hbb,
     iou_obb,
-    match_anchors,
     nms_indices,
 )
-from .metrics import (
-    EvalResult,
-    mean_average_precision,
-    throughput,
-)
+from .metrics import EvalResult, mean_average_precision
 from .synthdata import SceneSpec, Sample, augment, generate_orientation_patches, generate_scene
 from .networks import Detector, NetworkSpec, OrientationEstimator
 from .trainer import TrainConfig, train, verify_equivariance

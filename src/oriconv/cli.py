@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, eval, verify, bench, dump-features. Config is a
+Subcommands: gen-data, train, eval, verify, dump-features. Config is a
 JSON file with three sections. "network" (a `NetworkSpec`) alone says what is
 trained: the task (detection by default), rotation count and input shape.
 "train" (a `TrainConfig`) says how. "data" holds `count` and the `SceneSpec`
@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -181,14 +180,12 @@ def cmd_eval(args) -> int:
     if net.spec.task != "detection":
         raise ConfigError("eval requires a detection run directory")
     data = load_dataset(args.data)
-    t0 = time.perf_counter()
     per_dets = [
         net.detect_image(s.image, score_threshold=args.score_threshold, nms_iou=args.nms_iou)
         for s in data
     ]
-    dt = time.perf_counter() - t0
     per_gts = [[(o.class_id, (o.hbox, o.obox)) for o in s.objects] for s in data]
-    result, pr_rows = metrics.evaluate(per_dets, per_gts, len(data) / max(dt, 1e-9))
+    result, pr_rows = metrics.evaluate(per_dets, per_gts)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.json"), "w") as fh:
         fh.write(result.to_json())
@@ -205,35 +202,10 @@ def cmd_verify(args) -> int:
     ns = NetworkSpec(task="orientation", n_rotations=args.rotations)
     rows, sweep = verify_equivariance(
         ns, args.angles, args.out, rotation_counts=args.sweep,
-        image_size=args.image_size, seed=args.seed or 0,
+        image_size=args.image_size, seed=args.seed,
     )
     exact = all(r[2] for r in rows) if args.rotations % 4 == 0 else None
     print(f"wrote equivariance report to {args.out}; exact-90 pass: {exact}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    scene = SceneSpec(seed=args.seed or 0, image_size=args.size)
-    images = [generate_scene(scene, i).image for i in range(args.count)]
-    rows = []
-    for n_rot in args.sweep:
-        ns = NetworkSpec(
-            task="orientation", n_rotations=n_rot, input_size=args.size,
-            backbone=(
-                {"size": 5, "filters": 4, "pool": 2},
-                {"size": 3, "filters": 4, "pool": 2},
-            ), head_window=4,
-        )
-        net = build_network(ns, 0)
-        ips = metrics.throughput(lambda im: net.forward(im[None], training=False), images, warmup=1)
-        rows.append((n_rot, ips))
-        print(f"rotations={n_rot}: {ips:.2f} images/s")
-    with open(os.path.join(args.out, "throughput.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("n_rotations", "images_per_second"))
-        for r in rows:
-            w.writerow((r[0], repr(r[1])))
     return 0
 
 
@@ -281,6 +253,18 @@ def _unit_interval(text: str) -> float:
         value = float("nan")
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of a random seed: a whole number >= 0, as
+    `np.random.default_rng` takes it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 0, got {text!r}")
     return value
 
 
@@ -354,17 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--angles", type=_finite_numbers, default="0,90,180,270")
     v.add_argument("--sweep", type=_counts, default="1,2,4,8,17,24")
     v.add_argument("--image-size", type=int, default=64)
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--out", required=True)
     v.set_defaults(fn=cmd_verify)
-
-    b = sub.add_parser("bench", help="throughput table over rotation counts")
-    b.add_argument("--out", required=True)
-    b.add_argument("--count", type=int, default=8)
-    b.add_argument("--size", type=int, default=64)
-    b.add_argument("--sweep", type=_counts, default="1,2,4,8")
-    b.add_argument("--seed", type=int)
-    b.set_defaults(fn=cmd_bench)
 
     d = sub.add_parser("dump-features", help="write per-level magnitude/angle maps")
     d.add_argument("--run", required=True)

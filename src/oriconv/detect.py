@@ -38,8 +38,7 @@ Training targets and the loss take a whole batch at once. `GroundTruth`
 puts every image's boxes on one flat axis, `match_batch` matches them all
 against one anchor set, and `composite_loss_batch` scores [B, ...] arrays,
 each image from its own counts and sums, returning each gradient as the
-rows its term reads (`RowGrad`). `match_anchors` and `composite_loss` are
-these at a batch of one.
+rows its term reads (`RowGrad`). One image is a batch of one.
 """
 
 from __future__ import annotations
@@ -417,13 +416,6 @@ class GroundTruth:
         )
 
 
-def match_anchors(anchors: np.ndarray, gt_boxes, gt_classes=None, stage="rpn") -> MatchResult:
-    """Assign labels and regression targets to [N,4] anchor boxes for one
-    image: `match_batch` of a batch of one."""
-    m = match_batch(anchors, GroundTruth.from_images([(gt_classes, gt_boxes)]), stage)
-    return MatchResult(m.labels[0], m.hbb_targets[0], m.obb_targets[0], m.matched_gt[0])
-
-
 def match_batch(anchors: np.ndarray, gt: GroundTruth, stage="rpn") -> MatchResult:
     """Assign labels and regression targets to [N,4] anchor boxes in each of
     the B images of `gt`; the result's arrays are [B, N], [B, N, 4] and
@@ -593,36 +585,6 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray):
     return loss, _class_last(e)
 
 
-def composite_loss(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0, 1.0)):
-    """Two-stage detection loss of one image: proposal term plus head term.
-
-    total = l1/N_cls * sum BCE(p, p*)        over sampled proposal anchors
-          + l2/N_reg * sum p* smoothL1(t-t*) over positive proposal anchors
-          + l3/N*_cls * sum CE(c, c*)        over sampled head anchors
-          + l4/N*_reg * sum [c*>=1] smoothL1(h-h*)
-          + l5/N*_reg * sum [c*>=1] smoothL1(o-o*)
-
-    predictions: rpn_logits [N], rpn_offsets [N,4], cls_logits [M,K+1],
-    hbb_offsets [M,4], obb_offsets [M,5]. targets mirror the offset keys and
-    add rpn_labels [N] (1/0/-1 ignore) and cls_labels [M] (0 = background,
-    -1 ignore). Regression terms are 0 (not NaN) when there are no positives.
-    Without `rpn_labels` (a detector with no RPN) the proposal keys are not
-    read, `rpn_cls` and `rpn_reg` are reported as 0.0 and no proposal
-    gradients are returned. Returns (total, components, grads):
-    `composite_loss_batch` of a batch of one.
-    """
-    totals, comps, grads = composite_loss_batch(
-        {key: v[None] for key, v in predictions.items()},
-        {key: v[None] for key, v in targets.items()},
-        lambdas,
-    )
-    return (
-        totals[0],
-        {key: v[0] for key, v in comps.items()},
-        {key: g.dense()[0] for key, g in grads.items()},
-    )
-
-
 @dataclass
 class RowGrad:
     """A [B, N, ...] loss gradient kept as the rows a term reads: `rows`
@@ -648,13 +610,27 @@ class RowGrad:
 
 
 def composite_loss_batch(predictions: dict, targets: dict, lambdas=(1.0, 1.0, 1.0, 1.0, 1.0)):
-    """`composite_loss` of B images at once: every array gains a leading
-    image axis ([B, N], [B, M, K+1], ...).
+    """Two-stage detection loss of each of B images: proposal term plus head
+    term.
+
+    total = l1/N_cls * sum BCE(p, p*)        over sampled proposal anchors
+          + l2/N_reg * sum p* smoothL1(t-t*) over positive proposal anchors
+          + l3/N*_cls * sum CE(c, c*)        over sampled head anchors
+          + l4/N*_reg * sum [c*>=1] smoothL1(h-h*)
+          + l5/N*_reg * sum [c*>=1] smoothL1(o-o*)
+
+    predictions: rpn_logits [B, N], rpn_offsets [B, N, 4], cls_logits
+    [B, M, K+1], hbb_offsets [B, M, 4], obb_offsets [B, M, 5]. targets
+    mirror the offset keys and add rpn_labels [B, N] (1/0/-1 ignore) and
+    cls_labels [B, M] (0 = background, -1 ignore). Regression terms are 0
+    (not NaN) when an image has no positives. Without `rpn_labels` (a
+    detector with no RPN) the proposal keys are not read, `rpn_cls` and
+    `rpn_reg` are reported as 0.0 and no proposal gradients are returned.
 
     Each term runs once over the batch, on the rows its sum reads: the
     sampled anchors for the BCE and the CE, the positives for each smooth
     L1. The counts and the sums of selected rows stay each image's own, so
-    every image gets the bytes `composite_loss` would give it alone.
+    an image's loss does not depend on the rest of the batch.
     Returns (totals, components, grads): a list of B totals, each term's
     list of B values, and a `RowGrad` per prediction key.
     """

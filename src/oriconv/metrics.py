@@ -1,6 +1,5 @@
 """Detection evaluation: classwise average precision over an image set
-(`mean_average_precision`), the whole `oriconv eval` report (`evaluate`) and
-throughput.
+(`mean_average_precision`) and the whole `oriconv eval` report (`evaluate`).
 
 One greedy matcher, `_match`, serves every score: detections in descending
 score order (ties in input order) meet only the objects of their own image,
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -45,7 +43,6 @@ class EvalResult:
     loc_error_rate: float
     bg_confusion_rate: float
     mean_angular_error: float
-    images_per_second: float
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -169,7 +166,7 @@ def _false_positives(detections, ground_truth, match):
     return counts, gaps_x, gaps_y
 
 
-def evaluate(per_image_detections, per_image_gt, images_per_second):
+def evaluate(per_image_detections, per_image_gt):
     """Score an image set at HBB IoU 0.5 (see the module docstring).
 
     `per_image_gt` holds `(class, (HBox, OBox))` pairs per image. Returns
@@ -219,24 +216,6 @@ def evaluate(per_image_detections, per_image_gt, images_per_second):
         loc_error_rate=counts["localization"] / max(n_fp, 1),
         bg_confusion_rate=counts["background"] / max(n_fp, 1),
         mean_angular_error=angle_error,
-        images_per_second=images_per_second,
     )
     return result, pr_rows
 
-
-def throughput(model_fn, images, warmup: int = 1) -> float:
-    """Wall-clock images/second of `model_fn` over `images`, after discarding
-    `warmup` untimed iterations."""
-    if warmup < 1:
-        raise ShapeError("warmup must be >= 1")
-    if len(images) == 0:
-        raise ShapeError("cannot measure throughput of zero images")
-    for i in range(min(warmup, len(images))):
-        model_fn(images[i])
-    t0 = time.perf_counter()
-    for img in images:
-        model_fn(img)
-    dt = time.perf_counter() - t0
-    if dt <= 0:
-        raise ShapeError("timer resolution too coarse for this measurement")
-    return len(images) / dt

@@ -321,9 +321,9 @@ class Detector(Layer):
         output [B, H, W, a*5] on their anchor axes.
 
         Returns the [B, A, k+10] head array and views of the columns keyed
-        as `detect.composite_loss` keys them: class logits (k+1), HBB offsets
-        (4) and OBB offsets (5) of the head; logits (1) and offsets (4) of
-        the RPN. A part whose output is None is left out (None, no views).
+        as `detect.composite_loss_batch` keys them: class logits (k+1), HBB
+        offsets (4) and OBB offsets (5) of the head; logits (1) and offsets
+        (4) of the RPN. A part whose output is None is left out (None, no views).
         Writing into a view writes the head array or the RPN output.
         """
         k = self.spec.n_classes
@@ -436,8 +436,8 @@ class Detector(Layer):
         image. Hard negatives are mined from one softmax over the batch, and
         one `detect.composite_loss_batch` call scores every image, each from
         its own counts and sums. Gradients accumulate into the layers;
-        returns (mean loss, components), the means over images of what
-        `detect.composite_loss` gives each image alone.
+        returns (mean loss, components), the means over images of each
+        image's own total and terms.
         """
         nb = images.shape[0]
         if len(gt_per_image) != nb:

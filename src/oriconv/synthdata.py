@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -58,6 +59,22 @@ class SceneSpec:
                 raise ShapeError(f"unknown class {c!r}")
         if self.channels not in (1, 3):
             raise ShapeError("channels must be 1 or 3")
+        for name in ("angle_range", "background", "foreground"):
+            lo_hi = getattr(self, name)
+            if not (isinstance(lo_hi, (tuple, list)) and len(lo_hi) == 2
+                    and all(map(_finite, lo_hi)) and lo_hi[0] <= lo_hi[1]):
+                raise ShapeError(f"{name} must be two finite numbers, low first, got {lo_hi!r}")
+        if not (_finite(self.min_size) and _finite(self.max_size)
+                and self.min_size <= self.max_size):
+            raise ShapeError(
+                f"min_size and max_size must be finite with min_size <= max_size, "
+                f"got {self.min_size!r} and {self.max_size!r}"
+            )
+
+
+def _finite(value) -> bool:
+    """A real number (not a bool) that is neither infinite nor NaN."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -394,7 +411,10 @@ def object_from_record(rec: dict) -> SceneObject:
 
 def write_dataset(out_dir: str, spec: SceneSpec, count: int) -> None:
     """Write `count` scenes: images/ plus labels.jsonl (one record per image)
-    and meta.json echoing the generating spec."""
+    and meta.json echoing the generating spec. ShapeError, before anything is
+    written, when `count` is negative."""
+    if count < 0:
+        raise ShapeError(f"scene count must be >= 0, got {count}")
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
     records = []

@@ -130,6 +130,7 @@ CONFIG_CASES = {
                                       "train": {"max_steps": 1}}),
     "negative_max_steps": json.dumps({"network": {"task": "detection"},
                                       "train": {"max_steps": -3}}),
+    "negative_seed": json.dumps({"network": {"task": "detection"}, "train": {"seed": -1}}),
     # not a spec key: the attention merge always concatenates
     "attention_mode_product": json.dumps({"network": {"task": "detection",
                                                       "attention_mode": "product"}}),
@@ -218,14 +219,52 @@ def test_usage_errors_exit_2(tmp_path, capfd):
     assert run(capfd, "frobnicate")[0] == 2
     assert run(capfd, "train", "--config", tmp_path / "missing.json", "--out", tmp_path)[0] == 2
     assert run(capfd, "verify", "--rotations", "0", "--out", tmp_path / "v")[0] == 2
-    assert run(capfd, "bench", "--sweep", "0", "--count", "1", "--out", tmp_path / "b")[0] == 2
+    assert run(capfd, "gen-data", "--count", "-3", "--out", tmp_path / "g")[0] == 2
+    # np.random.default_rng takes only seeds >= 0; gen-data keys its Philox
+    # streams through a mask and takes any whole number
+    cfg = write_json(tmp_path / "cfg.json", {"train": {"max_steps": 1}, "data": {"count": 2}})
+    assert run(capfd, "train", "--config", cfg, "--seed", "-1", "--out", tmp_path / "t")[0] == 2
+    assert run(capfd, "verify", "--seed", "-1", "--out", tmp_path / "v")[0] == 2
+    assert run(capfd, "verify", "--seed", "x", "--out", tmp_path / "v")[0] == 2
     # list flags are parsed before any work starts
     for argv in (["verify", "--angles", "x"], ["verify", "--angles", "nan"],
                  ["verify", "--angles", "0,inf"], ["verify", "--sweep", "4,x"],
-                 ["bench", "--sweep", "x"], ["bench", "--sweep", ""]):
+                 ["verify", "--sweep", "0"], ["verify", "--sweep", ""]):
         code, err = run(capfd, *argv, "--out", tmp_path / "v")
         assert code == 2 and "must be a comma list" in err
-    assert not (tmp_path / "v").exists()
+    for out in ("g", "t", "v"):
+        assert not (tmp_path / out).exists()
+
+
+SCENE_RANGES = {
+    "reversed_angles": {"angle_range": [10.0, 5.0]},
+    "nan_angle": {"angle_range": [float("nan"), 5.0]},
+    "reversed_sizes": {"min_size": 30.0, "max_size": 12.0},
+    "infinite_size": {"max_size": float("inf")},
+    "reversed_foreground": {"foreground": [0.9, 0.7]},
+    "reversed_background": {"background": [0.45, 0.15]},
+    "three_numbers": {"background": [0.1, 0.2, 0.3]},
+}
+# gen-data sets only the angle range
+SCENE_RANGE_RUNS = [("train", case) for case in sorted(SCENE_RANGES)] + [
+    ("gen-data", "nan_angle"), ("gen-data", "reversed_angles"),
+]
+
+
+@pytest.mark.parametrize("command, case", SCENE_RANGE_RUNS)
+def test_bad_scene_range_exits_2(command, case, tmp_path, capfd):
+    data = SCENE_RANGES[case]
+    if command == "gen-data":
+        lo, hi = data["angle_range"]
+        argv = ["gen-data", "--angle-min", lo, "--angle-max", hi]
+    else:
+        cfg = write_json(tmp_path / "cfg.json", {"train": {"max_steps": 1},
+                                                 "data": {"count": 2, **data}})
+        argv = ["train", "--config", cfg]
+    code, err = run(capfd, *argv, "--out", tmp_path / "out")
+    assert code == 2
+    assert err.startswith("error: ") and "finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def read_csv(path):
@@ -248,6 +287,25 @@ def test_verify_report(tmp_path, capfd):
              for r in read_csv(tmp_path / "sweep.csv")}
     assert set(sweep) == {1, 8}
     assert sweep[1] == 45.0
+
+
+def written_files(root):
+    """{relative path: bytes} of every file under `root`."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_eval_and_verify_write_the_same_bytes_twice(detection_run, tmp_path, capfd):
+    # the reports hold no clock reading, so a second run rewrites every byte
+    data, run_dir = detection_run
+    for command in (
+        ["eval", "--run", run_dir, "--data", data, "--score-threshold", "0.0"],
+        ["verify", "--sweep", "1,8", "--image-size", "32"],
+    ):
+        first, second = tmp_path / f"{command[0]}1", tmp_path / f"{command[0]}2"
+        assert run(capfd, *command, "--out", first)[0] == 0
+        assert run(capfd, *command, "--out", second)[0] == 0
+        files = written_files(first)
+        assert files and files == written_files(second)
 
 
 @pytest.mark.parametrize("config_text", [None, "{not json"])

@@ -19,14 +19,12 @@ from oriconv.detect import (
     anchor_boxes,
     assign_pyramid_level,
     binary_ce_with_logits,
-    composite_loss,
     composite_loss_batch,
     decode_hbb_array,
     decode_obb_array,
     encode_boxes,
     iou_hbb,
     iou_obb,
-    match_anchors,
     match_batch,
     nms_indices,
     oboxes_from_rows,
@@ -386,6 +384,11 @@ class TestEncoding:
         assert np.abs(t).max() < 1e-12
 
 
+def one_image(boxes, classes=None) -> GroundTruth:
+    """The ground truth of a batch of one image."""
+    return GroundTruth.from_images([(classes, boxes)])
+
+
 class TestMatching:
     def make_anchors(self):
         return anchor_boxes((4, 4), 16, scales=[20.0], ratios=[1.0])
@@ -393,14 +396,14 @@ class TestMatching:
     def test_identical_anchor_positive_zero_target(self):
         an = self.make_anchors()
         gt = HBox(*an[5])
-        m = match_anchors(an, [gt], stage="rpn")
-        assert m.labels[5] == 1
-        assert np.abs(m.hbb_targets[5]).max() < 1e-12
+        m = match_batch(an, one_image([gt]), stage="rpn")
+        assert m.labels[0, 5] == 1
+        assert np.abs(m.hbb_targets[0, 5]).max() < 1e-12
 
     def test_disjoint_all_negative(self):
         an = self.make_anchors()
         gt = HBox(1000, 1000, 1020, 1020)
-        m = match_anchors(an, [gt], stage="rpn")
+        m = match_batch(an, one_image([gt]), stage="rpn")
         # the forced best-anchor rule does not apply at IoU 0
         assert (m.labels <= 0).all()
 
@@ -410,23 +413,23 @@ class TestMatching:
         base = an[5]
         w = base[2] - base[0]
         gt = HBox(base[0] + 0.25 * w, base[1], base[2] + 0.25 * w, base[3])
-        m = match_anchors(an, [gt], stage="rpn")
+        labels = match_batch(an, one_image([gt]), stage="rpn").labels[0]
         # anchor 5 is the best match for this gt, so the forced rule marks it
         # positive; a second overlapping gt-free anchor at 0.6 stays ignored
-        assert m.labels[5] == 1
+        assert labels[5] == 1
         others = [i for i in range(len(an)) if i != 5]
-        assert set(np.unique(m.labels[others])) <= {0, -1}
+        assert set(np.unique(labels[others])) <= {0, -1}
 
     def test_head_stage_takes_class(self):
         an = self.make_anchors()
         gt = HBox(*an[3])
-        m = match_anchors(an, [gt], [2], stage="head")
-        assert m.labels[3] == 2
-        assert (m.labels[m.labels >= 0] >= 0).all()
+        labels = match_batch(an, one_image([gt], [2]), stage="head").labels[0]
+        assert labels[3] == 2
+        assert (labels[labels >= 0] >= 0).all()
 
     def test_no_ground_truth_all_negative(self):
         an = self.make_anchors()
-        m = match_anchors(an, [], stage="rpn")
+        m = match_batch(an, one_image([]), stage="rpn")
         assert (m.labels == 0).all()
 
     def test_obb_target_fifth_offset(self):
@@ -434,39 +437,41 @@ class TestMatching:
         hb = HBox(*an[0])
         ob = OBox(0.5 * (hb.xmin + hb.xmax), 0.5 * (hb.ymin + hb.ymax),
                   hb.width, hb.height, 30.0)
-        m = match_anchors(an, [(hb, ob)], stage="rpn")
-        assert m.obb_targets[0][4] == pytest.approx(30.0 / 90.0)
+        m = match_batch(an, one_image([(hb, ob)]), stage="rpn")
+        assert m.obb_targets[0, 0, 4] == pytest.approx(30.0 / 90.0)
 
 
 class TestCompositeLoss:
+    """The loss of one image: `composite_loss_batch` on a batch of one."""
+
     def perfect_case(self):
         n, m, k = 6, 8, 3
-        rpn_labels = np.array([1, 0, 0, 1, 0, 0])
+        rpn_labels = np.array([[1, 0, 0, 1, 0, 0]])
         preds = {
             "rpn_logits": np.where(rpn_labels == 1, 30.0, -30.0).astype(np.float64),
-            "rpn_offsets": np.zeros((n, 4)),
-            "cls_logits": np.zeros((m, k + 1)),
-            "hbb_offsets": np.zeros((m, 4)),
-            "obb_offsets": np.zeros((m, 5)),
+            "rpn_offsets": np.zeros((1, n, 4)),
+            "cls_logits": np.zeros((1, m, k + 1)),
+            "hbb_offsets": np.zeros((1, m, 4)),
+            "obb_offsets": np.zeros((1, m, 5)),
         }
-        cls_labels = np.array([1, 0, 0, 2, 0, 0, 3, 0])
-        logits = np.full((m, k + 1), -30.0)
-        logits[np.arange(m), cls_labels] = 30.0
+        cls_labels = np.array([[1, 0, 0, 2, 0, 0, 3, 0]])
+        logits = np.full((1, m, k + 1), -30.0)
+        logits[0, np.arange(m), cls_labels[0]] = 30.0
         preds["cls_logits"] = logits
         tgts = {
             "rpn_labels": rpn_labels,
-            "rpn_offsets": np.zeros((n, 4)),
+            "rpn_offsets": np.zeros((1, n, 4)),
             "cls_labels": cls_labels,
-            "hbb_offsets": np.zeros((m, 4)),
-            "obb_offsets": np.zeros((m, 5)),
+            "hbb_offsets": np.zeros((1, m, 4)),
+            "obb_offsets": np.zeros((1, m, 5)),
         }
         return preds, tgts
 
     def test_zero_on_exact_predictions(self):
         preds, tgts = self.perfect_case()
-        total, comps, _ = composite_loss(preds, tgts)
-        assert total < 1e-6
-        assert all(v >= 0 for v in comps.values())
+        totals, comps, _ = composite_loss_batch(preds, tgts)
+        assert totals[0] < 1e-6
+        assert all(v[0] >= 0 for v in comps.values())
 
     def test_smooth_l1_values(self):
         assert smooth_l1(np.array([0.5]))[0] == pytest.approx(0.125)
@@ -474,57 +479,57 @@ class TestCompositeLoss:
 
     def test_background_only_image(self):
         preds, tgts = self.perfect_case()
-        tgts["rpn_labels"] = np.zeros(6, dtype=np.int64)
-        tgts["cls_labels"] = np.zeros(8, dtype=np.int64)
-        preds["rpn_offsets"] = np.ones((6, 4))  # must not contribute
-        preds["hbb_offsets"] = np.ones((8, 4))
-        total, comps, _ = composite_loss(preds, tgts)
-        assert comps["rpn_reg"] == 0.0
-        assert comps["head_hbb"] == 0.0
-        assert comps["head_obb"] == 0.0
-        assert np.isfinite(total)
+        tgts["rpn_labels"] = np.zeros((1, 6), dtype=np.int64)
+        tgts["cls_labels"] = np.zeros((1, 8), dtype=np.int64)
+        preds["rpn_offsets"] = np.ones((1, 6, 4))  # must not contribute
+        preds["hbb_offsets"] = np.ones((1, 8, 4))
+        totals, comps, _ = composite_loss_batch(preds, tgts)
+        assert comps["rpn_reg"] == [0.0]
+        assert comps["head_hbb"] == [0.0]
+        assert comps["head_obb"] == [0.0]
+        assert np.isfinite(totals[0])
 
     def test_lambda_toggles(self):
         preds, tgts = self.perfect_case()
-        preds["hbb_offsets"] = np.ones((8, 4))  # nonzero regression error
-        total_on, comps_on, _ = composite_loss(preds, tgts, (1, 1, 1, 1, 1))
-        total_off, comps_off, _ = composite_loss(preds, tgts, (1, 1, 1, 0, 1))
-        assert comps_on["head_hbb"] > 0
-        assert total_on - total_off == pytest.approx(comps_on["head_hbb"])
+        preds["hbb_offsets"] = np.ones((1, 8, 4))  # nonzero regression error
+        totals_on, comps_on, _ = composite_loss_batch(preds, tgts, (1, 1, 1, 1, 1))
+        totals_off, _, _ = composite_loss_batch(preds, tgts, (1, 1, 1, 0, 1))
+        assert comps_on["head_hbb"][0] > 0
+        assert totals_on[0] - totals_off[0] == pytest.approx(comps_on["head_hbb"][0])
 
     def test_gradients_match_finite_differences(self, rng):
         from oriconv.tensor import finite_diff_check
 
         n, m, k = 5, 6, 2
         preds = {
-            "rpn_logits": rng.normal(size=n),
-            "rpn_offsets": rng.normal(size=(n, 4)),
-            "cls_logits": rng.normal(size=(m, k + 1)),
-            "hbb_offsets": rng.normal(size=(m, 4)),
-            "obb_offsets": rng.normal(size=(m, 5)),
+            "rpn_logits": rng.normal(size=(1, n)),
+            "rpn_offsets": rng.normal(size=(1, n, 4)),
+            "cls_logits": rng.normal(size=(1, m, k + 1)),
+            "hbb_offsets": rng.normal(size=(1, m, 4)),
+            "obb_offsets": rng.normal(size=(1, m, 5)),
         }
         tgts = {
-            "rpn_labels": np.array([1, 0, -1, 1, 0]),
-            "rpn_offsets": rng.normal(size=(n, 4)),
-            "cls_labels": np.array([1, 0, 2, -1, 0, 1]),
-            "hbb_offsets": rng.normal(size=(m, 4)),
-            "obb_offsets": rng.normal(size=(m, 5)),
+            "rpn_labels": np.array([[1, 0, -1, 1, 0]]),
+            "rpn_offsets": rng.normal(size=(1, n, 4)),
+            "cls_labels": np.array([[1, 0, 2, -1, 0, 1]]),
+            "hbb_offsets": rng.normal(size=(1, m, 4)),
+            "obb_offsets": rng.normal(size=(1, m, 5)),
         }
-        _, _, grads = composite_loss(preds, tgts)
+        _, _, grads = composite_loss_batch(preds, tgts)
         for key in preds:
             def loss(p, key=key):
                 q = dict(preds)
                 q[key] = p
-                return composite_loss(q, tgts)[0]
+                return composite_loss_batch(q, tgts)[0][0]
 
-            err = finite_diff_check(loss, preds[key].copy(), grads[key], step=1e-5)
+            err = finite_diff_check(loss, preds[key].copy(), grads[key].dense(), step=1e-5)
             assert err < 1e-4, key
 
     def test_loss_nonnegative(self, rng):
         preds, tgts = self.perfect_case()
         preds = {k: v + rng.normal(size=v.shape) for k, v in preds.items()}
-        total, _, _ = composite_loss(preds, tgts)
-        assert total >= 0
+        totals, _, _ = composite_loss_batch(preds, tgts)
+        assert totals[0] >= 0
 
 
 def _logit_rows(k1, dtype):
@@ -746,7 +751,7 @@ class TestCodecMatchesOracle:
 
     @pytest.mark.parametrize("stage", ["head", "rpn"])
     @pytest.mark.parametrize("mode", ["pairs", "hboxes", "mixed"])
-    def test_match_anchors_matches_per_positive_oracle(self, stage, mode):
+    def test_single_image_match_matches_per_positive_oracle(self, stage, mode):
         spec = synthdata.SceneSpec(seed=3, image_size=64, min_objects=1, max_objects=4)
         anchors = np.concatenate(MATCH_LEVELS) if stage == "head" else MATCH_LEVELS[-1]
         for i in range(12):
@@ -754,10 +759,10 @@ class TestCodecMatchesOracle:
             for sample in (scene, synthdata.augment(scene, {"hflip": True})):
                 gt = _ground_truth(sample, mode)
                 classes = [o.class_id for o in sample.objects]
-                got = match_anchors(anchors, gt, classes, stage=stage)
+                got = match_batch(anchors, one_image(gt, classes), stage=stage)
                 want = match_anchors_oracle(anchors, gt, classes, stage=stage)
                 for name in ("labels", "hbb_targets", "obb_targets", "matched_gt"):
-                    a, b = getattr(got, name), getattr(want, name)
+                    a, b = getattr(got, name)[0], getattr(want, name)
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert a.tobytes() == b.tobytes(), (i, name)
 
@@ -1040,19 +1045,6 @@ class TestBatchedLoss:
             g.write_scaled(got, 3)
             assert got.tobytes() == want.tobytes(), key
 
-    def test_single_image_loss_is_the_batch_of_one(self):
-        preds, tgts = _loss_batch(3, np.float32)
-        total, comps, grads = composite_loss(
-            {key: v[2] for key, v in preds.items()}, {key: v[2] for key, v in tgts.items()}
-        )
-        totals, batch_comps, batch_grads = composite_loss_batch(
-            {key: v[2:] for key, v in preds.items()}, {key: v[2:] for key, v in tgts.items()}
-        )
-        assert repr(total) == repr(totals[0])
-        assert comps == {key: v[0] for key, v in batch_comps.items()}
-        for key, g in grads.items():
-            assert g.tobytes() == batch_grads[key].dense()[0].tobytes()
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=lambda d: d.__name__)
     @pytest.mark.parametrize("k1", [1, 3, 7, 8, 9])
     def test_softmax_rows_are_the_trailing_axis_bytes(self, k1, dtype):
@@ -1114,9 +1106,9 @@ class TestBatchedMatching:
     def test_last_box_takes_a_shared_rpn_anchor(self):
         anchors = MATCH_LEVELS[-1]
         boxes = _shared_rpn_anchor_boxes(anchors)
-        m = match_anchors(anchors, boxes, stage="rpn")
+        m = match_batch(anchors, one_image(boxes), stage="rpn")
         best = int(_iou_matrix(anchors, boxes[0].as_array()[None]).argmax())
-        assert m.labels[best] == 1 and m.matched_gt[best] == 1
+        assert m.labels[0, best] == 1 and m.matched_gt[0, best] == 1
 
     @pytest.mark.parametrize("stage", ["head", "rpn"])
     def test_a_batch_without_boxes_gets_the_empty_image_labels(self, stage):

@@ -9,13 +9,17 @@ from oriconv import detect, synthdata
 from oriconv.errors import ShapeError
 from oriconv.networks import Detector, NetworkSpec
 
+from test_detect import composite_loss_oracle, match_anchors_oracle
+
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-level `loss_and_grads` and `_backward` that the flat anchor
 # axis replaced, kept verbatim except that `self` is the network argument and
 # each level's anchors are cut from the flat array, and the RPN lines are
 # guarded on the network having an RPN: a detector built with use_rpn=False
-# has none, so it neither matches RPN anchors nor adds RPN loss terms.
+# has none, so it neither matches RPN anchors nor adds RPN loss terms. Each
+# image is matched and scored by `test_detect`'s per-image oracles, which
+# `TestBatchedMatching` and `TestBatchedLoss` pin to the batch cores.
 
 
 def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
@@ -45,7 +49,7 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
             cls_logits.append(raw[:, : k + 1])
             hbb_off.append(raw[:, k + 1 : k + 5])
             obb_off.append(raw[:, k + 5 :])
-            m = detect.match_anchors(level_anchors[i], gt_pairs, classes, stage="head")
+            m = match_anchors_oracle(level_anchors[i], gt_pairs, classes, stage="head")
             labels = m.labels.copy()
             splits.append((raw.shape[0], m))
             cls_labels.append(labels)
@@ -71,11 +75,11 @@ def loss_and_grads_oracle(net, images, gt_per_image, lambdas=(1.0,) * 5):
             "obb_offsets": obb_t,
         }
         if has_rpn:
-            rm = detect.match_anchors(net.rpn_anchors, gt_pairs, classes, stage="rpn")
+            rm = match_anchors_oracle(net.rpn_anchors, gt_pairs, classes, stage="rpn")
             rpn_flat = fwd["rpn_raw"][b].reshape(-1, 5)
             preds.update(rpn_logits=rpn_flat[:, 0], rpn_offsets=rpn_flat[:, 1:5])
             tgts.update(rpn_labels=rm.labels, rpn_offsets=rm.hbb_targets)
-        loss, comps, grads = detect.composite_loss(preds, tgts, lambdas)
+        loss, comps, grads = composite_loss_oracle(preds, tgts, lambdas)
         total += loss
         for key, v in comps.items():
             comp_sum[key] = comp_sum.get(key, 0.0) + v

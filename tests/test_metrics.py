@@ -1,5 +1,4 @@
 import math
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from oriconv.metrics import (
     _class_curves,
     evaluate,
     mean_average_precision,
-    throughput,
 )
 
 
@@ -25,7 +23,7 @@ def image_ap(detections, ground_truth):
 
 def evaluate_image(detections, ground_truth):
     """`evaluate` on one image whose ground truth is all of class 0."""
-    result, _ = evaluate([detections], [[(0, g) for g in ground_truth]], 1.0)
+    result, _ = evaluate([detections], [[(0, g) for g in ground_truth]])
     return result
 
 
@@ -141,7 +139,7 @@ class TestErrorTaxonomy:
     def test_perfect_detections_no_errors(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
-        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]], 1.0)
+        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]])
         assert [row[2] for row in pr_rows[0]] == [1.0]  # no false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
         assert result.loc_error_mean == (0.0, 0.0)
@@ -152,7 +150,7 @@ class TestErrorTaxonomy:
             Detection(0, 0.9, HBox(0, 0, 10, 10)),
             Detection(0, 0.8, HBox(0.5, 0, 10.5, 10)),  # IoU ~ 0.9, duplicate
         ]
-        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]], 1.0)
+        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]])
         assert [row[2] for row in pr_rows[0]] == [1.0, 0.5]  # one false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
 
@@ -178,12 +176,12 @@ class TestErrorTaxonomy:
         gt = (0, HBox(0, 0, 10, 10))
         tp = Detection(0, 0.9, HBox(0, 0, 10, 10))
         far = Detection(0, 0.8, HBox(50, 50, 60, 60))
-        result, _ = evaluate([[tp], [far]], [[gt], []], 1.0)
+        result, _ = evaluate([[tp], [far]], [[gt], []])
         assert result.bg_confusion_rate == 1.0
         with pytest.raises(ShapeError, match="2 detection lists for 1 ground-truth"):
-            evaluate([[tp], [far]], [[gt]], 1.0)
+            evaluate([[tp], [far]], [[gt]])
         with pytest.raises(ShapeError):
-            evaluate([[tp]], [[gt], []], 1.0)
+            evaluate([[tp]], [[gt], []])
 
     def test_gap_normalized_by_diagonal(self):
         gt = [HBox(0, 0, 8, 6)]  # diagonal 10
@@ -225,44 +223,6 @@ class TestOrientedGroundTruth:
         _, m = mean_average_precision(dets, [[(0, square_pair(5.0, 0.0))]], [0],
                                               oriented=True)
         assert m == 1.0
-
-
-class TestThroughput:
-    def test_rate_calculation(self):
-        calls = []
-
-        def fn(img):
-            calls.append(img)
-            time.sleep(0.002)
-
-        rate = throughput(fn, list(range(10)), warmup=1)
-        assert 10 < rate < 500
-
-    def test_zero_images_rejected(self):
-        with pytest.raises(ShapeError):
-            throughput(lambda x: x, [], warmup=1)
-
-    def test_warmup_required(self):
-        with pytest.raises(ShapeError):
-            throughput(lambda x: x, [1], warmup=0)
-
-    def test_time_grows_with_rotations(self, rng):
-        # asserted on the work that sets the time, not on a wall clock: 4x
-        # the sampled rotations expand to 4x the filters and convolve to 4x
-        # the output channels
-        from oriconv.rconv import CanonicalFilterBank, expand_rotations
-
-        from conftest import rconv_planes
-
-        img = rng.normal(size=(32, 32, 1)).astype(np.float32)
-        w = rng.normal(size=(5, 5, 1, 4)).astype(np.float32)
-        widths, channels = [], []
-        for n in (2, 8):
-            bank = CanonicalFilterBank(w.copy(), n)
-            widths.append(expand_rotations(bank).shape[-1])
-            channels.append(rconv_planes(img, bank).shape[0])
-        assert widths[1] == 4 * widths[0]
-        assert channels[1] == 4 * channels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -524,20 +484,19 @@ class TestOracleIdentity:
                     )
                     assert repr(ap) == repr(want)
                 if not oriented:
-                    result, _ = evaluate([dets], [gts], 1.0)
+                    result, _ = evaluate([dets], [gts])
                     want = _oracle_taxonomy_sum([dets], [gts])
                     assert repr({key: getattr(result, key) for key in want}) == repr(want)
 
     def test_evaluate(self):
         for per_dets, per_gts in self.sets():
-            result, pr_rows = evaluate(per_dets, per_gts, 12.5)
+            result, pr_rows = evaluate(per_dets, per_gts)
             classes = sorted({c for gts in per_gts for c, _ in gts})
             per_class, map50 = _oracle_mean_average_precision(per_dets, per_gts, classes)
             want = EvalResult(
                 per_class_ap=per_class,
                 map50=map50,
                 mean_angular_error=_mean_obb_angle_error(per_dets, per_gts),
-                images_per_second=12.5,
                 **_oracle_taxonomy_sum(per_dets, per_gts),
             )
             assert result.to_json() == want.to_json()

@@ -440,7 +440,7 @@ class TestOrientationHead:
         def angle_error(pred, true):
             gt = OBox(50.0, 50.0, 10.0, 10.0, true)
             det = Detection(0, 0.9, obox=OBox(50.0, 50.0, 10.0, 10.0, pred))
-            return evaluate([[det]], [[(0, (gt.hull(), gt))]], 1.0)[0].mean_angular_error
+            return evaluate([[det]], [[(0, (gt.hull(), gt))]])[0].mean_angular_error
 
         assert angle_error(123.0, 123.0) == 0.0 and angle_error(22.5, 67.5) == 45.0
 

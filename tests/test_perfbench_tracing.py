@@ -25,4 +25,6 @@ def test_tracer_absent_names_pinned():
         "oriconv.detect.nms",
         "oriconv.detect.decode_hbb",
         "oriconv.detect.decode_obb",
+        "oriconv.detect.match_anchors",
+        "oriconv.detect.composite_loss",
     ]

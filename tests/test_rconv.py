@@ -262,6 +262,20 @@ class TestForward:
         with pytest.raises(ShapeError):
             rconv_planes(rng.normal(size=(5, 5, 3)), bank)
 
+    def test_four_times_the_rotations_give_four_times_the_filters_and_planes(self, rng):
+        # asserted on the work that sets the time, not on a wall clock: 4x
+        # the sampled rotations expand to 4x the filters and convolve to 4x
+        # the output channels
+        img = rng.normal(size=(32, 32, 1)).astype(np.float32)
+        w = rng.normal(size=(5, 5, 1, 4)).astype(np.float32)
+        widths, channels = [], []
+        for n in (2, 8):
+            bank = CanonicalFilterBank(w.copy(), n)
+            widths.append(expand_rotations(bank).shape[-1])
+            channels.append(rconv_planes(img, bank).shape[0])
+        assert widths[1] == 4 * widths[0]
+        assert channels[1] == 4 * channels[0]
+
 
 class TestBackward:
     def test_zero_upstream(self, rng):
