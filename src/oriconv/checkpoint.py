@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 MAGIC = b"ORIC"
 VERSION = 1
@@ -29,8 +29,17 @@ def config_hash(config: dict) -> int:
     return zlib.crc32(json.dumps(config, sort_keys=True).encode())
 
 
-def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    data = np.ascontiguousarray(arr, dtype="<f4")
+def _float32(name: str, arr: np.ndarray) -> np.ndarray:
+    """`arr` as the little-endian float32 the file holds; NumericalError if a
+    value is not finite there (a NaN, or one that overflows the cast)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(data).all():
+        raise NumericalError(f"tensor {name!r} holds non-finite values as float32")
+    return data
+
+
+def _write_tensor(fh, name: str, data: np.ndarray) -> None:
     nb = name.encode()
     fh.write(struct.pack("<I", len(nb)))
     fh.write(nb)
@@ -41,18 +50,21 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(path: str, tensors: dict, step: int, config: dict) -> None:
-    """Write named float arrays plus step and config-hash metadata."""
+    """Write named float arrays plus step and config-hash metadata. A tensor
+    that is not finite in float32 raises NumericalError before the file is
+    opened."""
     h = config_hash(config)
     full = dict(tensors)
     full["meta/step"] = np.array([float(step)], dtype=np.float32)
     full["meta/config_hash_lo"] = np.array([float(h & 0xFFFF)], dtype=np.float32)
     full["meta/config_hash_hi"] = np.array([float(h >> 16)], dtype=np.float32)
+    data = {name: _float32(name, full[name]) for name in sorted(full)}
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(full)))
-        for name in sorted(full):
-            _write_tensor(fh, name, full[name])
+        fh.write(struct.pack("<I", len(data)))
+        for name, arr in data.items():
+            _write_tensor(fh, name, arr)
 
 
 def _read(fh, n: int, path: str) -> bytes:

@@ -221,11 +221,11 @@ def cmd_dump_features(args) -> int:
             stacks.append((f"level{i}", x[0]))
     else:
         stacks = [("trunk", net.trunk.forward(img[None], False)[0])]
-    from .fieldops import split_stack
+    from .fieldops import field_magnitudes, split_stack
 
     for name, stack in stacks:
         p, q = split_stack(stack)
-        rho = np.hypot(p, q)
+        rho = field_magnitudes(stack)
         theta = np.where(rho > 0, np.arctan2(q, p), 0.0)
         for c in range(rho.shape[2]):
             np.savetxt(

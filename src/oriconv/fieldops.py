@@ -4,11 +4,13 @@ An RConv output holds, per canonical filter, one activation map per sampled
 rotation. Orientation pooling (`orientation_pool_stack`) collapses those
 rotation channels at every pixel into a single 2D vector whose magnitude is
 the strongest (ReLU-gated) activation and whose angle is that rotation's
-angle. It reads the responses as `tensor.conv2d` writes them, pixel planes
-[..., C*n, H, W], and keeps the winning rotations and the ReLU gate in that
+angle. It reads the responses as `tensor.conv2d` writes them against
+`rconv.expand_rotations`, rotation-major pixel planes [..., n*C, H, W]
+(plane r*C + c), and keeps the winning rotations and the ReLU gate in
 plane layout, [..., C, H, W]; from those two `orientation_pool_backward`
 gives its adjoint without the pre-pool responses, channel-last like every
-other gradient. The pool writes its (p, q) products plane-first, into
+other gradient and filter-major (channel c*n + r; `netblocks.RConvLayer`
+says why the backward keeps that order). The pool writes its (p, q) products plane-first, into
 contiguous [..., C, 2, H*W] planes, and moves them channel-last with one
 transposing copy; both directions read the (cos, sin) angle tables cast
 once per dtype and cached read-only. Fields exist only as stacks: C fields
@@ -16,11 +18,15 @@ are one [..., H, W, 2C] array with plane 2c holding the horizontal (p) and
 plane 2c+1 the vertical (q) component of field c, the interleaved layout
 the vector-field RConv consumes. Leading axes are a batch; every pooling op treats each image as it
 would on its own.
-`split_stack` views the p and q planes; `np.hypot` and `np.arctan2` of them
-are the magnitudes and angles.
+`split_stack` views the p and q planes; `field_magnitudes` of a stack (the
+bytes of `np.hypot`) and `np.arctan2` of its planes are the magnitudes and
+angles.
 
 Both pools find their winners, argmax's first maximum, with one
-max-reduction and one rank pass (`tensor.first_max`).
+max-reduction and one rank pass (`tensor.first_max`) down a leading axis:
+the rotation blocks of the planes, and the w*w window positions of the
+vector-field pool's window-major magnitudes. That pool moves each (p, q)
+pair as one complex value.
 
 Also here: vector-field max pooling and the magnitude-only batch
 normalization that rescales vectors by the standard deviation of their
@@ -62,13 +68,14 @@ def rotate_stack_90(stack: Tensor, k: int = 1) -> Tensor:
 
 
 def orientation_pool_stack(y: Tensor, n_rotations: int):
-    """Pool the rotation planes of [..., C*n, H, W] (`tensor.conv2d`'s
-    output; plane c*n + r is filter c at rotation r) into a field stack
-    [..., H, W, 2C].
+    """Pool the rotation planes of [..., n*C, H, W] (`tensor.conv2d`'s
+    output against `rconv.expand_rotations`; plane r*C + c is filter c at
+    rotation r) into a field stack [..., H, W, 2C].
 
     Per pixel and filter: r* = argmax over rotations (ties -> smallest r,
-    NaN wins as in argmax), taken by `first_max` down the rotation axis of
-    the [..., C, n, H*W] view, whose rows are contiguous pixels; magnitude =
+    NaN wins as in argmax), taken by `first_max` down the leading rotation
+    axis of the [..., n, C, H*W] view, each of whose n blocks is C
+    contiguous pixel planes; magnitude =
     ReLU of that activation, angle = 2*pi*r*/n. The (p, q) products go to
     contiguous [..., C, 2, H*W] planes, moved channel-last into the C-ordered
     stack with one transposing copy. Returns
@@ -83,8 +90,8 @@ def orientation_pool_stack(y: Tensor, n_rotations: int):
         )
     *lead, cn, h, w = y.shape
     c = cn // n_rotations
-    y4 = y.reshape(*lead, c, n_rotations, h * w)
-    rho, winners = first_max(y4, -2)
+    y4 = y.reshape(*lead, n_rotations, c, h * w)
+    rho, winners = first_max(y4, -3)
     # rho can differ from y[r*] only in the sign of a zero, which the ReLU drops
     gated = np.maximum(rho, 0)
     # p and q planes first, each product written to a contiguous H*W run;
@@ -105,7 +112,8 @@ def orientation_pool_backward(
     ([..., C, H, W] planes) instead of the pre-pool responses: all gradient
     flows to the winning rotation channel, gated, along the fixed (cos, sin)
     direction. Returns the channel-last, filter-major [..., H, W, C*n]
-    pre-pool gradient in the upstream's dtype, the upstream layout of
+    pre-pool gradient (channel c*n + r, not the forward's r*C + c) in the
+    upstream's dtype, which `RConvLayer.backward` hands to
     `tensor.conv2d_backward`."""
     cos_t, sin_t = angle_table(n_rotations, upstream_stack.dtype)
     up_p, up_q = split_stack(upstream_stack)
@@ -118,27 +126,67 @@ def orientation_pool_backward(
 
 @functools.lru_cache(maxsize=64)
 def _window_base(shape, w: int):
-    """Shape-only part of `_window_index`, read-only: the flat index into a
-    C-ordered [..., H, W, 2C] stack of each pooled field's p component at
-    its window's origin, and the offset of window position k = a*w + b
-    (row-major) from that origin."""
+    """Shape-only part of `_window_index`, read-only: the flat index into
+    the (p, q) pairs [..., H, W, C] of a C-ordered [..., H, W, 2C] stack of
+    each pooled field at its window's origin, and the offset of window
+    position k = a*w + b (row-major) from that origin."""
     *lead, h, wd, c2 = shape
+    c = c2 // 2
     ho, wo = -(-h // w), -(-wd // w)
     k = np.arange(w * w)
-    offset = (k // w * wd + k % w) * c2
-    origin = (np.arange(ho)[:, None] * (w * wd) + np.arange(wo) * w)[..., None] * c2
-    image = np.arange(math.prod(lead)).reshape(*lead, 1, 1, 1) * (h * wd * c2)
-    base = image + (origin + np.arange(0, c2, 2))
+    offset = (k // w * wd + k % w) * c
+    origin = (np.arange(ho)[:, None] * (w * wd) + np.arange(wo) * w)[..., None] * c
+    image = np.arange(math.prod(lead)).reshape(*lead, 1, 1, 1) * (h * wd * c)
+    base = image + (origin + np.arange(c))
     for a in (base, offset):
         a.flags.writeable = False
     return base, offset
 
 
 def _window_index(shape, w: int, winners: Tensor) -> Tensor:
-    """Flat index into a C-ordered [..., H, W, 2C] stack of the p component
-    at each window's winner."""
+    """Flat index into the (p, q) pairs of a C-ordered [..., H, W, 2C]
+    stack of each window's winner."""
     base, offset = _window_base(tuple(shape), w)
     return base + offset.take(winners)
+
+
+def _pairs(stack: Tensor) -> Tensor:
+    """The (p, q) pairs of a field stack [..., 2C] as one complex value
+    each, [..., C]: a view of a C-ordered stack, so one index moves both
+    components, bit for bit."""
+    stack = np.ascontiguousarray(stack)
+    return stack.view(np.result_type(stack.dtype, np.complex64))
+
+
+def field_magnitudes(stack: Tensor) -> Tensor:
+    """Vector lengths of a field stack [..., 2C] (interleaved (p, q) pairs,
+    any strides), C-ordered [..., C], with the bytes of `np.hypot(p, q)`.
+
+    In float32 that is float32(sqrt(float64(p)**2 + float64(q)**2)), the
+    formula of glibc's `hypotf` since glibc 2.35 (on which numpy's float32
+    `hypot` rests): the squares are exact in float64, and their sum, the
+    root and the cast round once each. p and q are cast apart: one cast of
+    the whole stack is faster but holds half as much again in float64
+    temporaries. Where the formula gives NaN (an infinite component beside
+    a NaN one, which `hypot` makes infinite) `np.hypot` recomputes the
+    value, so inf and NaN come out as `np.hypot`'s. Other dtypes are
+    `np.hypot` itself."""
+    p, q = split_stack(stack)
+    if stack.dtype != np.float32:
+        return np.hypot(p, q, order="C")
+    acc = p.astype(np.float64, order="C")
+    np.multiply(acc, acc, out=acc)
+    sq = q.astype(np.float64, order="C")
+    np.multiply(sq, sq, out=sq)
+    np.add(acc, sq, out=acc)
+    np.sqrt(acc, out=acc)
+    # a length beyond float32's range becomes inf, as hypotf returns it
+    with np.errstate(over="ignore"):
+        rho = acc.astype(np.float32)
+    nan = np.isnan(rho)
+    if nan.any():
+        rho[nan] = np.hypot(p[nan], q[nan])
+    return rho
 
 
 def vf_max_pool(stack: Tensor, w: int):
@@ -146,34 +194,45 @@ def vf_max_pool(stack: Tensor, w: int):
     entire (p, q) vector at the window position of largest magnitude
     (row-major first on ties), never a componentwise mix; ragged-edge padding
     never wins, and a window holding a NaN magnitude pools its first NaN
-    vector. `first_max` over the w*w strided magnitude views, stacked on a
-    new leading axis, finds the winners. Returns (pooled_stack, winners
-    [..., H/w, W/w, C]), the winners of the smallest unsigned dtype holding
-    w*w-1."""
+    vector.
+
+    `field_magnitudes` reads one transposed view of the stack,
+    [w, w, ..., H/w, W/w, 2C], so the magnitudes land window-major,
+    [w*w, ..., H/w, W/w, C], and `first_max` takes the winners down that
+    leading axis. A ragged stack is zero-padded to whole windows first and
+    its padding's magnitudes set to -inf. The winning pairs are gathered
+    with one index over the stack's complex view (`_pairs`). Returns
+    (pooled_stack, winners [..., H/w, W/w, C]), the winners of the smallest
+    unsigned dtype holding w*w-1."""
     if w < 1:
         raise ShapeError(f"window must be >= 1, got {w}")
-    mag = np.hypot(*split_stack(stack))
-    *lead, h, wd, c = mag.shape
+    *lead, h, wd, c2 = stack.shape
+    ho, wo = -(-h // w), -(-wd // w)
+    src = stack
     if h % w or wd % w:
-        pad = [(0, 0)] * len(lead) + [(0, (-h) % w), (0, (-wd) % w), (0, 0)]
-        mag = np.pad(mag, pad, constant_values=-np.inf)
-    views = [mag[..., a::w, b::w, :] for a in range(w) for b in range(w)]
-    _, winners = first_max(np.stack(views), 0)
+        pad = [(0, 0)] * len(lead) + [(0, ho * w - h), (0, wo * w - wd), (0, 0)]
+        src = np.pad(stack, pad)
+    d = len(lead)
+    windows = src.reshape(*lead, ho, w, wo, w, c2).transpose(
+        d + 1, d + 3, *range(d), d, d + 2, d + 4
+    )
+    mag = field_magnitudes(windows)
+    if h % w:
+        mag[h - (ho - 1) * w :, :, ..., -1, :, :] = -np.inf
+    if wd % w:
+        mag[:, wd - (wo - 1) * w :, ..., -1, :] = -np.inf
+    _, winners = first_max(mag.reshape(w * w, *mag.shape[2:]), 0)
     index = _window_index(stack.shape, w, winners)
-    flat = stack.ravel()
-    pooled = np.empty(winners.shape[:-1] + (2 * c,), dtype=stack.dtype)
-    pooled[..., 0::2] = flat[index]
-    pooled[..., 1::2] = flat[index + 1]
-    return pooled, winners
+    pooled = _pairs(stack).reshape(-1)[index]
+    return pooled.view(stack.dtype), winners
 
 
 def vf_max_pool_backward(stack_shape, w: int, winners: Tensor, upstream: Tensor) -> Tensor:
-    """Adjoint of `vf_max_pool`: both components of a field go to its winner."""
+    """Adjoint of `vf_max_pool`: both components of a field go to its
+    winner, each pair scattered as one complex value."""
     index = _window_index(stack_shape, w, winners)
     grad = np.zeros(stack_shape, dtype=upstream.dtype)
-    flat = grad.reshape(-1)
-    flat[index] = upstream[..., 0::2]
-    flat[index + 1] = upstream[..., 1::2]
+    _pairs(grad).reshape(-1)[index] = _pairs(upstream)
     return grad
 
 
@@ -209,13 +268,14 @@ def field_batch_norm(batch: Tensor, state: VFBNState, training: bool):
     batch: [N, H, W, 2C]. In training mode the batch variance is used and the
     running estimate updated; in eval mode the running estimate is used and
     no magnitudes are computed, since only the training backward reads them.
-    Returns (normalized, cache) where cache feeds `field_batch_norm_backward`.
+    Both scale the stack in one multiply, by each channel's scale repeated
+    for its p and q planes. Returns (normalized, cache) where cache feeds
+    `field_batch_norm_backward`.
     """
     if batch.ndim != 4 or batch.shape[-1] % 2 != 0:
         raise ShapeError(f"expected [N,H,W,2C] field batch, got {batch.shape}")
-    p, q = split_stack(batch)
     if training:
-        rho = np.hypot(p, q)
+        rho = field_magnitudes(batch)
         var = _magnitude_variance(rho.astype(np.float64, copy=False))
         state.running_var = (
             state.momentum * state.running_var + (1.0 - state.momentum) * var
@@ -224,9 +284,7 @@ def field_batch_norm(batch: Tensor, state: VFBNState, training: bool):
         rho, var = None, state.running_var
     scale = 1.0 / np.sqrt(var + state.eps)
     scale = scale.astype(batch.dtype)
-    out = np.empty_like(batch)
-    out[..., 0::2] = p * scale
-    out[..., 1::2] = q * scale
+    out = batch * np.repeat(scale, 2)
     cache = (batch, rho, var, scale, training, state.eps)
     return out, cache
 
@@ -235,13 +293,11 @@ def field_batch_norm_backward(cache, upstream: Tensor) -> Tensor:
     """Adjoint of `field_batch_norm`; in training mode the gradient flows
     through the batch variance as well as the direct scaling."""
     batch, rho, var, scale, training, eps = cache
-    up_p, up_q = split_stack(upstream)
-    p, q = split_stack(batch)
-    grad = np.empty_like(batch)
-    grad[..., 0::2] = up_p * scale
-    grad[..., 1::2] = up_q * scale
+    grad = np.multiply(upstream, np.repeat(scale, 2), out=np.empty_like(batch))
     if not training:
         return grad
+    up_p, up_q = split_stack(upstream)
+    p, q = split_stack(batch)
 
     n = batch.shape[0] * batch.shape[1] * batch.shape[2]
     inv_rho = np.where(rho > 0, 1.0 / np.maximum(rho, 1e-30), 0.0)

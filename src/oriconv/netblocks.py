@@ -96,13 +96,14 @@ class RConvLayer(Layer):
     atoms (`steerbasis.build_basis`, held as `atoms`) and composes its bank
     from them on every forward; a free layer learns `bank.weights` itself.
     `forward` expands the canonical bank into its n rotated copies at most
-    once per batch (`rconv.expand_rotations`), then convolves the batch
-    against them into C*n rotation planes [N, C*n, H, W] (`tensor.conv2d`)
-    and pools those into C vector fields (`fieldops.orientation_pool_stack`),
+    once per batch (`rconv.expand_rotations`, rotation-major: channel
+    r*C + c), then convolves the batch against them into n*C rotation planes
+    [N, n*C, H, W] (`tensor.conv2d`) and pools those into C vector fields
+    (`fieldops.orientation_pool_stack`, down the leading rotation axis),
     handed on C-ordered and channel-last.
 
-    The layer keeps its last expanded filter, read-only, and reuses it while
-    `bank.weights` (after steerable composition and masking) has the same
+    The layer keeps one expanded filter, its last, read-only, and reuses it
+    while `bank.weights` (after steerable composition and masking) has the same
     bytes, dtype and shape it was expanded from. The key is the weights'
     content, not their identity, a version count or the `training` flag:
     `trainer.SGD.step`, checkpoint loading and direct edits all write the
@@ -119,6 +120,15 @@ class RConvLayer(Layer):
     (`fieldops.orientation_pool_backward`) and the convolution, then maps the
     per-image filter gradients onto the canonical weights with one call to
     `rconv.expand_rotations_backward` and adds the results in image order.
+    The backward runs filter-major (channel c*n + r) where bytes depend on
+    it: the input-gradient GEMM of `tensor.conv2d_backward` sums over output
+    channels, and permuting them changes its rounding (the forward GEMM's
+    rows and the filter-gradient GEMM's columns permute without changing a
+    byte). So the pool's adjoint writes a filter-major gradient, the
+    convolution's adjoints get a filter-major copy of the cached filter,
+    made per call and never kept, and the per-image filter gradients are
+    permuted back to rotation-major, one small copy, for
+    `expand_rotations_backward`.
     Every primitive treats each image as it would on its own, so outputs and
     gradients are bit-identical to `tensor.conv2d`,
     `fieldops.orientation_pool_stack` and their adjoints called image by
@@ -209,11 +219,16 @@ class RConvLayer(Layer):
                 "RConvLayer.backward needs a preceding forward(..., training=True)"
             )
         x, f, winners, gate = self._cache
-        gpre = fieldops.orientation_pool_backward(winners, gate, self.n_rotations, gy)
+        n = self.n_rotations
+        m, _, cin, cn = f.shape
+        # rotation-major [.., n, C] channels to filter-major [.., C, n]
+        f = f.reshape(m, m, cin, n, cn // n).swapaxes(-1, -2).reshape(f.shape)
+        gpre = fieldops.orientation_pool_backward(winners, gate, n, gy)
         if self.input_grad:
             gx, gf = conv2d_backward(x, f, gpre)
         else:
             gx, gf = None, conv2d_filter_grad(x, f, gpre)
+        gf = gf.reshape(*gf.shape[:-1], cn // n, n).swapaxes(-1, -2).reshape(gf.shape)
         for gw in rconv.expand_rotations_backward(self.bank, gf):
             if self.parametrization == "steerable":
                 self.g_mixing += steerbasis.compose_filters_backward(self.atoms, gw)

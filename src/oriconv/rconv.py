@@ -2,7 +2,10 @@
 
 A layer learns C canonical m-by-m filters and convolves the input against all
 of their rotated copies at angles 2*pi*r/n for r = 0..n-1, so the output has
-C*n channels laid out filter-major, rotation-minor (channel index c*n + r).
+n*C channels laid out rotation-major, filter-minor (channel index r*C + c):
+the orientation pool then reduces over a leading axis of whole C-plane
+blocks. `expand_rotations_backward` takes its gradient in the same order,
+so the pair is one adjoint in one layout.
 Gradients from every rotated copy are pulled back onto the single canonical
 filter through the transpose of the rotation resampling, so the layer stores
 n times fewer parameters than a standard convolution with the same number of
@@ -30,7 +33,8 @@ C: the masks (`circular_mask`, cached per (m, dtype)), the quarter turns
 (one cached index gather in the expansion, reversed and swapped views in
 the adjoint's fold), the (p, q) frame mixing (four calls over
 `angle_table`, the package's one cached (cos, sin) table) and one layout
-change on each side, folded into a mask multiply.
+change on each side, folded into a mask multiply, which moves runs of C
+values.
 """
 
 from __future__ import annotations
@@ -178,9 +182,9 @@ def _mix_frames(src: Tensor, transpose: bool = False) -> Tensor:
 
 
 def expand_rotations(bank: CanonicalFilterBank) -> Tensor:
-    """Expanded filter tensor [m, m, Cin, C*n] of all masked rotated copies.
+    """Expanded filter tensor [m, m, Cin, n*C] of all masked rotated copies.
 
-    Copy r of filter c sits at output channel c*n + r; copy 0 is the masked
+    Copy r of filter c sits at output channel r*C + c; copy 0 is the masked
     canonical filter itself, not resampled. Each other base angle is one
     `tensor.rotate_grid` call. When 4 | n, copy r = q*n/4 + j is the exact
     90-degree permutation (applied q times) of base copy j, taken for all n
@@ -190,8 +194,9 @@ def expand_rotations(bank: CanonicalFilterBank) -> Tensor:
     The copies are held as [n, m, m, P, Cin/P, C] with P = 2 (p, q) planes
     for a vector-field bank (P = 1 for a scalar one), so that the frame
     mixing reads contiguous runs; one mask multiply then writes the
-    C-ordered result. The layout moves whole columns of the resampler,
-    which treats every column on its own, so no value changes with it.
+    C-ordered result, moving runs of C values. The layout moves whole
+    columns of the resampler, which treats every column on its own, so no
+    value changes with it.
     """
     m = bank.size
     n = bank.n_rotations
@@ -212,9 +217,9 @@ def expand_rotations(bank: CanonicalFilterBank) -> Tensor:
     if p == 2:
         rot = _mix_frames(rot.reshape(n, m * m, p, -1)).reshape(rot.shape)
     out = np.multiply(
-        rot.transpose(1, 2, 4, 3, 5, 0), mask[:, :, None, None, None, None], order="C"
+        rot.transpose(1, 2, 4, 3, 0, 5), mask[:, :, None, None, None, None], order="C"
     )
-    return out.reshape(m, m, cin, c * n)
+    return out.reshape(m, m, cin, n * c)
 
 
 def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) -> Tensor:
@@ -222,7 +227,8 @@ def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) 
     weights (mask -> frame-mixing transpose -> quadrant fold -> resampling
     transpose -> mask).
 
-    grad_expanded is [..., m, m, Cin, C*n]; leading axes (a batch of B
+    grad_expanded is [..., m, m, Cin, n*C], rotation-major like the
+    expansion (channel r*C + c); leading axes (a batch of B
     per-image gradients) are kept. They ride as trailing columns of each
     per-angle `rotate_grid_adjoint`, which treats every column on its own,
     so each slice of the [..., m, m, Cin, C] result is bit-identical to
@@ -243,10 +249,10 @@ def expand_rotations_backward(bank: CanonicalFilterBank, grad_expanded: Tensor) 
     p = 2 if bank.input_kind == VECTOR else 1
     lead = grad_expanded.shape[:-4]
     mask = circular_mask(m, grad_expanded.dtype)
-    g = grad_expanded.reshape(-1, m, m, cin // p, p, c, n)
+    g = grad_expanded.reshape(-1, m, m, cin // p, p, n, c)
     b = g.shape[0]
     g = np.multiply(
-        g.transpose(6, 1, 2, 4, 0, 3, 5), mask[:, :, None, None, None, None], order="C"
+        g.transpose(5, 1, 2, 4, 0, 3, 6), mask[:, :, None, None, None, None], order="C"
     )
     if p == 2:
         g = _mix_frames(g.reshape(n, m * m, p, -1), transpose=True)

@@ -54,6 +54,8 @@ class SceneSpec:
             raise ShapeError("bad object count range")
         if self.image_size < 16:
             raise ShapeError("image too small")
+        if not self.classes:
+            raise ShapeError("classes must name at least one class")
         for c in self.classes:
             if c not in CLASS_NAMES:
                 raise ShapeError(f"unknown class {c!r}")

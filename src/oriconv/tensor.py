@@ -8,7 +8,13 @@ with any leading batch axes, [m, m, Cin, Cout] filters). The convolution
 layout, K-major [..., m*m*Cin, H*W] (`_im2col`: one row per filter tap and
 input channel, each a contiguous run over the output pixels). Its one
 exception to the channel-last layout is `conv2d`'s output, which comes as
-pixel planes [..., Cout, H, W], the layout the orientation pool reads. On
+pixel planes [..., Cout, H, W], the layout the orientation pool reads; an
+RConv filter's output channels are rotation-major (r*C + c, see `rconv`),
+so the pool reduces a leading axis of whole plane blocks. An RConv layer
+hands the adjoints its filter and upstream filter-major (c*n + r) instead
+(`netblocks.RConvLayer`): the forward GEMM's rows and the filter-gradient
+GEMM's columns permute without changing a byte, but the input-gradient
+GEMM sums over output channels, and its bytes depend on their order. On
 every layer shape the networks run, each GEMM gives the bytes of its
 channel-last counterpart (tests/test_batch_equivalence.py). float32 is the
 working precision; float64 is the verification precision. In float64 every

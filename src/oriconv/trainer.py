@@ -61,6 +61,10 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.momentum) and 0 <= self.momentum < 1):
+            raise ConfigError(f"momentum must be finite and in [0, 1), got {self.momentum}")
         rates = (self.learning_rate, self.lr_second, self.lr_third)
         if any(r <= 0 for r in rates):
             raise ConfigError(f"learning rates must be positive, got {rates}")

@@ -49,17 +49,36 @@ def planes(y):
     return np.ascontiguousarray(np.moveaxis(y, -1, -3))
 
 
+def filter_major(a, n):
+    """Channels [..., n*C] in rotation-major order (channel r*C + c, as
+    `expand_rotations` and `conv2d`'s planes hold them) reordered
+    filter-major (channel c*n + r, as the orientation pool's adjoint writes
+    its gradient)."""
+    swapped = a.reshape(a.shape[:-1] + (n, -1)).swapaxes(-1, -2)
+    return np.ascontiguousarray(swapped).reshape(a.shape)
+
+
+def rotation_major(a, n):
+    """The inverse of `filter_major`: channels c*n + r to r*C + c."""
+    swapped = a.reshape(a.shape[:-1] + (-1, n)).swapaxes(-1, -2)
+    return np.ascontiguousarray(swapped).reshape(a.shape)
+
+
 def rconv_planes(x, bank):
     """The convolution `RConvLayer.forward` runs: x [..., H, W, Cin] against
-    every rotated copy, as rotation planes [..., C*n, H, W]."""
+    every rotated copy, as rotation-major planes [..., n*C, H, W]."""
     return conv2d(x, expand_rotations(bank))
 
 
 def rconv_grads(x, bank, upstream):
-    """Its adjoint as `RConvLayer.backward` runs it, for a channel-last
-    upstream [..., H, W, C*n]: (grad_x, canonical grad_weights)."""
-    gx, gf = conv2d_backward(x, expand_rotations(bank), upstream)
-    return gx, expand_rotations_backward(bank, gf)
+    """Its adjoint as `RConvLayer.backward` runs it, for a channel-last,
+    filter-major upstream [..., H, W, C*n] (`filter_major` of one in the
+    planes' order): `conv2d_backward` against the filter-major expanded
+    filter, then `expand_rotations_backward` of the rotation-major filter
+    gradient. Returns (grad_x, canonical grad_weights)."""
+    n = bank.n_rotations
+    gx, gf = conv2d_backward(x, filter_major(expand_rotations(bank), n), upstream)
+    return gx, expand_rotations_backward(bank, rotation_major(gf, n))
 
 
 def gaussian_bump(m, sigma=2.0):

@@ -6,7 +6,7 @@ import pytest
 
 from oriconv.checkpoint import load_checkpoint, network_tensors, restore_network, save_checkpoint
 from oriconv.cli import cli
-from oriconv.errors import ConfigError
+from oriconv.errors import ConfigError, NumericalError
 from oriconv.networks import (
     ORIENT_BACKBONE,
     Detector,
@@ -25,6 +25,18 @@ def _saved(tmp_path):
     }
     save_checkpoint(str(path), tensors, step=7, config={"train": {}})
     return path
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e300])
+def test_non_finite_float32_tensor_raises_before_writing(tmp_path, bad):
+    # 1e39 and -1e300 are finite in float64 and overflow the float32 cast;
+    # no numpy warning is emitted on the way (warnings are errors here)
+    path = tmp_path / "checkpoint.ckpt"
+    tensors = {"param/a": np.ones(3, dtype=np.float32),
+               "param/w": np.array([0.5, bad, 2.0], dtype=np.float64)}
+    with pytest.raises(NumericalError, match="param/w"):
+        save_checkpoint(str(path), tensors, step=1, config={})
+    assert not path.exists()
 
 
 def _offsets(size):

@@ -131,6 +131,12 @@ CONFIG_CASES = {
     "negative_max_steps": json.dumps({"network": {"task": "detection"},
                                       "train": {"max_steps": -3}}),
     "negative_seed": json.dumps({"network": {"task": "detection"}, "train": {"seed": -1}}),
+    # optimizer settings that would train to non-finite weights
+    "negative_weight_decay": json.dumps({"train": {"weight_decay": -1e9}}),
+    "infinite_weight_decay": json.dumps({"train": {"weight_decay": float("inf")}}),
+    "nan_momentum": json.dumps({"train": {"momentum": float("nan")}}),
+    "negative_momentum": json.dumps({"train": {"momentum": -0.1}}),
+    "momentum_one": json.dumps({"train": {"momentum": 1.0}}),
     # not a spec key: the attention merge always concatenates
     "attention_mode_product": json.dumps({"network": {"task": "detection",
                                                       "attention_mode": "product"}}),
@@ -244,7 +250,10 @@ SCENE_RANGES = {
     "reversed_foreground": {"foreground": [0.9, 0.7]},
     "reversed_background": {"background": [0.45, 0.15]},
     "three_numbers": {"background": [0.1, 0.2, 0.3]},
+    "empty_classes": {"classes": []},
 }
+# what the error names, where it is not the word "finite"
+SCENE_RANGE_ERRORS = {"empty_classes": "at least one class"}
 # gen-data sets only the angle range
 SCENE_RANGE_RUNS = [("train", case) for case in sorted(SCENE_RANGES)] + [
     ("gen-data", "nan_angle"), ("gen-data", "reversed_angles"),
@@ -263,7 +272,7 @@ def test_bad_scene_range_exits_2(command, case, tmp_path, capfd):
         argv = ["train", "--config", cfg]
     code, err = run(capfd, *argv, "--out", tmp_path / "out")
     assert code == 2
-    assert err.startswith("error: ") and "finite" in err
+    assert err.startswith("error: ") and SCENE_RANGE_ERRORS.get(case, "finite") in err
     assert not (tmp_path / "out").exists()
 
 

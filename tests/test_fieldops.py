@@ -9,6 +9,7 @@ from oriconv.fieldops import (
     VFBNState,
     field_batch_norm,
     field_batch_norm_backward,
+    field_magnitudes,
     orientation_pool_backward,
     orientation_pool_stack,
     rotate_stack_90,
@@ -23,15 +24,17 @@ from conftest import planes
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the argmax / take_along_axis orientation pool with its gate, and
-# its put_along_axis adjoint, both on channel-last responses [..., H, W, C*n]
-# (the tests feed the pool their `planes`); the per-component vector-field
-# max pool and its adjoint, verbatim but for the padding helper.
+# Oracles: the argmax / take_along_axis orientation pool with its gate, on
+# channel-last rotation-major responses [..., H, W, n*C] (channel r*C + c;
+# the tests feed the pool their `planes`), and its put_along_axis adjoint,
+# whose gradient is filter-major [..., H, W, C*n] (channel c*n + r); the
+# per-component vector-field max pool and its adjoint, verbatim but for the
+# padding helper.
 
 
 def orientation_pool_oracle(y, n):
     c = y.shape[-1] // n
-    y4 = y.reshape(y.shape[:-1] + (c, n))
+    y4 = y.reshape(y.shape[:-1] + (n, c)).swapaxes(-1, -2)
     winners = np.argmax(y4, axis=-1)  # first max wins ties
     rho = np.take_along_axis(y4, winners[..., None], axis=-1)[..., 0]
     gated = np.maximum(rho, 0)
@@ -134,11 +137,11 @@ class TestOrientationPool:
         assert np.allclose(rho[..., 0], want)
 
     def test_multi_filter_stack_layout(self, rng):
-        y = rng.normal(size=(4, 4, 12))  # 3 filters x 4 rotations
+        y = rng.normal(size=(4, 4, 12))  # 4 rotations x 3 filters
         stack, winners, gate = orientation_pool_stack(planes(y), 4)
         assert stack.shape == (4, 4, 6) and winners.shape == gate.shape == (3, 4, 4)
         assert stack.flags.c_contiguous
-        single, _, _ = orientation_pool_stack(planes(y[:, :, 4:8]), 4)
+        single, _, _ = orientation_pool_stack(planes(y[:, :, 1::3]), 4)
         assert np.array_equal(stack[:, :, 2:4], single)
 
     def test_planes_must_split_into_rotations(self):
@@ -165,7 +168,7 @@ class TestOrientationPool:
             y = rng.integers(-2, 3, size=shape).astype(np.float64)
         else:  # every response negative, with ties
             y = -rng.integers(1, 4, size=shape).astype(np.float64)
-        y[0, 0, 0, n - 1] = y.max() + 1  # the last rotation wins somewhere
+        y[0, 0, 0, (n - 1) * 3] = y.max() + 1  # the last rotation wins somewhere
         y = y.astype(dtype)
         stack, winners, gate = orientation_pool_stack(planes(y), n)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, n)
@@ -180,7 +183,7 @@ class TestOrientationPool:
 
     def test_wide_rotation_axis_uses_uint16_winners(self, rng):
         y = rng.integers(-3, 4, size=(1, 1, 2 * 300)).astype(np.float32)
-        y[0, 0, 300 + 280] = 9.0  # second filter wins past uint8's range
+        y[0, 0, 280 * 2 + 1] = 9.0  # second filter wins past uint8's range
         stack, winners, gate = orientation_pool_stack(planes(y), 300)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, 300)
         assert winners.dtype == np.uint16 and winners[1, 0, 0] == 280
@@ -200,7 +203,7 @@ class TestOrientationPool:
         # 0; a plain reduction would find no rotation equal to a NaN max.
         y = rng.normal(size=(2, 3, 4, 2 * 8)).astype(dtype)
         for r in nan_at:
-            y[1, 2, 0, 8 + r] = np.nan  # filter 1 at one pixel
+            y[1, 2, 0, r * 2 + 1] = np.nan  # filter 1 at one pixel
         stack, winners, gate = orientation_pool_stack(planes(y), 8)
         want_stack, want_winners, want_gate = orientation_pool_oracle(y, 8)
         assert np.isnan(stack).sum() == 2 and np.isnan(stack[1, 2, 0, 2:]).all()
@@ -234,14 +237,16 @@ class TestOrientationPoolBackward:
     def test_finite_differences_away_from_ties(self, rng):
         for _ in range(5):
             y = rng.normal(size=(4, 4, 2 * 6))
-            y4 = y.reshape(4, 4, 2, 6)
-            srt = np.sort(y4, axis=3)
-            gap = srt[..., -1] - srt[..., -2]
-            if gap.min() < 1e-3 or np.abs(y4.max(axis=3)).min() < 1e-3:
+            y4 = y.reshape(4, 4, 6, 2)
+            srt = np.sort(y4, axis=2)
+            gap = srt[..., -1, :] - srt[..., -2, :]
+            if gap.min() < 1e-3 or np.abs(y4.max(axis=2)).min() < 1e-3:
                 continue  # exclude near-ties and near-zero magnitudes
             stack, winners, gate = orientation_pool_stack(planes(y), 6)
             up = rng.normal(size=stack.shape)
             g = orientation_pool_backward(winners, gate, 6, up)
+            # the adjoint is filter-major, the responses rotation-major
+            g = g.reshape(4, 4, 2, 6).swapaxes(-1, -2).reshape(4, 4, 12)
 
             def loss(p):
                 s, _, _ = orientation_pool_stack(planes(p), 6)
@@ -426,6 +431,73 @@ class TestFieldBatchNorm:
             return np.sum(up * out)
 
         assert finite_diff_check(loss, batch.copy(), g, step=1e-5) < 1e-4
+
+
+def finite_float32(rng, n):
+    """n float32 values of random sign, mantissa and exponent, subnormals
+    and zeros included, no inf or NaN."""
+    bits = rng.integers(0, 2**32, size=n, dtype=np.uint64).astype(np.uint32)
+    top = (bits >> 23) & 0xFF == 0xFF
+    bits[top] ^= np.uint32(1 << 23)  # exponent 255 (inf, NaN) -> 254
+    return bits.view(np.float32)
+
+
+SPECIALS32 = np.array(
+    [0.0, -0.0, np.nextafter(np.float32(0), np.float32(1)),
+     np.finfo(np.float32).max, -np.finfo(np.float32).max, np.inf, -np.inf, np.nan],
+    dtype=np.float32,
+)
+
+
+def hypot_reference(p, q):
+    with np.errstate(over="ignore"):  # np.hypot warns where it overflows
+        return np.hypot(p, q)
+
+
+def interleave(p, q):
+    """The field stack [..., 2C] of p and q planes [..., C]."""
+    return np.stack([p, q], axis=-1).reshape(p.shape[:-1] + (-1,))
+
+
+class TestFieldMagnitudes:
+    def test_float32_random_pairs_match_hypot_bitwise(self, rng):
+        p = finite_float32(rng, 200_000)
+        q = finite_float32(rng, 200_000)
+        # and partners within two binades of p, where both squares count:
+        # p's sign, its exponent moved by -2..2 and a random mantissa
+        bits = p.view(np.uint32)
+        exponent = np.clip((bits >> 23 & 0xFF).astype(np.int64)
+                           + rng.integers(-2, 3, size=p.size), 0, 254)
+        near = ((bits & np.uint32(0x80000000)) | (exponent.astype(np.uint32) << 23)
+                | rng.integers(0, 1 << 23, size=p.size).astype(np.uint32)).view(np.float32)
+        for a, b in ((p, q), (p, near), (near, p)):
+            got = field_magnitudes(interleave(a, b))
+            assert got.dtype == np.float32
+            assert got.tobytes() == hypot_reference(a, b).tobytes()
+
+    def test_float32_special_grid_matches_hypot_bitwise(self):
+        p, q = np.meshgrid(SPECIALS32, SPECIALS32, indexing="ij")
+        got = field_magnitudes(interleave(p, q))
+        assert got.tobytes() == hypot_reference(p, q).tobytes()
+        assert np.isinf(got[5, 7]) and np.isnan(got[0, 7])  # hypot(inf, nan) = inf
+
+    def test_float64_matches_hypot_bitwise(self, rng):
+        p = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, size=1000)
+        q = rng.normal(size=1000) * 10.0 ** rng.integers(-300, 300, size=1000)
+        specials = SPECIALS32.astype(np.float64)
+        sp, sq = np.meshgrid(specials, specials, indexing="ij")
+        for a, b in ((p, q), (sp, sq)):
+            assert field_magnitudes(interleave(a, b)).tobytes() == hypot_reference(a, b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_view_gives_c_ordered_magnitudes(self, rng, dtype):
+        stack = rng.normal(size=(2, 5, 3, 8)).astype(dtype)
+        view = stack.transpose(2, 0, 1, 3)
+        got = field_magnitudes(view)
+        assert got.flags.c_contiguous and got.shape == (3, 2, 5, 4)
+        assert got.tobytes() == np.ascontiguousarray(np.hypot(*split_stack(view))).tobytes()
+        with pytest.raises(ShapeError):
+            field_magnitudes(stack[..., :7])
 
 
 class TestFieldBatchNormEval:

@@ -36,7 +36,7 @@ from oriconv.networks import (
 )
 from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
 
-from conftest import planes, rconv_grads, rconv_planes
+from conftest import filter_major, planes, rconv_grads, rconv_planes, rotation_major
 
 
 def count_expansions(monkeypatch):
@@ -203,7 +203,7 @@ class TestLayerGradients:
             y = conv2d(img, f)
             _, winners, gate = orientation_pool_stack(y, 8)
             g_pre = orientation_pool_backward(winners, gate, 8, g)
-            gfs.append(conv2d_backward(img, f, g_pre)[1])
+            gfs.append(rotation_major(conv2d_backward(img, filter_major(f, 8), g_pre)[1], 8))
         want = sum(rconv.expand_rotations_backward(layer.bank, np.stack(gfs)))
         assert layer.g_weights.tobytes() == want.tobytes()
 
@@ -599,6 +599,41 @@ class TestRConvCache:
                               [g.tobytes() for _, g in sorted(net.grads().items())]))
                 opt.step(0.02)
             assert steps[0] == steps[1]
+
+    @staticmethod
+    def expanded_arrays(layer):
+        """The distinct expanded-filter-shaped arrays the layer holds."""
+        m, _, cin, c = layer.bank.weights.shape
+        shape = (m, m, cin, layer.n_rotations * c)
+        held = {id(a): a for a in cached_arrays(tuple(vars(layer).values()))
+                if a.shape == shape}
+        return list(held.values())
+
+    def test_layer_holds_one_rotation_major_filter(self, rng):
+        layer = RConvLayer(5, 2, 3, 8, rconv.SCALAR, rng=rng)
+        x = rng.normal(size=(2, 7, 7, 2)).astype(np.float32)
+        out = layer.forward(x, training=True)
+        layer.zero_grads()
+        layer.backward(rng.normal(size=out.shape).astype(np.float32))
+        (f,) = self.expanded_arrays(layer)
+        assert f is layer._expanded_filter() and not f.flags.writeable
+        layer.forward(x, training=False)
+        assert [id(a) for a in self.expanded_arrays(layer)] == [id(f)]
+        # rotation-major: copy r of filter c at channel r*C + c; copy 0 is the
+        # masked bank, and copy r + 2 the quarter turn of copy r (n = 8)
+        copies = f.reshape(5, 5, 2, 8, 3)
+        assert copies[:, :, :, 0].tobytes() == layer.bank.weights.tobytes()
+        for r in range(6):
+            assert np.array_equal(copies[:, :, :, r + 2], np.rot90(copies[:, :, :, r]))
+
+    def test_repeated_detect_image_expands_nothing(self, monkeypatch):
+        net = Detector(NetworkSpec(), rng=np.random.default_rng(0))
+        image = synthdata.generate_scene(synthdata.SceneSpec(seed=5, image_size=64), 0).image
+        first = net.detect_image(image, score_threshold=0.2)
+        calls = count_expansions(monkeypatch)
+        second = net.detect_image(image, score_threshold=0.2)
+        assert calls == [] and repr(second) == repr(first)
+        assert all(len(self.expanded_arrays(layer)) == 1 for layer in rconv_layers(net))
 
 
 class TestNetworkSpecValidation:

@@ -23,6 +23,7 @@ from oriconv.tensor import (
 
 from conftest import (
     conv2d_oracle,
+    filter_major,
     gaussian_bump,
     planes,
     rconv_grads,
@@ -60,7 +61,7 @@ class TestExpandRotations:
         bank = make_bank(rng, m=5, c=2, n=8)
         exp = expand_rotations(bank)
         masked = bank.weights * circular_mask(5)[:, :, None, None]
-        assert np.array_equal(exp[:, :, :, 0::8], masked)
+        assert np.array_equal(exp[:, :, :, :2], masked)
 
     def test_quarter_turn_copies_are_rot90_images(self, rng):
         bank = make_bank(rng, m=5, c=1, n=8)
@@ -103,7 +104,7 @@ def expand_oracle(bank):
             f = np.empty_like(w)
             f[:, :, 0::2] = dt(cos_t[r]) * rp - dt(sin_t[r]) * rq
             f[:, :, 1::2] = dt(cos_t[r]) * rq + dt(sin_t[r]) * rp
-        out[:, :, :, r::n] = f * mask
+        out[:, :, :, r * c : (r + 1) * c] = f * mask
     return out
 
 
@@ -113,12 +114,12 @@ def expand_backward_oracle(bank, grad):
     angle order, mask."""
     m, n = bank.size, bank.n_rotations
     mask = bank.mask[:, :, None, None].astype(grad.dtype)
-    g = grad.reshape(m, m, bank.in_channels, bank.n_filters, n) * mask[..., None]
+    g = grad.reshape(m, m, bank.in_channels, n, bank.n_filters) * mask[..., None]
     dt = grad.dtype.type
     cos_t, sin_t = angle_table(n)
     per_rot = []
     for r in range(n):
-        gr = g[..., r]
+        gr = g[..., r, :]
         if bank.input_kind == VECTOR:
             mixed = np.empty_like(gr)
             mixed[:, :, 0::2] = dt(cos_t[r]) * gr[:, :, 0::2] + dt(sin_t[r]) * gr[:, :, 1::2]
@@ -255,7 +256,7 @@ class TestForward:
                 f = rotate_grid(bank.weights[:, :, :, c], 2 * math.pi * r / 4)
                 f = f * mask[:, :, None]
                 want = conv2d_oracle(x, f[:, :, :, None], 1, 1)[:, :, 0]
-                assert np.abs(got[c * 4 + r] - want).max() < 1e-10
+                assert np.abs(got[r * 2 + c] - want).max() < 1e-10
 
     def test_channel_mismatch(self, rng):
         bank = make_bank(rng, cin=2)
@@ -298,7 +299,7 @@ class TestBackward:
         bank = make_bank(rng, m=5, cin=1, c=2, n=8)
         x = rng.normal(size=(6, 6, 1))
         up = rng.normal(size=(6, 6, 16))
-        _, gw = rconv_grads(x, bank, up)
+        _, gw = rconv_grads(x, bank, filter_major(up, 8))
 
         def loss(p):
             return np.sum(planes(up) * rconv_planes(x, CanonicalFilterBank(p.copy(), 8)))
@@ -352,7 +353,7 @@ class TestVectorField:
                 full[:, :, 0::2, 0] = mp
                 full[:, :, 1::2, 0] = mq
                 want = conv2d_oracle(v, full, 1, 2)[:, :, 0]
-                assert np.abs(got[c * 6 + r] - want).max() < 1e-6
+                assert np.abs(got[r * 2 + c] - want).max() < 1e-6
 
     def test_odd_plane_count_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -362,7 +363,7 @@ class TestVectorField:
         bank = make_bank(rng, m=3, cin=2, c=2, n=8, kind=VECTOR)
         v = rng.normal(size=(5, 5, 2))
         up = rng.normal(size=(5, 5, 16))
-        gv, gw = rconv_grads(v, bank, up)
+        gv, gw = rconv_grads(v, bank, filter_major(up, 8))
 
         def loss_w(p):
             b = CanonicalFilterBank(p.copy(), 8, input_kind=VECTOR)
@@ -392,9 +393,9 @@ class TestInvariants:
             y = rconv_planes(x, bank)
             yr = rconv_planes(np.rot90(x).copy(), bank)
             _, h, w = y.shape
-            y4 = y.reshape(3, n, h, w)
-            expect = np.rot90(np.roll(y4, n // 4, axis=1), 1, axes=(2, 3))
-            assert np.array_equal(yr, expect.reshape(3 * n, h, w))
+            y4 = y.reshape(n, 3, h, w)
+            expect = np.rot90(np.roll(y4, n // 4, axis=0), 1, axes=(2, 3))
+            assert np.array_equal(yr, expect.reshape(n * 3, h, w))
 
     def test_approximate_equivariance_at_sampled_angle(self, rng):
         # smooth input, m >= 7, lam = 8: relative L2 of the shift-and-rotate
@@ -405,9 +406,9 @@ class TestInvariants:
                       for _ in range(2)], axis=2)[:, :, None, :]
         bank = CanonicalFilterBank(w.copy(), n)
         alpha = 2 * math.pi / n
-        y1 = rconv_planes(x, bank).reshape(2, n, 24, 24)
+        y1 = rconv_planes(x, bank).reshape(n, 2, 24, 24)
         y2 = rconv_planes(rotate_grid(x, alpha), bank)
-        shifted = np.roll(y1, 1, axis=1).reshape(2 * n, 24, 24)
+        shifted = np.roll(y1, 1, axis=0).reshape(n * 2, 24, 24)
         expect = planes(rotate_grid(np.moveaxis(shifted, 0, -1), alpha))
         crop = 6
         d = (y2 - expect)[:, crop:-crop, crop:-crop]

@@ -8,7 +8,7 @@ from oriconv.rconv import CanonicalFilterBank, circular_mask
 from oriconv.steerbasis import build_basis, compose_filters, compose_filters_backward
 from oriconv.tensor import finite_diff_check, rotate_grid
 
-from conftest import planes, rconv_grads, rconv_planes
+from conftest import filter_major, planes, rconv_grads, rconv_planes
 
 
 def rms(a):
@@ -128,7 +128,7 @@ class TestComposeFilters:
 
         f = compose_filters(atoms, w)
         cb = CanonicalFilterBank(f.copy(), n)
-        _, gf = rconv_grads(x, cb, up)
+        _, gf = rconv_grads(x, cb, filter_major(up, n))
         gw = compose_filters_backward(atoms, gf)
 
         def loss(p):
@@ -151,7 +151,7 @@ class TestComposeFilters:
         w = rng.normal(size=(atoms.shape[2], 1, 2))
         cb = CanonicalFilterBank(compose_filters(atoms, w), 4)
         x = rng.normal(size=(8, 8, 1))
-        y = rconv_planes(x, cb).reshape(2, 4, 8, 8)
+        y = rconv_planes(x, cb).reshape(4, 2, 8, 8)
         yr = rconv_planes(np.rot90(x).copy(), cb)
-        expect = np.rot90(np.roll(y, 1, axis=1), 1, axes=(2, 3)).reshape(8, 8, 8)
+        expect = np.rot90(np.roll(y, 1, axis=0), 1, axes=(2, 3)).reshape(8, 8, 8)
         assert np.array_equal(yr, expect)
