@@ -133,7 +133,6 @@ def restore_network(network, tensors: dict) -> dict:
                               f"the network wants {want[name].shape}")
     for name, arr in got.items():
         want[name][...] = arr.astype(want[name].dtype)
-    network.apply_constraints()
     return {
         k[len("momentum/"):]: v.astype(np.float32)
         for k, v in tensors.items() if k.startswith("momentum/")

@@ -348,7 +348,6 @@ class MatchResult:
     labels: np.ndarray  # [N] rpn: 1 pos / 0 neg / -1 ignore; head: class id, 0 = bg, -1 ignore
     hbb_targets: np.ndarray  # [N, 4]
     obb_targets: np.ndarray  # [N, 5]
-    matched_gt: np.ndarray  # [N] index into the image's gt list, -1 if none
 
 
 RPN_POS_IOU = 0.7
@@ -440,11 +439,10 @@ def match_batch(anchors: np.ndarray, gt: GroundTruth, stage="rpn") -> MatchResul
     labels = np.full((nb, n), -1 if stage == "rpn" else 0, dtype=np.int64)
     hbb_t = np.zeros((nb, n, 4))
     obb_t = np.zeros((nb, n, 5))
-    matched = np.full((nb, n), -1, dtype=np.int64)
     if not len(gt.img):
         if stage == "rpn":
             labels[:] = 0
-        return MatchResult(labels, hbb_t, obb_t, matched)
+        return MatchResult(labels, hbb_t, obb_t)
 
     iou_flat = _iou_matrix(gt.corners, anchors)  # [M, N]
     iou = np.full((nb, max(gt.counts), n), -1.0)
@@ -474,9 +472,7 @@ def match_batch(anchors: np.ndarray, gt: GroundTruth, stage="rpn") -> MatchResul
         pos = best_iou >= HEAD_POS_IOU
 
     at = b_idx, a_idx = pos.nonzero()
-    g = best_gt[at]
-    matched[at] = g
-    g += gt.first[b_idx]  # into the flat box axis
+    g = best_gt[at] + gt.first[b_idx]  # into the flat box axis
     if stage != "rpn":
         labels[at] = gt.classes[g]
     # both kinds in one call, the HBB rows first
@@ -487,7 +483,7 @@ def match_batch(anchors: np.ndarray, gt: GroundTruth, stage="rpn") -> MatchResul
     hbb_t[at] = t[: len(g)]
     obb_t[at + (slice(None, 4),)] = t[len(g) :]
     obb_t[at + (4,)] = gt.obb_rows[g, 4]
-    return MatchResult(labels, hbb_t, obb_t, matched)
+    return MatchResult(labels, hbb_t, obb_t)
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +591,10 @@ class RowGrad:
     rows: np.ndarray
     fill: np.generic
 
-    def dense(self) -> np.ndarray:
-        out = np.full(self.mask.shape + self.rows.shape[1:], self.fill, dtype=self.rows.dtype)
-        out[self.mask] = self.rows
-        return out
-
     def write_scaled(self, out: np.ndarray, scale) -> None:
-        """`out[...] = self.dense() / scale` for an `out` that holds zeros,
-        writing only the rows unless the fill scales to other than +0.0."""
+        """The dense gradient over `scale` into an `out` that holds zeros:
+        `rows / scale` into the masked rows and `fill / scale` into the
+        others, which are left alone when that is +0.0."""
         fill = self.fill / scale
         if fill != 0 or np.signbit(fill):
             out[...] = fill

@@ -33,10 +33,13 @@ order, and `Sequential` names its layers by index (an `RConvLayer` takes
 two, see `Sequential.children`). `params`, `grads` and
 `state` gather the children's arrays under `f"{name}{SEP}{key}"`
 (`SEP = "."`; the networks use `"/"`, giving `backbone0/0.weights`), and
-`apply_constraints` and `zero_grads` walk the same tree.
+`zero_grads` walks the same tree.
 Only the leaves that own arrays override the collectors: `RConvLayer`,
-`PlainConv` and `OrientationHead` their parameters and gradients
-(`RConvLayer` its constraint too), `FieldNorm` its running statistics.
+`PlainConv` and `OrientationHead` their parameters and gradients,
+`FieldNorm` its running statistics. No pass re-writes parameters after an
+update: each invariant is kept where it is read. The circular filter mask
+belongs to `rconv.expand_rotations` and its adjoint, and a steerable
+layer's filter bank to its forward, which recomposes it from `mixing`.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class Layer:
         for g in self.grads().values():
             g[...] = 0.0
 
-    def apply_constraints(self) -> None:
-        for child in self.children().values():
-            child.apply_constraints()
-
 
 class RConvLayer(Layer):
     """Rotation-equivariant convolution with orientation pooling, free or
@@ -95,6 +94,8 @@ class RConvLayer(Layer):
     A steerable layer learns `mixing` [K, Cin, C] over the cached basis
     atoms (`steerbasis.build_basis`, held as `atoms`) and composes its bank
     from them on every forward; a free layer learns `bank.weights` itself.
+    Weights outside the filter's inscribed circle are never read: the
+    expansion masks them out and its adjoint gives them zero gradient.
     `forward` expands the canonical bank into its n rotated copies at most
     once per batch (`rconv.expand_rotations`, rotation-major: channel
     r*C + c), then convolves the batch against them into n*C rotation planes
@@ -103,7 +104,7 @@ class RConvLayer(Layer):
     handed on C-ordered and channel-last.
 
     The layer keeps one expanded filter, its last, read-only, and reuses it
-    while `bank.weights` (after steerable composition and masking) has the same
+    while `bank.weights` (after steerable composition) has the same
     bytes, dtype and shape it was expanded from. The key is the weights'
     content, not their identity, a version count or the `training` flag:
     `trainer.SGD.step`, checkpoint loading and direct edits all write the
@@ -170,10 +171,10 @@ class RConvLayer(Layer):
             w = init_canonical_weights(
                 size, in_planes, n_filters, n_rotations, rng
             ).astype(dtype)
+            self.g_weights = np.zeros_like(w)
         self.bank = rconv.CanonicalFilterBank(
             w.astype(dtype), n_rotations, input_kind=input_kind
         )
-        self.g_weights = np.zeros_like(self.bank.weights)
         self._cache = None
         self._expanded = (None, None)  # (weights key, read-only expanded filter)
 
@@ -186,11 +187,6 @@ class RConvLayer(Layer):
         if self.parametrization == "steerable":
             return {"mixing": self.g_mixing}
         return {"weights": self.g_weights}
-
-    def apply_constraints(self):
-        if self.parametrization == "steerable":
-            self.bank.weights = steerbasis.compose_filters(self.atoms, self.mixing)
-        self.bank.apply_mask()
 
     def _expanded_filter(self) -> Tensor:
         """`rconv.expand_rotations(self.bank)`, reused while the weights'
@@ -206,7 +202,6 @@ class RConvLayer(Layer):
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
         if self.parametrization == "steerable":
             self.bank.weights = steerbasis.compose_filters(self.atoms, self.mixing)
-            self.bank.apply_mask()
         f = self._expanded_filter()
         y = conv2d(x, f)
         stack, winners, gate = fieldops.orientation_pool_stack(y, self.n_rotations)
@@ -574,23 +569,16 @@ class OrientationHead(Layer):
     Combines the C input vectors with per-channel complex weights (a scaled
     rotation, the only linear map that commutes with simultaneous rotation of
     all field vectors), applies tanh to the two outputs and normalizes them to
-    the unit circle. Predicted angle = atan2(s, c). The codebook attribute
-    holds the (sin, cos) pairs of the sampled filter orientations, the targets
-    the last layer is trained to hit.
+    the unit circle. Predicted angle = atan2(s, c).
     """
 
-    def __init__(self, n_fields: int, n_rotations: int, rng=None, dtype=np.float32):
+    def __init__(self, n_fields: int, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         std = math.sqrt(1.0 / n_fields)
         self.wr = rng.normal(0.0, std, size=n_fields).astype(dtype)
         self.wi = rng.normal(0.0, std, size=n_fields).astype(dtype)
         self.gwr = np.zeros_like(self.wr)
         self.gwi = np.zeros_like(self.wi)
-        cos_t, sin_t = rconv.angle_table(n_rotations)
-        # mappings r = 1..n of (sin, cos) at angles 2*pi*r/n
-        self.codebook = np.stack(
-            [np.roll(sin_t, -1), np.roll(cos_t, -1)], axis=1
-        )
         self._cache = None
 
     def params(self):
@@ -626,9 +614,11 @@ class OrientationHead(Layer):
 
 
 def center_field_average(stack: Tensor, window: int):
-    """Mean field vector over the centered window x window patch, per channel.
-    The center window maps to itself under quarter-turn rotations of the map,
-    so the averaged vector inherits the field's covariance. Returns [N, 2C]."""
+    """Mean field vector over the centered window x window patch, per channel;
+    the window must fit the map. The window maps to itself under a quarter
+    turn of a square map only when the side minus the window is even (else
+    it moves by one pixel), and then the averaged vector inherits the
+    field's covariance. Returns [N, 2C]."""
     n, h, w, c = stack.shape
     y0 = (h - window) // 2
     x0 = (w - window) // 2

@@ -585,18 +585,25 @@ class OrientationEstimator(Layer):
     Fields from the final stage are averaged over a centered window and fed
     to the equivariant complex-linear head, so a rotation of the patch turns
     into the same rotation of the predicted (sin, cos) pair by construction.
+    A `head_window` wider than the final field map raises ConfigError at
+    build time; each stage's pool takes the map side to its ceiling
+    quotient, as `fieldops.vf_max_pool` pads a ragged map.
     """
 
     SEP = "/"
 
     def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32):
+        side = spec.input_size
+        for st in spec.backbone:
+            side = -(-side // st.get("pool", 1))
+        if spec.head_window > side:
+            raise ConfigError(f"head_window {spec.head_window} is wider than the "
+                              f"{side}x{side} final field map")
         rng = rng or np.random.default_rng(0)
         self.spec = spec
         segments = _build_backbone(spec, rng, dtype)
         self.trunk = Sequential([l for seg in segments for l in seg.layers])
-        self.head = OrientationHead(
-            spec.backbone[-1]["filters"], spec.n_rotations, rng=rng, dtype=dtype
-        )
+        self.head = OrientationHead(spec.backbone[-1]["filters"], rng=rng, dtype=dtype)
         self._cache = None
 
     def forward(self, images: Tensor, training: bool = True):

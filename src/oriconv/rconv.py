@@ -13,8 +13,10 @@ output channels.
 
 Only the weights inside the inscribed circle of the filter square carry
 information: rotation would otherwise shuffle corner weights in and out of
-the support. The circular mask is applied to the canonical weights, to every
-rotated copy, and to the weight gradient.
+the support. The circular mask is applied to the canonical weights as a bank
+is made and as they are read for the expansion, to every rotated copy, and
+to the weight gradient. So weights outside the circle start at zero, get
+zero gradient, and no output reads them, whatever writes the bank.
 
 When the rotation count is divisible by 4, rotated copies are built by
 resampling only within the first quadrant and then applying exact 90-degree
@@ -139,7 +141,7 @@ class CanonicalFilterBank:
             raise ShapeError(
                 f"vector-field filters need paired (p,q) planes, got Cin={cin}"
             )
-        self.apply_mask()
+        self.weights *= self.mask[:, :, None, None]
 
     @property
     def size(self) -> int:
@@ -157,10 +159,6 @@ class CanonicalFilterBank:
     def mask(self) -> Tensor:
         """The circular mask in the weights' dtype (read-only)."""
         return circular_mask(self.size, self.weights.dtype)
-
-    def apply_mask(self) -> None:
-        """Zero the weights outside the inscribed circle, in place."""
-        self.weights *= self.mask[:, :, None, None]
 
 
 def _mix_frames(src: Tensor, transpose: bool = False) -> Tensor:

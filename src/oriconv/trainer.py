@@ -1,11 +1,12 @@
 """Training loop, optimizer, schedule, and the equivariance verification
 harness.
 
-Optimization is SGD with momentum and decoupled weight decay; the circular
-filter mask is re-applied after every step (rotation pushes weight toward the
-filter corners, so the constraint must hold through training, not just at
-init). Given the same config and seed, runs are deterministic: data order,
-initialization and reduction order are all fixed.
+Optimization is SGD with momentum and decoupled weight decay, with no pass
+over the weights after a step: canonical filter weights outside the inscribed
+circle start at zero and get zero gradient from the adjoint of the RConv
+expansion, so momentum and decay leave them at zero (see `rconv`). Given the
+same config and seed, runs are deterministic: data order, initialization and
+reduction order are all fixed.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class TrainConfig:
                 f"need 5 lambdas and 3 phase fractions, got {len(self.lambdas)} "
                 f"and {len(self.phase_fractions)}"
             )
+        for name, values in (("lambdas", self.lambdas), ("phase_fractions", self.phase_fractions)):
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite numbers, got {list(values)}")
+        if min(self.phase_fractions) < 0:
+            raise ConfigError(f"phase fractions must be >= 0, got {list(self.phase_fractions)}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_steps < 0:
@@ -99,9 +106,11 @@ class TrainConfig:
 
 class SGD:
     """Momentum SGD with decoupled weight decay over a network's named
-    parameters. Constraints (circular masks, basis recomposition) re-apply
-    after every step. Running statistics are state, not parameters, and are
-    never decayed."""
+    parameters, written in place. A step writes nothing else: a weight
+    outside a filter's circle has zero gradient and stays at zero, and a
+    steerable layer recomposes its filters from `mixing` on its next
+    forward. Running statistics are state, not parameters, and are never
+    decayed."""
 
     def __init__(self, network, momentum: float = 0.9, weight_decay: float = 5e-4):
         self.network = network
@@ -121,7 +130,6 @@ class SGD:
             params[k] -= lr * v
             if self.weight_decay:
                 params[k] -= lr * self.weight_decay * params[k]
-        self.network.apply_constraints()
 
 
 def build_network(net_spec: NetworkSpec, seed: int):
@@ -360,7 +368,9 @@ def verify_equivariance(
         # pixel Nyquist limit is meaningless, so the probe network uses
         # smooth ones. A steerable layer recomposes its filters from `mixing`
         # on every forward, so the blurred filters go there as their
-        # least-squares projection onto the basis atoms.
+        # least-squares projection onto the basis atoms. The weight that
+        # the blur spreads outside a free filter's circle is never read:
+        # the expansion masks it out.
         for layer in net.trunk.layers:
             if isinstance(layer, RConvLayer):
                 w = layer.bank.weights
@@ -375,7 +385,6 @@ def verify_equivariance(
                     layer.mixing[...] = fit.reshape(layer.mixing.shape)
                 else:
                     layer.bank.weights = sm.reshape(w.shape)
-                layer.apply_constraints()
         return net
 
     probes = [image] + [

@@ -116,6 +116,13 @@ CONFIG_CASES = {
                                "train": {"lambdas": [1.0, 1.0]}}),
     "two_phase_fractions": json.dumps({"network": {"task": "detection"},
                                        "train": {"phase_fractions": [0.5, 0.5]}}),
+    # list elements that are not finite numbers
+    "string_lambda": json.dumps({"train": {"lambdas": ["a", 1, 1, 1, 1]}}),
+    "null_lambda": json.dumps({"train": {"lambdas": [1, 1, 1, 1, None]}}),
+    "bool_lambda": json.dumps({"train": {"lambdas": [True, 1, 1, 1, 1]}}),
+    "nan_lambda": json.dumps({"train": {"lambdas": [float("nan"), 1, 1, 1, 1]}}),
+    "string_phase_fraction": json.dumps({"train": {"phase_fractions": ["a", 0.5, 0.5]}}),
+    "negative_phase_fraction": json.dumps({"train": {"phase_fractions": [-0.5, 0.75, 0.75]}}),
     "zero_classes": json.dumps({"network": {"task": "detection", "n_classes": 0}}),
     "zero_merge_channels": json.dumps({"network": {"task": "detection", "merge_channels": 0}}),
     "unknown_task": json.dumps({"network": {"task": "segmentation"}}),
@@ -125,6 +132,9 @@ CONFIG_CASES = {
     "zero_input_size": json.dumps({"network": {"task": "detection", "input_size": 0}}),
     "zero_input_channels": json.dumps({"network": {"task": "detection", "input_channels": 0}}),
     "zero_head_window": json.dumps({"network": {"task": "orientation", "head_window": 0},
+                                    "train": {"max_steps": 1}}),
+    # the default backbone pools a 64 px input to an 8x8 map
+    "wide_head_window": json.dumps({"network": {"task": "orientation", "head_window": 16},
                                     "train": {"max_steps": 1}}),
     "negative_rpn_top_k": json.dumps({"network": {"task": "detection", "rpn_top_k": -1},
                                       "train": {"max_steps": 1}}),

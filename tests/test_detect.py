@@ -40,6 +40,14 @@ from oriconv.errors import NumericalError, ShapeError
 from oriconv.networks import Detector, NetworkSpec
 
 
+def dense(g):
+    """A `RowGrad` as the [B, N, ...] array it stands for: its rows where
+    the mask is True, its fill everywhere else."""
+    out = np.full(g.mask.shape + g.rows.shape[1:], g.fill, dtype=g.rows.dtype)
+    out[g.mask] = g.rows
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Scalar oracles: the per-row encode and decode, the per-positive matcher, the
 # pairwise greedy NMS and the per-anchor post-processing loops the vectorised
@@ -84,7 +92,6 @@ def match_anchors_oracle(anchors, gt_boxes, gt_classes=None, stage="rpn"):
     labels = np.full(n, -1 if stage == "rpn" else 0, dtype=np.int64)
     hbb_t = np.zeros((n, 4))
     obb_t = np.zeros((n, 5))
-    matched = np.full(n, -1, dtype=np.int64)
 
     hb = []
     ob = []
@@ -98,7 +105,7 @@ def match_anchors_oracle(anchors, gt_boxes, gt_classes=None, stage="rpn"):
     if not hb:
         if stage == "rpn":
             labels[:] = 0
-        return MatchResult(labels, hbb_t, obb_t, matched)
+        return MatchResult(labels, hbb_t, obb_t)
 
     gt_arr = np.stack([b.as_array() for b in hb])
     iou = _iou_matrix(anchors, gt_arr)
@@ -126,13 +133,12 @@ def match_anchors_oracle(anchors, gt_boxes, gt_classes=None, stage="rpn"):
 
     for a in np.flatnonzero(pos):
         g = best_gt[a]
-        matched[a] = g
         hbb_t[a] = encode_hbb_oracle(anchors[a], hb[g])
         if ob[g] is not None:
             obb_t[a] = encode_obb_oracle(anchors[a], ob[g])
         else:
             obb_t[a, :4] = hbb_t[a]
-    return MatchResult(labels, hbb_t, obb_t, matched)
+    return MatchResult(labels, hbb_t, obb_t)
 
 
 def decode_hbb_oracle(anchor, t):
@@ -522,7 +528,7 @@ class TestCompositeLoss:
                 q[key] = p
                 return composite_loss_batch(q, tgts)[0][0]
 
-            err = finite_diff_check(loss, preds[key].copy(), grads[key].dense(), step=1e-5)
+            err = finite_diff_check(loss, preds[key].copy(), dense(grads[key]), step=1e-5)
             assert err < 1e-4, key
 
     def test_loss_nonnegative(self, rng):
@@ -761,7 +767,7 @@ class TestCodecMatchesOracle:
                 classes = [o.class_id for o in sample.objects]
                 got = match_batch(anchors, one_image(gt, classes), stage=stage)
                 want = match_anchors_oracle(anchors, gt, classes, stage=stage)
-                for name in ("labels", "hbb_targets", "obb_targets", "matched_gt"):
+                for name in ("labels", "hbb_targets", "obb_targets"):
                     a, b = getattr(got, name)[0], getattr(want, name)
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     assert a.tobytes() == b.tobytes(), (i, name)
@@ -1030,9 +1036,9 @@ class TestBatchedLoss:
             }
             assert sorted(grads) == sorted(want_grads)
             for key, g in grads.items():
-                dense = g.dense()
-                assert dense.dtype == want_grads[key].dtype, key
-                assert dense[b].tobytes() == want_grads[key].tobytes(), (b, key)
+                full = dense(g)
+                assert full.dtype == want_grads[key].dtype, key
+                assert full[b].tobytes() == want_grads[key].tobytes(), (b, key)
 
     @pytest.mark.parametrize("lambdas", [(1.0,) * 5, (-1.0, -0.0, 1.0, 1.0, 1.0)])
     def test_write_scaled_is_the_dense_gradient_over_the_scale(self, lambdas):
@@ -1040,7 +1046,7 @@ class TestBatchedLoss:
         _, _, grads = composite_loss_batch(preds, tgts, lambdas)
         for key, g in grads.items():
             want = np.zeros(g.mask.shape + g.rows.shape[1:], dtype=np.float32)
-            want[...] = g.dense() / 3
+            want[...] = dense(g) / 3
             got = np.zeros_like(want)
             g.write_scaled(got, 3)
             assert got.tobytes() == want.tobytes(), key
@@ -1089,7 +1095,7 @@ class TestBatchedMatching:
         got = match_batch(anchors, GroundTruth.from_images(gts), stage)
         for b, (classes, boxes) in enumerate(gts):
             want = match_anchors_oracle(anchors, boxes, classes, stage=stage)
-            for name in ("labels", "hbb_targets", "obb_targets", "matched_gt"):
+            for name in ("labels", "hbb_targets", "obb_targets"):
                 a, w = getattr(got, name)[b], getattr(want, name)
                 assert a.dtype == w.dtype and a.shape == w.shape, name
                 assert a.tobytes() == w.tobytes(), (b, name)
@@ -1108,7 +1114,11 @@ class TestBatchedMatching:
         boxes = _shared_rpn_anchor_boxes(anchors)
         m = match_batch(anchors, one_image(boxes), stage="rpn")
         best = int(_iou_matrix(anchors, boxes[0].as_array()[None]).argmax())
-        assert m.labels[0, best] == 1 and m.matched_gt[0, best] == 1
+        assert m.labels[0, best] == 1
+        # the anchor's targets encode box 1, not box 0
+        want = [encode_hbb_oracle(anchors[best], b) for b in boxes]
+        assert m.hbb_targets[0, best].tobytes() == want[1].tobytes()
+        assert not np.array_equal(want[0], want[1])
 
     @pytest.mark.parametrize("stage", ["head", "rpn"])
     def test_a_batch_without_boxes_gets_the_empty_image_labels(self, stage):

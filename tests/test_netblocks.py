@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,7 @@ from oriconv.netblocks import (
     roi_gate,
 )
 from oriconv.networks import (
+    ORIENT_BACKBONE,
     Detector,
     NetworkSpec,
     OrientationEstimator,
@@ -148,7 +147,6 @@ class TestLayerGradients:
         up = rng.normal(size=(3, 7, 7, 4)).astype(dtype)
         out = steer.forward(x)
         free.bank.weights[...] = steerbasis.compose_filters(steer.atoms, steer.mixing)
-        free.bank.apply_mask()
         assert free.bank.weights.tobytes() == steer.bank.weights.tobytes()
         assert out.tobytes() == free.forward(x).tobytes()
         steer.zero_grads()
@@ -410,7 +408,7 @@ class TestOrientationHead:
     def test_zero_angle_target(self):
         # a field pointing at angle 0 with positive weights maps to (sin, cos)
         # = (0, 1)
-        head = OrientationHead(1, 8, rng=np.random.default_rng(0))
+        head = OrientationHead(1, rng=np.random.default_rng(0))
         head.wr[:] = 1.0
         head.wi[:] = 0.0
         vec = np.array([[2.0, 0.0]])  # p = 2, q = 0: angle 0
@@ -420,14 +418,14 @@ class TestOrientationHead:
         assert out[0, 1] == pytest.approx(1.0, abs=1e-7)
 
     def test_unit_norm_output(self, rng):
-        head = OrientationHead(3, 8, rng=rng)
+        head = OrientationHead(3, rng=rng)
         vecs = rng.normal(size=(10, 6)).astype(np.float32)
         out, flag = head.forward(vecs)
         norms = np.hypot(out[:, 0], out[:, 1])
         assert np.abs(norms[~flag] - 1.0).max() < 1e-6
 
     def test_degenerate_zero_vector_flagged(self):
-        head = OrientationHead(2, 8, rng=np.random.default_rng(0))
+        head = OrientationHead(2, rng=np.random.default_rng(0))
         out, flag = head.forward(np.zeros((1, 4)))
         assert flag[0]
         assert np.degrees(np.arctan2(out[:, 0], out[:, 1]))[0] % 360 == 0.0
@@ -444,17 +442,9 @@ class TestOrientationHead:
 
         assert angle_error(123.0, 123.0) == 0.0 and angle_error(22.5, 67.5) == 45.0
 
-    def test_codebook_contains_sampled_orientations(self):
-        head = OrientationHead(2, 4, rng=np.random.default_rng(0))
-        # mappings r = 1..n: [sin(2pi r/n)], [cos(2pi r/n)]
-        want = np.array(
-            [[math.sin(2 * math.pi * r / 4), math.cos(2 * math.pi * r / 4)] for r in (1, 2, 3, 4)]
-        )
-        assert np.abs(head.codebook - want).max() < 1e-12
-
     def test_equivariance_of_head(self, rng):
         # rotating every input vector by a quarter turn rotates the output pair
-        head = OrientationHead(3, 8, rng=rng, dtype=np.float64)
+        head = OrientationHead(3, rng=rng, dtype=np.float64)
         vecs = rng.normal(size=(5, 6))
         out1, _ = head.forward(vecs)
         rot = np.empty_like(vecs)
@@ -467,7 +457,7 @@ class TestOrientationHead:
         assert np.abs(d - 90.0).max() < 1e-5
 
     def test_gradient_check(self, rng):
-        head = OrientationHead(3, 8, rng=rng, dtype=np.float64)
+        head = OrientationHead(3, rng=rng, dtype=np.float64)
         vecs = rng.normal(size=(4, 6))
         out, _ = head.forward(vecs)
         up = rng.normal(size=out.shape)
@@ -636,6 +626,59 @@ class TestRConvCache:
         assert all(len(self.expanded_arrays(layer)) == 1 for layer in rconv_layers(net))
 
 
+class TestCircularSupport:
+    """No pass re-masks the weights: the expansion and its adjoint keep what
+    lies outside a filter's inscribed circle out of every output and
+    gradient."""
+
+    @pytest.mark.parametrize("parametrization", ["free", "steerable"])
+    def test_sgd_steps_leave_the_corners_at_zero(self, parametrization):
+        scene_spec = synthdata.SceneSpec(seed=5, image_size=32, min_objects=1, max_objects=3)
+        scenes = [synthdata.generate_scene(scene_spec, i) for i in range(2)]
+        images = np.stack([s.image for s in scenes])
+        gts = [([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
+               for s in scenes]
+        # n = 8 resamples at 45 degrees, whose adjoint reaches the corners
+        spec = NetworkSpec(input_size=32, n_rotations=8, parametrization=parametrization,
+                           anchor_scales=((8.0, 12.0), (16.0, 24.0)))
+        net = Detector(spec, rng=np.random.default_rng(0))
+        start = {k: v.copy() for k, v in net.params().items()}
+        opt = trainer.SGD(net)
+        for _ in range(4):
+            net.zero_grads()
+            net.loss_and_grads(images, gts)
+            opt.step(0.05)
+        assert all(np.abs(v - start[k]).max() > 0 for k, v in net.params().items())
+        net.forward(images, training=False)  # a steerable bank is composed here
+        corners = 0
+        for layer in rconv_layers(net):
+            outside = rconv.circular_mask(layer.bank.size) == 0
+            assert not layer.bank.weights[outside].any()
+            assert not np.signbit(layer.bank.weights[outside]).any()
+            corners += int(outside.sum())
+        assert corners > 0
+
+    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
+    def test_weights_outside_the_circle_are_never_read(self, rng, kind):
+        layer = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(2, 7, 7, 4))
+        up = rng.normal(size=(2, 7, 7, 4))
+
+        def run():
+            out = layer.forward(x, training=True)
+            layer.zero_grads()
+            return out, layer.backward(up), layer.g_weights.copy()
+
+        clean = run()
+        outside = rconv.circular_mask(5) == 0
+        w = layer.bank.weights
+        w[outside] = rng.normal(size=w[outside].shape)
+        dirty = run()
+        for a, b in zip(clean, dirty):
+            assert a.tobytes() == b.tobytes()
+        assert not dirty[2][outside].any()
+
+
 class TestNetworkSpecValidation:
     def test_default_spec_traces(self):
         taps = NetworkSpec().trace_backbone()
@@ -672,6 +715,27 @@ class TestNetworkSpecValidation:
         spec = NetworkSpec()
         back = NetworkSpec.from_dict(spec.to_dict())
         assert back == spec
+
+    @pytest.mark.parametrize("input_size, window, fits", [
+        (16, 2, True), (16, 4, False),  # a 2x2 map
+        (30, 4, True), (30, 5, False),  # 30 -> 15 -> 8 -> 4, as the pools pad
+    ])
+    def test_head_window_must_fit_the_final_map(self, input_size, window, fits, rng):
+        spec = NetworkSpec(task="orientation", input_size=input_size,
+                           backbone=ORIENT_BACKBONE, head_window=window)
+        if not fits:
+            with pytest.raises(ConfigError, match=f"head_window {window} is wider"):
+                OrientationEstimator(spec)
+            return
+        net = OrientationEstimator(spec, rng=rng, dtype=np.float64)
+        images = rng.normal(size=(2, input_size, input_size, 1))
+        pred, _ = net.forward(images, training=True)
+        net.zero_grads()
+        net.backward(np.ones_like(pred))
+        # the window is whole: its adjoint spreads each vector's gradient
+        # over window * window pixels, the pixels the forward averaged
+        shape, y0, x0, _ = net._cache
+        assert y0 >= 0 and x0 >= 0 and y0 + window <= shape[1]
 
     @pytest.mark.parametrize("network", [Detector, OrientationEstimator])
     @pytest.mark.parametrize("shape", [(2, 48, 48, 1), (2, 32, 32, 3), (32, 32, 1)],
@@ -760,8 +824,14 @@ class TestEndToEndCovariance:
         unblurred = OrientationEstimator(net.spec, rng=np.random.default_rng(0),
                                          dtype=np.float64)
         for layer, w, raw in zip(rconv_layers(net), before, rconv_layers(unblurred)):
+            if parametrization == "steerable":
+                # the bank the report's last forward composed from the
+                # blurred mixing
+                w = steerbasis.compose_filters(layer.atoms, layer.mixing)
             assert layer.bank.weights.tobytes() == w.tobytes()
-            assert np.abs(w - raw.bank.weights).max() > 1e-3
+            # inside the circle, the only weights the expansion reads
+            inside = rconv.circular_mask(w.shape[0])[:, :, None, None]
+            assert np.abs((w - raw.bank.weights) * inside).max() > 1e-3
 
 
 class TestOrientationLoss:

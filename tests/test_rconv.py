@@ -415,15 +415,17 @@ class TestInvariants:
         rel = np.linalg.norm(d) / np.linalg.norm(expect[:, crop:-crop, crop:-crop])
         assert rel < 0.05
 
-    def test_masked_weights_stay_masked_through_updates(self, rng):
-        bank = make_bank(rng, m=5, cin=1, c=1, n=4)
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_masked_weights_stay_masked_through_updates(self, rng, n):
+        # no mask is re-applied: the adjoint gives the corners zero gradient,
+        # also where resampling (n = 8) spreads gradient onto them
+        bank = make_bank(rng, m=5, cin=1, c=1, n=n)
         outside = circular_mask(5) == 0.0
         x = rng.normal(size=(6, 6, 1))
         vel = np.zeros_like(bank.weights)
         for _ in range(5):
-            up = rng.normal(size=(6, 6, 4))
+            up = rng.normal(size=(6, 6, n))
             _, gw = rconv_grads(x, bank, up)
             vel = 0.9 * vel + gw
             bank.weights -= 0.05 * vel
-            bank.apply_mask()
             assert not bank.weights[outside].any()

@@ -3,8 +3,8 @@ a change keeps every output byte-identical.
 
     python3 tools/output_digest.py [--steps 4] [--images 16]
 
-Prints three lines, `train_detect <sha256>`, `train_variants <sha256>` and
-`detect <sha256>`:
+Prints four lines, `train_detect <sha256>`, `train_variants <sha256>`,
+`detect <sha256>` and `verify <sha256>`:
 
 - train_detect: `--steps` training steps of `perfbench/workloads.py`'s
   `TrainDetect` at seeds 0 and 5 (its warm-up step is the first), hashing
@@ -16,7 +16,11 @@ Prints three lines, `train_detect <sha256>`, `train_variants <sha256>` and
   angle resampled, no quarter-turn fold) and steerable filters at n=12;
 - detect: `Detect.op` on the first `--images` pool images at seeds 3 and
   7919, hashing each detection's class, `repr(score)`, the bytes of both
-  boxes' `as_array()` and the types of every box field.
+  boxes' `as_array()` and the types of every box field;
+- verify: the CSV files `trainer.verify_equivariance` writes for a free and
+  a steerable n=8 probe at 32 px with rotation counts 4 and 8 (the
+  `oriconv verify` angles), plus the `repr` of the rows of the workloads'
+  `Verify` at seeds 0 and 5.
 
 The workloads are imported read-only and run with one BLAS thread unless
 OPENBLAS_NUM_THREADS says otherwise, as the benchmark runs them. Compare the
@@ -29,6 +33,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -42,6 +47,7 @@ from oriconv import networks, trainer  # noqa: E402
 
 TRAIN_SEEDS = (0, 5)
 DETECT_SEEDS = (3, 7919)
+VERIFY_SEEDS = (0, 5)
 
 
 def _add_arrays(h, arrays: dict) -> None:
@@ -108,6 +114,27 @@ def detect_digest(images: int) -> str:
     return h.hexdigest()
 
 
+VERIFY_SPECS = (
+    networks.NetworkSpec(task="orientation", n_rotations=8),
+    networks.NetworkSpec(task="orientation", n_rotations=8, parametrization="steerable"),
+)
+
+
+def verify_digest() -> str:
+    h = hashlib.sha256()
+    for spec in VERIFY_SPECS:
+        with tempfile.TemporaryDirectory() as out:
+            trainer.verify_equivariance(spec, (0.0, 90.0, 180.0, 270.0), out,
+                                        rotation_counts=(4, 8), image_size=32)
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), "rb") as fh:
+                    h.update(name.encode())
+                    h.update(fh.read())
+    for seed in VERIFY_SEEDS:
+        h.update(repr(workloads.Verify(seed).op(0)).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--steps", type=int, default=4, help="training steps per seed (>= 1)")
@@ -119,6 +146,7 @@ def main(argv=None) -> int:
     print("train_detect", train_detect_digest(args.steps))
     print("train_variants", train_variants_digest(args.steps))
     print("detect", detect_digest(args.images))
+    print("verify", verify_digest())
     return 0
 
 
