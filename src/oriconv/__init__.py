@@ -1,9 +1,8 @@
 """Rotation-equivariant convolution toolkit.
 
 Core stack: canonical filters expanded over sampled rotations (`rconv`),
-orientation pooling into 2D vector fields (`fieldops`), a steerable filter
-basis (`steerbasis`) whose composed filters `rconv` resamples like free ones,
-and the detector blocks built on them (`netblocks`, `networks`).
+orientation pooling into 2D vector fields (`fieldops`), and the detector
+blocks built on them (`netblocks`, `networks`).
 Verification primitives (finite-difference gradient checks, exact
 quarter-turn covariance) live in `tensor` and `trainer`; evaluation in
 `metrics`; deterministic synthetic data in `synthdata`. The package reads
@@ -29,7 +28,6 @@ from .fieldops import (
     orientation_pool_stack,
     vf_max_pool,
 )
-from .steerbasis import build_basis, compose_filters
 from .detect import (
     Detection,
     HBox,

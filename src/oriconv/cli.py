@@ -194,7 +194,8 @@ def cmd_eval(args) -> int:
             w = csv.writer(fh)
             w.writerow(("rank", "score", "precision", "recall"))
             w.writerows(rows)
-    print(f"mAP@0.5 = {result.map50:.4f} over {len(data)} images; report in {args.out}")
+    print(f"mAP@0.5 = {result.map50:.4f}, OBB mAP@0.5 = {result.obb_map50:.4f} "
+          f"over {len(data)} images; report in {args.out}")
     return 0
 
 

@@ -12,14 +12,14 @@ continuous integral, not a sampled approximation. Oriented AP matches on
 `iou_obb` and needs `(HBox, OBox)` ground truth.
 
 `evaluate` reports at HBB IoU 0.5: per-class AP, mAP and each class's
-precision-recall rows; the false-positive taxonomy and corner gaps of each
-image's all-class match; and the mean angle error (modulo 90) against the
-best-overlapping object, used or not, at IoU >= 0.5. A false positive is a
-localization error at 0.1 <= IoU < 0.5 with its best-overlapping object, a
-background confusion at IoU < 0.1 with every object, and "other" at
-IoU >= 0.5 (a duplicate of an already matched object); the localization gap
-is the detection-to-object corner offset per axis, over the object's
-diagonal.
+precision-recall rows; the OBB mAP (at OBB IoU 0.5, same classes); the
+false-positive taxonomy and corner gaps of each image's all-class match;
+and the mean angle error (modulo 90) against the best-overlapping object,
+used or not, at IoU >= 0.5. A false positive is a localization error at
+0.1 <= IoU < 0.5 with its best-overlapping object, a background confusion
+at IoU < 0.1 with every object, and "other" at IoU >= 0.5 (a duplicate of
+an already matched object); the localization gap is the detection-to-object
+corner offset per axis, over the object's diagonal.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import ShapeError
 class EvalResult:
     per_class_ap: dict
     map50: float
+    obb_map50: float
     loc_error_mean: tuple  # (dx mean, dy mean)
     loc_error_std: tuple
     loc_error_rate: float
@@ -172,7 +173,7 @@ def evaluate(per_image_detections, per_image_gt):
     `per_image_gt` holds `(class, (HBox, OBox))` pairs per image. Returns
     (EvalResult, {class: [(rank, score, precision, recall)]}) with the rows
     of every ground-truth class. Raises ShapeError unless both lists hold one
-    entry per image.
+    entry per image and every ground truth is an `(HBox, OBox)` pair.
     """
     if len(per_image_detections) != len(per_image_gt):
         raise ShapeError(
@@ -181,6 +182,9 @@ def evaluate(per_image_detections, per_image_gt):
     classes = sorted({c for gts in per_image_gt for c, _ in gts})
     curves = _class_curves(per_image_detections, per_image_gt, classes, 0.5, False)
     per_class, map50 = _mean_ap(curves)
+    _, obb_map50 = mean_average_precision(
+        per_image_detections, per_image_gt, classes, 0.5, oriented=True
+    )
     pr_rows = {
         cls: list(zip(range(1, len(scores) + 1), scores, precision.tolist(), recall.tolist()))
         for cls, (scores, recall, precision) in curves.items()
@@ -211,6 +215,7 @@ def evaluate(per_image_detections, per_image_gt):
     result = EvalResult(
         per_class_ap=per_class,
         map50=map50,
+        obb_map50=obb_map50,
         loc_error_mean=(float(gx.mean()), float(gy.mean())),
         loc_error_std=(float(gx.std()), float(gy.std())),
         loc_error_rate=counts["localization"] / max(n_fp, 1),

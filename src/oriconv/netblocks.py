@@ -38,8 +38,7 @@ Only the leaves that own arrays override the collectors: `RConvLayer`,
 `PlainConv` and `OrientationHead` their parameters and gradients,
 `FieldNorm` its running statistics. No pass re-writes parameters after an
 update: each invariant is kept where it is read. The circular filter mask
-belongs to `rconv.expand_rotations` and its adjoint, and a steerable
-layer's filter bank to its forward, which recomposes it from `mixing`.
+belongs to `rconv.expand_rotations` and its adjoint.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import math
 
 import numpy as np
 
-from . import fieldops, rconv, steerbasis
+from . import fieldops, rconv
 from .errors import ShapeError, StateError
 from .tensor import Tensor, conv2d, conv2d_backward, conv2d_filter_grad
 
@@ -88,14 +87,13 @@ class Layer:
 
 
 class RConvLayer(Layer):
-    """Rotation-equivariant convolution with orientation pooling, free or
-    basis-parametrized filters: [N, H, W, Cin] -> field stacks [N, H, W, 2C].
+    """Rotation-equivariant convolution with orientation pooling:
+    [N, H, W, Cin] -> field stacks [N, H, W, 2C].
 
-    A steerable layer learns `mixing` [K, Cin, C] over the cached basis
-    atoms (`steerbasis.build_basis`, held as `atoms`) and composes its bank
-    from them on every forward; a free layer learns `bank.weights` itself.
-    Weights outside the filter's inscribed circle are never read: the
-    expansion masks them out and its adjoint gives them zero gradient.
+    The layer learns its canonical filter bank, `bank.weights`, directly
+    (free RConv filters). Weights outside the filter's inscribed circle are
+    never read: the expansion masks them out and its adjoint gives them zero
+    gradient.
     `forward` expands the canonical bank into its n rotated copies at most
     once per batch (`rconv.expand_rotations`, rotation-major: channel
     r*C + c), then convolves the batch against them into n*C rotation planes
@@ -104,9 +102,9 @@ class RConvLayer(Layer):
     handed on C-ordered and channel-last.
 
     The layer keeps one expanded filter, its last, read-only, and reuses it
-    while `bank.weights` (after steerable composition) has the same
-    bytes, dtype and shape it was expanded from. The key is the weights'
-    content, not their identity, a version count or the `training` flag:
+    while `bank.weights` has the same bytes, dtype and shape it was
+    expanded from. The key is the weights' content, not their identity, a
+    version count or the `training` flag:
     `trainer.SGD.step`, checkpoint loading and direct edits all write the
     weights in place, and a stale filter would still pass the quarter-turn
     checks while giving wrong losses. Repeated inference at fixed weights
@@ -147,7 +145,6 @@ class RConvLayer(Layer):
         n_filters: int,
         n_rotations: int,
         input_kind: str = rconv.SCALAR,
-        parametrization: str = "free",
         rng: np.random.Generator | None = None,
         dtype=np.float32,
         input_grad: bool = True,
@@ -156,36 +153,18 @@ class RConvLayer(Layer):
         self.n_rotations = n_rotations
         self.input_grad = input_grad
         self.input_kind = input_kind
-        self.parametrization = parametrization
-        if parametrization == "steerable":
-            self.atoms = steerbasis.build_basis(size)
-            fan_in = size * size * in_planes
-            std = math.sqrt(1.0 / (fan_in * n_rotations))
-            self.mixing = rng.normal(
-                0.0, std, size=(self.atoms.shape[2], in_planes, n_filters)
-            ).astype(dtype)
-            self.g_mixing = np.zeros_like(self.mixing)
-            w = steerbasis.compose_filters(self.atoms, self.mixing)
-        else:
-            self.atoms = None
-            w = init_canonical_weights(
-                size, in_planes, n_filters, n_rotations, rng
-            ).astype(dtype)
-            self.g_weights = np.zeros_like(w)
-        self.bank = rconv.CanonicalFilterBank(
-            w.astype(dtype), n_rotations, input_kind=input_kind
-        )
+        w = init_canonical_weights(
+            size, in_planes, n_filters, n_rotations, rng
+        ).astype(dtype)
+        self.g_weights = np.zeros_like(w)
+        self.bank = rconv.CanonicalFilterBank(w, n_rotations, input_kind=input_kind)
         self._cache = None
         self._expanded = (None, None)  # (weights key, read-only expanded filter)
 
     def params(self):
-        if self.parametrization == "steerable":
-            return {"mixing": self.mixing}
         return {"weights": self.bank.weights}
 
     def grads(self):
-        if self.parametrization == "steerable":
-            return {"mixing": self.g_mixing}
         return {"weights": self.g_weights}
 
     def _expanded_filter(self) -> Tensor:
@@ -200,8 +179,6 @@ class RConvLayer(Layer):
         return self._expanded[1]
 
     def forward(self, x: Tensor, training: bool = True) -> Tensor:
-        if self.parametrization == "steerable":
-            self.bank.weights = steerbasis.compose_filters(self.atoms, self.mixing)
         f = self._expanded_filter()
         y = conv2d(x, f)
         stack, winners, gate = fieldops.orientation_pool_stack(y, self.n_rotations)
@@ -225,10 +202,7 @@ class RConvLayer(Layer):
             gx, gf = None, conv2d_filter_grad(x, f, gpre)
         gf = gf.reshape(*gf.shape[:-1], cn // n, n).swapaxes(-1, -2).reshape(gf.shape)
         for gw in rconv.expand_rotations_backward(self.bank, gf):
-            if self.parametrization == "steerable":
-                self.g_mixing += steerbasis.compose_filters_backward(self.atoms, gw)
-            else:
-                self.g_weights += gw
+            self.g_weights += gw
         return gx
 
 
@@ -400,17 +374,16 @@ class PyramidStage(Sequential):
     image of `in_planes` channels, so its first conv skips the input gradient
     and `backward` returns None."""
 
-    def __init__(self, n_rotations, c1, c2, c_out, in_planes=1, rng=None, dtype=np.float32,
-                 parametrization="free"):
+    def __init__(self, n_rotations, c1, c2, c_out, in_planes=1, rng=None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         super().__init__([
             RConvLayer(
-                3, in_planes, c1, n_rotations, rconv.SCALAR, parametrization,
+                3, in_planes, c1, n_rotations, rconv.SCALAR,
                 rng=rng, dtype=dtype, input_grad=False,
             ),
-            RConvLayer(3, 2 * c1, c2, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
+            RConvLayer(3, 2 * c1, c2, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype),
             VfMaxPool(2),
-            RConvLayer(1, 2 * c2, c_out, n_rotations, rconv.VECTOR, parametrization, rng=rng, dtype=dtype),
+            RConvLayer(1, 2 * c2, c_out, n_rotations, rconv.VECTOR, rng=rng, dtype=dtype),
         ])
 
     # Own methods, not inherited ones: a profiler that wraps a class's own

@@ -72,9 +72,6 @@ class StageSpec:
 class NetworkSpec:
     task: str = "detection"
     n_rotations: int = 8
-    # free | steerable; reaches only the backbone and pyramid-stage RConvs,
-    # the attention and fusion RConvs stay free
-    parametrization: str = "free"
     input_size: int = 64
     input_channels: int = 1
     backbone: tuple = DEFAULT_BACKBONE
@@ -92,10 +89,6 @@ class NetworkSpec:
     def __post_init__(self):
         if self.task not in ("orientation", "detection"):
             raise ConfigError(f"task must be 'orientation' or 'detection', got {self.task!r}")
-        if self.parametrization not in ("free", "steerable"):
-            raise ConfigError(
-                f"parametrization must be 'free' or 'steerable', got {self.parametrization!r}"
-            )
         for key in ("n_rotations", "n_classes", "merge_channels", "input_size",
                     "input_channels", "head_window"):
             if getattr(self, key) < 1:
@@ -220,7 +213,7 @@ def _build_backbone(spec: NetworkSpec, rng, dtype):
         current.append(
             RConvLayer(
                 st["size"], in_planes, st["filters"], spec.n_rotations, kind,
-                spec.parametrization, rng=rng, dtype=dtype, input_grad=i > 0,
+                rng=rng, dtype=dtype, input_grad=i > 0,
             )
         )
         if st.get("pool", 1) > 1:
@@ -270,7 +263,7 @@ class Detector(Layer):
         self.lipm_stages = [
             PyramidStage(
                 spec.n_rotations, max(cm // 2, 2), cm, t["filters"], spec.input_channels,
-                rng=rng, dtype=dtype, parametrization=spec.parametrization,
+                rng=rng, dtype=dtype,
             )
             for t in self.taps if spec.use_lipm
         ]

@@ -73,8 +73,8 @@ class TrainConfig:
         if not (math.isfinite(self.momentum) and 0 <= self.momentum < 1):
             raise ConfigError(f"momentum must be finite and in [0, 1), got {self.momentum}")
         rates = (self.learning_rate, self.lr_second, self.lr_third)
-        if any(r <= 0 for r in rates):
-            raise ConfigError(f"learning rates must be positive, got {rates}")
+        if not all(math.isfinite(r) and r > 0 for r in rates):
+            raise ConfigError(f"learning rates must be finite and positive, got {rates}")
         if not rates[0] >= rates[1] >= rates[2]:
             raise ConfigError(f"learning rates must be non-increasing, got {rates}")
         if abs(sum(self.phase_fractions) - 1.0) > 1e-9:
@@ -107,10 +107,8 @@ class TrainConfig:
 class SGD:
     """Momentum SGD with decoupled weight decay over a network's named
     parameters, written in place. A step writes nothing else: a weight
-    outside a filter's circle has zero gradient and stays at zero, and a
-    steerable layer recomposes its filters from `mixing` on its next
-    forward. Running statistics are state, not parameters, and are never
-    decayed."""
+    outside a filter's circle has zero gradient and stays at zero. Running
+    statistics are state, not parameters, and are never decayed."""
 
     def __init__(self, network, momentum: float = 0.9, weight_decay: float = 5e-4):
         self.network = network
@@ -361,16 +359,12 @@ def verify_equivariance(
                 {"size": 3, "filters": 4, "pool": 2},
             ),
             head_window=net_spec.head_window,
-            parametrization=net_spec.parametrization,
         )
         net = OrientationEstimator(spec, rng=np.random.default_rng(seed), dtype=np.float64)
         # band-limit the random filters: rotating kernels with content at the
         # pixel Nyquist limit is meaningless, so the probe network uses
-        # smooth ones. A steerable layer recomposes its filters from `mixing`
-        # on every forward, so the blurred filters go there as their
-        # least-squares projection onto the basis atoms. The weight that
-        # the blur spreads outside a free filter's circle is never read:
-        # the expansion masks it out.
+        # smooth ones. The weight that the blur spreads outside a filter's
+        # circle is never read: the expansion masks it out.
         for layer in net.trunk.layers:
             if isinstance(layer, RConvLayer):
                 w = layer.bank.weights
@@ -379,12 +373,7 @@ def verify_equivariance(
                     [_gaussian_blur(flat[:, :, i], 1.0) for i in range(flat.shape[2])],
                     axis=2,
                 )[..., 0]
-                if layer.parametrization == "steerable":
-                    atoms = layer.atoms.reshape(-1, layer.atoms.shape[2])
-                    fit = np.linalg.lstsq(atoms, sm.reshape(atoms.shape[0], -1), rcond=None)[0]
-                    layer.mixing[...] = fit.reshape(layer.mixing.shape)
-                else:
-                    layer.bank.weights = sm.reshape(w.shape)
+                layer.bank.weights = sm.reshape(w.shape)
         return net
 
     probes = [image] + [

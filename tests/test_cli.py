@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from oriconv.checkpoint import load_checkpoint, save_checkpoint
-from oriconv.cli import _build_specs, _load_training_data, cli
-from oriconv.networks import DEFAULT_BACKBONE
+from oriconv.cli import _build_specs, _load_training_data, _restore_run, cli
+from oriconv.errors import ConfigError
+from oriconv.metrics import mean_average_precision
+from oriconv.networks import DEFAULT_BACKBONE, NetworkSpec
 from oriconv.synthdata import load_dataset
+from oriconv.trainer import TrainConfig
 
 
 def run(capfd, *argv):
@@ -64,12 +67,20 @@ def test_eval_writes_pr_curves_that_integrate_to_ap(detection_run, tmp_path, cap
     # with no score threshold every image has detections next to objects of
     # their class, the case the PR rows must take from the AP's own match
     data, run_dir = detection_run
-    code, _ = run(capfd, "eval", "--run", run_dir, "--data", data, "--out", tmp_path,
-                  "--score-threshold", "0.0")
-    assert code == 0
+    argv = ["eval", "--run", run_dir, "--data", data, "--out", tmp_path, "--score-threshold", "0.0"]
+    assert cli([str(a) for a in argv]) == 0
+    out = capfd.readouterr().out
     report = json.loads((tmp_path / "eval.json").read_text())
-    gt_classes = {o.class_id for s in load_dataset(str(data)) for o in s.objects}
+    scenes = load_dataset(str(data))
+    gt_classes = {o.class_id for s in scenes for o in s.objects}
     assert {int(c) for c in report["per_class_ap"]} == gt_classes
+    # the OBB mAP matches the same detections on their oriented boxes
+    net = _restore_run(str(run_dir))
+    per_dets = [net.detect_image(s.image, score_threshold=0.0) for s in scenes]
+    per_gts = [[(o.class_id, (o.hbox, o.obox)) for o in s.objects] for s in scenes]
+    _, obb_map50 = mean_average_precision(per_dets, per_gts, sorted(gt_classes), oriented=True)
+    assert report["obb_map50"] == obb_map50
+    assert f"OBB mAP@0.5 = {obb_map50:.4f}" in out
     for c in gt_classes:
         with open(tmp_path / f"pr_class{c}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -126,8 +137,6 @@ CONFIG_CASES = {
     "zero_classes": json.dumps({"network": {"task": "detection", "n_classes": 0}}),
     "zero_merge_channels": json.dumps({"network": {"task": "detection", "merge_channels": 0}}),
     "unknown_task": json.dumps({"network": {"task": "segmentation"}}),
-    "unknown_parametrization": json.dumps({"network": {"task": "detection",
-                                                       "parametrization": "bogus"}}),
     "zero_batch_size": json.dumps({"network": {"task": "detection"}, "train": {"batch_size": 0}}),
     "zero_input_size": json.dumps({"network": {"task": "detection", "input_size": 0}}),
     "zero_input_channels": json.dumps({"network": {"task": "detection", "input_channels": 0}}),
@@ -147,11 +156,25 @@ CONFIG_CASES = {
     "nan_momentum": json.dumps({"train": {"momentum": float("nan")}}),
     "negative_momentum": json.dumps({"train": {"momentum": -0.1}}),
     "momentum_one": json.dumps({"train": {"momentum": 1.0}}),
+    "infinite_learning_rate": json.dumps({"train": {"learning_rate": float("inf"),
+                                                    "lr_second": float("inf"),
+                                                    "lr_third": float("inf")}}),
+    # rates that keep their order: only the finiteness check stops them
+    "infinite_first_learning_rate": json.dumps({"train": {"learning_rate": float("inf")}}),
+    "infinite_first_two_learning_rates": json.dumps({"train": {"learning_rate": float("inf"),
+                                                               "lr_second": float("inf")}}),
+    "nan_learning_rate": json.dumps({"train": {"learning_rate": float("nan")}}),
+    "negative_infinite_last_learning_rate": json.dumps({"train": {"lr_third": float("-inf")}}),
     # not a spec key: the attention merge always concatenates
     "attention_mode_product": json.dumps({"network": {"task": "detection",
                                                       "attention_mode": "product"}}),
     "attention_mode_concat": json.dumps({"network": {"task": "detection",
                                                      "attention_mode": "concat"}}),
+    # not a spec key: every RConv layer learns free filters
+    "parametrization_free": json.dumps({"network": {"task": "detection",
+                                                    "parametrization": "free"}}),
+    "parametrization_steerable": json.dumps({"network": {"task": "detection",
+                                                         "parametrization": "steerable"}}),
     # not train or data keys: the network spec alone sets the task, the
     # rotation count and the input shape, and the images follow it
     "train_task": json.dumps({"train": {"task": "detection"}}),
@@ -173,6 +196,35 @@ def test_bad_train_config_exits_2(case, tmp_path, capfd):
     code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
     assert code == 2
     assert err.startswith("config error:")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("rate", ["learning_rate", "lr_second", "lr_third"])
+def test_non_finite_learning_rate_rejected(rate, value):
+    # each rate alone fails the finiteness check, before the order check
+    with pytest.raises(ConfigError, match="learning rates must be finite and positive"):
+        TrainConfig(**{rate: value})
+
+
+def unknown_network_keys(text):
+    """The keys of a config's network section that are not spec fields."""
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError:
+        return []
+    network = cfg.get("network", {}) if isinstance(cfg, dict) else {}
+    return sorted(set(network) - set(NetworkSpec.__dataclass_fields__))
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c, text in CONFIG_CASES.items() if unknown_network_keys(text))
+)
+def test_unknown_network_key_is_named(case, tmp_path, capfd):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(CONFIG_CASES[case])
+    _, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
+    keys = ", ".join(unknown_network_keys(CONFIG_CASES[case]))
+    assert err == f"config error: unknown key(s) in 'network' config: {keys}\n"
 
 
 def test_unknown_key_is_named(tmp_path, capfd):

@@ -161,11 +161,12 @@ def _batch(n, dtype):
 # float64 takes the exact-sum paths, over 10x the float32 time: one image
 ORACLE_SPECS = {
     "default": (dict(), np.float32, 2),
-    "steerable": (dict(parametrization="steerable"), np.float32, 2),
     "no_rpn": (dict(use_rpn=False), np.float32, 2),
     "no_lipm": (dict(use_lipm=False), np.float32, 2),
     "no_ffm": (dict(use_ffm=False), np.float32, 2),
     "float64": (dict(), np.float64, 1),
+    "n4": (dict(n_rotations=4), np.float32, 2),
+    "n12": (dict(n_rotations=12), np.float32, 2),
 }
 
 

@@ -21,9 +21,14 @@ def image_ap(detections, ground_truth):
     return m
 
 
+def hbox_pair(h):
+    """An HBox ground truth with its axis-aligned OBox, as `evaluate` takes it."""
+    return h, OBox((h.xmin + h.xmax) / 2, (h.ymin + h.ymax) / 2, h.width, h.height, 0.0)
+
+
 def evaluate_image(detections, ground_truth):
-    """`evaluate` on one image whose ground truth is all of class 0."""
-    result, _ = evaluate([detections], [[(0, g) for g in ground_truth]])
+    """`evaluate` on one image whose HBox ground truth is all of class 0."""
+    result, _ = evaluate([detections], [[(0, hbox_pair(g)) for g in ground_truth]])
     return result
 
 
@@ -139,7 +144,7 @@ class TestErrorTaxonomy:
     def test_perfect_detections_no_errors(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
-        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]])
+        result, pr_rows = evaluate([dets], [[(0, hbox_pair(g)) for g in gt]])
         assert [row[2] for row in pr_rows[0]] == [1.0]  # no false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
         assert result.loc_error_mean == (0.0, 0.0)
@@ -150,7 +155,7 @@ class TestErrorTaxonomy:
             Detection(0, 0.9, HBox(0, 0, 10, 10)),
             Detection(0, 0.8, HBox(0.5, 0, 10.5, 10)),  # IoU ~ 0.9, duplicate
         ]
-        result, pr_rows = evaluate([dets], [[(0, g) for g in gt]])
+        result, pr_rows = evaluate([dets], [[(0, hbox_pair(g)) for g in gt]])
         assert [row[2] for row in pr_rows[0]] == [1.0, 0.5]  # one false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
 
@@ -173,7 +178,7 @@ class TestErrorTaxonomy:
     def test_one_ground_truth_list_per_image(self):
         # the far detection of the second image is a background error once
         # that image has a (possibly empty) ground-truth entry
-        gt = (0, HBox(0, 0, 10, 10))
+        gt = (0, hbox_pair(HBox(0, 0, 10, 10)))
         tp = Detection(0, 0.9, HBox(0, 0, 10, 10))
         far = Detection(0, 0.8, HBox(50, 50, 60, 60))
         result, _ = evaluate([[tp], [far]], [[gt], []])
@@ -200,7 +205,7 @@ class TestOrientationError:
         gts = [square_pair(20.0 * (i + 1), a) for i, a in enumerate(true_angles)]
         dets = [Detection(0, 0.9, obox=OBox(20.0 * (i + 1), 50.0, 10.0, 10.0, a))
                 for i, a in enumerate(pred_angles)]
-        return evaluate_image(dets, gts).mean_angular_error
+        return evaluate([dets], [[(0, g) for g in gts]])[0].mean_angular_error
 
     def test_identical(self):
         assert self.angle_error([10.0, 250.0], [10.0, 250.0]) == 0.0
@@ -223,6 +228,48 @@ class TestOrientedGroundTruth:
         _, m = mean_average_precision(dets, [[(0, square_pair(5.0, 0.0))]], [0],
                                               oriented=True)
         assert m == 1.0
+
+
+class TestObbMap:
+    """`evaluate`'s OBB mAP@0.5: the same detections and classes as its
+    mAP@0.5, matched on their oriented boxes."""
+
+    # a 20 x 4 bar at 45 degrees and the bar crossing it: one hull, OBB IoU
+    # 16 / 144
+    BAR = OBox(50.0, 50.0, 20.0, 4.0, 45.0)
+    CROSS = OBox(50.0, 50.0, 4.0, 20.0, 45.0)
+
+    @staticmethod
+    def maps(per_dets, per_gts):
+        result, _ = evaluate(per_dets, [[(c, (o.hull(), o)) for c, o in gts] for gts in per_gts])
+        return result.map50, result.obb_map50
+
+    def test_crossed_bars_share_a_hull(self):
+        a, b = self.BAR.hull(), self.CROSS.hull()
+        assert (a.xmin, a.ymin, a.xmax, a.ymax) == pytest.approx((b.xmin, b.ymin, b.xmax, b.ymax))
+        assert iou_obb(self.BAR, self.CROSS) < 0.5
+
+    def test_aligned_detections_score_alike(self):
+        gt = OBox(30.0, 40.0, 16.0, 8.0, 0.0)
+        assert self.maps([[Detection(0, 0.9, obox=gt)]], [[(0, gt)]]) == (1.0, 1.0)
+
+    def test_crossed_bar_hits_the_hbb_and_misses_the_obb(self):
+        assert self.maps([[Detection(0, 0.9, obox=self.CROSS)]], [[(0, self.BAR)]]) == (1.0, 0.0)
+
+    def test_detection_without_obox_misses_the_obb(self):
+        det = Detection(0, 0.9, hbox=self.BAR.hull())
+        assert self.maps([[det]], [[(0, self.BAR)]]) == (1.0, 0.0)
+
+    def test_mean_over_classes(self):
+        dets = [Detection(0, 0.9, obox=self.BAR), Detection(1, 0.8, obox=self.CROSS)]
+        gts = [(0, self.BAR), (1, self.BAR)]
+        assert self.maps([dets], [gts]) == (1.0, 0.5)
+
+    def test_matched_in_score_order(self):
+        # the crossed bar ranks first: the true positive of the HBB match and
+        # a false positive of the OBB match, whose true positive comes second
+        dets = [Detection(0, 0.9, obox=self.CROSS), Detection(0, 0.8, obox=self.BAR)]
+        assert self.maps([dets], [[(0, self.BAR)]]) == (1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +540,11 @@ class TestOracleIdentity:
             result, pr_rows = evaluate(per_dets, per_gts)
             classes = sorted({c for gts in per_gts for c, _ in gts})
             per_class, map50 = _oracle_mean_average_precision(per_dets, per_gts, classes)
+            _, obb_map50 = _oracle_mean_average_precision(per_dets, per_gts, classes, 0.5, True)
             want = EvalResult(
                 per_class_ap=per_class,
                 map50=map50,
+                obb_map50=obb_map50,
                 mean_angular_error=_mean_obb_angle_error(per_dets, per_gts),
                 **_oracle_taxonomy_sum(per_dets, per_gts),
             )

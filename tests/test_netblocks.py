@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oriconv import checkpoint, rconv, steerbasis, synthdata, trainer
+from oriconv import checkpoint, rconv, synthdata, trainer
 from oriconv.errors import ConfigError, ShapeError, StateError
 from oriconv.fieldops import (
     orientation_pool_backward,
@@ -119,48 +119,29 @@ class TestLayerGradients:
         )
         assert err_w < 1e-4 and err_x < 1e-4
 
-    def test_steerable_rconv_layer(self, rng):
-        layer = RConvLayer(
-            5, 1, 2, 4, rconv.SCALAR, parametrization="steerable", rng=rng, dtype=np.float64
-        )
-        x = rng.normal(size=(1, 6, 6, 1))
+    @pytest.mark.parametrize("n_rotations", [4, 8, 12], ids=lambda n: f"n{n}")
+    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
+    def test_rconv_layer_finite_differences(self, rng, kind, n_rotations):
+        # a circular 5 x 5 filter, resampled between quarter turns for n = 8
+        # and 12, on two images whose filter gradients add up
+        layer = RConvLayer(5, 2, 2, n_rotations, kind, rng=rng, dtype=np.float64)
+        x = rng.normal(size=(2, 7, 7, 2))
         y = layer.forward(x)
         up = rng.normal(size=y.shape)
         layer.zero_grads()
-        layer.backward(up)
+        gx = layer.backward(up)
+        weights = layer.bank.weights.copy()
 
-        def loss(p):
-            l2 = RConvLayer(5, 1, 2, 4, rconv.SCALAR, parametrization="steerable",
-                            rng=np.random.default_rng(0), dtype=np.float64)
-            l2.mixing = p
-            return np.sum(up * l2.forward(x))
+        def loss_w(p):
+            layer.bank.weights[...] = p  # an in-place write re-expands the filter
+            return np.sum(up * layer.forward(x))
 
-        err = finite_diff_check(loss, layer.mixing.copy(), layer.g_mixing, step=1e-6)
-        assert err < 1e-4
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
-    def test_steerable_layer_is_a_free_layer_with_composed_weights(self, rng, kind, dtype):
-        steer = RConvLayer(5, 4, 2, 8, kind, "steerable", rng=rng, dtype=dtype)
-        free = RConvLayer(5, 4, 2, 8, kind, rng=rng, dtype=dtype)
-        x = rng.normal(size=(3, 7, 7, 4)).astype(dtype)
-        up = rng.normal(size=(3, 7, 7, 4)).astype(dtype)
-        out = steer.forward(x)
-        free.bank.weights[...] = steerbasis.compose_filters(steer.atoms, steer.mixing)
-        assert free.bank.weights.tobytes() == steer.bank.weights.tobytes()
-        assert out.tobytes() == free.forward(x).tobytes()
-        steer.zero_grads()
-        free.zero_grads()
-        assert steer.backward(up).tobytes() == free.backward(up).tobytes()
-        # g_mixing is each image's filter gradient pulled onto the atoms,
-        # added in image order
-        want = np.zeros_like(steer.mixing)
-        for img, g in zip(x, up):
-            free.zero_grads()
-            free.forward(img[None])
-            free.backward(g[None])
-            want += steerbasis.compose_filters_backward(steer.atoms, free.g_weights)
-        assert steer.g_mixing.tobytes() == want.tobytes()
+        err_w = finite_diff_check(loss_w, weights, layer.g_weights, step=1e-6)
+        layer.bank.weights[...] = weights
+        err_x = finite_diff_check(
+            lambda p: np.sum(up * layer.forward(p)), x.copy(), gx, step=1e-6
+        )
+        assert err_w < 1e-4 and err_x < 1e-4
 
     @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
     def test_rconv_layer_batch_matches_per_image(self, rng, kind, monkeypatch):
@@ -518,12 +499,9 @@ class TestRConvCache:
         n = layer.n_rotations
         return np.stack([orientation_pool_stack(conv2d(img, f), n)[0] for img in x])
 
-    @pytest.mark.parametrize(
-        "kind, parametrization",
-        [(rconv.SCALAR, "free"), (rconv.VECTOR, "free"), (rconv.SCALAR, "steerable")],
-    )
-    def test_repeated_inference_expands_once(self, rng, kind, parametrization, monkeypatch):
-        layer = RConvLayer(5, 4, 2, 8, kind, parametrization=parametrization, rng=rng)
+    @pytest.mark.parametrize("kind", [rconv.SCALAR, rconv.VECTOR])
+    def test_repeated_inference_expands_once(self, rng, kind, monkeypatch):
+        layer = RConvLayer(5, 4, 2, 8, kind, rng=rng)
         x = rng.normal(size=(2, 7, 7, 4)).astype(np.float32)
         calls = count_expansions(monkeypatch)
         first = layer.forward(x, training=False)
@@ -543,11 +521,9 @@ class TestRConvCache:
         layer.forward(x, training=True)
         assert layer._cache[1] is layer._expanded_filter()
 
-    @pytest.mark.parametrize("change", ["sgd_step", "in_place", "checkpoint", "mixing"])
+    @pytest.mark.parametrize("change", ["sgd_step", "in_place", "checkpoint"])
     def test_changed_weights_invalidate_the_filter(self, rng, change, monkeypatch, tmp_path):
-        layer = RConvLayer(
-            5, 2, 3, 8, parametrization="steerable" if change == "mixing" else "free", rng=rng
-        )
+        layer = RConvLayer(5, 2, 3, 8, rng=rng)
         x = rng.normal(size=(2, 7, 7, 2)).astype(np.float32)
         before = layer.forward(x, training=False)
         if change == "sgd_step":
@@ -557,13 +533,11 @@ class TestRConvCache:
             trainer.SGD(layer).step(0.1)
         elif change == "in_place":
             layer.bank.weights.flat[layer.bank.weights.size // 2] += 0.05
-        elif change == "checkpoint":
+        else:
             other = RConvLayer(5, 2, 3, 8, rng=np.random.default_rng(99))
             path = str(tmp_path / "ck.bin")
             checkpoint.save_checkpoint(path, checkpoint.network_tensors(other), 0, {})
             checkpoint.restore_network(layer, checkpoint.load_checkpoint(path)[0])
-        else:
-            layer.mixing.flat[layer.mixing.size // 2] += 0.05
         calls = count_expansions(monkeypatch)
         after = layer.forward(x, training=False)
         assert len(calls) == 1
@@ -631,15 +605,14 @@ class TestCircularSupport:
     lies outside a filter's inscribed circle out of every output and
     gradient."""
 
-    @pytest.mark.parametrize("parametrization", ["free", "steerable"])
-    def test_sgd_steps_leave_the_corners_at_zero(self, parametrization):
+    def test_sgd_steps_leave_the_corners_at_zero(self):
         scene_spec = synthdata.SceneSpec(seed=5, image_size=32, min_objects=1, max_objects=3)
         scenes = [synthdata.generate_scene(scene_spec, i) for i in range(2)]
         images = np.stack([s.image for s in scenes])
         gts = [([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
                for s in scenes]
         # n = 8 resamples at 45 degrees, whose adjoint reaches the corners
-        spec = NetworkSpec(input_size=32, n_rotations=8, parametrization=parametrization,
+        spec = NetworkSpec(input_size=32, n_rotations=8,
                            anchor_scales=((8.0, 12.0), (16.0, 24.0)))
         net = Detector(spec, rng=np.random.default_rng(0))
         start = {k: v.copy() for k, v in net.params().items()}
@@ -649,7 +622,6 @@ class TestCircularSupport:
             net.loss_and_grads(images, gts)
             opt.step(0.05)
         assert all(np.abs(v - start[k]).max() > 0 for k, v in net.params().items())
-        net.forward(images, training=False)  # a steerable bank is composed here
         corners = 0
         for layer in rconv_layers(net):
             outside = rconv.circular_mask(layer.bank.size) == 0
@@ -768,7 +740,6 @@ class TestEndToEndCovariance:
     @pytest.mark.parametrize("n_rotations", [4, 8, 12], ids=lambda n: f"n{n}")
     @pytest.mark.parametrize("use_ffm", [True, False], ids=["ffm", "no_ffm"])
     @pytest.mark.parametrize("use_lipm", [True, False], ids=["lipm", "no_lipm"])
-    @pytest.mark.parametrize("parametrization", ["free", "steerable"])
     @pytest.mark.parametrize("use_rpn", [
         pytest.param(False, id="no_rpn"),
         # the RPN's proposals come from a plain conv, so its region gate does
@@ -779,14 +750,14 @@ class TestEndToEndCovariance:
             reason="the RPN gate is not equivariant (ROADMAP direction 3)")),
     ])
     def test_detector_merged_features_quarter_turn_exact(
-        self, use_rpn, parametrization, use_lipm, use_ffm, n_rotations, rng,
+        self, use_rpn, use_lipm, use_ffm, n_rotations, rng,
     ):
         # 4 | rotations, float64, tie-free normal input: the merged fields
         # that every level's head reads rotate with the image (the plain-conv
         # heads do not), for every branch of the spec
         img = rng.normal(size=(32, 32, 1))
         spec = NetworkSpec(task="detection", n_rotations=n_rotations, input_size=32,
-                           parametrization=parametrization, merge_channels=4,
+                           merge_channels=4,
                            use_lipm=use_lipm, use_ffm=use_ffm, use_rpn=use_rpn,
                            backbone=(
                                {"size": 3, "filters": 3, "pool": 2, "tap": True},
@@ -801,12 +772,9 @@ class TestEndToEndCovariance:
         for d1, d2 in zip(*head_inputs):
             assert np.array_equal(d2, rotate_stack_90(d1, 1))
 
-    @pytest.mark.parametrize("parametrization", ["free", "steerable"])
-    def test_verify_probe_runs_its_band_limited_filters(self, parametrization, monkeypatch,
-                                                        tmp_path):
+    def test_verify_probe_runs_its_band_limited_filters(self, monkeypatch, tmp_path):
         # `verify_equivariance` blurs the probe's random filters; the
-        # forwards of its report must run those filters, also in a steerable
-        # layer, which recomposes its filters from `mixing` on every forward
+        # forwards of its report must run those filters
         seen = []
         report = trainer.exact_quarter_turn_report
 
@@ -817,17 +785,13 @@ class TestEndToEndCovariance:
             return rows
 
         monkeypatch.setattr(trainer, "exact_quarter_turn_report", spy)
-        spec = NetworkSpec(task="orientation", n_rotations=4, parametrization=parametrization)
+        spec = NetworkSpec(task="orientation", n_rotations=4)
         trainer.verify_equivariance(spec, [90.0], str(tmp_path), rotation_counts=(4,),
                                     image_size=32)
         net, before = seen[0]
         unblurred = OrientationEstimator(net.spec, rng=np.random.default_rng(0),
                                          dtype=np.float64)
         for layer, w, raw in zip(rconv_layers(net), before, rconv_layers(unblurred)):
-            if parametrization == "steerable":
-                # the bank the report's last forward composed from the
-                # blurred mixing
-                w = steerbasis.compose_filters(layer.atoms, layer.mixing)
             assert layer.bank.weights.tobytes() == w.tobytes()
             # inside the circle, the only weights the expansion reads
             inside = rconv.circular_mask(w.shape[0])[:, :, None, None]

@@ -12,14 +12,15 @@ Prints four lines, `train_detect <sha256>`, `train_variants <sha256>`,
   state array of the network by name, dtype, shape and bytes;
 - train_variants: the same for `--steps` steps on `TrainDetect`'s seed-0
   scenes of two detectors the workloads do not run, whose filter expansion
-  takes the paths the default n=8 one skips: free filters at n=6 (every
-  angle resampled, no quarter-turn fold) and steerable filters at n=12;
+  takes the paths the default n=8 one skips: n=6 (every angle resampled,
+  no quarter-turn fold) and n=12 (a quarter-turn fold over three base
+  angles);
 - detect: `Detect.op` on the first `--images` pool images at seeds 3 and
   7919, hashing each detection's class, `repr(score)`, the bytes of both
   boxes' `as_array()` and the types of every box field;
-- verify: the CSV files `trainer.verify_equivariance` writes for a free and
-  a steerable n=8 probe at 32 px with rotation counts 4 and 8 (the
-  `oriconv verify` angles), plus the `repr` of the rows of the workloads'
+- verify: the CSV files `trainer.verify_equivariance` writes for an n=8
+  probe at 32 px with rotation counts 4 and 8 (the `oriconv verify`
+  angles), plus the `repr` of the rows of the workloads'
   `Verify` at seeds 0 and 5.
 
 The workloads are imported read-only and run with one BLAS thread unless
@@ -77,7 +78,7 @@ def train_detect_digest(steps: int) -> str:
 
 VARIANT_SPECS = (
     networks.NetworkSpec(n_rotations=6),
-    networks.NetworkSpec(n_rotations=12, parametrization="steerable"),
+    networks.NetworkSpec(n_rotations=12),
 )
 
 
@@ -114,10 +115,7 @@ def detect_digest(images: int) -> str:
     return h.hexdigest()
 
 
-VERIFY_SPECS = (
-    networks.NetworkSpec(task="orientation", n_rotations=8),
-    networks.NetworkSpec(task="orientation", n_rotations=8, parametrization="steerable"),
-)
+VERIFY_SPECS = (networks.NetworkSpec(task="orientation", n_rotations=8),)
 
 
 def verify_digest() -> str:
