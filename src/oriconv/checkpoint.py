@@ -14,6 +14,8 @@ config JSON split into two 16-bit halves so each is exact in float32).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import zlib
 
@@ -68,10 +70,12 @@ def save_checkpoint(path: str, tensors: dict, step: int, config: dict) -> None:
 
 
 def _read(fh, n: int, path: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ConfigError(f"{path} is truncated (wanted {n} bytes, got {len(data)})")
-    return data
+    """The next `n` bytes; ConfigError, before any are read, if fewer are
+    left, so no header can make the reader allocate more than the file."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ConfigError(f"{path} is truncated (wanted {n} bytes, got {left})")
+    return fh.read(n)
 
 
 def _read_u32(fh, path: str) -> int:
@@ -94,9 +98,8 @@ def load_checkpoint(path: str):
             name = _read(fh, nlen, path).decode()
             rank = _read_u32(fh, path)
             shape = tuple(_read_u32(fh, path) for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read(fh, 4 * n, path), dtype="<f4").reshape(shape)
-            tensors[name] = data.copy()
+            data = np.frombuffer(_read(fh, 4 * math.prod(shape), path), dtype="<f4")
+            tensors[name] = data.reshape(shape).copy()
     step = int(tensors.pop("meta/step")[0])
     lo = int(tensors.pop("meta/config_hash_lo")[0])
     hi = int(tensors.pop("meta/config_hash_hi")[0])

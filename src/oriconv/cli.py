@@ -9,6 +9,9 @@ orientation network takes none of the keys that only detection scenes use.
 Any other top-level key, and a file that is not UTF-8 JSON, is a config
 error. Any matching CLI flag overrides the config value (flags win). Exit
 codes: 0 success, 2 bad usage or config, 3 numerical failure.
+
+`train` and `eval` hand the loss and the metrics the same ground-truth
+record per image, `Sample.ground_truth`.
 """
 
 from __future__ import annotations
@@ -184,8 +187,7 @@ def cmd_eval(args) -> int:
         net.detect_image(s.image, score_threshold=args.score_threshold, nms_iou=args.nms_iou)
         for s in data
     ]
-    per_gts = [[(o.class_id, (o.hbox, o.obox)) for o in s.objects] for s in data]
-    result, pr_rows = metrics.evaluate(per_dets, per_gts)
+    result, pr_rows = metrics.evaluate(per_dets, [s.ground_truth() for s in data])
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "eval.json"), "w") as fh:
         fh.write(result.to_json())

@@ -34,6 +34,10 @@ detector concatenates its levels into one flat anchor axis, so the matcher,
 the losses and the decoders see every level as one set of rows, and
 `propose_rois` takes the rows of the level its RPN reads.
 
+Training, matching and evaluation read one ground-truth record per image,
+`(class_ids, [(HBox, OBox), ...])` (`check_ground_truth`), and every
+`Detection` holds both boxes too.
+
 Training targets and the loss take a whole batch at once. `GroundTruth`
 puts every image's boxes on one flat axis, `match_batch` matches them all
 against one anchor set, and `composite_loss_batch` scores [B, ...] arrays,
@@ -44,6 +48,7 @@ rows its term reads (`RowGrad`). One image is a batch of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,16 +144,14 @@ class OBox:
 class Detection:
     class_id: int
     score: float
-    hbox: HBox = None
-    obox: OBox = None
+    hbox: HBox
+    obox: OBox
 
     def __post_init__(self):
         if not math.isfinite(self.score):
             raise ShapeError(f"non-finite detection score {self.score}")
-        if self.hbox is None:
-            if self.obox is None:
-                raise ShapeError("a detection needs an hbox, an obox or both")
-            self.hbox = self.obox.hull()
+        if not (isinstance(self.hbox, HBox) and isinstance(self.obox, OBox)):
+            raise ShapeError("a detection needs an HBox and an OBox")
 
 
 def iou_hbb(a: HBox, b: HBox) -> float:
@@ -355,6 +358,27 @@ RPN_NEG_IOU = 0.3
 HEAD_POS_IOU = 0.5
 
 
+def check_ground_truth(gt_per_image, n_classes=None) -> None:
+    """ShapeError, naming the image, unless each entry is a record
+    (class_ids, [(HBox, OBox), ...]): one whole-number class id per box pair,
+    given `n_classes` in 1..n_classes (0 is the background)."""
+    for b, entry in enumerate(gt_per_image):
+        where = f"ground truth of image {b}"
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ShapeError(f"{where} is not a (class ids, box pairs) record")
+        ids, boxes = entry
+        if not (isinstance(ids, (tuple, list)) and all(isinstance(c, numbers.Integral) for c in ids)):
+            raise ShapeError(f"{where}: class ids must be a list of whole numbers, got {ids!r}")
+        if not (isinstance(boxes, (tuple, list)) and all(isinstance(g, tuple) and len(g) == 2
+                and isinstance(g[0], HBox) and isinstance(g[1], OBox) for g in boxes)):
+            raise ShapeError(f"{where}: every box must be an (HBox, OBox) pair")
+        if len(ids) != len(boxes):
+            raise ShapeError(f"{where}: {len(ids)} class ids for {len(boxes)} boxes")
+        bad = [c for c in ids if n_classes is not None and not 1 <= c <= n_classes]
+        if bad:
+            raise ShapeError(f"{where}: class id {bad[0]} is outside 1..{n_classes} (n_classes)")
+
+
 @dataclass
 class GroundTruth:
     """The boxes of B images on one flat axis of M rows, image by image.
@@ -362,8 +386,7 @@ class GroundTruth:
     Box j is slot `slot[j]` of image `img[j]`; image b's boxes start at row
     `first[b]` and number `counts[b]`. `corners` are the HBox corners,
     `hbb_rows` its centre-size rows (xc, yc, w, h) and `obb_rows` the OBox's
-    (xc, yc, w, h, theta / 90); an HBox-only object's OBB row is its HBB row
-    at angle 0.
+    (xc, yc, w, h, theta / 90).
     """
 
     counts: list
@@ -377,36 +400,16 @@ class GroundTruth:
 
     @classmethod
     def from_images(cls, gt_per_image, n_classes=None) -> "GroundTruth":
-        """From a list over images of (class ids or None, boxes); boxes may
-        be HBox or (HBox, OBox) pairs, and None means class 1 for every box.
-        ShapeError, naming the image, when a class list and its box list
-        differ in length or, given `n_classes`, a class id is outside
-        1..n_classes (0 is the background)."""
-        classes = []
-        for b, (ids, boxes) in enumerate(gt_per_image):
-            ids = [1] * len(boxes) if ids is None else list(ids)
-            if len(ids) != len(boxes):
-                raise ShapeError(
-                    f"image {b} of the batch: {len(ids)} class ids for {len(boxes)} boxes"
-                )
-            if n_classes is not None:
-                bad = [c for c in ids if not 1 <= c <= n_classes]
-                if bad:
-                    raise ShapeError(
-                        f"image {b} of the batch: class id {bad[0]} is outside 1..{n_classes}"
-                        " (n_classes)"
-                    )
-            classes += ids
+        """From a list over images of ground-truth records (class ids, [(HBox,
+        OBox), ...]); `check_ground_truth` raises ShapeError for anything
+        else and, given `n_classes`, for a class id outside 1..n_classes."""
+        check_ground_truth(gt_per_image, n_classes)
         counts = [len(boxes) for _, boxes in gt_per_image]
+        classes = [c for ids, _ in gt_per_image for c in ids]
         flat = [g for _, boxes in gt_per_image for g in boxes]
-        hb = [g[0] if isinstance(g, tuple) else g for g in flat]
-        ob = [g[1] if isinstance(g, tuple) else None for g in flat]
-        hbb_rows = np.array([(*b.center, b.width, b.height) for b in hb]).reshape(-1, 4)
-        obb_rows = np.array([
-            (*r, 0.0) if o is None else (o.xc, o.yc, o.w, o.h, o.theta / 90.0)
-            for r, o in zip(hbb_rows, ob)
-        ]).reshape(-1, 5)
-        corners = np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b in hb], dtype=np.float64)
+        hbb_rows = np.array([(*b.center, b.width, b.height) for b, _ in flat]).reshape(-1, 4)
+        obb_rows = np.array([(o.xc, o.yc, o.w, o.h, o.theta / 90.0) for _, o in flat]).reshape(-1, 5)
+        corners = np.array([(b.xmin, b.ymin, b.xmax, b.ymax) for b, _ in flat], dtype=np.float64)
         img = np.arange(len(counts)).repeat(counts)
         first = np.cumsum(counts) - counts
         return cls(

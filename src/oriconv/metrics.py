@@ -6,10 +6,14 @@ score order (ties in input order) meet only the objects of their own image,
 and one is a true positive when its best-overlapping object reaches the IoU
 threshold and is still unused (no fallback to the next-best object).
 
+Ground truth is the record training reads, per image `(class_ids, [(HBox,
+OBox), ...])` (`detect.check_ground_truth`), and every `Detection` holds both
+boxes: HBB scores match the HBoxes on `iou_hbb`, OBB scores the OBoxes on
+`iou_obb`.
+
 AP is the exact area under the all-point interpolated precision-recall curve
 (precision envelope), integrated piecewise at the recall increments -- the
-continuous integral, not a sampled approximation. Oriented AP matches on
-`iou_obb` and needs `(HBox, OBox)` ground truth.
+continuous integral, not a sampled approximation.
 
 `evaluate` reports at HBB IoU 0.5: per-class AP, mAP and each class's
 precision-recall rows; the OBB mAP (at OBB IoU 0.5, same classes); the
@@ -30,7 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .detect import Detection, HBox, OBox, iou_hbb, iou_obb
+from .detect import check_ground_truth, iou_hbb, iou_obb
 from .errors import ShapeError
 
 
@@ -51,26 +55,12 @@ class EvalResult:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def _gt_hbox(gt) -> HBox:
-    """The HBox of a ground truth given as an HBox or an (HBox, OBox) pair."""
-    return gt[0] if isinstance(gt, tuple) else gt
-
-
-def _det_iou(det: Detection, gt, oriented: bool) -> float:
-    if oriented:
-        return iou_obb(det.obox, gt[1]) if det.obox is not None else 0.0
-    return iou_hbb(det.hbox, _gt_hbox(gt))
-
-
 def _match(dets, gts, iou_threshold, oriented):
     """Greedy match (module docstring) of `[(image, Detection)]` against
-    `[(image, gt)]`. Returns (order, flags, best_iou, best_gt): detection
-    indices by descending score and, aligned with them, true-positive flags,
-    best IoUs and indices into `gts` of the best-overlapping objects (-1 when
-    nothing overlaps). Oriented matching raises ShapeError for ground truth
-    that is not an `(HBox, OBox)` pair."""
-    if oriented and not all(isinstance(g, tuple) and isinstance(g[1], OBox) for _, g in gts):
-        raise ShapeError("oriented matching needs (HBox, OBox) ground truth pairs")
+    `[(image, (HBox, OBox))]`. Returns (order, flags, best_iou, best_gt):
+    detection indices by descending score and, aligned with them,
+    true-positive flags, best IoUs and indices into `gts` of the
+    best-overlapping objects (-1 when nothing overlaps)."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1].score, i))
     gt_by_image = {}
     for g_idx, (image, gt) in enumerate(gts):
@@ -81,7 +71,7 @@ def _match(dets, gts, iou_threshold, oriented):
         image, det = dets[i]
         best, best_g = 0.0, -1
         for g_idx, gt in gt_by_image.get(image, ()):
-            v = _det_iou(det, gt, oriented)
+            v = iou_obb(det.obox, gt[1]) if oriented else iou_hbb(det.hbox, gt[0])
             if v > best:
                 best, best_g = v, g_idx
         hit = best >= iou_threshold and best_g >= 0 and not used[best_g]
@@ -114,11 +104,12 @@ def _area(recall, precision) -> float:
 
 def _class_curves(per_image_detections, per_image_gt, classes, iou_threshold, oriented):
     """{class: (ranked scores, recall, precision)} over an image set of
-    `(class, gt)` pairs, for each class with ground truth or detections."""
+    ground-truth records, for each class with ground truth or detections."""
     curves = {}
     for cls in classes:
         dets = [(i, d) for i, ds in enumerate(per_image_detections) for d in ds if d.class_id == cls]
-        gts = [(i, g) for i, gs in enumerate(per_image_gt) for c, g in gs if c == cls]
+        gts = [(i, g) for i, (ids, boxes) in enumerate(per_image_gt)
+               for c, g in zip(ids, boxes) if c == cls]
         if not gts and not dets:
             continue
         order, flags, _, _ = _match(dets, gts, iou_threshold, oriented)
@@ -132,10 +123,12 @@ def _mean_ap(curves):
 
 
 def mean_average_precision(per_image_detections, per_image_gt, classes, iou_threshold=0.5, oriented=False):
-    """Classwise AP over a whole image set, matched on `iou_obb` when
-    `oriented`. A class with neither ground truth nor detections is skipped;
-    one with detections but no ground truth scores 0. Returns (per_class
-    dict, mAP)."""
+    """Classwise AP over a whole image set of ground-truth records, matched
+    on `iou_obb` when `oriented`. A class with neither ground truth nor
+    detections is skipped; one with detections but no ground truth scores
+    0. Returns (per_class dict, mAP); ShapeError for ground truth that is not
+    one record per image (`detect.check_ground_truth`)."""
+    check_ground_truth(per_image_gt)
     return _mean_ap(_class_curves(per_image_detections, per_image_gt, classes, iou_threshold, oriented))
 
 
@@ -157,7 +150,7 @@ def _false_positives(detections, ground_truth, match):
             counts["background"] += 1
         elif iou < LOC_HIGH_IOU:
             counts["localization"] += 1
-            gbox = _gt_hbox(ground_truth[best_gts[pos]])
+            gbox = ground_truth[best_gts[pos]][0]
             diag = math.hypot(gbox.width, gbox.height)
             d = detections[i].hbox
             gaps_x.append(np.array([d.xmin - gbox.xmin, d.xmax - gbox.xmax]) / diag)
@@ -170,29 +163,28 @@ def _false_positives(detections, ground_truth, match):
 def evaluate(per_image_detections, per_image_gt):
     """Score an image set at HBB IoU 0.5 (see the module docstring).
 
-    `per_image_gt` holds `(class, (HBox, OBox))` pairs per image. Returns
-    (EvalResult, {class: [(rank, score, precision, recall)]}) with the rows
-    of every ground-truth class. Raises ShapeError unless both lists hold one
-    entry per image and every ground truth is an `(HBox, OBox)` pair.
+    `per_image_gt` holds one ground-truth record per image, as
+    `Sample.ground_truth` gives it and `Detector.loss_and_grads` reads it.
+    Returns (EvalResult, {class: [(rank, score, precision, recall)]}) with
+    the rows of every ground-truth class. Raises ShapeError unless both
+    lists hold one entry per image and each is such a record.
     """
     if len(per_image_detections) != len(per_image_gt):
         raise ShapeError(
             f"{len(per_image_detections)} detection lists for {len(per_image_gt)} ground-truth lists"
         )
-    classes = sorted({c for gts in per_image_gt for c, _ in gts})
+    check_ground_truth(per_image_gt)
+    classes = sorted({c for ids, _ in per_image_gt for c in ids})
     curves = _class_curves(per_image_detections, per_image_gt, classes, 0.5, False)
     per_class, map50 = _mean_ap(curves)
-    _, obb_map50 = mean_average_precision(
-        per_image_detections, per_image_gt, classes, 0.5, oriented=True
-    )
+    _, obb_map50 = _mean_ap(_class_curves(per_image_detections, per_image_gt, classes, 0.5, True))
     pr_rows = {
         cls: list(zip(range(1, len(scores) + 1), scores, precision.tolist(), recall.tolist()))
         for cls, (scores, recall, precision) in curves.items()
     }
     counts = {"localization": 0, "background": 0, "other": 0}
     gaps_x, gaps_y, preds, trues = [], [], [], []
-    for dets, gts in zip(per_image_detections, per_image_gt):
-        boxes = [g for _, g in gts]
+    for dets, (_, boxes) in zip(per_image_detections, per_image_gt):
         match = _match([(0, d) for d in dets], [(0, g) for g in boxes], 0.5, False)
         image_counts, image_gaps_x, image_gaps_y = _false_positives(dets, boxes, match)
         for key in counts:
@@ -201,7 +193,7 @@ def evaluate(per_image_detections, per_image_gt):
         gaps_y += image_gaps_y
         order, _, best_ious, best_gts = match
         for i, iou, g in sorted(zip(order, best_ious, best_gts)):
-            if dets[i].obox is not None and iou >= 0.5:
+            if iou >= 0.5:
                 preds.append(dets[i].obox.theta % 90.0)
                 trues.append(boxes[g][1].theta % 90.0)
     n_fp = sum(counts.values())

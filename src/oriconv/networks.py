@@ -97,6 +97,8 @@ class NetworkSpec:
             raise ConfigError(f"rpn_top_k must be >= 0, got {self.rpn_top_k}")
         if not self.backbone:
             raise ConfigError("backbone needs at least one stage")
+        # its own stage dicts, so editing one spec's stages edits no other's
+        self.backbone = tuple(dict(st) for st in self.backbone)
         for i, st in enumerate(self.backbone):
             size, pool = st["size"], st.get("pool", 1)
             if size < 1 or size % 2 == 0 or st["filters"] < 1 or pool < 1:
@@ -120,7 +122,6 @@ class NetworkSpec:
                 if not isinstance(st, dict) or not {"size", "filters"} <= st.keys():
                     raise ConfigError(f"{where} must be an object with size and filters")
                 check_section(where, st, StageSpec)
-            d["backbone"] = tuple(dict(s) for s in d["backbone"])
         if "anchor_scales" in d:
             for i, scales in enumerate(d["anchor_scales"]):
                 _check_positive_numbers(f"network.anchor_scales[{i}]", scales)
@@ -419,9 +420,11 @@ class Detector(Layer):
     def loss_and_grads(self, images: Tensor, gt_per_image, lambdas=(1.0,) * 5):
         """Forward + composite loss + full backward for one batch.
 
-        gt_per_image: list over images of (class_ids, [(HBox, OBox), ...]),
-        one entry per image and class ids in 1..n_classes; other ground
-        truth raises ShapeError before the forward runs.
+        gt_per_image: one ground-truth record per image, (class_ids,
+        [(HBox, OBox), ...]) as `Sample.ground_truth` and
+        `metrics.evaluate` have it, with class ids in 1..n_classes; other
+        ground truth raises ShapeError (`detect.check_ground_truth`) before
+        the forward runs.
 
         The whole batch is scored in one pass. The head anchors of every
         level are matched as one set, and the RPN anchors, if there is an
@@ -543,7 +546,7 @@ class Detector(Layer):
         kept = np.concatenate(kept)
         kept = kept[np.argsort(-cand_score[kept], kind="stable")][:max_per_image]
         return [
-            detect.Detection(c, s, hbox=hbox, obox=obox)
+            detect.Detection(c, s, hbox, obox)
             for c, s, hbox, obox in zip(
                 cand_cls[kept].tolist(), cand_score[kept].tolist(),
                 detect.hboxes_from_rows(hb[kept]),

@@ -66,10 +66,14 @@ class SceneSpec:
             if not (isinstance(lo_hi, (tuple, list)) and len(lo_hi) == 2
                     and all(map(_finite, lo_hi)) and lo_hi[0] <= lo_hi[1]):
                 raise ShapeError(f"{name} must be two finite numbers, low first, got {lo_hi!r}")
+            if name != "angle_range" and not 0 <= lo_hi[0] <= lo_hi[1] <= 1:
+                raise ShapeError(f"{name} must lie in [0, 1], got {lo_hi!r}")
+        if not (_finite(self.overlap_iou) and 0 <= self.overlap_iou <= 1):
+            raise ShapeError(f"overlap_iou must be a finite number in [0, 1], got {self.overlap_iou!r}")
         if not (_finite(self.min_size) and _finite(self.max_size)
-                and self.min_size <= self.max_size):
+                and 0.25 <= self.min_size <= self.max_size):
             raise ShapeError(
-                f"min_size and max_size must be finite with min_size <= max_size, "
+                f"min_size and max_size must be finite with 0.25 <= min_size <= max_size, "
                 f"got {self.min_size!r} and {self.max_size!r}"
             )
 
@@ -81,14 +85,12 @@ def _finite(value) -> bool:
 
 @dataclass
 class SceneObject:
+    """One object's labels, as `labels.jsonl` stores them; the renderer
+    derives its raster inputs from `alpha` and `obox`."""
     class_name: str
     hbox: HBox
     obox: OBox
-    alpha: float  # degrees in [0, 360)
-    # quantized direction of the alpha axis, shared by rasterizer and labels
-    ux: float = 0.0
-    uy: float = 0.0
-    size: float = 0.0
+    alpha: float  # degrees in [0, 360), on the 1/64 degree grid
 
     @property
     def class_id(self) -> int:
@@ -100,6 +102,10 @@ class Sample:
     image: np.ndarray  # [H, W, 1 or 3] float32 in [0, 1]
     objects: list
     placement_failed: bool = False
+
+    def ground_truth(self):
+        """The record (class_ids, [(HBox, OBox), ...]) training and evaluation read."""
+        return [o.class_id for o in self.objects], [(o.hbox, o.obox) for o in self.objects]
 
 
 def _rng(*key_parts) -> np.random.Generator:
@@ -223,17 +229,17 @@ def _make_object(class_name, xc, yc, size, alpha) -> SceneObject:
     hbox = HBox(corners[:, 0].min(), corners[:, 1].min(),
                 corners[:, 0].max(), corners[:, 1].max())
     obox = OBox(xc, yc, w, h, alpha)
-    return SceneObject(class_name, hbox, obox, alpha, ux, uy, size)
+    return SceneObject(class_name, hbox, obox, alpha)
 
 
 def _render_object(img: np.ndarray, obj: SceneObject, intensity: float):
-    size = img.shape[0]
     o = obj.obox
-    fn = _inside_shape(obj.class_name, o.xc, o.yc, obj.size, _quant(0.5 * obj.size), obj.ux, obj.uy)
+    size = max(o.w, o.h)  # the object's size, whichever side canonicalization made it
+    fn = _inside_shape(obj.class_name, o.xc, o.yc, size, _quant(0.5 * size), *_quant_dir(obj.alpha))
     hb = obj.hbox
     region = (int(math.floor(hb.ymin)) - 1, int(math.ceil(hb.ymax)) + 1,
               int(math.floor(hb.xmin)) - 1, int(math.ceil(hb.xmax)) + 1)
-    cov, (y0, y1, x0, x1) = _coverage(size, region, fn)
+    cov, (y0, y1, x0, x1) = _coverage(img.shape[0], region, fn)
     if cov.size == 0:
         return
     patch = img[y0:y1, x0:x1, :]
@@ -308,44 +314,36 @@ def generate_orientation_patches(spec: SceneSpec, count: int, patch_size: int = 
 
 def augment(sample: Sample, ops: dict) -> Sample:
     """Apply {rotate_quarters: k, hflip: bool} with consistent label
-    transport: boxes, orientations and direction vectors move with the image.
+    transport: boxes and orientations move with the image.
     Any other key raises ConfigError."""
     unknown = set(ops) - {"rotate_quarters", "hflip"}
     if unknown:
         raise ConfigError(f"unknown augment ops {sorted(unknown)}")
-    img = sample.image
-    objects = list(sample.objects)
-
-    k = int(ops.get("rotate_quarters", 0)) % 4
-    for _ in range(k):
+    img, objects = sample.image, list(sample.objects)
+    for _ in range(int(ops.get("rotate_quarters", 0)) % 4):
         w_img = img.shape[1]
         img = np.rot90(img).copy()
-        new_objs = []
-        for o in objects:
-            hb = o.hbox
-            nh = HBox(hb.ymin, w_img - hb.xmax, hb.ymax, w_img - hb.xmin)
-            ob = o.obox
-            nxc, nyc = ob.yc, w_img - ob.xc
-            nalpha = (o.alpha + 90.0) % 360.0
-            nob = OBox(nxc, nyc, ob.w, ob.h, ob.theta + 90.0)
-            ux, uy = _quant_dir(nalpha)
-            new_objs.append(SceneObject(o.class_name, nh, nob, nalpha, ux, uy, o.size))
-        objects = new_objs
-
+        objects = [
+            SceneObject(
+                o.class_name,
+                HBox(o.hbox.ymin, w_img - o.hbox.xmax, o.hbox.ymax, w_img - o.hbox.xmin),
+                OBox(o.obox.yc, w_img - o.obox.xc, o.obox.w, o.obox.h, o.obox.theta + 90.0),
+                (o.alpha + 90.0) % 360.0,
+            )
+            for o in objects
+        ]
     if ops.get("hflip"):
         w_img = img.shape[1]
         img = img[:, ::-1, :].copy()
-        new_objs = []
-        for o in objects:
-            hb = o.hbox
-            nh = HBox(w_img - hb.xmax, hb.ymin, w_img - hb.xmin, hb.ymax)
-            ob = o.obox
-            nalpha = (180.0 - o.alpha) % 360.0
-            nob = OBox(w_img - ob.xc, ob.yc, ob.w, ob.h, -ob.theta)
-            ux, uy = _quant_dir(nalpha)
-            new_objs.append(SceneObject(o.class_name, nh, nob, nalpha, ux, uy, o.size))
-        objects = new_objs
-
+        objects = [
+            SceneObject(
+                o.class_name,
+                HBox(w_img - o.hbox.xmax, o.hbox.ymin, w_img - o.hbox.xmin, o.hbox.ymax),
+                OBox(w_img - o.obox.xc, o.obox.yc, o.obox.w, o.obox.h, -o.obox.theta),
+                (180.0 - o.alpha) % 360.0,
+            )
+            for o in objects
+        ]
     return Sample(img, objects, sample.placement_failed)
 
 
@@ -404,11 +402,7 @@ def object_record(o: SceneObject) -> dict:
 def object_from_record(rec: dict) -> SceneObject:
     if rec["class"] not in CLASS_IDS:
         raise ValueError(f"unknown class {rec['class']!r}, not one of {', '.join(CLASS_NAMES)}")
-    hb = HBox(*rec["hbb"])
-    ob = OBox(*rec["obb"])
-    alpha = float(rec["alpha"])
-    ux, uy = _quant_dir(alpha)
-    return SceneObject(rec["class"], hb, ob, alpha, ux, uy, ob.w)
+    return SceneObject(rec["class"], HBox(*rec["hbb"]), OBox(*rec["obb"]), float(rec["alpha"]))
 
 
 def write_dataset(out_dir: str, spec: SceneSpec, count: int) -> None:

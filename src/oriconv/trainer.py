@@ -188,10 +188,7 @@ def train(config: TrainConfig, dataset, network) -> TrainResult:
                     for s, f in zip(batch, flip)
                 ]
             imgs = np.stack([s.image for s in batch])
-            gts = [
-                ([o.class_id for o in s.objects], [(o.hbox, o.obox) for o in s.objects])
-                for s in batch
-            ]
+            gts = [s.ground_truth() for s in batch]
             loss, comps = network.loss_and_grads(imgs, gts, config.lambdas)
             rows.append((step, lr, loss, *(comps[k] for k in components)))
 

@@ -1,9 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from oriconv.checkpoint import MAGIC, VERSION
+from oriconv.detect import Detection, OBox
 from oriconv.rconv import expand_rotations, expand_rotations_backward
 from oriconv.tensor import conv2d, conv2d_backward
 
@@ -104,3 +107,26 @@ def smooth_random_image(size, rng, channels=1, cells=6):
                 + grid[y0 + 1, x0 + 1] * dy * dx
             )
     return out
+
+
+def hbox_pair(h):
+    """An HBox with its axis-aligned OBox: the ground-truth pair of an
+    upright box, whose OBB row is its HBB row at angle 0."""
+    return h, OBox(*h.center, h.width, h.height, 0.0)
+
+
+def hbox_detection(class_id, score, h):
+    """A Detection of an upright box, holding `hbox_pair`'s two boxes."""
+    return Detection(class_id, score, *hbox_pair(h))
+
+
+def obox_detection(class_id, score, o):
+    """A Detection of an oriented box and its axis-aligned hull."""
+    return Detection(class_id, score, o.hull(), o)
+
+
+def huge_checkpoint_header():
+    """39 bytes of checkpoint that declare one float32 tensor of
+    [2**32 - 1] ** 3 values."""
+    dims = struct.pack("<III", *[2**32 - 1] * 3)
+    return MAGIC + struct.pack("<III", VERSION, 1, 7) + b"param/w" + struct.pack("<I", 3) + dims

@@ -16,6 +16,8 @@ from oriconv.networks import (
 from oriconv.synthdata import SceneSpec, generate_orientation_patches, generate_scene
 from oriconv.trainer import TrainConfig, build_network, save_training_checkpoint, train
 
+from conftest import huge_checkpoint_header
+
 
 def _saved(tmp_path):
     path = tmp_path / "checkpoint.ckpt"
@@ -59,6 +61,14 @@ def test_truncated_raises_config_error(tmp_path):
         path.write_bytes(full[:cut])
         with pytest.raises(ConfigError, match="truncated"):
             load_checkpoint(str(path))
+
+
+def test_header_larger_than_the_file_raises_config_error(tmp_path):
+    path = tmp_path / "checkpoint.ckpt"
+    path.write_bytes(huge_checkpoint_header())
+    assert path.stat().st_size == 39
+    with pytest.raises(ConfigError, match="truncated"):
+        load_checkpoint(str(path))
 
 
 def test_truncated_checkpoint_exits_2(tmp_path, capsys):

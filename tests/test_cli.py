@@ -16,6 +16,8 @@ from oriconv.networks import DEFAULT_BACKBONE, NetworkSpec
 from oriconv.synthdata import load_dataset
 from oriconv.trainer import TrainConfig
 
+from conftest import huge_checkpoint_header
+
 
 def run(capfd, *argv):
     code = cli([str(a) for a in argv])
@@ -77,7 +79,7 @@ def test_eval_writes_pr_curves_that_integrate_to_ap(detection_run, tmp_path, cap
     # the OBB mAP matches the same detections on their oriented boxes
     net = _restore_run(str(run_dir))
     per_dets = [net.detect_image(s.image, score_threshold=0.0) for s in scenes]
-    per_gts = [[(o.class_id, (o.hbox, o.obox)) for o in s.objects] for s in scenes]
+    per_gts = [s.ground_truth() for s in scenes]
     _, obb_map50 = mean_average_precision(per_dets, per_gts, sorted(gt_classes), oriented=True)
     assert report["obb_map50"] == obb_map50
     assert f"OBB mAP@0.5 = {obb_map50:.4f}" in out
@@ -313,9 +315,28 @@ SCENE_RANGES = {
     "reversed_background": {"background": [0.45, 0.15]},
     "three_numbers": {"background": [0.1, 0.2, 0.3]},
     "empty_classes": {"classes": []},
+    "nan_overlap": {"overlap_iou": float("nan")},
+    "negative_overlap": {"overlap_iou": -1.0},
+    "overlap_above_one": {"overlap_iou": 1.5},
+    "bright_background": {"background": [0.5, 3.0]},
+    "dark_foreground": {"foreground": [-0.2, 0.5]},
+    "zero_min_size": {"min_size": 0.0},
+    "negative_min_size": {"min_size": -5.0},
+    "sub_pixel_min_size": {"min_size": 0.1, "max_size": 0.2},
 }
-# what the error names, where it is not the word "finite"
-SCENE_RANGE_ERRORS = {"empty_classes": "at least one class"}
+# what the error names, where it is not the word "finite": the key, for the
+# values that pass the finiteness and order checks
+SCENE_RANGE_ERRORS = {
+    "empty_classes": "at least one class",
+    "nan_overlap": "overlap_iou",
+    "negative_overlap": "overlap_iou",
+    "overlap_above_one": "overlap_iou",
+    "bright_background": "background must lie in [0, 1]",
+    "dark_foreground": "foreground must lie in [0, 1]",
+    "zero_min_size": "0.25 <= min_size",
+    "negative_min_size": "0.25 <= min_size",
+    "sub_pixel_min_size": "0.25 <= min_size",
+}
 # gen-data sets only the angle range
 SCENE_RANGE_RUNS = [("train", case) for case in sorted(SCENE_RANGES)] + [
     ("gen-data", "nan_angle"), ("gen-data", "reversed_angles"),
@@ -434,6 +455,14 @@ def test_run_dir_whose_checkpoint_does_not_fit_the_network_exits_2(detection_run
     code, err = run(capfd, "eval", "--run", old, "--data", data, "--out", tmp_path / "out")
     assert code == 2
     assert "param/attention0/conv3.weights has shape (3, 3, 32, 8)" in err
+
+
+def test_eval_of_a_checkpoint_header_larger_than_the_file_exits_2(tmp_path, capfd):
+    (tmp_path / "checkpoint.ckpt").write_bytes(huge_checkpoint_header())
+    write_json(tmp_path / "config.json", {"train": {}, "network": {}})
+    code, err = run(capfd, "eval", "--run", tmp_path, "--data", tmp_path, "--out", tmp_path / "e")
+    assert code == 2
+    assert err.startswith(f"config error: {tmp_path / 'checkpoint.ckpt'} is truncated")
 
 
 IMAGE_DEFECTS = {
@@ -607,7 +636,7 @@ def test_scene_classes_beyond_n_classes_exit_2(n_classes, tmp_path, capfd):
     })
     code, err = run(capfd, "train", "--config", cfg, "--out", tmp_path / "run")
     assert code == 2
-    assert err.startswith("error: image ")
+    assert err.startswith("error: ground truth of image ")
     assert f"is outside 1..{n_classes} (n_classes)" in err
 
 

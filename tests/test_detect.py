@@ -39,6 +39,8 @@ from oriconv.detect import (
 from oriconv.errors import NumericalError, ShapeError
 from oriconv.networks import Detector, NetworkSpec
 
+from conftest import hbox_detection, hbox_pair, obox_detection
+
 
 def dense(g):
     """A `RowGrad` as the [B, N, ...] array it stands for: its rows where
@@ -192,7 +194,7 @@ def propose_rois_oracle(logits, offsets, anchors, n_levels, top_k=16, nms_iou=0.
             box = decode_hbb_oracle(anchors[i], offsets[i])
         except ShapeError:
             continue
-        cand.append(Detection(0, float(sigmoid(np.array([logits[i]]))[0]), hbox=box))
+        cand.append(Detection(0, float(sigmoid(np.array([logits[i]]))[0]), *hbox_pair(box)))
     kept = nms_oracle(cand, nms_iou)[:top_k]
     return [(d.hbox, d.score, assign_pyramid_level(d.hbox.width, d.hbox.height, n_levels))
             for d in kept]
@@ -305,12 +307,17 @@ class TestBoxes:
 
     def test_detection_requires_finite_score(self):
         with pytest.raises(ShapeError):
-            Detection(1, float("nan"), HBox(0, 0, 1, 1))
+            Detection(1, float("nan"), *hbox_pair(HBox(0, 0, 1, 1)))
 
-    def test_detection_requires_a_box(self):
-        with pytest.raises(ShapeError, match="hbox"):
-            Detection(0, 0.5)
-        assert Detection(0, 0.5, obox=OBox(5, 5, 4, 2, 0.0)).hbox == HBox(3, 4, 7, 6)
+    def test_detection_requires_both_boxes(self):
+        hb, ob = HBox(3, 4, 7, 6), OBox(5, 5, 4, 2, 0.0)
+        for boxes in ((None, ob), (hb, None), (None, None), (ob, hb), (hb, hb)):
+            with pytest.raises(ShapeError, match="needs an HBox and an OBox"):
+                Detection(0, 0.5, *boxes)
+        with pytest.raises(TypeError):
+            Detection(0, 0.5, obox=ob)  # no box has a default
+        d = Detection(0, 0.5, hb, ob)
+        assert (d.hbox, d.obox) == (hb, ob)
 
 
 class TestIouHbb:
@@ -390,9 +397,16 @@ class TestEncoding:
         assert np.abs(t).max() < 1e-12
 
 
+def as_pairs(boxes):
+    """Ground-truth boxes as `(HBox, OBox)` pairs: an HBox becomes its
+    `hbox_pair`, the pair whose OBB row is its HBB row at angle 0."""
+    return [g if isinstance(g, tuple) else hbox_pair(g) for g in boxes]
+
+
 def one_image(boxes, classes=None) -> GroundTruth:
-    """The ground truth of a batch of one image."""
-    return GroundTruth.from_images([(classes, boxes)])
+    """The ground truth of a batch of one image (`as_pairs` of its boxes),
+    its objects of class 1 unless `classes` says otherwise."""
+    return GroundTruth.from_images([(classes or [1] * len(boxes), as_pairs(boxes))])
 
 
 class TestMatching:
@@ -722,6 +736,8 @@ MATCH_LEVELS = (
 
 
 def _ground_truth(sample, mode):
+    """A scene's boxes as the per-positive oracle takes them: pairs, bare
+    HBoxes or a mix; `as_pairs` turns any of them into the record's pairs."""
     objs = sample.objects
     if mode == "pairs":
         return [(o.hbox, o.obox) for o in objs]
@@ -799,7 +815,7 @@ class TestVectorisedPostprocess:
     def test_nms_matches_greedy_oracle(self, data):
         n = data.draw(st.integers(1, 14))
         dets = [
-            Detection(0, s, hbox=b)
+            hbox_detection(0, s, b)
             for s, b in zip(
                 data.draw(st.lists(SCORES, min_size=n, max_size=n)),
                 data.draw(st.lists(HBOXES, min_size=n, max_size=n)),
@@ -817,8 +833,8 @@ class TestVectorisedPostprocess:
     def test_nms_indices_select_what_the_greedy_oracle_keeps(self, data):
         n = data.draw(st.integers(0, 10))
         dets = [
-            Detection(0, s, obox=data.draw(OBOXES)) if data.draw(st.booleans())
-            else Detection(0, s, hbox=data.draw(GRID_HBOXES))
+            obox_detection(0, s, data.draw(OBOXES)) if data.draw(st.booleans())
+            else hbox_detection(0, s, data.draw(GRID_HBOXES))
             for s in data.draw(st.lists(SCORES, min_size=n, max_size=n))
         ]
         threshold = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]) | st.floats(0, 1))
@@ -1082,6 +1098,9 @@ def _shared_rpn_anchor_boxes(anchors):
     return boxes
 
 
+BOX_PAIR = hbox_pair(HBox(0, 0, 4, 4))
+
+
 class TestBatchedMatching:
     @pytest.mark.parametrize("stage", ["head", "rpn"])
     @pytest.mark.parametrize("mode", ["pairs", "hboxes", "mixed"])
@@ -1092,7 +1111,8 @@ class TestBatchedMatching:
         gts = [([o.class_id for o in s.objects], _ground_truth(s, mode)) for s in scenes]
         gts.insert(1, ([], []))  # an image without boxes, not the last
         gts.append(([1, 2], _shared_rpn_anchor_boxes(MATCH_LEVELS[-1])))
-        got = match_batch(anchors, GroundTruth.from_images(gts), stage)
+        got = match_batch(anchors, GroundTruth.from_images(
+            [(classes, as_pairs(boxes)) for classes, boxes in gts]), stage)
         for b, (classes, boxes) in enumerate(gts):
             want = match_anchors_oracle(anchors, boxes, classes, stage=stage)
             for name in ("labels", "hbb_targets", "obb_targets"):
@@ -1123,7 +1143,7 @@ class TestBatchedMatching:
     @pytest.mark.parametrize("stage", ["head", "rpn"])
     def test_a_batch_without_boxes_gets_the_empty_image_labels(self, stage):
         anchors = MATCH_LEVELS[-1]
-        m = match_batch(anchors, GroundTruth.from_images([([], []), (None, [])]), stage)
+        m = match_batch(anchors, GroundTruth.from_images([([], []), ([], [])]), stage)
         want = match_anchors_oracle(anchors, [], stage=stage)
         assert m.labels.shape == (2, len(anchors))
         for b in range(2):
@@ -1131,11 +1151,18 @@ class TestBatchedMatching:
             assert m.hbb_targets[b].tobytes() == want.hbb_targets.tobytes()
 
     @pytest.mark.parametrize("gts, message", [
-        ([([1, 2], [HBox(0, 0, 4, 4)])], "image 0 of the batch: 2 class ids for 1 boxes"),
-        ([([], []), ([1], [])], "image 1 of the batch: 1 class ids for 0 boxes"),
-        ([([2], [HBox(0, 0, 4, 4)]), ([0], [HBox(0, 0, 4, 4)])],
-         r"image 1 of the batch: class id 0 is outside 1\.\.3"),
-        ([([4, 1], [HBox(0, 0, 4, 4)] * 2)], r"image 0 of the batch: class id 4 is outside 1\.\.3"),
+        ([([1, 2], [BOX_PAIR])], "ground truth of image 0: 2 class ids for 1 boxes"),
+        ([([], []), ([1], [])], "ground truth of image 1: 1 class ids for 0 boxes"),
+        ([([2], [BOX_PAIR]), ([0], [BOX_PAIR])],
+         r"ground truth of image 1: class id 0 is outside 1\.\.3"),
+        ([([4, 1], [BOX_PAIR] * 2)], r"ground truth of image 0: class id 4 is outside 1\.\.3"),
+        ([(None, [BOX_PAIR])], "ground truth of image 0: class ids must be a list"),
+        ([([1], [BOX_PAIR]), (None, [])], "ground truth of image 1: class ids must be a list"),
+        ([([1], [HBox(0, 0, 4, 4)])], r"ground truth of image 0: every box must be an \(HBox, OBox\)"),
+        ([([1, 1], [BOX_PAIR, HBox(0, 0, 4, 4)])],
+         r"ground truth of image 0: every box must be an \(HBox, OBox\)"),
+        ([[(1, BOX_PAIR)]], r"ground truth of image 0 is not a \(class ids, box pairs\) record"),
+        ([([1.0], [BOX_PAIR])], "ground truth of image 0: class ids must be a list of whole numbers"),
     ])
     def test_ground_truth_rejects_what_the_loss_cannot_read(self, gts, message):
         with pytest.raises(ShapeError, match=message):

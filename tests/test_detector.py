@@ -235,9 +235,9 @@ def test_batch_of_four_matches_per_image_oracle():
 
 @pytest.mark.parametrize("gts, message", [
     ([([1], [0])], "ground truth for 1 images in a batch of 2"),
-    ([([1], [0]), ([0], [0])], r"image 1 of the batch: class id 0 is outside 1\.\.3"),
-    ([([4], [0]), ([1], [0])], r"image 0 of the batch: class id 4 is outside 1\.\.3"),
-    ([([1], [0, 0]), ([1], [0])], "image 0 of the batch: 1 class ids for 2 boxes"),
+    ([([1], [0]), ([0], [0])], r"ground truth of image 1: class id 0 is outside 1\.\.3"),
+    ([([4], [0]), ([1], [0])], r"ground truth of image 0: class id 4 is outside 1\.\.3"),
+    ([([1], [0, 0]), ([1], [0])], "ground truth of image 0: 1 class ids for 2 boxes"),
 ])
 def test_ground_truth_the_loss_cannot_read_raises_before_the_forward(gts, message):
     net = Detector(NetworkSpec(), rng=np.random.default_rng(0))

@@ -13,22 +13,31 @@ from oriconv.metrics import (
     mean_average_precision,
 )
 
+from conftest import hbox_detection, hbox_pair, obox_detection
+
+
+def upright(ground_truth, class_id=0):
+    """The ground-truth record of one image whose HBoxes are all of one
+    class, each with its axis-aligned OBox."""
+    return [class_id] * len(ground_truth), [hbox_pair(g) for g in ground_truth]
+
+
+def class_pairs(per_image_gt):
+    """Records as the `[(class, (HBox, OBox))]` lists per image the oracles
+    below read."""
+    return [list(zip(ids, boxes)) for ids, boxes in per_image_gt]
+
 
 def image_ap(detections, ground_truth):
     """AP of one image's class-0 detections against HBox ground truth, from
     `mean_average_precision` (the mean of one class is its AP)."""
-    _, m = mean_average_precision([detections], [[(0, g) for g in ground_truth]], [0])
+    _, m = mean_average_precision([detections], [upright(ground_truth)], [0])
     return m
-
-
-def hbox_pair(h):
-    """An HBox ground truth with its axis-aligned OBox, as `evaluate` takes it."""
-    return h, OBox((h.xmin + h.xmax) / 2, (h.ymin + h.ymax) / 2, h.width, h.height, 0.0)
 
 
 def evaluate_image(detections, ground_truth):
     """`evaluate` on one image whose HBox ground truth is all of class 0."""
-    result, _ = evaluate([detections], [[(0, hbox_pair(g)) for g in ground_truth]])
+    result, _ = evaluate([detections], [upright(ground_truth)])
     return result
 
 
@@ -60,18 +69,18 @@ def random_detection_set(rng, n_gt):
         if rng.random() < 0.8:
             off = rng.uniform(0, 8)
             dets.append(
-                Detection(0, float(rng.random()), HBox(i * 20 + off, 0, i * 20 + 10 + off, 10))
+                hbox_detection(0, float(rng.random()), HBox(i * 20 + off, 0, i * 20 + 10 + off, 10))
             )
     for _ in range(int(rng.integers(0, 6))):
         x = 1000 + rng.uniform(0, 5)
-        dets.append(Detection(0, float(rng.random()), HBox(x, 0, x + 10, 10)))
+        dets.append(hbox_detection(0, float(rng.random()), HBox(x, 0, x + 10, 10)))
     return dets, gts
 
 
 class TestAveragePrecision:
     def test_single_correct_detection(self):
         gt = [HBox(0, 0, 10, 10)]
-        dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
+        dets = [hbox_detection(0, 0.9, HBox(0, 0, 10, 10))]
         assert image_ap(dets, gt) == 1.0
 
     def test_no_detections(self):
@@ -81,9 +90,9 @@ class TestAveragePrecision:
         # 2 ground truths, ranked [TP, FP, TP] -> 0.5*1 + 0.5*(2/3) = 5/6
         gts = [HBox(0, 0, 10, 10), HBox(50, 50, 60, 60)]
         dets = [
-            Detection(0, 0.9, HBox(0, 0, 10, 10)),
-            Detection(0, 0.8, HBox(100, 100, 110, 110)),
-            Detection(0, 0.7, HBox(50, 50, 60, 60)),
+            hbox_detection(0, 0.9, HBox(0, 0, 10, 10)),
+            hbox_detection(0, 0.8, HBox(100, 100, 110, 110)),
+            hbox_detection(0, 0.7, HBox(50, 50, 60, 60)),
         ]
         assert image_ap(dets, gts) == pytest.approx(5 / 6)
 
@@ -117,13 +126,13 @@ class TestAveragePrecision:
                 continue
             base = image_ap(dets, gts)
             min_score = min((d.score for d in dets), default=1.0)
-            extra = Detection(0, min_score * 0.5, gts[unmatched[0]])
+            extra = hbox_detection(0, min_score * 0.5, gts[unmatched[0]])
             assert image_ap(dets + [extra], gts) >= base - 1e-12
 
     def test_per_class_skipping(self):
         # a class with no gt and no detections is skipped from the mean
-        gts = [[(1, HBox(0, 0, 10, 10))]]
-        dets = [[Detection(1, 0.9, HBox(0, 0, 10, 10))]]
+        gts = [upright([HBox(0, 0, 10, 10)], class_id=1)]
+        dets = [[hbox_detection(1, 0.9, HBox(0, 0, 10, 10))]]
         per_class, m = mean_average_precision(dets, gts, classes=[1, 2])
         assert set(per_class) == {1}
         assert m == 1.0
@@ -132,19 +141,19 @@ class TestAveragePrecision:
 class TestErrorTaxonomy:
     def test_localization_band(self):
         gt = [HBox(0, 0, 10, 10)]
-        dets = [Detection(0, 0.9, HBox(3, 3, 13, 13))]  # IoU ~ 0.32
+        dets = [hbox_detection(0, 0.9, HBox(3, 3, 13, 13))]  # IoU ~ 0.32
         r = evaluate_image(dets, gt)
         assert (r.loc_error_rate, r.bg_confusion_rate) == (1.0, 0.0)
 
     def test_background_band(self):
         gt = [HBox(0, 0, 10, 10)]
-        dets = [Detection(0, 0.9, HBox(9.8, 9.8, 20, 20))]  # IoU < 0.1
+        dets = [hbox_detection(0, 0.9, HBox(9.8, 9.8, 20, 20))]  # IoU < 0.1
         assert evaluate_image(dets, gt).bg_confusion_rate == 1.0
 
     def test_perfect_detections_no_errors(self):
         gt = [HBox(0, 0, 10, 10)]
-        dets = [Detection(0, 0.9, HBox(0, 0, 10, 10))]
-        result, pr_rows = evaluate([dets], [[(0, hbox_pair(g)) for g in gt]])
+        dets = [hbox_detection(0, 0.9, HBox(0, 0, 10, 10))]
+        result, pr_rows = evaluate([dets], [upright(gt)])
         assert [row[2] for row in pr_rows[0]] == [1.0]  # no false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
         assert result.loc_error_mean == (0.0, 0.0)
@@ -152,18 +161,17 @@ class TestErrorTaxonomy:
     def test_duplicate_goes_to_other(self):
         gt = [HBox(0, 0, 10, 10)]
         dets = [
-            Detection(0, 0.9, HBox(0, 0, 10, 10)),
-            Detection(0, 0.8, HBox(0.5, 0, 10.5, 10)),  # IoU ~ 0.9, duplicate
+            hbox_detection(0, 0.9, HBox(0, 0, 10, 10)),
+            hbox_detection(0, 0.8, HBox(0.5, 0, 10.5, 10)),  # IoU ~ 0.9, duplicate
         ]
-        result, pr_rows = evaluate([dets], [[(0, hbox_pair(g)) for g in gt]])
+        result, pr_rows = evaluate([dets], [upright(gt)])
         assert [row[2] for row in pr_rows[0]] == [1.0, 0.5]  # one false positive
         assert (result.loc_error_rate, result.bg_confusion_rate) == (0.0, 0.0)
 
     def test_classes_partition_false_positives(self, rng):
         gts = [HBox(i * 15, 0, i * 15 + 10, 10) for i in range(5)]
         dets = [
-            Detection(0, float(rng.random()),
-                      HBox(x, y, x + 10, y + 10))
+            hbox_detection(0, float(rng.random()), HBox(x, y, x + 10, y + 10))
             for x, y in rng.uniform(0, 80, size=(25, 2))
         ]
         _, flags, best_ious, _ = _oracle_match_detections(dets, gts, 0.5, False)
@@ -178,19 +186,19 @@ class TestErrorTaxonomy:
     def test_one_ground_truth_list_per_image(self):
         # the far detection of the second image is a background error once
         # that image has a (possibly empty) ground-truth entry
-        gt = (0, hbox_pair(HBox(0, 0, 10, 10)))
-        tp = Detection(0, 0.9, HBox(0, 0, 10, 10))
-        far = Detection(0, 0.8, HBox(50, 50, 60, 60))
-        result, _ = evaluate([[tp], [far]], [[gt], []])
+        gt, empty = upright([HBox(0, 0, 10, 10)]), ([], [])
+        tp = hbox_detection(0, 0.9, HBox(0, 0, 10, 10))
+        far = hbox_detection(0, 0.8, HBox(50, 50, 60, 60))
+        result, _ = evaluate([[tp], [far]], [gt, empty])
         assert result.bg_confusion_rate == 1.0
         with pytest.raises(ShapeError, match="2 detection lists for 1 ground-truth"):
-            evaluate([[tp], [far]], [[gt]])
+            evaluate([[tp], [far]], [gt])
         with pytest.raises(ShapeError):
-            evaluate([[tp]], [[gt], []])
+            evaluate([[tp]], [gt, empty])
 
     def test_gap_normalized_by_diagonal(self):
         gt = [HBox(0, 0, 8, 6)]  # diagonal 10
-        dets = [Detection(0, 0.9, HBox(4, 0, 12, 6))]  # IoU = 24/72 = 1/3
+        dets = [hbox_detection(0, 0.9, HBox(4, 0, 12, 6))]  # IoU = 24/72 = 1/3
         r = evaluate_image(dets, gt)
         assert r.loc_error_rate == 1.0
         assert r.loc_error_mean[0] == pytest.approx(0.4)  # 4 px / diagonal 10
@@ -203,9 +211,9 @@ class TestOrientationError:
     @staticmethod
     def angle_error(pred_angles, true_angles):
         gts = [square_pair(20.0 * (i + 1), a) for i, a in enumerate(true_angles)]
-        dets = [Detection(0, 0.9, obox=OBox(20.0 * (i + 1), 50.0, 10.0, 10.0, a))
+        dets = [obox_detection(0, 0.9, OBox(20.0 * (i + 1), 50.0, 10.0, 10.0, a))
                 for i, a in enumerate(pred_angles)]
-        return evaluate([dets], [[(0, g) for g in gts]])[0].mean_angular_error
+        return evaluate([dets], [([0] * len(gts), gts)])[0].mean_angular_error
 
     def test_identical(self):
         assert self.angle_error([10.0, 250.0], [10.0, 250.0]) == 0.0
@@ -218,16 +226,43 @@ class TestOrientationError:
         assert self.angle_error([0.0, 90.0], [10.0, 70.0]) == pytest.approx(15.0)
 
 
+BOX = HBox(0, 0, 10, 10)
+# ground truth that is not one (class_ids, [(HBox, OBox), ...]) record per image
+NOT_RECORDS = {
+    "class_pair_list": [[(0, hbox_pair(BOX))]],  # the former evaluation format
+    "two_class_pairs": [[(0, hbox_pair(BOX)), (0, hbox_pair(HBox(20, 0, 30, 10)))]],
+    "class_hbox_list": [[(0, BOX)]],
+    "empty_list_image": [[]],
+    "bare_hbox": [([0], [BOX])],
+    "none_ids": [(None, [hbox_pair(BOX)])],
+    "obox_first": [([0], [hbox_pair(BOX)[::-1]])],
+}
+
+
 class TestOrientedGroundTruth:
     def test_hbox_only_ground_truth_rejected(self):
-        dets = [[Detection(0, 0.9, obox=OBox(5, 50, 10, 10, 0.0))]]
+        dets = [[obox_detection(0, 0.9, OBox(5, 50, 10, 10, 0.0))]]
         with pytest.raises(ShapeError, match=r"\(HBox, OBox\)"):
-            mean_average_precision(dets, [[(0, HBox(0, 0, 10, 10))]], [0], oriented=True)
+            mean_average_precision(dets, [([0], [BOX])], [0], oriented=True)
         with pytest.raises(ShapeError):
-            mean_average_precision([[]], [[(0, HBox(0, 0, 10, 10))]], [0], oriented=True)
-        _, m = mean_average_precision(dets, [[(0, square_pair(5.0, 0.0))]], [0],
-                                              oriented=True)
+            mean_average_precision([[]], [([0], [BOX])], [0], oriented=True)
+        _, m = mean_average_precision(dets, [([0], [square_pair(5.0, 0.0)])], [0],
+                                      oriented=True)
         assert m == 1.0
+
+    @pytest.mark.parametrize("case", sorted(NOT_RECORDS))
+    def test_only_ground_truth_records_are_scored(self, case):
+        dets = [[hbox_detection(0, 0.9, BOX)]]
+        with pytest.raises(ShapeError, match="ground truth of image 0"):
+            evaluate(dets, NOT_RECORDS[case])
+        for oriented in (False, True):
+            with pytest.raises(ShapeError, match="ground truth of image 0"):
+                mean_average_precision(dets, NOT_RECORDS[case], [0], oriented=oriented)
+
+    def test_a_record_of_an_empty_image(self):
+        result, pr_rows = evaluate([[hbox_detection(0, 0.9, BOX)]], [([], [])])
+        assert (result.map50, result.obb_map50, pr_rows) == (0.0, 0.0, {})
+        assert result.bg_confusion_rate == 1.0
 
 
 class TestObbMap:
@@ -241,7 +276,8 @@ class TestObbMap:
 
     @staticmethod
     def maps(per_dets, per_gts):
-        result, _ = evaluate(per_dets, [[(c, (o.hull(), o)) for c, o in gts] for gts in per_gts])
+        records = [([c for c, _ in gts], [(o.hull(), o) for _, o in gts]) for gts in per_gts]
+        result, _ = evaluate(per_dets, records)
         return result.map50, result.obb_map50
 
     def test_crossed_bars_share_a_hull(self):
@@ -251,24 +287,25 @@ class TestObbMap:
 
     def test_aligned_detections_score_alike(self):
         gt = OBox(30.0, 40.0, 16.0, 8.0, 0.0)
-        assert self.maps([[Detection(0, 0.9, obox=gt)]], [[(0, gt)]]) == (1.0, 1.0)
+        assert self.maps([[obox_detection(0, 0.9, gt)]], [[(0, gt)]]) == (1.0, 1.0)
 
     def test_crossed_bar_hits_the_hbb_and_misses_the_obb(self):
-        assert self.maps([[Detection(0, 0.9, obox=self.CROSS)]], [[(0, self.BAR)]]) == (1.0, 0.0)
+        assert self.maps([[obox_detection(0, 0.9, self.CROSS)]], [[(0, self.BAR)]]) == (1.0, 0.0)
 
-    def test_detection_without_obox_misses_the_obb(self):
-        det = Detection(0, 0.9, hbox=self.BAR.hull())
+    def test_upright_hull_misses_the_obb(self):
+        # the bar's hull at angle 0 holds the bar: OBB IoU 80 / 288
+        det = hbox_detection(0, 0.9, self.BAR.hull())
         assert self.maps([[det]], [[(0, self.BAR)]]) == (1.0, 0.0)
 
     def test_mean_over_classes(self):
-        dets = [Detection(0, 0.9, obox=self.BAR), Detection(1, 0.8, obox=self.CROSS)]
+        dets = [obox_detection(0, 0.9, self.BAR), obox_detection(1, 0.8, self.CROSS)]
         gts = [(0, self.BAR), (1, self.BAR)]
         assert self.maps([dets], [gts]) == (1.0, 0.5)
 
     def test_matched_in_score_order(self):
         # the crossed bar ranks first: the true positive of the HBB match and
         # a false positive of the OBB match, whose true positive comes second
-        dets = [Detection(0, 0.9, obox=self.CROSS), Detection(0, 0.8, obox=self.BAR)]
+        dets = [obox_detection(0, 0.9, self.CROSS), obox_detection(0, 0.8, self.BAR)]
         assert self.maps([dets], [[(0, self.BAR)]]) == (1.0, 0.5)
 
 
@@ -452,10 +489,11 @@ def _mean_obb_angle_error(per_dets, per_gts) -> float:
 
 
 def jittered_image_set(rng):
-    """Images of oriented objects in three classes, `(class, (HBox, OBox))`
-    ground truth, and detections that jitter, duplicate, relabel or miss them,
+    """Images of oriented objects in three classes, one ground-truth record
+    per image, and detections that jitter, duplicate, relabel or miss them,
     plus background boxes. Scores are coarse, so ties occur; some detections
-    carry float32 geometry, as `detect_image` output does, or no OBox."""
+    carry float32 geometry, as `detect_image` output does, or an upright
+    OBox (their hull at angle 0)."""
     per_dets, per_gts = [], []
     for _ in range(int(rng.integers(1, 5))):
         gts, dets = [], []
@@ -477,14 +515,14 @@ def jittered_image_set(rng):
                     hb = HBox(*np.float32([hb.xmin, hb.ymin, hb.xmax, hb.ymax]))
                     dets.append(Detection(label, score, hb, db))
                 elif rng.random() < 0.15:
-                    dets.append(Detection(label, score, OBox(xc, yc, w, h, theta).hull()))
+                    dets.append(hbox_detection(label, score, OBox(xc, yc, w, h, theta).hull()))
                 else:
-                    dets.append(Detection(label, score, obox=OBox(xc, yc, w, h, theta)))
+                    dets.append(obox_detection(label, score, OBox(xc, yc, w, h, theta)))
         for _ in range(int(rng.integers(0, 3))):
             x, y = rng.uniform(0, 90, 2)
-            dets.append(Detection(int(rng.integers(0, 3)), round(float(rng.random()), 1),
-                                  HBox(x, y, x + 8, y + 8)))
-        per_gts.append(gts)
+            dets.append(hbox_detection(int(rng.integers(0, 3)), round(float(rng.random()), 1),
+                                       HBox(x, y, x + 8, y + 8)))
+        per_gts.append(([c for c, _ in gts], [g for _, g in gts]))
         per_dets.append(dets)
     return per_dets, per_gts
 
@@ -503,7 +541,9 @@ class TestOracleIdentity:
         for per_dets, per_gts in self.sets(n_sets):
             for thr in (0.3, 0.5, 0.7):
                 got = mean_average_precision(per_dets, per_gts, [0, 1, 2, 3], thr, oriented)
-                want = _oracle_mean_average_precision(per_dets, per_gts, [0, 1, 2, 3], thr, oriented)
+                want = _oracle_mean_average_precision(
+                    per_dets, class_pairs(per_gts), [0, 1, 2, 3], thr, oriented
+                )
                 assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("oriented, n_sets", [(False, 40), (True, 5)])
@@ -512,9 +552,9 @@ class TestOracleIdentity:
         # image-set functions
         for per_dets, per_gts in self.sets(n_sets):
             for dets, gts in zip(per_dets, per_gts):
-                pairs = [g for _, g in gts]
+                pairs = gts[1]
                 pooled_dets = [[Detection(0, d.score, d.hbox, d.obox) for d in dets]]
-                pooled_gts = [[(0, g) for g in pairs]]
+                pooled_gts = [([0] * len(pairs), pairs)]
                 for thr in (0.3, 0.5, 0.7):
                     _, flags, _, _ = _oracle_match_detections(dets, pairs, thr, oriented)
                     tp = np.cumsum(np.array(flags, dtype=np.float64))
@@ -532,21 +572,22 @@ class TestOracleIdentity:
                     assert repr(ap) == repr(want)
                 if not oriented:
                     result, _ = evaluate([dets], [gts])
-                    want = _oracle_taxonomy_sum([dets], [gts])
+                    want = _oracle_taxonomy_sum([dets], class_pairs([gts]))
                     assert repr({key: getattr(result, key) for key in want}) == repr(want)
 
     def test_evaluate(self):
         for per_dets, per_gts in self.sets():
             result, pr_rows = evaluate(per_dets, per_gts)
-            classes = sorted({c for gts in per_gts for c, _ in gts})
-            per_class, map50 = _oracle_mean_average_precision(per_dets, per_gts, classes)
-            _, obb_map50 = _oracle_mean_average_precision(per_dets, per_gts, classes, 0.5, True)
+            old = class_pairs(per_gts)
+            classes = sorted({c for gts in old for c, _ in gts})
+            per_class, map50 = _oracle_mean_average_precision(per_dets, old, classes)
+            _, obb_map50 = _oracle_mean_average_precision(per_dets, old, classes, 0.5, True)
             want = EvalResult(
                 per_class_ap=per_class,
                 map50=map50,
                 obb_map50=obb_map50,
-                mean_angular_error=_mean_obb_angle_error(per_dets, per_gts),
-                **_oracle_taxonomy_sum(per_dets, per_gts),
+                mean_angular_error=_mean_obb_angle_error(per_dets, old),
+                **_oracle_taxonomy_sum(per_dets, old),
             )
             assert result.to_json() == want.to_json()
             assert repr(result) == repr(want)

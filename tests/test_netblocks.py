@@ -35,7 +35,14 @@ from oriconv.networks import (
 )
 from oriconv.tensor import conv2d, conv2d_backward, finite_diff_check
 
-from conftest import filter_major, planes, rconv_grads, rconv_planes, rotation_major
+from conftest import (
+    filter_major,
+    obox_detection,
+    planes,
+    rconv_grads,
+    rconv_planes,
+    rotation_major,
+)
 
 
 def count_expansions(monkeypatch):
@@ -413,13 +420,13 @@ class TestOrientationHead:
 
     def test_angular_error_metric_endpoints(self):
         # the eval angle error is taken modulo 90: 0 when equal, at most 45
-        from oriconv.detect import Detection, OBox
+        from oriconv.detect import OBox
         from oriconv.metrics import evaluate
 
         def angle_error(pred, true):
             gt = OBox(50.0, 50.0, 10.0, 10.0, true)
-            det = Detection(0, 0.9, obox=OBox(50.0, 50.0, 10.0, 10.0, pred))
-            return evaluate([[det]], [[(0, (gt.hull(), gt))]])[0].mean_angular_error
+            det = obox_detection(0, 0.9, OBox(50.0, 50.0, 10.0, 10.0, pred))
+            return evaluate([[det]], [([0], [(gt.hull(), gt)])])[0].mean_angular_error
 
         assert angle_error(123.0, 123.0) == 0.0 and angle_error(22.5, 67.5) == 45.0
 
@@ -687,6 +694,20 @@ class TestNetworkSpecValidation:
         spec = NetworkSpec()
         back = NetworkSpec.from_dict(spec.to_dict())
         assert back == spec
+
+    def test_specs_do_not_share_stage_dicts(self):
+        edited = NetworkSpec()
+        edited.backbone[0]["filters"] = 2
+        fresh = NetworkSpec()
+        assert fresh.backbone[0]["filters"] == 6
+        first = Detector(fresh, rng=np.random.default_rng(0)).segments[0].layers[0]
+        assert first.bank.weights.shape[-1] == 6
+        # a spec built from stage dicts keeps its own copies of them too
+        stages = [dict(st) for st in fresh.backbone]
+        spec = NetworkSpec(backbone=tuple(stages))
+        stages[0]["filters"] = 2
+        assert spec.backbone[0]["filters"] == 6
+        assert NetworkSpec.from_dict(fresh.to_dict()).to_dict() == fresh.to_dict()
 
     @pytest.mark.parametrize("input_size, window, fits", [
         (16, 2, True), (16, 4, False),  # a 2x2 map

@@ -17,5 +17,5 @@ def test_digest_lines_are_sha256_and_repeat():
     ]
     assert runs[0] == runs[1]
     lines = [line.split(" ") for line in runs[0].splitlines()]
-    assert [name for name, _ in lines] == ["train_detect", "train_variants", "detect", "verify"]
+    assert [name for name, _ in lines] == ["train_detect", "train_variants", "detect", "verify", "eval"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)

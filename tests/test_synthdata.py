@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from oriconv.detect import OBox, iou_hbb
 from oriconv.errors import ConfigError, ShapeError
 from oriconv.synthdata import (
     CLASS_NAMES,
+    SceneObject,
     SceneSpec,
     augment,
     generate_orientation_patches,
@@ -108,6 +111,53 @@ class TestGenerateScene:
             SceneSpec(min_objects=3, max_objects=1)
         with pytest.raises(ShapeError):
             SceneSpec(classes=("blob",))
+
+    @pytest.mark.parametrize("bad", [
+        {"overlap_iou": math.nan}, {"overlap_iou": -1.0}, {"overlap_iou": 1.01},
+        {"overlap_iou": math.inf}, {"background": (0.5, 3.0)}, {"background": (-0.1, 0.4)},
+        {"foreground": (0.7, 1.2)}, {"min_size": 0.0}, {"min_size": -5.0},
+        {"min_size": 0.2, "max_size": 0.24},
+    ])
+    def test_values_the_generator_cannot_honour_rejected(self, bad):
+        key = next(iter(bad))
+        with pytest.raises(ShapeError, match=key):
+            SceneSpec(**bad)
+
+    @pytest.mark.parametrize("edge", [
+        {"overlap_iou": 0.0}, {"overlap_iou": 1.0}, {"background": (0.0, 1.0)},
+        {"foreground": (1.0, 1.0)}, {"min_size": 0.25, "max_size": 0.25},
+    ])
+    def test_edge_values_generate(self, edge):
+        spec = SceneSpec(seed=2, **edge)
+        for i in range(3):
+            s = generate_scene(spec, i)
+            assert 0.0 <= s.image.min() and s.image.max() <= 1.0
+
+    def test_scene_objects_hold_only_their_labels(self):
+        names = [f.name for f in dataclasses.fields(SceneObject)]
+        assert names == ["class_name", "hbox", "obox", "alpha"]
+
+    def test_rendered_bytes_pinned(self):
+        # the renderer reads its size from the OBox's long side, which
+        # canonicalization swaps into h past 90 degrees; these scenes hold
+        # both kinds
+        spec = SceneSpec(seed=3)
+        scenes = [generate_scene(spec, i) for i in range(6)]
+        sides = [o.obox.w > o.obox.h for s in scenes for o in s.objects]
+        assert any(sides) and not all(sides)
+        h = hashlib.sha256()
+        for s in scenes:
+            h.update(s.image.tobytes())
+        for img, _ in generate_orientation_patches(spec, 2):
+            h.update(img.tobytes())
+        assert h.hexdigest() == "f2d5483f435167f96ac1c3015f16d32b26226ac6e8ddcf0a4dced58a12dd1e54"
+
+    def test_ground_truth_record(self):
+        s = generate_scene(SceneSpec(seed=4, min_objects=3, max_objects=3), 0)
+        ids, pairs = s.ground_truth()
+        assert ids == [o.class_id for o in s.objects] and len(ids) == 3
+        assert pairs == [(o.hbox, o.obox) for o in s.objects]
+        assert generate_scene(SceneSpec(min_objects=0, max_objects=0), 0).ground_truth() == ([], [])
 
 
 class TestOrientationPatches:
@@ -229,6 +279,22 @@ class TestDatasetIO:
         back = read_image(str(tmp_path / "x.ppm"))
         assert back.shape == (5, 6, 3)
         assert np.abs(back - img).max() <= 0.5 / 255 + 1e-6
+
+    def test_loaded_objects_equal_the_generated_ones(self, tmp_path):
+        spec = SceneSpec(seed=3)
+        write_dataset(str(tmp_path), spec, 8)
+        back = load_dataset(str(tmp_path))
+        assert len(back) == 8
+        for i, sample in enumerate(back):
+            orig = generate_scene(spec, i)
+            assert sample.objects == orig.objects, i
+            assert sample.ground_truth() == orig.ground_truth()
+
+    def test_augmented_objects_survive_their_records(self):
+        s = generate_scene(SceneSpec(seed=42, min_objects=3, max_objects=3), 1)
+        for ops in ({"hflip": True}, {"rotate_quarters": 1}, {"rotate_quarters": 3, "hflip": True}):
+            for o in augment(s, ops).objects:
+                assert object_from_record(json.loads(json.dumps(object_record(o)))) == o
 
     def test_object_record_roundtrip(self):
         s = generate_scene(SceneSpec(seed=42), 3)

@@ -3,8 +3,8 @@ a change keeps every output byte-identical.
 
     python3 tools/output_digest.py [--steps 4] [--images 16]
 
-Prints four lines, `train_detect <sha256>`, `train_variants <sha256>`,
-`detect <sha256>` and `verify <sha256>`:
+Prints five lines, `train_detect <sha256>`, `train_variants <sha256>`,
+`detect <sha256>`, `verify <sha256>` and `eval <sha256>`:
 
 - train_detect: `--steps` training steps of `perfbench/workloads.py`'s
   `TrainDetect` at seeds 0 and 5 (its warm-up step is the first), hashing
@@ -21,7 +21,14 @@ Prints four lines, `train_detect <sha256>`, `train_variants <sha256>`,
 - verify: the CSV files `trainer.verify_equivariance` writes for an n=8
   probe at 32 px with rotation counts 4 and 8 (the `oriconv verify`
   angles), plus the `repr` of the rows of the workloads'
-  `Verify` at seeds 0 and 5.
+  `Verify` at seeds 0 and 5;
+- eval: one CLI round trip through `oriconv.cli.cli` in a temporary
+  directory: `gen-data` of 8 scenes at seed 3, `train` on them from a config
+  of empty sections for 2 steps at batch size 4, and `eval` at score
+  threshold 0.0 on 8 held-out scenes at seed 11, hashing every file those
+  commands write (images, `labels.jsonl`, `meta.json`, the run's
+  `config.json`, `loss_log.csv` and `checkpoint.ckpt`, `eval.json` and each
+  `pr_class*.csv`) by path and bytes.
 
 The workloads are imported read-only and run with one BLAS thread unless
 OPENBLAS_NUM_THREADS says otherwise, as the benchmark runs them. Compare the
@@ -31,7 +38,10 @@ lines printed at two commits: equal digests mean equal outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import sys
 import tempfile
@@ -44,7 +54,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # as perfbench/run.py runs t
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from oriconv import networks, trainer  # noqa: E402
+from oriconv import cli, networks, trainer  # noqa: E402
 
 TRAIN_SEEDS = (0, 5)
 DETECT_SEEDS = (3, 7919)
@@ -133,6 +143,35 @@ def verify_digest() -> str:
     return h.hexdigest()
 
 
+def eval_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump({"train": {}, "network": {}, "data": {}}, fh)
+        train, held_out, run, report = (os.path.join(tmp, d) for d in ("train", "held_out", "run", "eval"))
+        commands = (
+            ["gen-data", "--out", train, "--count", "8", "--seed", "3"],
+            ["gen-data", "--out", held_out, "--count", "8", "--seed", "11"],
+            ["train", "--config", config, "--data", train, "--out", run,
+             "--steps", "2", "--batch-size", "4"],
+            ["eval", "--run", run, "--data", held_out, "--out", report, "--score-threshold", "0.0"],
+        )
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):  # its lines name the temp dir
+                code = cli.cli(argv)
+            if code != 0:
+                raise SystemExit(f"oriconv {argv[0]} exited {code}")
+        for d in (train, held_out, run, report):
+            for base, _, files in sorted(os.walk(d)):
+                for name in sorted(files):
+                    path = os.path.join(base, name)
+                    with open(path, "rb") as fh:
+                        h.update(os.path.relpath(path, tmp).encode())
+                        h.update(fh.read())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--steps", type=int, default=4, help="training steps per seed (>= 1)")
@@ -145,6 +184,7 @@ def main(argv=None) -> int:
     print("train_variants", train_variants_digest(args.steps))
     print("detect", detect_digest(args.images))
     print("verify", verify_digest())
+    print("eval", eval_digest())
     return 0
 
 
